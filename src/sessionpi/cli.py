@@ -257,7 +257,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    limit = sys.getrecursionlimit()
     sys.setrecursionlimit(100_000)
+    try:
+        return _main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     ap = _parser()
     try:
         args = ap.parse_args(argv)
@@ -265,8 +273,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (surface.ParseError, FileNotFoundError, ValueError) as e:
+    except (surface.ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

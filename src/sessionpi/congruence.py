@@ -53,48 +53,26 @@ def normal_form(p: Process) -> NormalForm:
     return NormalForm(tuple(binders), tuple(threads))
 
 
-def threads_of(p: Process) -> tuple[Process, ...]:
-    return normal_form(p).threads
-
-
-def _continuations(t: Process) -> list[Process]:
-    """The immediate continuation subterms of a thread."""
-    match t:
-        case sx.Offer(_, arms):
-            return [a for _, a in arms]
-        case sx.If(_, a, b):
-            return [a, b]
-        case (sx.Serve(_, _, b) | sx.Accept(_, _, b) | sx.Request(_, _, b)
-              | sx.Receive(_, _, b) | sx.Send(_, _, b)
-              | sx.ReceiveSession(_, _, b) | sx.SendSession(_, _, b)
-              | sx.Choose(_, _, b)):
-            return [b]
-    return []
-
-
 def maximal_parallel_subterms(p: Process) -> list[Process]:
     """The process itself plus every maximal parallel cluster nested
     under a prefix, in outside-in order.
 
     A cluster is a maximal region built from `|`, `new` and `0`; its
-    threads' continuations are walked to find the clusters below.
+    threads' continuations are walked, in pre-order from left to right,
+    to find the clusters below.
     """
     out: list[Process] = []
-
-    def cluster(p: Process) -> None:
-        nf = normal_form(p)
-        out.append(nf.process())
-        for t in nf.threads:
-            into(t)
-
-    def into(t: Process) -> None:
-        for c in _continuations(t):
-            if isinstance(c, (sx.Par, sx.New)):
-                cluster(c)
-            elif not isinstance(c, sx.Stop):
-                into(c)
-
-    cluster(p)
+    todo: list[Process] = [p]
+    while todo:
+        q = todo.pop()
+        # p itself is a cluster even when it is a single thread
+        if not out or isinstance(q, (sx.Par, sx.New)):
+            nf = normal_form(q)
+            out.append(nf.process())
+            todo.extend(reversed(nf.threads))
+        else:
+            todo.extend(c for c in reversed(sx.children(q))
+                        if not isinstance(c, sx.Stop))
     return out
 
 
@@ -109,17 +87,12 @@ def has_live_channels(p: Process) -> bool:
     """
     todo: list[Process] = [p]
     while todo:
-        match todo.pop():
+        q = todo.pop()
+        match q:
             case sx.Serve() | sx.Accept():
                 pass  # dormant scope
-            case sx.Stop():
-                pass
-            case sx.Par(l, r):
-                todo.append(l)
-                todo.append(r)
-            case sx.If(_, a, b):
-                todo.append(a)
-                todo.append(b)
+            case sx.Stop() | sx.Par() | sx.If():
+                todo.extend(sx.children(q))
             case _:
                 return True  # every remaining form mentions a channel
     return False
@@ -137,12 +110,14 @@ def canonical_key(p: Process) -> str:
 
     blind: dict[Name, str] = {}
 
-    def collect(p: Process, names: dict[Name, str], tag) -> None:
-        b = sx.binder(p)
-        if b is not None and b[0] not in names:
-            names[b[0]] = tag(len(names))
-        for q in _children_all(p):
-            collect(q, names, tag)
+    def collect(t: Process, names: dict[Name, str], tag) -> None:
+        todo = [t]
+        while todo:
+            q = todo.pop()
+            b = sx.binder(q)
+            if b is not None and b[0] not in names:
+                names[b[0]] = tag(len(names))
+            todo.extend(reversed(sx.children(q)))
 
     for t in nf.threads:
         collect(t, blind, lambda _: "#x")
@@ -161,18 +136,3 @@ def canonical_key(p: Process) -> str:
     head = f"new {', '.join(used)} . " if used else ""
     return head + " | ".join(print_process(t, numbered) for t in order)
 
-
-def _children_all(p: Process) -> list[Process]:
-    match p:
-        case sx.Stop():
-            return []
-        case sx.Par(l, r):
-            return [l, r]
-        case sx.New(_, b):
-            return [b]
-        case sx.If(_, a, b):
-            return [a, b]
-        case sx.Offer(_, arms):
-            return [a for _, a in arms]
-        case _:
-            return _continuations(p)

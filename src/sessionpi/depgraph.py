@@ -64,31 +64,40 @@ class _DSU:
         return True
 
 
-def _region(p: Process) -> tuple[list[Name], list[Process]]:
-    """Binders and threads of the parallel region at the top of p."""
+def _chan_order(c: Name) -> tuple[str, int]:
+    return c.base, c.uid or 0
+
+
+def _occurrences(p: Process) -> tuple[
+        congruence.NormalForm, list[set[Name]], dict[Name, list[int]]]:
+    """The parallel region at the top of p, each of its threads' free
+    channels, and the threads each channel is free in, ascending.
+
+    Channels enter the index thread by thread, each thread's in
+    `_chan_order`, so walking it gives the same cycle on every run.
+    """
     nf = congruence.normal_form(p)
-    return list(nf.binders), list(nf.threads)
+    fscs = [sx.free_session_channels(t) for t in nf.threads]
+    occ: dict[Name, list[int]] = {}
+    for i, f in enumerate(fscs):
+        for c in sorted(f, key=_chan_order):
+            occ.setdefault(c, []).append(i)
+    return nf, fscs, occ
 
 
 def build_graph(p: Process) -> DepGraph:
-    binders, threads = _region(p)
-    removed = set(binders)
-    fscs = [sx.free_session_channels(t) for t in threads]
+    nf, fscs, occ = _occurrences(p)
+    removed = set(nf.binders)
     labels = tuple(frozenset(f - removed) for f in fscs)
     names = display_names(p)
-    texts = tuple(print_process(t, names) for t in threads)
-
-    occ: dict[Name, list[int]] = {}
-    for i, f in enumerate(fscs):
-        for c in f:
-            occ.setdefault(c, []).append(i)
+    texts = tuple(print_process(t, names) for t in nf.threads)
 
     edges: list[tuple[int, int, Name]] = []
     for c, nodes in occ.items():
         for x in range(len(nodes)):
             for y in range(x + 1, len(nodes)):
                 edges.append((nodes[x], nodes[y], c))
-    edges.sort(key=lambda e: (e[0], e[1], e[2].base, e[2].uid or 0))
+    edges.sort(key=lambda e: (e[0], e[1], _chan_order(e[2])))
     return DepGraph(labels, tuple(edges), texts)
 
 
@@ -136,17 +145,11 @@ def is_acyclic(g: DepGraph) -> bool:
 
 
 def _cluster_cycle(p: Process) -> Cycle | None:
-    """find_cycle(build_graph(p)), but without enumerating all pairs: a
-    channel on three threads is already a triangle."""
-    _, threads = _region(p)
-    occ: dict[Name, list[int]] = {}
-    for i, t in enumerate(threads):
-        for c in sx.free_session_channels(t):
-            occ.setdefault(c, []).append(i)
-
+    """A cycle of build_graph(p) if it has one, found without enumerating
+    all pairs: a channel on three threads is already a triangle."""
     dsu = _DSU()
     adj: dict[int, list[tuple[int, Name]]] = {}
-    for c, nodes in occ.items():
+    for c, nodes in _occurrences(p)[2].items():
         if len(nodes) >= 3:
             a, b, d = nodes[:3]
             return Cycle((a, b, d), (c, c, c))

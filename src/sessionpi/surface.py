@@ -616,24 +616,18 @@ def display_names(*ps: Process) -> dict[Name, str]:
     bound: list[Name] = []
     seen: set[Name] = set()
     services: set[str] = set()
-
-    def collect(p: Process) -> None:
-        b = sx.binder(p)
-        if b is not None and b[0] not in seen:
-            seen.add(b[0])
-            bound.append(b[0])
-        match p:
-            case sx.Serve(a, _, _) | sx.Accept(a, _, _) | sx.Request(a, _, _):
-                services.add(a.base)
-            case _:
-                pass
-        for q in _children(p):
-            collect(q)
-
     for p in ps:
         free |= sx.free_session_channels(p)
-        collect(p)
-
+        todo = [p]
+        while todo:
+            q = todo.pop()
+            b = sx.binder(q)
+            if b is not None and b[0] not in seen:
+                seen.add(b[0])
+                bound.append(b[0])
+            if isinstance(q, (sx.Serve, sx.Accept, sx.Request)):
+                services.add(q.service.base)
+            todo.extend(reversed(sx.children(q)))
     taken = {n.base for n in free} | services
     names: dict[Name, str] = {n: n.base for n in free}
     for n in sorted(bound, key=lambda n: n.uid or 0):
@@ -647,24 +641,6 @@ def display_names(*ps: Process) -> dict[Name, str]:
         names[n] = f"{n.base}_{i}"
         taken.add(names[n])
     return names
-
-
-def _children(p: Process) -> list[Process]:
-    match p:
-        case sx.Stop():
-            return []
-        case sx.Par(l, r):
-            return [l, r]
-        case sx.Offer(_, arms):
-            return [a for _, a in arms]
-        case sx.If(_, t, e):
-            return [t, e]
-        case (sx.New(_, b) | sx.Serve(_, _, b) | sx.Accept(_, _, b)
-              | sx.Request(_, _, b) | sx.Receive(_, _, b) | sx.Send(_, _, b)
-              | sx.ReceiveSession(_, _, b) | sx.SendSession(_, _, b)
-              | sx.Choose(_, _, b)):
-            return [b]
-    raise TypeError(f"not a process: {p!r}")
 
 
 _LEVELS = {

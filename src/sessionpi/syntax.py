@@ -15,7 +15,8 @@ the ids of a term that is about to be duplicated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 
 _uids = itertools.count(1)
 
@@ -274,6 +275,68 @@ def binder(p: Process) -> tuple[Name, Process] | None:
 
 
 # ----------------------------------------------------------------- traversals
+#
+# `children` and `rebuild` are the one place that knows where each
+# process form keeps its subprocesses; every walk and every map over a
+# term goes through them.  `children(p)` lists the immediate
+# subprocesses of p from left to right: the two sides of `|`, the two
+# branches of `if`, the arms of an offer in their written order, and
+# otherwise the one continuation (none for `0`).  `rebuild(p, kids)`
+# puts a process of the same form back together around new
+# subprocesses given in that order, keeping everything else of p: its
+# names, expressions, the chosen label, and each offer arm's label.
+# Read-only walks use an explicit stack, so deep terms need no raised
+# recursion limit; pushing `reversed(children(q))` visits a term in
+# pre-order, left to right.
+
+def children(p: Process) -> tuple[Process, ...]:
+    """The immediate subprocesses of p, left to right."""
+    match p:
+        case Par(l, r):
+            return (l, r)
+        case Offer(_, arms):
+            return tuple(a for _, a in arms)
+        case If(_, t, e):
+            return (t, e)
+        case Stop():
+            return ()
+        case Process():
+            return (p.body,)  # type: ignore[attr-defined]
+    raise TypeError(f"not a process: {p!r}")
+
+
+def rebuild(p: Process, kids: Sequence[Process]) -> Process:
+    """p with its immediate subprocesses replaced by `kids`, given in
+    the order of `children(p)`."""
+    match p:
+        case Stop():
+            return p
+        case Par():
+            return Par(*kids)
+        case New(c, _):
+            return New(c, *kids)
+        case Serve(a, c, _):
+            return Serve(a, c, *kids)
+        case Accept(a, c, _):
+            return Accept(a, c, *kids)
+        case Request(a, c, _):
+            return Request(a, c, *kids)
+        case Receive(c, x, _):
+            return Receive(c, x, *kids)
+        case Send(c, e, _):
+            return Send(c, e, *kids)
+        case ReceiveSession(c, n, _):
+            return ReceiveSession(c, n, *kids)
+        case SendSession(c, n, _):
+            return SendSession(c, n, *kids)
+        case Offer(c, arms):
+            return Offer(c, tuple((l, a) for (l, _), a in zip(arms, kids)))
+        case Choose(c, l, _):
+            return Choose(c, l, *kids)
+        case If(e, _, _):
+            return If(e, *kids)
+    raise TypeError(f"not a process: {p!r}")
+
 
 def free_session_channels(p: Process) -> set[Name]:
     """Free session channels of a process.
@@ -299,174 +362,43 @@ def free_session_channels(p: Process) -> set[Name]:
                 occurring.add(s)
             case _:
                 pass
-        match q:
-            case Par(l, r):
-                todo.append(l)
-                todo.append(r)
-            case If(_, t, e):
-                todo.append(t)
-                todo.append(e)
-            case Offer(_, arms):
-                todo.extend(a for _, a in arms)
-            case Stop():
-                pass
-            case _:
-                todo.append(q.body)  # type: ignore[attr-defined]
+        todo.extend(children(q))
     return occurring - bound
 
 
-def free_service_names(p: Process) -> set[str]:
-    out: set[str] = set()
+def _rename(p: Process, env: dict[Name, Name],
+            bind: Callable[[Name], Name]) -> Process:
+    """p with each channel n free in p renamed to env.get(n, n), and
+    each binder b renamed to bind(b) throughout its scope.
 
-    def go_expr(e: Expr) -> None:
-        match e:
-            case SvcRef(n):
-                out.add(n)
-            case Unop(_, a):
-                go_expr(a)
-            case Binop(_, l, r):
-                go_expr(l)
-                go_expr(r)
-            case _:
-                pass
+    bind is called on the binders in pre-order, left to right.
+    """
+    def go(q: Process, env: dict[Name, Name]) -> Process:
+        b = binder(q)
+        if b is not None:
+            c, c2 = b[0], bind(b[0])
+            if c2 != c or c in env:  # renamed, or shields env's entry
+                env = env | {c: c2}
+        q = rebuild(q, [go(k, env) for k in children(q)])
+        match q:
+            case Stop() | Par() | If():
+                return q
+            case ReceiveSession(c, n, body) | SendSession(c, n, body):
+                if n in env:
+                    q = type(q)(c, env[n], body)
+        c = q.chan  # type: ignore[attr-defined]
+        return replace(q, chan=env[c]) if c in env else q
 
-    def go(p: Process) -> None:
-        match p:
-            case Stop():
-                pass
-            case Par(l, r):
-                go(l)
-                go(r)
-            case New(_, body) | Receive(_, _, body) | ReceiveSession(_, _, body):
-                go(body)
-            case Serve(a, _, body) | Accept(a, _, body) | Request(a, _, body):
-                out.add(a.base)
-                go(body)
-            case Send(_, e, body):
-                go_expr(e)
-                go(body)
-            case SendSession(_, _, body) | Choose(_, _, body):
-                go(body)
-            case Offer(_, arms):
-                for _, arm in arms:
-                    go(arm)
-            case If(e, t, el):
-                go_expr(e)
-                go(t)
-                go(el)
-
-    go(p)
-    return out
-
-
-def expr_vars(e: Expr) -> set[str]:
-    match e:
-        case Var(n):
-            return {n}
-        case Unop(_, a):
-            return expr_vars(a)
-        case Binop(_, l, r):
-            return expr_vars(l) | expr_vars(r)
-        case _:
-            return set()
-
-
-def free_vars(p: Process) -> set[str]:
-    """Free expression variables of a process."""
-    out: set[str] = set()
-
-    def go(p: Process, bound: frozenset[str]) -> None:
-        match p:
-            case Stop():
-                pass
-            case Par(l, r):
-                go(l, bound)
-                go(r, bound)
-            case New(_, body) | ReceiveSession(_, _, body) | SendSession(_, _, body):
-                go(body, bound)
-            case Serve(_, _, body) | Accept(_, _, body) | Request(_, _, body):
-                go(body, bound)
-            case Receive(_, x, body):
-                go(body, bound | {x})
-            case Send(_, e, body):
-                out.update(expr_vars(e) - bound)
-                go(body, bound)
-            case Choose(_, _, body):
-                go(body, bound)
-            case Offer(_, arms):
-                for _, arm in arms:
-                    go(arm, bound)
-            case If(e, t, el):
-                out.update(expr_vars(e) - bound)
-                go(t, bound)
-                go(el, bound)
-
-    go(p, frozenset())
-    return out
-
-
-def _map_body(p: Process, f) -> Process:
-    """Rebuild p with every immediate subprocess replaced by f(subprocess)."""
-    match p:
-        case Stop():
-            return p
-        case Par(l, r):
-            return Par(f(l), f(r))
-        case New(c, b):
-            return New(c, f(b))
-        case Serve(a, c, b):
-            return Serve(a, c, f(b))
-        case Accept(a, c, b):
-            return Accept(a, c, f(b))
-        case Request(a, c, b):
-            return Request(a, c, f(b))
-        case Receive(c, x, b):
-            return Receive(c, x, f(b))
-        case Send(c, e, b):
-            return Send(c, e, f(b))
-        case ReceiveSession(c, n, b):
-            return ReceiveSession(c, n, f(b))
-        case SendSession(c, n, b):
-            return SendSession(c, n, f(b))
-        case Offer(c, arms):
-            return Offer(c, tuple((l, f(a)) for l, a in arms))
-        case Choose(c, l, b):
-            return Choose(c, l, f(b))
-        case If(e, t, el):
-            return If(e, f(t), f(el))
-    raise TypeError(f"not a process: {p!r}")
+    return go(p, env)
 
 
 def subst_chan(p: Process, old: Name, new: Name) -> Process:
     """p with free occurrences of channel `old` replaced by `new`.
 
     Binders are globally unique, so no capture check is needed; a binder
-    equal to `old` still stops the walk for safety.
+    equal to `old` still shields its scope for safety.
     """
-    def sub(n: Name) -> Name:
-        return new if n == old else n
-
-    def go(p: Process) -> Process:
-        b = binder(p)
-        if b is not None and b[0] == old:
-            return p
-        match p:
-            case Receive(c, x, body):
-                return Receive(sub(c), x, go(body))
-            case Send(c, e, body):
-                return Send(sub(c), e, go(body))
-            case ReceiveSession(c, n, body):
-                return ReceiveSession(sub(c), n, go(body))
-            case SendSession(c, n, body):
-                return SendSession(sub(c), sub(n), go(body))
-            case Offer(c, arms):
-                return Offer(sub(c), tuple((l, go(a)) for l, a in arms))
-            case Choose(c, l, body):
-                return Choose(sub(c), l, go(body))
-            case _:
-                return _map_body(p, go)
-
-    return go(p)
+    return _rename(p, {old: new}, lambda b: b)
 
 
 def substitute_expr(e: Expr, name: str, value: Expr) -> Expr:
@@ -486,16 +418,13 @@ def substitute(p: Process, name: str, value: Expr) -> Process:
     """p with free occurrences of expression variable `name` replaced."""
     def go(p: Process) -> Process:
         match p:
-            case Receive(c, x, body):
-                if x == name:
-                    return p
-                return Receive(c, x, go(body))
+            case Receive(_, x, _) if x == name:
+                return p
             case Send(c, e, body):
                 return Send(c, substitute_expr(e, name, value), go(body))
             case If(e, t, el):
                 return If(substitute_expr(e, name, value), go(t), go(el))
-            case _:
-                return _map_body(p, go)
+        return rebuild(p, [go(k) for k in children(p)])
 
     return go(p)
 
@@ -506,45 +435,7 @@ def refresh(p: Process) -> Process:
     Use before putting a copy of a term (e.g. a replicated service body)
     next to the original, so binder ids stay globally unique.
     """
-    def go(p: Process, env: dict[Name, Name]) -> Process:
-        def sub(n: Name) -> Name:
-            return env.get(n, n)
-
-        match p:
-            case Stop():
-                return p
-            case Par(l, r):
-                return Par(go(l, env), go(r, env))
-            case New(c, body):
-                c2 = c.fresh()
-                return New(c2, go(body, env | {c: c2}))
-            case Serve(a, c, body):
-                c2 = c.fresh()
-                return Serve(a, c2, go(body, env | {c: c2}))
-            case Accept(a, c, body):
-                c2 = c.fresh()
-                return Accept(a, c2, go(body, env | {c: c2}))
-            case Request(a, c, body):
-                c2 = c.fresh()
-                return Request(a, c2, go(body, env | {c: c2}))
-            case Receive(c, x, body):
-                return Receive(sub(c), x, go(body, env))
-            case Send(c, e, body):
-                return Send(sub(c), e, go(body, env))
-            case ReceiveSession(c, n, body):
-                n2 = n.fresh()
-                return ReceiveSession(sub(c), n2, go(body, env | {n: n2}))
-            case SendSession(c, n, body):
-                return SendSession(sub(c), sub(n), go(body, env))
-            case Offer(c, arms):
-                return Offer(sub(c), tuple((l, go(a, env)) for l, a in arms))
-            case Choose(c, l, body):
-                return Choose(sub(c), l, go(body, env))
-            case If(e, t, el):
-                return If(e, go(t, env), go(el, env))
-        raise TypeError(f"not a process: {p!r}")
-
-    return go(p, {})
+    return _rename(p, {}, Name.fresh)
 
 
 def alpha_equivalent(p: Process, q: Process) -> bool:

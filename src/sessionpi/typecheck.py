@@ -679,23 +679,7 @@ def is_program(p: Process) -> bool:
     while todo:
         q = todo.pop()
         match q:
-            case sx.New(c, body):
-                if c in sx.free_session_channels(body):
-                    return False
-                todo.append(body)
-            case sx.Par(l, r):
-                todo.append(l)
-                todo.append(r)
-            case sx.If(_, a, b):
-                todo.append(a)
-                todo.append(b)
-            case sx.Offer(_, arms):
-                todo.extend(a for _, a in arms)
-            case (sx.Serve(_, _, b) | sx.Accept(_, _, b)
-                  | sx.Request(_, _, b) | sx.Receive(_, _, b)
-                  | sx.Send(_, _, b) | sx.ReceiveSession(_, _, b)
-                  | sx.SendSession(_, _, b) | sx.Choose(_, _, b)):
-                todo.append(b)
-            case _:
-                pass
+            case sx.New(c, body) if c in sx.free_session_channels(body):
+                return False
+        todo.extend(sx.children(q))
     return True

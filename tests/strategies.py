@@ -195,6 +195,33 @@ def program(rng: random.Random) -> tuple[dict, sx.Process]:
     return gamma, reduce(sx.Par, threads)
 
 
+def cyclic(rng: random.Random) -> sx.Process:
+    """Send chains over two to four free channels that surely close a
+    dependency cycle: two threads share two channels, or three threads
+    share one.  More chains may close further cycles, and the cluster
+    sometimes sits under a prefix.  Untyped: only the graphs matter."""
+    ks = [sx.chan(f"c{i}") for i in range(rng.randint(2, 4))]
+
+    def chain(chans: list[sx.Name]) -> sx.Process:
+        t: sx.Process = sx.Stop()
+        for c in reversed(chans):
+            t = sx.Send(c, sx.IntLit(0), t)
+        return t
+
+    a, b = rng.sample(ks, 2)
+    if rng.random() < 0.5:
+        threads = [chain([a, b]), chain([b, a])]
+    else:
+        threads = [chain([a]), chain([a]), chain([a])]
+    for _ in range(rng.randint(0, 3)):
+        threads.append(chain(rng.sample(ks, rng.randint(1, 2))))
+    rng.shuffle(threads)
+    p = reduce(sx.Par, threads)
+    if rng.random() < 0.5:
+        p = sx.Send(sx.chan("outer"), sx.IntLit(0), p)
+    return p
+
+
 # ------------------------------------------------- scaling family + AST size
 
 def forwarding_family(c: int, pad_to: int = 0) -> sx.Process:

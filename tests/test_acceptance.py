@@ -4,7 +4,6 @@ Each test prints its own pass line (visible with -v -s); a failure
 anywhere is a hard failure of that criterion.
 """
 import random
-import sys
 import time
 
 import numpy as np
@@ -197,7 +196,6 @@ def test_criterion_8_partners_and_programs():
 
 
 def test_criterion_9_transparency_scaling():
-    sys.setrecursionlimit(400_000)
     points = [(10, 1_000), (10, 10_000), (100, 10_000),
               (100, 100_000), (1_000, 100_000)]
     xs, ys = [], []

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,9 +60,17 @@ def test_parse_error_is_exit_2(capsys, tmp_path):
     assert ":1:" in err  # line:col position present
 
 
-def test_missing_file_is_exit_2(capsys):
-    code, _, err = run(capsys, "check", "does_not_exist.spi")
-    assert code == 2
+def test_missing_file_is_exit_2(capsys, tmp_path):
+    # also a directory, and nesting too deep for the parser
+    deep = tmp_path / "deep.spi"
+    deep.write_text("(" * 60_000 + "0" + ")" * 60_000)
+    limit = sys.getrecursionlimit()
+    for path in ("does_not_exist.spi", str(tmp_path), str(deep)):
+        code, out, err = run(capsys, "check", path)
+        assert code == 2, path
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1, err
+        assert sys.getrecursionlimit() == limit
 
 
 def test_usage_error_is_exit_2(capsys):
@@ -161,3 +172,27 @@ def test_selftest(capsys):
     assert code == 0
     assert data["verdict"] == "pass"
     assert all(c["ok"] for c in data["data"]["checks"])
+
+
+_EVERY_SAMPLE_AS_JSON = """
+import sys
+from pathlib import Path
+from sessionpi import cli
+for f in sorted(Path(sys.argv[1]).glob("*.spi")):
+    for cmd in (["check"], ["graph", "--all-subterms"], ["transparent"],
+                ["progress"]):
+        cli.main(["--json", cmd[0], str(f), *cmd[1:]])
+"""
+
+
+def test_json_output_does_not_depend_on_the_hash_seed():
+    src = Path(cli.__file__).resolve().parent.parent
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        r = subprocess.run(
+            [sys.executable, "-c", _EVERY_SAMPLE_AS_JSON, str(SAMPLES)],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        outs.append(r.stdout)
+    assert outs[0].count("\n") == 4 * len(SOURCES)
+    assert outs[0] == outs[1]

@@ -54,17 +54,25 @@ def test_three_threads_on_one_channel_close_a_cycle():
     assert set(cyc.nodes) <= {0, 1, 2}
 
 
+def assert_real_cycle(g, cyc):
+    """cyc walks distinct nodes over distinct edges of g and closes."""
+    n = len(cyc.nodes)
+    assert n == len(cyc.channels) >= 2
+    assert len(set(cyc.nodes)) == n
+    hops = set()
+    for idx in range(n):
+        a, b = cyc.nodes[idx], cyc.nodes[(idx + 1) % n]
+        hop = (min(a, b), max(a, b), cyc.channels[idx])
+        assert hop in g.edges
+        hops.add(hop)
+    assert len(hops) == n
+
+
 def test_find_cycle_reports_a_real_cycle():
     g, _ = graph_of("circular_waits")
     cyc = dg.find_cycle(g)
     assert cyc is not None
-    n = len(cyc.nodes)
-    assert n == len(cyc.channels) >= 2
-    for idx in range(n):
-        a, b = cyc.nodes[idx], cyc.nodes[(idx + 1) % n]
-        c = cyc.channels[idx]
-        assert c in g.labels[a] or any(
-            {a, b} == {i, j} and e == c for i, j, e in g.edges)
+    assert_real_cycle(g, cyc)
 
 
 def test_leads_to():
@@ -120,12 +128,32 @@ def test_not_transparent_carries_a_witness():
     assert not dg.is_acyclic(inner)
 
 
+CORPUS_SUBTERMS = [q for name in SOURCES
+                   for q in cg.maximal_parallel_subterms(load(name).process)]
+
+
+def fast_check_agrees(q):
+    """The fast check finds a cycle exactly when the graph has one, and
+    it is a real one; returns whether it found one."""
+    g = dg.build_graph(q)
+    fast = dg._cluster_cycle(q)
+    assert (fast is None) == (dg.find_cycle(g) is None), q
+    if fast is not None:
+        assert_real_cycle(g, fast)
+    return fast is not None
+
+
 @given(st.integers(0, 10_000))
 def test_fast_cycle_check_agrees_with_the_graph(seed):
-    _, p = S.well_typed(random.Random(seed))
+    found = [fast_check_agrees(q) for q in CORPUS_SUBTERMS]
+    assert 0 < sum(found) < len(found)
+    rng = random.Random(seed)
+    _, p = S.well_typed(rng)
     for q in cg.maximal_parallel_subterms(p):
-        g = dg.build_graph(cg.normal_form(q).process())
-        assert (dg.find_cycle(g) is None) == dg.is_acyclic(g)
+        fast_check_agrees(q)
+    found = [fast_check_agrees(q)
+             for q in cg.maximal_parallel_subterms(S.cyclic(rng))]
+    assert any(found)
 
 
 @given(st.integers(0, 10_000))

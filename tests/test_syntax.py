@@ -1,8 +1,12 @@
 import random
+import sys
 
 from hypothesis import given, strategies as st
 
+import sessionpi.congruence as cg
+import sessionpi.surface as sf
 import sessionpi.syntax as sx
+import sessionpi.typecheck as tc
 import strategies as S
 
 
@@ -46,7 +50,6 @@ def test_service_prefixes_bind_their_channel():
     body = sx.Send(k, sx.IntLit(1), sx.Stop())
     for mk in (sx.Serve, sx.Accept, sx.Request):
         assert sx.free_session_channels(mk(a, k, body)) == set()
-    assert sx.free_service_names(sx.Request(a, k, body)) == {"a"}
 
 
 def test_binder_exposes_binding_forms():
@@ -59,6 +62,53 @@ def test_binder_exposes_binding_forms():
     assert sx.binder(sx.ReceiveSession(sx.chan("k"), m, body)) == (m, body)
     assert sx.binder(sx.Stop()) is None
     assert sx.binder(sx.Par(body, body)) is None
+
+
+def test_children_run_left_to_right_and_rebuild_keeps_the_rest():
+    k = sx.chan("k")
+    a = sx.Send(k, sx.IntLit(1), sx.Stop())
+    b = sx.Stop()
+    assert sx.children(b) == ()
+    assert sx.children(sx.Par(a, b)) == (a, b)
+    assert sx.children(sx.If(sx.BoolLit(True), a, b)) == (a, b)
+    assert sx.children(a) == (b,)
+    offer = sx.Offer(k, (("yes", a), ("no", b)))
+    assert sx.children(offer) == (a, b)
+    assert sx.rebuild(offer, (b, a)) == sx.Offer(k, (("yes", b), ("no", a)))
+    assert sx.rebuild(a, (a,)) == sx.Send(k, sx.IntLit(1), a)
+
+
+@given(st.integers(0, 10_000))
+def test_rebuilding_from_the_children_gives_the_term_back(seed):
+    _, p = S.well_typed(random.Random(seed))
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        assert sx.rebuild(q, sx.children(q)) == q
+        todo.extend(sx.children(q))
+
+
+def test_read_only_walks_need_no_recursion_limit():
+    # two 5,000-prefix chains on one restricted channel, with a nested
+    # parallel cluster every 1,000 prefixes
+    k = sx.bound_chan("k")
+    sends, recvs = sx.Stop(), sx.Stop()
+    for i in range(5_000):
+        if i % 1_000 == 0:
+            sends = sx.Par(sends, sx.Stop())
+        sends = sx.Send(k, sx.IntLit(i), sends)
+        recvs = sx.Receive(k, "x", recvs)
+    p = sx.New(k, sx.Par(sends, recvs))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        assert sx.free_session_channels(p) == set()
+        assert sf.display_names(p) == {k: "k"}
+        assert len(cg.maximal_parallel_subterms(p)) == 6
+        assert cg.has_live_channels(p)
+        assert not tc.is_program(p)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_substitute_replaces_free_variable():
