@@ -53,27 +53,32 @@ def normal_form(p: Process) -> NormalForm:
     return NormalForm(tuple(binders), tuple(threads))
 
 
-def maximal_parallel_subterms(p: Process) -> list[Process]:
-    """The process itself plus every maximal parallel cluster nested
-    under a prefix, in outside-in order.
+def clusters(p: Process) -> list[NormalForm]:
+    """The normal form of p itself and of every maximal parallel cluster
+    nested under a prefix, in outside-in order.
 
     A cluster is a maximal region built from `|`, `new` and `0`; its
     threads' continuations are walked, in pre-order from left to right,
     to find the clusters below.
     """
-    out: list[Process] = []
+    out: list[NormalForm] = []
     todo: list[Process] = [p]
     while todo:
         q = todo.pop()
         # p itself is a cluster even when it is a single thread
         if not out or isinstance(q, (sx.Par, sx.New)):
             nf = normal_form(q)
-            out.append(nf.process())
+            out.append(nf)
             todo.extend(reversed(nf.threads))
         else:
             todo.extend(c for c in reversed(sx.children(q))
                         if not isinstance(c, sx.Stop))
     return out
+
+
+def maximal_parallel_subterms(p: Process) -> list[Process]:
+    """The clusters of p (see `clusters`), each rebuilt as a process."""
+    return [nf.process() for nf in clusters(p)]
 
 
 def has_live_channels(p: Process) -> bool:
@@ -102,11 +107,16 @@ def canonical_key(p: Process) -> str:
     """A printable key equal for structurally congruent alpha-variants.
 
     Threads are sorted under a bound-name-blind print, then every binder
-    is numbered in traversal order and the term is re-printed.  Equal
-    keys imply congruent processes; the converse can fail on ties, which
-    only costs duplicate work in state exploration, never wrong answers.
+    is numbered in traversal order and the term is re-printed.  A
+    restriction no thread uses is left out, since `new k . P` is
+    congruent to P when k is not free in P.  Equal keys imply congruent
+    processes; the converse can fail on ties, which only costs duplicate
+    work in state exploration, never wrong answers.
     """
     nf = normal_form(p)
+    free = (set().union(*map(sx.free_session_channels, nf.threads))
+            if nf.binders else set())
+    binders = [c for c in nf.binders if c in free]
 
     blind: dict[Name, str] = {}
 
@@ -121,7 +131,7 @@ def canonical_key(p: Process) -> str:
 
     for t in nf.threads:
         collect(t, blind, lambda _: "#x")
-    for c in nf.binders:
+    for c in binders:
         blind.setdefault(c, "#x")
 
     order = sorted(nf.threads, key=lambda t: print_process(t, blind))
@@ -129,10 +139,10 @@ def canonical_key(p: Process) -> str:
     numbered: dict[Name, str] = {}
     for t in order:
         collect(t, numbered, lambda i: f"b{i}")
-    for c in nf.binders:
+    for c in binders:
         numbered.setdefault(c, f"b{len(numbered)}")
 
-    used = sorted({numbered[c] for c in nf.binders})
+    used = sorted({numbered[c] for c in binders})
     head = f"new {', '.join(used)} . " if used else ""
     return head + " | ".join(print_process(t, numbered) for t in order)
 

@@ -68,25 +68,25 @@ def _chan_order(c: Name) -> tuple[str, int]:
     return c.base, c.uid or 0
 
 
-def _occurrences(p: Process) -> tuple[
-        congruence.NormalForm, list[set[Name]], dict[Name, list[int]]]:
-    """The parallel region at the top of p, each of its threads' free
-    channels, and the threads each channel is free in, ascending.
+def _occurrences(nf: congruence.NormalForm) -> tuple[
+        list[set[Name]], dict[Name, list[int]]]:
+    """Each thread's free channels in a parallel region, and the threads
+    each channel is free in, ascending.
 
     Channels enter the index thread by thread, each thread's in
     `_chan_order`, so walking it gives the same cycle on every run.
     """
-    nf = congruence.normal_form(p)
     fscs = [sx.free_session_channels(t) for t in nf.threads]
     occ: dict[Name, list[int]] = {}
     for i, f in enumerate(fscs):
         for c in sorted(f, key=_chan_order):
             occ.setdefault(c, []).append(i)
-    return nf, fscs, occ
+    return fscs, occ
 
 
 def build_graph(p: Process) -> DepGraph:
-    nf, fscs, occ = _occurrences(p)
+    nf = congruence.normal_form(p)
+    fscs, occ = _occurrences(nf)
     removed = set(nf.binders)
     labels = tuple(frozenset(f - removed) for f in fscs)
     names = display_names(p)
@@ -144,12 +144,13 @@ def is_acyclic(g: DepGraph) -> bool:
     return find_cycle(g) is None
 
 
-def _cluster_cycle(p: Process) -> Cycle | None:
-    """A cycle of build_graph(p) if it has one, found without enumerating
-    all pairs: a channel on three threads is already a triangle."""
+def _cluster_cycle(nf: congruence.NormalForm) -> Cycle | None:
+    """A cycle of build_graph(nf.process()) if it has one, found without
+    enumerating all pairs: a channel on three threads is already a
+    triangle."""
     dsu = _DSU()
     adj: dict[int, list[tuple[int, Name]]] = {}
-    for c, nodes in _occurrences(p)[2].items():
+    for c, nodes in _occurrences(nf)[1].items():
         if len(nodes) >= 3:
             a, b, d = nodes[:3]
             return Cycle((a, b, d), (c, c, c))
@@ -205,14 +206,14 @@ def is_transparent(gamma: dict[str, Sort], p: Process) -> Transparency:
         typecheck.check(gamma, p)
     except typecheck.TypingError as e:
         return Transparency(False, "ill-typed", str(e))
-    for q in congruence.maximal_parallel_subterms(p):
-        cyc = _cluster_cycle(q)
+    for nf in congruence.clusters(p):
+        cyc = _cluster_cycle(nf)
         if cyc is not None:
             chans = ", ".join(sorted({c.base for c in cyc.channels}))
             return Transparency(
                 False, "cyclic",
                 f"threads form a dependency cycle through {chans}",
-                subterm=q, cycle=cyc)
+                subterm=nf.process(), cycle=cyc)
     return Transparency(True, "transparent", "")
 
 

@@ -217,10 +217,17 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     neither reduces nor accepts a canonical partner refutes progress.
     A clean but bounded search stays inconclusive: certificates never
     come from the search.
-    """
-    typecheck.check(gamma, p)  # propagate ill-typedness to the caller
 
+    Each state is scanned for redexes once: a sub-multiset reduces
+    exactly when it holds both ends of one of the state's pair redexes
+    or an enabled conditional, and is live exactly when one of its
+    threads is, so such picks cost a budget unit but no cut check.
+    Each distinct stuck piece is checked once per search; a piece that
+    passed in one state passes in every other.
+    """
     verdict = depgraph.is_transparent(gamma, p)
+    if verdict.reason == "ill-typed":
+        raise typecheck.TypingError(verdict.detail)
     if verdict.ok:
         return ProgressResult(
             "certificate",
@@ -231,13 +238,16 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     seen = {congruence.canonical_key(start)}
     frontier = [start]
     visited = 0
+    passed: set[tuple[Process, ...]] = set()
 
     while frontier:
         nxt: list[Process] = []
         for state in frontier:
             visited += 1
-            nf = congruence.normal_form(state)
-            threads = nf.threads
+            threads = congruence.normal_form(state).threads
+            succs = semantics.redexes(state)
+            moves = {(r.i,) if r.j is None else (r.i, r.j) for r in succs}
+            live = [congruence.has_live_channels(t) for t in threads]
             budget = subset_budget
             for size in range(1, len(threads) + 1):
                 for pick in itertools.combinations(range(len(threads)), size):
@@ -245,20 +255,25 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
                         bound_hit = True
                         break
                     budget -= 1
-                    piece = reduce(sx.Par, (threads[i] for i in pick))
-                    bad = _cut_failure(gamma, piece)
-                    if bad is not None:
-                        failed, partner = bad
-                        return ProgressResult(
-                            "counterexample",
-                            f"stuck decomposition: {_CONDITIONS[failed]}",
-                            state=state,
-                            cut=tuple(threads[i] for i in pick),
-                            partner=partner, failed=failed,
-                            states_seen=visited, bound_hit=bound_hit)
+                    if (not any(live[i] for i in pick)
+                            or any(all(i in pick for i in m) for m in moves)):
+                        continue
+                    cut = tuple(threads[i] for i in pick)
+                    if cut in passed:
+                        continue
+                    bad = _cut_failure(gamma, reduce(sx.Par, cut))
+                    if bad is None:
+                        passed.add(cut)
+                        continue
+                    failed, partner = bad
+                    return ProgressResult(
+                        "counterexample",
+                        f"stuck decomposition: {_CONDITIONS[failed]}",
+                        state=state, cut=cut, partner=partner,
+                        failed=failed, states_seen=visited,
+                        bound_hit=bound_hit)
                 if budget == 0:
                     break
-            succs = semantics.redexes(state)
             if depth <= 0:
                 if succs:
                     bound_hit = True

@@ -222,6 +222,41 @@ def cyclic(rng: random.Random) -> sx.Process:
     return p
 
 
+def typed_cycles(rng: random.Random) -> tuple[dict, sx.Process]:
+    """Well-typed cyclic processes on free channels: live two-channel
+    cycles `a!(v).b!(w).0 | a?(x).b?(y).0`, one-shot pairs, and rings of
+    two or three threads that each wait on one channel before sending on
+    the next, which deadlock.  A ring sometimes sits behind a session
+    prefix, so it is reached only after a step."""
+    threads: list[sx.Process] = []
+    for i in range(rng.randint(0, 2)):
+        a, b = sx.chan(f"a{i}"), sx.chan(f"b{i}")
+        threads.append(sx.Send(a, sx.IntLit(rng.randrange(9)),
+                               sx.Send(b, sx.IntLit(rng.randrange(9)),
+                                       sx.Stop())))
+        threads.append(sx.Receive(a, "x", sx.Receive(b, "y", sx.Stop())))
+    for i in range(rng.randint(0, 1)):
+        c = sx.chan(f"c{i}")
+        threads.append(sx.Send(c, sx.IntLit(rng.randrange(9)), sx.Stop()))
+        threads.append(sx.Receive(c, "x", sx.Stop()))
+    if rng.random() < 0.8:
+        ds = [sx.chan(f"d{i}") for i in range(rng.randint(2, 3))]
+        ring = [sx.Receive(d, "x", sx.Send(ds[(i + 1) % len(ds)], sx.Var("x"),
+                                           sx.Stop()))
+                for i, d in enumerate(ds)]
+        rng.shuffle(ring)
+        ring_p = reduce(sx.Par, ring)
+        if rng.random() < 0.5:
+            gate = sx.chan("gate")
+            ring_p = sx.Receive(gate, "z", ring_p)
+            threads.append(sx.Send(gate, sx.IntLit(0), sx.Stop()))
+        threads.append(ring_p)
+    if not threads:
+        threads.append(sx.Stop())
+    rng.shuffle(threads)
+    return {}, reduce(sx.Par, threads)
+
+
 # ------------------------------------------------- scaling family + AST size
 
 def forwarding_family(c: int, pad_to: int = 0) -> sx.Process:

@@ -1,4 +1,10 @@
+import importlib.util
+import itertools
 import random
+import sys
+from collections import Counter
+from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +17,7 @@ import sessionpi.surface as sf
 import sessionpi.syntax as sx
 import sessionpi.typecheck as tc
 import strategies as S
-from sessionpi.examples import load
+from sessionpi.examples import SOURCES, load
 
 K = sx.chan("k")
 
@@ -211,3 +217,197 @@ def test_generated_programs_are_certified(seed):
     gamma, p = S.program(random.Random(seed))
     r = pg.check_progress(gamma, p, depth=4)
     assert r.verdict == "certificate"
+
+
+def test_dead_restrictions_do_not_count_as_new_states():
+    # each init of the self-invoking service leaves an unused `new k`
+    # behind; congruent states must not use up the state bound
+    src = sf.parse_source("sessions a0, b0; env s : <end>;"
+                          " a0!(1).b0!(2).0 | a0?(x).b0?(y).0"
+                          " | *s(k).s<k1>.0 | s<k>.0")
+    r = pg.check_progress(src.gamma, src.process)
+    assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 3, False)
+
+
+# ------------------------------------------------- the search against an oracle
+
+def reference_check_progress(gamma, p, depth=10, subset_budget=512,
+                             max_states=2000):
+    """The search as first written: every pick of every state builds its
+    piece and goes through `_cut_failure`, with nothing shared."""
+    tc.check(gamma, p)  # propagate ill-typedness to the caller
+
+    verdict = dg.is_transparent(gamma, p)
+    if verdict.ok:
+        return pg.ProgressResult(
+            "certificate",
+            "transparent: every reachable decomposition stays completable")
+
+    bound_hit = False
+    start = cg.normal_form(p).process()
+    seen = {cg.canonical_key(start)}
+    frontier = [start]
+    visited = 0
+
+    while frontier:
+        nxt = []
+        for state in frontier:
+            visited += 1
+            nf = cg.normal_form(state)
+            threads = nf.threads
+            budget = subset_budget
+            for size in range(1, len(threads) + 1):
+                for pick in itertools.combinations(range(len(threads)), size):
+                    if budget == 0:
+                        bound_hit = True
+                        break
+                    budget -= 1
+                    piece = reduce(sx.Par, (threads[i] for i in pick))
+                    bad = pg._cut_failure(gamma, piece)
+                    if bad is not None:
+                        failed, partner = bad
+                        return pg.ProgressResult(
+                            "counterexample",
+                            f"stuck decomposition: {pg._CONDITIONS[failed]}",
+                            state=state,
+                            cut=tuple(threads[i] for i in pick),
+                            partner=partner, failed=failed,
+                            states_seen=visited, bound_hit=bound_hit)
+                if budget == 0:
+                    break
+            succs = sm.redexes(state)
+            if depth <= 0:
+                if succs:
+                    bound_hit = True
+                continue
+            for r in succs:
+                q = sm.step(state, r)
+                key = cg.canonical_key(q)
+                if key in seen:
+                    continue
+                if len(seen) >= max_states:
+                    bound_hit = True
+                    continue
+                seen.add(key)
+                nxt.append(q)
+        depth -= 1
+        frontier = nxt
+
+    return pg.ProgressResult(
+        "inconclusive",
+        "no refutation within the search bounds; only transparency "
+        "certifies", states_seen=visited, bound_hit=bound_hit)
+
+
+def outcome(search, gamma, p, **bounds):
+    """What a search answers, in terms that do not depend on binder ids."""
+    try:
+        r = search(gamma, p, **bounds)
+    except tc.TypingError as e:
+        return ("ill-typed", str(e))
+    return (r.verdict, r.reason, r.failed, r.states_seen, r.bound_hit,
+            None if r.state is None else cg.canonical_key(r.state),
+            len(r.cut),
+            cg.canonical_key(reduce(sx.Par, r.cut)) if r.cut else None,
+            None if r.partner is None else sf.print_process(r.partner))
+
+
+def agree(gamma, p, **bounds):
+    want = outcome(reference_check_progress, gamma, p, **bounds)
+    assert outcome(pg.check_progress, gamma, p, **bounds) == want
+    return want
+
+
+def _bench_gen():
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("sessionpi_bench_gen", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 6, 8, 12, 512])
+def test_search_agrees_with_the_reference_on_the_corpus(budget):
+    for name in SOURCES:
+        src = load(name)
+        agree(src.gamma, src.process, depth=5, subset_budget=budget)
+
+
+@pytest.mark.parametrize("budget", [3, 512])
+def test_search_agrees_with_the_reference_on_generated_refutations(budget):
+    verdicts = set()
+    for case in _bench_gen().refute(1, scale=0.3):
+        src = sf.parse_source(case.text)
+        verdicts.add(agree(src.gamma, src.process, subset_budget=budget)[0])
+    assert verdicts == {"inconclusive", "counterexample"}
+
+
+@given(st.integers(0, 10_000), st.integers(1, 12) | st.just(512),
+       st.integers(0, 4))
+@settings(deadline=None, max_examples=40)
+def test_search_agrees_with_the_reference_on_generated_input(seed, budget,
+                                                             depth):
+    rng = random.Random(seed)
+    bounds = {"depth": depth, "subset_budget": budget}
+    agree(*S.well_typed(rng), **bounds)
+    agree({}, S.cyclic(rng), **bounds)
+    agree(*S.irreducible_live(rng), **bounds)
+    agree(*S.typed_cycles(rng), **bounds)
+
+
+def test_each_distinct_stuck_piece_is_checked_once(monkeypatch):
+    # three live two-channel cycles: 27 states, and 5**3 - 1 distinct
+    # stuck pieces (each cycle contributes one of its five irreducible
+    # shapes, or nothing)
+    src = sf.parse_source(
+        "sessions a0, b0, a1, b1, a2, b2;"
+        " a0!(17).b0!(72).0 | a0?(x).b0?(y).0 | a1!(97).b1!(8).0"
+        " | a2!(32).b2!(15).0 | a2?(x).b2?(y).0 | a1?(x).b1?(y).0")
+    calls = 0
+    construct = pg.construct_partner
+
+    def counted(gamma, p):
+        nonlocal calls
+        calls += 1
+        return construct(gamma, p)
+
+    monkeypatch.setattr(pg, "construct_partner", counted)
+    r = pg.check_progress(src.gamma, src.process)
+    assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 27,
+                                                        False)
+    assert 0 < calls <= 5 ** 3 - 1
+
+
+# ------------------------------------------------- every counterexample holds
+
+def assert_genuine(gamma, r):
+    """The cut is a stuck piece of its state that fails what it says."""
+    assert r.verdict == "counterexample"
+    threads = cg.normal_form(r.state).threads
+    assert Counter(r.cut) <= Counter(threads)
+    piece = reduce(sx.Par, r.cut)
+    assert sm.redexes(piece) == []
+    assert cg.has_live_channels(piece)
+    failure = pg._cut_failure(gamma, piece)
+    assert failure is not None and failure[0] == r.failed
+
+
+def test_corpus_counterexamples_are_genuine():
+    found = 0
+    for name in SOURCES:
+        src = load(name)
+        r = pg.check_progress(src.gamma, src.process, depth=5)
+        if r.verdict == "counterexample":
+            assert_genuine(src.gamma, r)
+            found += 1
+    assert found >= 4
+
+
+@given(st.integers(0, 10_000))
+@settings(deadline=None, max_examples=60)
+def test_generated_counterexamples_are_genuine(seed):
+    gamma, p = S.typed_cycles(random.Random(seed))
+    r = pg.check_progress(gamma, p, depth=6)
+    if r.verdict == "counterexample":
+        assert_genuine(gamma, r)

@@ -145,10 +145,20 @@ def test_explore_all_reaches_the_terminal():
 
 
 def test_explore_respects_the_depth_bound():
-    src = load("service_loop")
-    shallow = sm.explore(src.process, 1, mode="all")
-    deeper = sm.explore(src.process, 4, mode="all")
-    assert len(deeper) > len(shallow)  # replication keeps spawning
+    # a three-message session: one new state per step, four in all
+    p = parse("k!(1).k!(2).k!(3).0 | k?(x).k?(y).k?(z).0", sessions=("k",))
+    counts = [len(sm.explore(p, d, mode="all")) for d in range(6)]
+    assert counts == [1, 2, 3, 4, 4, 4]
+
+
+def test_dead_restrictions_do_not_split_states():
+    # every init leaves `new k` behind with no thread using it, so the
+    # spawned states are all congruent to the start
+    src = sf.parse_source("env a : <end>; *a(k).a<k1>.0 | a<k>.0")
+    assert len(sm.explore(src.process, 10, mode="all")) == 1
+    p = sm.step(src.process, sm.redexes(src.process)[0])
+    assert cg.normal_form(p).binders
+    assert cg.canonical_key(p) == cg.canonical_key(src.process)
 
 
 def test_seeded_traces_are_reproducible():
