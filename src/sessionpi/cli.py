@@ -127,8 +127,12 @@ def _cmd_run(args) -> int:
         else:
             trace = semantics.explore(src.process, args.steps, mode="seeded",
                                       seed=args.seed)
-            _emit(args, "ok", {"trace": semantics.trace_records(trace)},
-                  semantics.trace_lines(trace))
+            # each state is printed once, for the form that is output
+            if getattr(args, "json", False):
+                _emit(args, "ok", {"trace": semantics.trace_records(trace)},
+                      [])
+            else:
+                _emit(args, "ok", {}, semantics.trace_lines(trace))
     except semantics.EvalError as e:
         _emit(args, "stuck-expression", {"error": str(e)},
               [f"stuck expression: {e}"])

@@ -8,6 +8,7 @@ Hoisting never captures because binder ids are globally unique.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -106,19 +107,24 @@ def has_live_channels(p: Process) -> bool:
 def canonical_key(p: Process) -> str:
     """A printable key equal for structurally congruent alpha-variants.
 
-    Threads are sorted under a bound-name-blind print, then every binder
-    is numbered in traversal order and the term is re-printed.  A
-    restriction no thread uses is left out, since `new k . P` is
-    congruent to P when k is not free in P.  Equal keys imply congruent
-    processes; the converse can fail on ties, which only costs duplicate
-    work in state exploration, never wrong answers.
+    Threads are sorted under a print that is blind to the spelling of
+    bound names: a thread's own binders are numbered in its traversal
+    order, and every restriction gets a colour.  While threads tie, each
+    restriction's colour is refined by the prints of the threads it
+    occurs in, until the colours stop splitting, so threads that differ
+    only in which restricted channel they share with whom are told
+    apart.  Then every binder is numbered in traversal order and the
+    term is re-printed.  A restriction no thread uses is left out,
+    since `new k . P` is congruent to P when k is not free in P.  Equal
+    keys imply congruent processes; the converse can fail on ties that
+    survive the refinement, which only costs duplicate work in state
+    exploration, never wrong answers.
     """
     nf = normal_form(p)
-    free = (set().union(*map(sx.free_session_channels, nf.threads))
-            if nf.binders else set())
-    binders = [c for c in nf.binders if c in free]
-
-    blind: dict[Name, str] = {}
+    threads = nf.threads
+    free = [sx.free_session_channels(t) for t in threads] if nf.binders else []
+    occurring = set().union(*free)
+    binders = [c for c in nf.binders if c in occurring]
 
     def collect(t: Process, names: dict[Name, str], tag) -> None:
         todo = [t]
@@ -129,12 +135,30 @@ def canonical_key(p: Process) -> str:
                 names[b[0]] = tag(len(names))
             todo.extend(reversed(sx.children(q)))
 
-    for t in nf.threads:
-        collect(t, blind, lambda _: "#x")
+    blind: dict[Name, str] = {}
+    for t in threads:
+        start = len(blind)
+        collect(t, blind, lambda i: f"#{i - start}")
     for c in binders:
-        blind.setdefault(c, "#x")
+        blind[c] = "#r"
 
-    order = sorted(nf.threads, key=lambda t: print_process(t, blind))
+    shown = [print_process(t, blind) for t in threads]
+    colours = min(1, len(binders))
+    # only ties between threads that mention a restriction can split
+    while len(set(shown)) < len(shown) and any(
+            n > 1 and "#r" in s for s, n in Counter(shown).items()):
+        sig = {c: (blind[c], *sorted(s for s, f in zip(shown, free)
+                                     if c in f))
+               for c in binders}
+        ranks = {s: f"#r{i}" for i, s in enumerate(sorted(set(sig.values())))}
+        if len(ranks) == colours:
+            break
+        colours = len(ranks)
+        for c in binders:
+            blind[c] = ranks[sig[c]]
+        shown = [print_process(t, blind) for t in threads]
+    order = [threads[i] for i in sorted(range(len(threads)),
+                                        key=shown.__getitem__)]
 
     numbered: dict[Name, str] = {}
     for t in order:
@@ -145,4 +169,3 @@ def canonical_key(p: Process) -> str:
     used = sorted({numbered[c] for c in binders})
     head = f"new {', '.join(used)} . " if used else ""
     return head + " | ".join(print_process(t, numbered) for t in order)
-

@@ -251,7 +251,7 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
             budget = subset_budget
             for size in range(1, len(threads) + 1):
                 for pick in itertools.combinations(range(len(threads)), size):
-                    if budget == 0:
+                    if budget == 0:  # ends every larger size at once
                         bound_hit = True
                         break
                     budget -= 1
@@ -272,8 +272,6 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
                         state=state, cut=cut, partner=partner,
                         failed=failed, states_seen=visited,
                         bound_hit=bound_hit)
-                if budget == 0:
-                    break
             if depth <= 0:
                 if succs:
                     bound_hit = True

@@ -152,8 +152,24 @@ def _pair_redex(i: int, ti: Process, j: int, tj: Process) -> Redex | None:
 
 
 def redexes(p: Process) -> list[Redex]:
-    """Every enabled redex of normal_form(p), in a fixed order."""
+    """Every enabled redex of normal_form(p), in (i, j) order.
+
+    One pass buckets the output sides by subject (a request by its
+    service; a send, delegation or selection by its session channel),
+    in position order.  Each input side then tries only the bucket of
+    its own subject, so the scan costs one pass over the threads plus
+    one `_pair_redex` call per input and output side that share a
+    subject.  The buckets are built afresh on each call: a step
+    renormalises, and a continuation that is a composition shifts
+    every later position.
+    """
     threads = congruence.normal_form(p).threads
+    outputs: dict[Name, list[int]] = {}
+    for j, tj in enumerate(threads):
+        if isinstance(tj, sx.Request):
+            outputs.setdefault(tj.service, []).append(j)
+        elif isinstance(tj, (sx.Send, sx.SendSession, sx.Choose)):
+            outputs.setdefault(tj.chan, []).append(j)
     out: list[Redex] = []
     for i, ti in enumerate(threads):
         if isinstance(ti, sx.If):
@@ -164,10 +180,14 @@ def redexes(p: Process) -> list[Redex]:
             if type(v) is bool:
                 out.append(Redex("IfT" if v else "IfF", i))
             continue
-        for j, tj in enumerate(threads):
-            if i == j:
-                continue
-            r = _pair_redex(i, ti, j, tj)
+        if isinstance(ti, (sx.Serve, sx.Accept)):
+            subject = ti.service
+        elif isinstance(ti, (sx.Receive, sx.ReceiveSession, sx.Offer)):
+            subject = ti.chan
+        else:
+            continue
+        for j in outputs.get(subject, ()):
+            r = _pair_redex(i, ti, j, threads[j])
             if r is not None:
                 out.append(r)
     return out

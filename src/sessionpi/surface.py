@@ -606,28 +606,37 @@ def parse_type(text: str) -> SessionType:
 
 # ------------------------------------------------------------------ printing
 
-def display_names(*ps: Process) -> dict[Name, str]:
-    """Choose a distinct spelling for every channel in the given terms.
+def display_names(p: Process) -> dict[Name, str]:
+    """Choose a distinct spelling for every channel in p.
 
     Free channels keep their spelling; bound channels get a numeric
-    suffix when their spelling is already taken.
+    suffix when their spelling is already taken.  One sweep collects the
+    binders, the services and the occurring channels; as in
+    `syntax.free_session_channels`, the free ones are the occurring
+    names minus the bound ones, since binder ids are globally unique.
     """
-    free: set[Name] = set()
+    occurring: set[Name] = set()
     bound: list[Name] = []
     seen: set[Name] = set()
     services: set[str] = set()
-    for p in ps:
-        free |= sx.free_session_channels(p)
-        todo = [p]
-        while todo:
-            q = todo.pop()
-            b = sx.binder(q)
-            if b is not None and b[0] not in seen:
-                seen.add(b[0])
-                bound.append(b[0])
-            if isinstance(q, (sx.Serve, sx.Accept, sx.Request)):
-                services.add(q.service.base)
-            todo.extend(reversed(sx.children(q)))
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        b = sx.binder(q)
+        if b is not None and b[0] not in seen:
+            seen.add(b[0])
+            bound.append(b[0])
+        match q:
+            case sx.Serve(a, _, _) | sx.Accept(a, _, _) | sx.Request(a, _, _):
+                services.add(a.base)
+            case sx.SendSession(c, n, _):
+                occurring.add(c)
+                occurring.add(n)
+            case sx.Receive(c, _, _) | sx.Send(c, _, _) | sx.Choose(c, _, _) \
+                    | sx.ReceiveSession(c, _, _) | sx.Offer(c, _):
+                occurring.add(c)
+        todo.extend(reversed(sx.children(q)))
+    free = occurring - seen
     taken = {n.base for n in free} | services
     names: dict[Name, str] = {n: n.base for n in free}
     for n in sorted(bound, key=lambda n: n.uid or 0):

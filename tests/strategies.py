@@ -9,8 +9,11 @@ filtering random terms.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import random
+import sys
 from functools import reduce
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -291,3 +294,15 @@ def size(p: sx.Process) -> int:
                     todo.extend(w for w in u
                                 if isinstance(w, (sx.Process, sx.Expr)))
     return n
+
+
+# ------------------------------------------------- the benchmark's generators
+
+def bench_gen():
+    """The benchmark's seeded input generators, `bench/gen.py`."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("sessionpi_bench_gen", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return mod

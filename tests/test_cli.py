@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import sessionpi.cli as cli
+import sessionpi.semantics as semantics
 from sessionpi.examples import SOURCES
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -117,6 +118,25 @@ def test_run_trace(capsys, spi):
     assert code == 0
     assert "--[Com@" in out
     assert out.rstrip().endswith("0")
+
+
+def test_run_prints_each_state_once(capsys, monkeypatch):
+    calls = 0
+    printer = cli.print_process
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return printer(*args)
+
+    monkeypatch.setattr(cli, "print_process", counted)
+    monkeypatch.setattr(semantics, "print_process", counted)
+    code, data = run_json(capsys, "run", "--steps", "4",
+                          str(SAMPLES / "relay.spi"))
+    assert code == 0
+    trace = data["data"]["trace"]
+    assert len(trace) == 3  # two steps and the final state
+    assert calls == len(trace)
 
 
 def test_run_all_states(capsys, spi):

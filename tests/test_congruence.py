@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import sessionpi.congruence as cg
 import sessionpi.surface as sf
@@ -41,6 +41,19 @@ def test_process_of_empty_normal_form_is_stop():
 def test_canonical_key_invariant_under_thread_order():
     a = parse("k?(x).0 | k!(1).0", sessions=("k",))
     b = parse("k!(1).0 | k?(x).0", sessions=("k",))
+    assert cg.canonical_key(a) == cg.canonical_key(b)
+    # threads that differ only in their bound names: which received
+    # channel is used, or which restricted channel is shared with whom
+    one = "k?((m)).k?((n)).m!(1).0"
+    two = "k?((m)).k?((n)).n!(1).0"
+    a = parse(f"{one} | {two}", sessions=("k",))
+    b = parse(f"{two} | {one}", sessions=("k",))
+    assert cg.canonical_key(a) == cg.canonical_key(b)
+    shared = "p0!((m)).0 | p1!((n)).0"
+    a = parse(f"new m, n . (m?(x).0 | n?(x).0 | {shared})",
+              sessions=("p0", "p1"))
+    b = parse(f"new m, n . (n?(x).0 | m?(x).0 | {shared})",
+              sessions=("p0", "p1"))
     assert cg.canonical_key(a) == cg.canonical_key(b)
 
 
@@ -104,6 +117,9 @@ def test_normal_form_preserves_canonical_key(seed):
 
 
 @given(st.integers(0, 10_000))
+@example(6510)
+@example(8403)
+@example(9331)
 def test_canonical_key_invariant_under_shuffles(seed):
     rng = random.Random(seed)
     _, p = S.transparent(rng)

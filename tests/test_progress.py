@@ -1,10 +1,7 @@
-import importlib.util
 import itertools
 import random
-import sys
 from collections import Counter
 from functools import reduce
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,6 +194,16 @@ def test_truncated_searches_report_their_bound():
     assert r.bound_hit
 
 
+def test_a_budget_spent_at_the_end_of_a_size_reports_its_bound():
+    # two picks of size one use up the budget, so the pair, the only
+    # counterexample, is never tried
+    src = load("circular_waits")
+    r = pg.check_progress(src.gamma, src.process, subset_budget=2)
+    assert (r.verdict, r.bound_hit) == ("inconclusive", True)
+    r = pg.check_progress(src.gamma, src.process, subset_budget=3)
+    assert r.verdict == "counterexample"
+
+
 def test_ill_typed_input_raises():
     p = sf.parse_process("k!(1).0 | k!(2).0", sessions=("k",))
     with pytest.raises(tc.TypingError):
@@ -273,8 +280,6 @@ def reference_check_progress(gamma, p, depth=10, subset_budget=512,
                             cut=tuple(threads[i] for i in pick),
                             partner=partner, failed=failed,
                             states_seen=visited, bound_hit=bound_hit)
-                if budget == 0:
-                    break
             succs = sm.redexes(state)
             if depth <= 0:
                 if succs:
@@ -318,15 +323,6 @@ def agree(gamma, p, **bounds):
     return want
 
 
-def _bench_gen():
-    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("sessionpi_bench_gen", path)
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # dataclasses look their module up
-    spec.loader.exec_module(mod)
-    return mod
-
-
 @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 6, 8, 12, 512])
 def test_search_agrees_with_the_reference_on_the_corpus(budget):
     for name in SOURCES:
@@ -337,7 +333,7 @@ def test_search_agrees_with_the_reference_on_the_corpus(budget):
 @pytest.mark.parametrize("budget", [3, 512])
 def test_search_agrees_with_the_reference_on_generated_refutations(budget):
     verdicts = set()
-    for case in _bench_gen().refute(1, scale=0.3):
+    for case in S.bench_gen().refute(1, scale=0.3):
         src = sf.parse_source(case.text)
         verdicts.add(agree(src.gamma, src.process, subset_budget=budget)[0])
     assert verdicts == {"inconclusive", "counterexample"}

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +133,102 @@ def test_continuations_keep_their_thread_positions():
     after = {(i, j, c.base) for i, j, c
              in dg.build_graph(cg.normal_form(after_p).process()).edges}
     assert after == {(0, 2, "k"), (1, 2, "k1")}
+
+
+# ---------------------------------------------- the redex index and its oracle
+
+def reference_redexes(p):
+    """The scan as first written: every ordered pair of threads."""
+    threads = cg.normal_form(p).threads
+    out = []
+    for i, ti in enumerate(threads):
+        if isinstance(ti, sx.If):
+            try:
+                v = sm.eval_expr(ti.test)
+            except sm.EvalError:
+                continue
+            if type(v) is bool:
+                out.append(sm.Redex("IfT" if v else "IfF", i))
+            continue
+        for j, tj in enumerate(threads):
+            if i == j:
+                continue
+            r = sm._pair_redex(i, ti, j, tj)
+            if r is not None:
+                out.append(r)
+    return out
+
+
+def agree(p):
+    want = reference_redexes(p)
+    assert sm.redexes(p) == want
+    return want
+
+
+def test_redex_index_agrees_with_the_pairwise_scan_on_the_corpus():
+    for name in SOURCES:
+        for q in sm.explore(load(name).process, 4, mode="all"):
+            agree(q)
+
+
+def test_redex_index_agrees_on_a_generated_simulate_trace():
+    for case in S.bench_gen().simulate(1, scale=0.3):
+        t = sm.explore(sf.parse_source(case.text).process, 1000,
+                       mode="seeded")
+        for q, _ in t.steps:
+            assert agree(q)
+        assert agree(t.final) == []
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000))
+def test_redex_index_agrees_on_generated_input(seed):
+    rng = random.Random(seed)
+    for p in (S.well_typed(rng)[1], S.cyclic(rng), S.typed_cycles(rng)[1]):
+        agree(p)
+
+
+def test_a_service_and_a_channel_may_share_a_spelling():
+    # service a and session channel a are different names; a's bucket
+    # holds several partners, which must come out in position order
+    a, c = sx.svc("a"), sx.chan("a")
+    one = sx.IntLit(1)
+    p = reduce(sx.Par, [
+        sx.Send(c, one, sx.Stop()),
+        sx.Accept(a, sx.bound_chan("k"), sx.Stop()),
+        sx.Request(a, sx.bound_chan("k"), sx.Stop()),
+        sx.Receive(c, "x", sx.Stop()),
+        sx.Serve(a, sx.bound_chan("k"), sx.Stop()),
+        sx.Request(a, sx.bound_chan("k"), sx.Stop()),
+        sx.Send(c, one, sx.Stop()),
+        sx.Offer(c, (("go", sx.Stop()),)),
+        sx.Choose(c, "go", sx.Stop()),
+    ])
+    assert [r.describe() for r in agree(p)] == [
+        "Init@1,2", "Init@1,5", "Com@3,0 1", "Com@3,6 1",
+        "RInit@4,2", "RInit@4,5", "Sel@7,8 go"]
+
+
+def disjoint_pairs(n):
+    return reduce(sx.Par, [t for i in range(n) for t in (
+        sx.Send(sx.chan(f"c{i}"), sx.IntLit(1), sx.Stop()),
+        sx.Receive(sx.chan(f"c{i}"), "x", sx.Stop()))])
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_each_input_tries_only_the_outputs_on_its_subject(monkeypatch, n):
+    # one pair test per receive; the pairwise scan makes 2n(2n - 1)
+    calls = 0
+    pair = sm._pair_redex
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return pair(*args)
+
+    monkeypatch.setattr(sm, "_pair_redex", counted)
+    assert len(sm.redexes(disjoint_pairs(n))) == n
+    assert calls == n
 
 
 # -------------------------------------------------------------------- explore
