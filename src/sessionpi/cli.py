@@ -120,7 +120,7 @@ def _cmd_run(args) -> int:
     try:
         if args.all:
             states = semantics.explore(src.process, args.steps, mode="all")
-            shown = [print_process(q) for q in states]
+            shown = [print_process(q.process()) for q in states]
             _emit(args, "ok", {"states": shown},
                   [f"{len(shown)} states within {args.steps} steps:"]
                   + [f"  {s}" for s in shown])
@@ -195,6 +195,18 @@ def _cmd_selftest(args) -> int:
     return 0 if not bad else 1
 
 
+def _bound(text: str) -> int:
+    """A step, depth or budget option: a whole number, at least 0."""
+    try:
+        n = int(text)
+    except ValueError:  # the message argparse gives for type=int
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def _parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps a subcommand's unset flag from clobbering a --json
     # given before the subcommand name
@@ -232,7 +244,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[shared], help="reduce the process")
     p.add_argument("file")
-    p.add_argument("--steps", type=int, default=100, metavar="N")
+    p.add_argument("--steps", type=_bound, default=100, metavar="N")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--seed", type=int, default=None, metavar="S",
                    help="random trace from this seed (default: first redex)")
@@ -250,8 +262,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("progress", parents=[shared],
                        help="certify progress or search for a refutation")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=10, metavar="N")
-    p.add_argument("--subset-budget", type=int, default=512, metavar="B")
+    p.add_argument("--depth", type=_bound, default=10, metavar="N")
+    p.add_argument("--subset-budget", type=_bound, default=512, metavar="B")
     p.set_defaults(fn=_cmd_progress)
 
     p = sub.add_parser("selftest", parents=[shared],

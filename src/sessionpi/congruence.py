@@ -32,7 +32,10 @@ class NormalForm:
         return body
 
 
-def normal_form(p: Process) -> NormalForm:
+def normal_form(p: Process | NormalForm) -> NormalForm:
+    """p flattened to its normal form; a NormalForm is returned as is."""
+    if isinstance(p, NormalForm):
+        return p
     binders: list[Name] = []
     threads: list[Process] = []
     todo: list[Process] = [p]
@@ -104,7 +107,7 @@ def has_live_channels(p: Process) -> bool:
     return False
 
 
-def canonical_key(p: Process) -> str:
+def canonical_key(p: Process | NormalForm) -> str:
     """A printable key equal for structurally congruent alpha-variants.
 
     Threads are sorted under a print that is blind to the spelling of

@@ -179,11 +179,8 @@ _CONDITIONS = {
 
 def _cut_failure(gamma: dict[str, Sort],
                  piece: Process) -> tuple[str, Process | None] | None:
-    """None when the piece passes; else (failed condition, partner)."""
-    if not congruence.has_live_channels(piece):
-        return None
-    if semantics.redexes(piece):
-        return None
+    """None when the live, irreducible piece passes; else (failed
+    condition, partner)."""
     got = construct_partner(gamma, piece)
     if got is None:
         return ("no-partner", None)
@@ -199,8 +196,8 @@ def _cut_failure(gamma: dict[str, Sort],
     rs = semantics.redexes(pair)
     if not rs:
         return ("c", partner)
-    if not any(depgraph.is_transparent(genv, semantics.step(pair, r)).ok
-               for r in rs):
+    reducts = (semantics.step(pair, r).process() for r in rs)
+    if not any(depgraph.is_transparent(genv, q).ok for q in reducts):
         return ("d", partner)
     return None
 
@@ -234,17 +231,17 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
             "transparent: every reachable decomposition stays completable")
 
     bound_hit = False
-    start = congruence.normal_form(p).process()
+    start = congruence.normal_form(p)
     seen = {congruence.canonical_key(start)}
     frontier = [start]
     visited = 0
     passed: set[tuple[Process, ...]] = set()
 
     while frontier:
-        nxt: list[Process] = []
+        nxt: list[congruence.NormalForm] = []
         for state in frontier:
             visited += 1
-            threads = congruence.normal_form(state).threads
+            threads = state.threads
             succs = semantics.redexes(state)
             moves = {(r.i,) if r.j is None else (r.i, r.j) for r in succs}
             live = [congruence.has_live_channels(t) for t in threads]
@@ -269,7 +266,7 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
                     return ProgressResult(
                         "counterexample",
                         f"stuck decomposition: {_CONDITIONS[failed]}",
-                        state=state, cut=cut, partner=partner,
+                        state=state.process(), cut=cut, partner=partner,
                         failed=failed, states_seen=visited,
                         bound_hit=bound_hit)
             if depth <= 0:

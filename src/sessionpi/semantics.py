@@ -3,6 +3,9 @@
 Reduction operates on normal forms, so the contextual and structural
 rules never appear explicitly: a redex is a pair of thread positions
 (or a single position for a conditional) together with its rule tag.
+A state is a `congruence.NormalForm`: `step` flattens each state once,
+as it makes it, and `redexes`, `step` and `explore` take either a state
+or a `Process`; `.process()` turns a state back into a term.
 Service initiation keeps replicated servers in place and spawns a body
 copy with fresh binders; one-shot accepts are consumed.  Delegation
 follows the original rule where the receiving side must guess the
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 from . import congruence, syntax as sx
 from .surface import print_process
+from .congruence import NormalForm
 from .syntax import Expr, Name, Process
 
 
@@ -151,7 +155,7 @@ def _pair_redex(i: int, ti: Process, j: int, tj: Process) -> Redex | None:
     return None
 
 
-def redexes(p: Process) -> list[Redex]:
+def redexes(p: Process | NormalForm) -> list[Redex]:
     """Every enabled redex of normal_form(p), in (i, j) order.
 
     One pass buckets the output sides by subject (a request by its
@@ -199,8 +203,8 @@ def _stale(r: Redex, why: str) -> ValueError:
     return ValueError(f"stale redex {r.describe()}: {why}")
 
 
-def step(p: Process, r: Redex) -> Process:
-    """Apply one redex of p and renormalize.
+def step(p: Process | NormalForm, r: Redex) -> NormalForm:
+    """Apply one redex of p; the result is the new state's normal form.
 
     Raises ValueError when r does not match the current normal form.
     """
@@ -272,42 +276,43 @@ def step(p: Process, r: Redex) -> Process:
 
     rebuilt = congruence.NormalForm(tuple(binders), tuple(threads)).process()
     # continuations may be compositions or restrictions themselves
-    return congruence.normal_form(rebuilt).process()
+    return congruence.normal_form(rebuilt)
 
 
 # -------------------------------------------------------------- exploration
 
 @dataclass(frozen=True)
 class Trace:
-    steps: tuple[tuple[Process, Redex], ...]
-    final: Process
+    steps: tuple[tuple[NormalForm, Redex], ...]
+    final: NormalForm
 
     def __len__(self) -> int:
         return len(self.steps)
 
 
-def explore(p: Process, depth: int, mode: str = "all",
-            seed: int | None = None) -> list[Process] | Trace:
+def explore(p: Process | NormalForm, depth: int, mode: str = "all",
+            seed: int | None = None) -> list[NormalForm] | Trace:
     """Reduction behaviour of p within a step bound.
 
-    mode="all": breadth-first list of the states reachable in at most
-    `depth` steps, deduplicated up to congruence and renaming, starting
-    with p's own normal form.
+    mode="all": breadth-first list of the states (normal forms)
+    reachable in at most `depth` steps, deduplicated up to congruence
+    and renaming, starting with p's own normal form.
 
-    mode="seeded": one maximal trace of length <= depth.  With a seed,
-    redexes are chosen pseudo-randomly and reproducibly; without, the
-    first redex is taken each time, which makes runs deterministic.
+    mode="seeded": one maximal trace of length <= depth, its states
+    normal forms too.  With a seed, redexes are chosen pseudo-randomly
+    and reproducibly; without, the first redex is taken each time,
+    which makes runs deterministic.
     """
+    start = congruence.normal_form(p)
     if mode == "seeded":
-        return _random_trace(p, depth, seed)
+        return _random_trace(start, depth, seed)
     if mode != "all":
         raise ValueError(f"unknown exploration mode {mode!r}")
-    start = congruence.normal_form(p).process()
     seen = {congruence.canonical_key(start)}
     out = [start]
     frontier = [start]
     for _ in range(depth):
-        nxt: list[Process] = []
+        nxt: list[NormalForm] = []
         for q in frontier:
             for r in redexes(q):
                 q2 = step(q, r)
@@ -322,10 +327,9 @@ def explore(p: Process, depth: int, mode: str = "all",
     return out
 
 
-def _random_trace(p: Process, depth: int, seed: int | None) -> Trace:
+def _random_trace(cur: NormalForm, depth: int, seed: int | None) -> Trace:
     rng = random.Random(seed) if seed is not None else None
-    cur = congruence.normal_form(p).process()
-    steps: list[tuple[Process, Redex]] = []
+    steps: list[tuple[NormalForm, Redex]] = []
     for _ in range(depth):
         rs = redexes(cur)
         if not rs:
@@ -341,7 +345,7 @@ def trace_records(t: Trace) -> list[dict]:
     out = []
     for k, (q, r) in enumerate(t.steps):
         rec = {"index": k, "rule": r.rule, "threads": [r.i],
-               "process": print_process(q)}
+               "process": print_process(q.process())}
         if r.j is not None:
             rec["threads"].append(r.j)
         if r.label is not None:
@@ -352,14 +356,14 @@ def trace_records(t: Trace) -> list[dict]:
             rec["channel"] = r.chan.base
         out.append(rec)
     out.append({"index": len(t.steps), "final": True,
-                "process": print_process(t.final)})
+                "process": print_process(t.final.process())})
     return out
 
 
 def trace_lines(t: Trace) -> list[str]:
     lines = []
     for q, r in t.steps:
-        lines.append(print_process(q))
+        lines.append(print_process(q.process()))
         lines.append(f"  --[{r.describe()}]-->")
-    lines.append(print_process(t.final))
+    lines.append(print_process(t.final.process()))
     return lines

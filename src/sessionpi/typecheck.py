@@ -336,6 +336,8 @@ def _pop_cont(d: Delta, c: Name, rule: str, at: Process) -> SessionType:
 
 
 def _compose_into(out: Delta, d2: Delta) -> None:
+    """Parallel composition of typings, into out: channels used on both
+    sides must carry dual types there and are marked `bot`."""
     for k, t2 in d2.items():
         if k not in out:
             out[k] = t2
@@ -350,14 +352,6 @@ def _compose_into(out: Delta, d2: Delta) -> None:
             raise TypingError(
                 f"parallel threads disagree on channel {k.base}: {e}") from e
         out[k] = Bot()
-
-
-def compose(d1: Delta, d2: Delta) -> Delta:
-    """Parallel composition of typings: channels used on both sides must
-    carry dual types there and are marked `bot` in the result."""
-    out = dict(d1)
-    _compose_into(out, d2)
-    return out
 
 
 def _join_missing(t: SessionType, k: Name) -> SessionType:

@@ -177,6 +177,23 @@ def test_progress_reports_the_cut(capsys, spi):
     assert len(data["data"]["cut"]) == 2
 
 
+@pytest.mark.parametrize("command, flag", [("run", "--steps"),
+                                           ("progress", "--depth"),
+                                           ("progress", "--subset-budget")])
+def test_negative_bounds_are_usage_errors(capsys, spi, command, flag):
+    code, out, err = run(capsys, command, spi("circular_waits"), flag, "-1")
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: must not be negative: -1" in err
+
+
+def test_zero_subset_budget_is_inconclusive(capsys, spi):
+    code, data = run_json(capsys, "progress", spi("circular_waits"),
+                          "--subset-budget", "0")
+    assert code == 0
+    assert (data["verdict"], data["data"]["bound_hit"]) == ("inconclusive",
+                                                            True)
+
+
 def test_json_records_are_stable(capsys, spi):
     f = spi("buyer_seller")
     _, out1, _ = run(capsys, "--json", "transparent", f)

@@ -95,7 +95,7 @@ def test_request_gets_accepted():
     assert isinstance(q, sx.Accept)
     assert q.service == sx.svc("a")
     final = sm.explore(sx.Par(p, q), 10, mode="seeded").final
-    assert final == sx.Stop()
+    assert final.process() == sx.Stop()
 
 
 def test_open_channel_gets_its_dual():
@@ -241,7 +241,8 @@ def test_dead_restrictions_do_not_count_as_new_states():
 def reference_check_progress(gamma, p, depth=10, subset_budget=512,
                              max_states=2000):
     """The search as first written: every pick of every state builds its
-    piece and goes through `_cut_failure`, with nothing shared."""
+    piece and, when it is live and irreducible, goes through
+    `_cut_failure`, with nothing shared."""
     tc.check(gamma, p)  # propagate ill-typedness to the caller
 
     verdict = dg.is_transparent(gamma, p)
@@ -270,6 +271,8 @@ def reference_check_progress(gamma, p, depth=10, subset_budget=512,
                         break
                     budget -= 1
                     piece = reduce(sx.Par, (threads[i] for i in pick))
+                    if not cg.has_live_channels(piece) or sm.redexes(piece):
+                        continue
                     bad = pg._cut_failure(gamma, piece)
                     if bad is not None:
                         failed, partner = bad
@@ -361,18 +364,29 @@ def test_each_distinct_stuck_piece_is_checked_once(monkeypatch):
         " a0!(17).b0!(72).0 | a0?(x).b0?(y).0 | a1!(97).b1!(8).0"
         " | a2!(32).b2!(15).0 | a2?(x).b2?(y).0 | a1?(x).b1?(y).0")
     calls = 0
+    scans = 0
     construct = pg.construct_partner
+    scan = sm.redexes
 
     def counted(gamma, p):
         nonlocal calls
         calls += 1
         return construct(gamma, p)
 
+    def counted_scan(p):
+        nonlocal scans
+        scans += 1
+        return scan(p)
+
     monkeypatch.setattr(pg, "construct_partner", counted)
+    monkeypatch.setattr(sm, "redexes", counted_scan)
     r = pg.check_progress(src.gamma, src.process)
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 27,
                                                         False)
     assert 0 < calls <= 5 ** 3 - 1
+    # the search already knows each checked piece is live and
+    # irreducible, so its cut check scans only the partner and the pair
+    assert scans <= 399
 
 
 # ------------------------------------------------- every counterexample holds

@@ -274,6 +274,26 @@ def test_default_trace_takes_the_first_redex():
     assert t.steps[0][1].value == 1
 
 
+def test_each_state_is_flattened_once(monkeypatch):
+    # the start and each state `step` makes are flattened once; every
+    # later use, printing included, takes the state as it is
+    flattened = 0
+    normal_form = cg.normal_form
+
+    def counted(p):
+        nonlocal flattened
+        if not isinstance(p, cg.NormalForm):
+            flattened += 1
+        return normal_form(p)
+
+    monkeypatch.setattr(cg, "normal_form", counted)
+    t = sm.explore(load("buyer_seller").process, 100, mode="seeded")
+    sm.trace_records(t)
+    sm.trace_lines(t)
+    assert len(t) == 7
+    assert flattened <= len(t) + 1
+
+
 def test_trace_records_shape():
     p = parse("k?(x).0 | k!(1).0", sessions=("k",))
     t = sm.explore(p, 5, mode="seeded")
@@ -296,7 +316,7 @@ def test_subject_reduction(seed):
         if not rs:
             break
         p = sm.step(p, rng.choice(rs))
-        tc.check(gamma, p)  # must stay well-typed
+        tc.check(gamma, p.process())  # must stay well-typed
 
 
 @settings(deadline=None)
@@ -310,7 +330,7 @@ def test_free_channels_never_grow_under_reduction(seed):
         if not rs:
             break
         p = sm.step(p, rng.choice(rs))
-        assert sx.free_session_channels(p) <= free
+        assert sx.free_session_channels(p.process()) <= free
 
 
 @settings(deadline=None)
@@ -324,4 +344,4 @@ def test_programs_stay_programs(seed):
             break
         p = sm.step(p, rng.choice(rs))
         # sessions opened by reduction are restricted, never free
-        assert sx.free_session_channels(p) == set()
+        assert sx.free_session_channels(p.process()) == set()
