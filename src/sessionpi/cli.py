@@ -66,7 +66,7 @@ def _cmd_graph(args) -> int:
     if args.all_subterms:
         subterms = congruence.maximal_parallel_subterms(src.process)
     else:
-        subterms = [congruence.normal_form(src.process).process()]
+        subterms = [src.process]
     names = display_names(src.process)
     graphs = [depgraph.build_graph(q) for q in subterms]
     dots = [depgraph.to_dot(g, names, title=f"deps{i}")

@@ -78,7 +78,7 @@ def load(name: str) -> surface.Source:
 
 
 def _graph(src: surface.Source) -> depgraph.DepGraph:
-    return depgraph.build_graph(congruence.normal_form(src.process).process())
+    return depgraph.build_graph(src.process)
 
 
 def selftest() -> list[tuple[str, bool, str]]:

@@ -22,10 +22,14 @@ so `new k . P | Q` is `(new k . P) | Q`; parenthesise for wider scope.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, TypeVar
 
 from . import syntax as sx
 from .syntax import Expr, Name, Process, SessionType, Sort
+
+_T = TypeVar("_T")
 
 
 class ParseError(Exception):
@@ -42,6 +46,7 @@ _KEYWORDS = {
     "sessions", "env", "new", "if", "then", "else", "true", "false",
     "not", "and", "or", "end", "int", "bool", "string",
 }
+_BASIC = ("int", "bool", "string")
 
 # longest first so '<<' wins over '<'
 _SYMBOLS = [
@@ -50,95 +55,66 @@ _SYMBOLS = [
     "|", "*", "&", "+", "-", "=", "/",
 ]
 
+# `\d` is `str.isdecimal` and `\w` is `str.isalnum` plus '_', so a
+# digit such as '²' starts a word, not an int; `tokenize` rejects a word
+# that does not start with a letter, '_' or '#'.  Any other character
+# is `bad`.
+_STRING = r'"(?:[^"\\\n]|\\[nt"\\])*'
+_TOKEN = re.compile("|".join([
+    r"(?P<nl>\n)", r"(?P<blank>[ \t\r]+)", r"(?P<comment>//[^\n]*)",
+    r"(?P<int>\d+)", r"(?P<word>[\w#]\w*)", f'(?P<string>{_STRING}")',
+    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")", r"(?P<bad>.)",
+]))
+_STRING_PREFIX = re.compile(_STRING)
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # "ident", "int", "string", "kw", "sym", "eof"
     text: str
     line: int
     col: int
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_" or ch == "#"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+def _string_error(text: str, i: int, line: int, col: int) -> ParseError:
+    """Why the string starting at text[i] (line, col) does not lex."""
+    j = _STRING_PREFIX.match(text, i).end()
+    if j + 1 < len(text) and text[j] == "\\" and text[j + 1] != "\n":
+        return ParseError(f"bad escape '\\{text[j + 1]}'", line, col + j - i)
+    return ParseError("unterminated string", line, col)
 
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
             continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
+        if kind == "blank" or kind == "comment":
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(ch):
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
+        word, col = m.group(), m.start() - line_start + 1
+        if kind == "word":
             if word == "#":
-                raise ParseError("'#' must start a name", start_line, start_col)
-            kind = "kw" if word in _KEYWORDS else "ident"
-            toks.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while True:
-                if j >= n or text[j] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                c = text[j]
-                if c == '"':
-                    j += 1
-                    break
-                if c == "\\":
-                    if j + 1 >= n:
-                        raise ParseError("unterminated string", start_line, start_col)
-                    esc = text[j + 1]
-                    mapped = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc)
-                    if mapped is None:
-                        raise ParseError(f"bad escape '\\{esc}'", line, col + j - i)
-                    out.append(mapped)
-                    j += 2
-                    continue
-                out.append(c)
-                j += 1
-            toks.append(Token("string", "".join(out), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, start_line, start_col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    toks.append(Token("eof", "", line, col))
+                raise ParseError("'#' must start a name", line, col)
+            if not (word[0].isalpha() or word[0] in "_#"):
+                kind, word = "bad", word[0]
+            else:
+                kind = "kw" if word in _KEYWORDS else "ident"
+        elif kind == "string":
+            word = word[1:-1]
+            if "\\" in word:
+                word = re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]], word)
+        if kind == "bad":
+            if word == '"':
+                raise _string_error(text, m.start(), line, col)
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        toks.append(Token(kind, word, line, col))
+    # a trailing comment does not count towards the end-of-input column
+    end = m.start() if m and m.lastgroup == "comment" else len(text)
+    toks.append(Token("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -153,8 +129,8 @@ class Source:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    def __init__(self, text: str):
+        self.toks = tokenize(text)
         self.pos = 0
         self.sessions: dict[str, Name] = {}
         self.gamma: dict[str, Sort] = {}
@@ -180,17 +156,15 @@ class _Parser:
         t = self.peek()
         return t.kind == "kw" and t.text in words
 
-    def expect_sym(self, text: str) -> Token:
+    def expect(self, kind: str, text: str) -> Token:
         t = self.next()
-        if t.kind != "sym" or t.text != text:
+        if t.kind != kind or t.text != text:
             raise ParseError(f"expected '{text}', found {self._show(t)}", t.line, t.col)
         return t
 
-    def expect_kw(self, word: str) -> Token:
-        t = self.next()
-        if t.kind != "kw" or t.text != word:
-            raise ParseError(f"expected '{word}', found {self._show(t)}", t.line, t.col)
-        return t
+    def expect_sym(self, *texts: str) -> None:
+        for text in texts:
+            self.expect("sym", text)
 
     def expect_ident(self, what: str = "name") -> Token:
         t = self.next()
@@ -201,6 +175,36 @@ class _Parser:
     @staticmethod
     def _show(t: Token) -> str:
         return "end of input" if t.kind == "eof" else repr(t.text)
+
+    def finish(self, out: _T, what: str) -> _T:
+        t = self.peek()
+        if t.kind != "eof":
+            raise ParseError(f"unexpected {self._show(t)} after {what}", t.line, t.col)
+        return out
+
+    def commas(self, item: Callable[[], _T]) -> list[_T]:
+        out = [item()]
+        while self.at_sym(","):
+            self.next()
+            out.append(item())
+        return out
+
+    def arms(self, body: Callable[[], _T]) -> list[tuple[str, _T]]:
+        """`{l: body, ...}` with distinct labels."""
+        seen: set[str] = set()
+
+        def arm() -> tuple[str, _T]:
+            lt = self.expect_ident("label")
+            if lt.text in seen:
+                raise ParseError(f"duplicate label {lt.text!r}", lt.line, lt.col)
+            seen.add(lt.text)
+            self.expect_sym(":")
+            return lt.text, body()
+
+        self.expect_sym("{")
+        out = self.commas(arm)
+        self.expect_sym("}")
+        return out
 
     # -- scope helpers
 
@@ -213,6 +217,26 @@ class _Parser:
             raise ParseError(f"name {t.text!r} is reserved", t.line, t.col)
         if self._visible(t.text):
             raise ParseError(f"{t.text!r} is already in scope", t.line, t.col)
+
+    def bind(self) -> Name:
+        """Bring a fresh bound channel into scope; the caller pops it."""
+        t = self.expect_ident("channel name")
+        self._check_binder(t)
+        name = self.chans[t.text] = sx.bound_chan(t.text)
+        return name
+
+    def bound_body(self, *close: str) -> tuple[Name, Process]:
+        """`k` close... `.` P, with k bound in P."""
+        name = self.bind()
+        self.expect_sym(*close, ".")
+        body = self.parse_unit()
+        del self.chans[name.base]
+        return name, body
+
+    def declare_session(self) -> None:
+        t = self.expect_ident("session channel name")
+        self._check_binder(t)
+        self.sessions[t.text] = sx.chan(t.text)
 
     def session_name(self, t: Token) -> Name:
         if t.text in self.chans:
@@ -238,84 +262,45 @@ class _Parser:
 
     def parse_source(self) -> Source:
         while self.at_kw("sessions", "env"):
-            if self.peek().text == "sessions":
-                self.next()
-                while True:
-                    t = self.expect_ident("session channel name")
-                    self._check_binder(t)
-                    self.sessions[t.text] = sx.chan(t.text)
-                    if self.at_sym(","):
-                        self.next()
-                        continue
-                    break
-                self.expect_sym(";")
+            if self.next().text == "sessions":
+                self.commas(self.declare_session)
             else:
-                self.next()
                 t = self.expect_ident("name")
                 if self._visible(t.text):
                     raise ParseError(f"{t.text!r} is already declared", t.line, t.col)
                 self.expect_sym(":")
                 self.gamma[t.text] = self.parse_sort()
-                self.expect_sym(";")
-        p = self.parse_par()
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"unexpected {self._show(t)} after process", t.line, t.col)
+            self.expect_sym(";")
+        p = self.finish(self.parse_par(), "process")
         return Source(tuple(self.sessions.values()), dict(self.gamma), p)
 
     # -- types
 
     def parse_sort(self) -> Sort:
         t = self.peek()
-        if t.kind == "kw" and t.text in ("int", "bool", "string"):
-            self.next()
-            return sx.Basic(t.text)
-        if self.at_sym("<"):
-            self.next()
-            s = self.parse_type()
-            self.expect_sym(">")
-            return sx.ServiceSort(s)
-        raise ParseError(f"expected a sort, found {self._show(t)}", t.line, t.col)
+        if not (self.at_kw(*_BASIC) or self.at_sym("<")):
+            raise ParseError(f"expected a sort, found {self._show(t)}", t.line, t.col)
+        return self.parse_payload()
 
     def parse_type(self) -> SessionType:
-        t = self.peek()
+        t = self.next()
         if t.kind == "kw" and t.text == "end":
-            self.next()
             return sx.End()
-        if self.at_sym("?", "!"):
-            op = self.next().text
+        if t.kind == "sym" and t.text in ("?", "!"):
             self.expect_sym("[")
             payload = self.parse_payload()
-            self.expect_sym("]")
-            self.expect_sym(".")
+            self.expect_sym("]", ".")
             then = self.parse_type()
-            return sx.In(payload, then) if op == "?" else sx.Out(payload, then)
-        if self.at_sym("&", "+"):
-            op = self.next().text
-            self.expect_sym("{")
-            arms: list[tuple[str, SessionType]] = []
-            seen: set[str] = set()
-            while True:
-                lt = self.expect_ident("label")
-                if lt.text in seen:
-                    raise ParseError(f"duplicate label {lt.text!r}", lt.line, lt.col)
-                seen.add(lt.text)
-                self.expect_sym(":")
-                arms.append((lt.text, self.parse_type()))
-                if self.at_sym(","):
-                    self.next()
-                    continue
-                break
-            self.expect_sym("}")
-            return sx.branch(arms) if op == "&" else sx.select(arms)
+            return sx.In(payload, then) if t.text == "?" else sx.Out(payload, then)
+        if t.kind == "sym" and t.text in ("&", "+"):
+            arms = self.arms(self.parse_type)
+            return sx.branch(arms) if t.text == "&" else sx.select(arms)
         raise ParseError(f"expected a session type, found {self._show(t)}",
                          t.line, t.col)
 
     def parse_payload(self) -> Sort | SessionType:
-        t = self.peek()
-        if t.kind == "kw" and t.text in ("int", "bool", "string"):
-            self.next()
-            return sx.Basic(t.text)
+        if self.at_kw(*_BASIC):
+            return sx.Basic(self.next().text)
         if self.at_sym("<"):
             self.next()
             s = self.parse_type()
@@ -332,17 +317,6 @@ class _Parser:
             p = sx.Par(p, self.parse_unit())
         return p
 
-    def _bind_chan(self, t: Token):
-        """Register a fresh bound channel; returns (name, restore thunk)."""
-        self._check_binder(t)
-        name = sx.bound_chan(t.text)
-        self.chans[t.text] = name
-
-        def restore():
-            del self.chans[t.text]
-
-        return name, restore
-
     def parse_unit(self) -> Process:
         t = self.peek()
         if t.kind == "int":
@@ -357,40 +331,25 @@ class _Parser:
             return p
         if self.at_kw("new"):
             self.next()
-            binders = []
-            while True:
-                nt = self.expect_ident("channel name")
-                binders.append(self._bind_chan(nt))
-                if self.at_sym(","):
-                    self.next()
-                    continue
-                break
+            names = self.commas(self.bind)
             self.expect_sym(".")
             body = self.parse_unit()
-            for name, restore in reversed(binders):
-                restore()
+            for name in reversed(names):
+                del self.chans[name.base]
                 body = sx.New(name, body)
             return body
         if self.at_kw("if"):
             self.next()
             test = self.parse_expr()
-            self.expect_kw("then")
+            self.expect("kw", "then")
             then = self.parse_unit()
-            self.expect_kw("else")
-            els = self.parse_unit()
-            return sx.If(test, then, els)
+            self.expect("kw", "else")
+            return sx.If(test, then, self.parse_unit())
         if self.at_sym("*"):
             self.next()
-            at = self.expect_ident("service name")
-            service = self.service_name(at)
+            service = self.service_name(self.expect_ident("service name"))
             self.expect_sym("(")
-            kt = self.expect_ident("channel name")
-            name, restore = self._bind_chan(kt)
-            self.expect_sym(")")
-            self.expect_sym(".")
-            body = self.parse_unit()
-            restore()
-            return sx.Serve(service, name, body)
+            return sx.Serve(service, *self.bound_body(")"))
         if t.kind == "ident":
             return self.parse_prefix()
         raise ParseError(f"expected a process, found {self._show(t)}", t.line, t.col)
@@ -401,143 +360,75 @@ class _Parser:
         if self.at_sym("("):  # accept: a(k).P
             service = self.service_name(t)
             self.next()
-            kt = self.expect_ident("channel name")
-            name, restore = self._bind_chan(kt)
-            self.expect_sym(")")
-            self.expect_sym(".")
-            body = self.parse_unit()
-            restore()
-            return sx.Accept(service, name, body)
+            return sx.Accept(service, *self.bound_body(")"))
         if self.at_sym("<"):  # request: a<k>.P
             service = self.service_name(t)
             self.next()
-            kt = self.expect_ident("channel name")
-            name, restore = self._bind_chan(kt)
-            self.expect_sym(">")
-            self.expect_sym(".")
-            body = self.parse_unit()
-            restore()
-            return sx.Request(service, name, body)
-        if self.at_sym("?"):
-            chan = self.session_name(t)
-            self.next()
+            return sx.Request(service, *self.bound_body(">"))
+        if not self.at_sym("?", "!", ">>", "<<"):
+            if t.text in self.chans or t.text in self.sessions:
+                raise ParseError(
+                    f"expected '?', '!', '>>' or '<<' after session channel {t.text!r}",
+                    nxt.line, nxt.col)
+            raise ParseError(f"expected a process, found {t.text!r}", t.line, t.col)
+        chan = self.session_name(t)
+        self.next()
+        if nxt.text == "?":
             self.expect_sym("(")
             if self.at_sym("("):  # session reception: k?((k2)).P
                 self.next()
-                kt = self.expect_ident("channel name")
-                name, restore = self._bind_chan(kt)
-                self.expect_sym(")")
-                self.expect_sym(")")
-                self.expect_sym(".")
-                body = self.parse_unit()
-                restore()
-                return sx.ReceiveSession(chan, name, body)
+                return sx.ReceiveSession(chan, *self.bound_body(")", ")"))
             xt = self.expect_ident("variable name")
             self._check_binder(xt)
-            self.expect_sym(")")
-            self.expect_sym(".")
+            self.expect_sym(")", ".")
             self.vars.add(xt.text)
             body = self.parse_unit()
             self.vars.remove(xt.text)
             return sx.Receive(chan, xt.text, body)
-        if self.at_sym("!"):
-            chan = self.session_name(t)
-            self.next()
+        if nxt.text == "!":
             self.expect_sym("(")
             # k!((k2)).P delegates k2 when the double parens wrap one
             # session channel; anything else is a parenthesised expression
-            if (self.at_sym("(") and self.peek(1).kind == "ident"
-                    and self.peek(2).kind == "sym" and self.peek(2).text == ")"
-                    and self.peek(3).kind == "sym" and self.peek(3).text == ")"
-                    and (self.peek(1).text in self.chans
-                         or self.peek(1).text in self.sessions)):
-                self.next()
-                kt = self.expect_ident("channel name")
-                sent = self.session_name(kt)
-                self.expect_sym(")")
-                self.expect_sym(")")
-                self.expect_sym(".")
-                return sx.SendSession(chan, sent, self.parse_unit())
+            sent = self.peek(1)
+            if (self.at_sym("(") and sent.kind == "ident"
+                    and self.peek(2)[:2] == self.peek(3)[:2] == ("sym", ")")
+                    and (sent.text in self.chans or sent.text in self.sessions)):
+                self.pos += 2
+                self.expect_sym(")", ")", ".")
+                return sx.SendSession(chan, self.session_name(sent), self.parse_unit())
             e = self.parse_expr()
-            self.expect_sym(")")
-            self.expect_sym(".")
+            self.expect_sym(")", ".")
             return sx.Send(chan, e, self.parse_unit())
-        if self.at_sym(">>"):
-            chan = self.session_name(t)
-            self.next()
-            self.expect_sym("{")
-            arms: list[tuple[str, Process]] = []
-            seen: set[str] = set()
-            while True:
-                lt = self.expect_ident("label")
-                if lt.text in seen:
-                    raise ParseError(f"duplicate label {lt.text!r}", lt.line, lt.col)
-                seen.add(lt.text)
-                self.expect_sym(":")
-                arms.append((lt.text, self.parse_par()))
-                if self.at_sym(","):
-                    self.next()
-                    continue
-                break
-            self.expect_sym("}")
-            return sx.Offer(chan, tuple(arms))
-        if self.at_sym("<<"):
-            chan = self.session_name(t)
-            self.next()
-            lt = self.expect_ident("label")
-            self.expect_sym(".")
-            return sx.Choose(chan, lt.text, self.parse_unit())
-        if t.text in self.chans or t.text in self.sessions:
-            raise ParseError(
-                f"expected '?', '!', '>>' or '<<' after session channel {t.text!r}",
-                nxt.line, nxt.col)
-        raise ParseError(f"expected a process, found {t.text!r}", t.line, t.col)
+        if nxt.text == ">>":
+            return sx.Offer(chan, tuple(self.arms(self.parse_par)))
+        lt = self.expect_ident("label")
+        self.expect_sym(".")
+        return sx.Choose(chan, lt.text, self.parse_unit())
 
     # -- expressions
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
+    def parse_expr(self, level: int = 1) -> Expr:
+        """An expression whose operators are all at `level` or above.
 
-    def parse_or(self) -> Expr:
-        e = self.parse_and()
-        while self.at_kw("or"):
+        Precedence climbing over `_LEVELS`: after an operator at level
+        lv only operators below lv + 1 may follow (left association),
+        and only operators below lv after a comparison, since
+        comparisons do not chain.
+        """
+        if level <= _NOT and self.at_kw("not"):
             self.next()
-            e = sx.Binop("or", e, self.parse_and())
-        return e
-
-    def parse_and(self) -> Expr:
-        e = self.parse_not()
-        while self.at_kw("and"):
+            e: Expr = sx.Unop("not", self.parse_expr(_NOT))
+            below = _NOT
+        else:
+            e, below = self.parse_atom(), _ATOM
+        while True:
+            t = self.peek()
+            lv = _LEVELS.get(t.text, 0) if t.kind in ("sym", "kw") else 0
+            if not level <= lv < below:
+                return e
             self.next()
-            e = sx.Binop("and", e, self.parse_not())
-        return e
-
-    def parse_not(self) -> Expr:
-        if self.at_kw("not"):
-            self.next()
-            return sx.Unop("not", self.parse_not())
-        return self.parse_cmp()
-
-    def parse_cmp(self) -> Expr:
-        e = self.parse_add()
-        if self.at_sym("=", "!=", "<", "<=", ">", ">="):
-            op = self.next().text
-            return sx.Binop(op, e, self.parse_add())
-        return e
-
-    def parse_add(self) -> Expr:
-        e = self.parse_mul()
-        while self.at_sym("+", "-"):
-            op = self.next().text
-            e = sx.Binop(op, e, self.parse_mul())
-        return e
-
-    def parse_mul(self) -> Expr:
-        e = self.parse_atom()
-        while self.at_sym("*"):
-            self.next()
-            e = sx.Binop("*", e, self.parse_atom())
-        return e
+            e = sx.Binop(t.text, e, self.parse_expr(lv + 1))
+            below = lv if lv == _CMP else lv + 1
 
     def parse_atom(self) -> Expr:
         t = self.peek()
@@ -577,31 +468,21 @@ class _Parser:
 
 
 def parse_source(text: str) -> Source:
-    return _Parser(tokenize(text)).parse_source()
+    return _Parser(text).parse_source()
 
 
 def parse_process(text: str, sessions: tuple[str, ...] = (),
                   gamma: dict[str, Sort] | None = None) -> Process:
     """Parse a bare process under the given declarations."""
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     p.sessions = {s: sx.chan(s) for s in sessions}
     p.gamma = dict(gamma or {})
-    out = p.parse_par()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"unexpected {_Parser._show(t)} after process",
-                         t.line, t.col)
-    return out
+    return p.finish(p.parse_par(), "process")
 
 
 def parse_type(text: str) -> SessionType:
-    p = _Parser(tokenize(text))
-    out = p.parse_type()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"unexpected {_Parser._show(t)} after type",
-                         t.line, t.col)
-    return out
+    p = _Parser(text)
+    return p.finish(p.parse_type(), "type")
 
 
 # ------------------------------------------------------------------ printing
@@ -652,9 +533,13 @@ def display_names(p: Process) -> dict[Name, str]:
     return names
 
 
+# Expression precedence, loosest first, for both `_Parser.parse_expr`
+# and `print_expr`: `not` binds between `and` and the comparisons, and
+# unary '-' binds tightest.
+_NOT, _CMP, _ATOM = 3, 4, 7
 _LEVELS = {
     "or": 1, "and": 2,
-    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "=": _CMP, "!=": _CMP, "<": _CMP, "<=": _CMP, ">": _CMP, ">=": _CMP,
     "+": 5, "-": 5, "*": 6,
 }
 
@@ -672,14 +557,15 @@ def print_expr(e: Expr, level: int = 0) -> str:
         case sx.Var(n) | sx.SvcRef(n):
             return n
         case sx.Unop("-", a):
-            return f"-{print_expr(a, 7)}"
+            return f"-{print_expr(a, _ATOM)}"
         case sx.Unop("not", a):
-            s = f"not {print_expr(a, 4)}"
-            return f"({s})" if level > 3 else s
+            s = f"not {print_expr(a, _CMP)}"
+            return f"({s})" if level > _NOT else s
         case sx.Binop(op, l, r):
             lv = _LEVELS[op]
-            right_level = lv + 1  # left-assoc; comparisons are non-assoc
-            s = f"{print_expr(l, lv)} {op} {print_expr(r, right_level)}"
+            # left-associative, but comparisons do not chain
+            left = print_expr(l, lv + 1 if lv == _CMP else lv)
+            s = f"{left} {op} {print_expr(r, lv + 1)}"
             return f"({s})" if level > lv else s
     raise TypeError(f"not an expression: {e!r}")
 

@@ -155,10 +155,10 @@ def show(t: SessionType | Sort) -> str:
 
 # ------------------------------------------------------------------ unifiers
 
-def _occurs(v: TVar, t: SessionType | Sort) -> bool:
+def _occurs(v: TVar | SVar, t: SessionType | Sort) -> bool:
     t = walk(t) if isinstance(t, SessionType) else walk_sort(t)
     match t:
-        case TVar():
+        case TVar() | SVar():
             return t is v
         case In(p, then) | Out(p, then):
             return _occurs(v, p) or _occurs(v, then)
@@ -238,32 +238,12 @@ def unify_payload(p1: Sort | SessionType, p2: Sort | SessionType) -> None:
             f"value payload {show(a)} cannot match session payload {show(b)}")
 
 
-def _occurs_sort(v: SVar, s: Sort | SessionType) -> bool:
-    s = walk_sort(s) if isinstance(s, Sort) else walk(s)
-    match s:
-        case SVar():
-            return s is v
-        case ServiceSort(t):
-            return _occurs_sort(v, t)
-        case In(p, then) | Out(p, then):
-            return _occurs_sort(v, p) or _occurs_sort(v, then)
-        case BranchT(opts) | SelectT(opts):
-            return any(_occurs_sort(v, a) for _, a in opts)
-        case OpenSel(opts, _, _):
-            return any(_occurs_sort(v, a) for a in opts.values())
-        case DualOpen(base):
-            return any(_occurs_sort(v, a)
-                       for a in osfind(base).options.values())
-        case _:
-            return False
-
-
 def unify_sort(a: Sort, b: Sort) -> None:
     a, b = walk_sort(a), walk_sort(b)
     if a is b:
         return
     if isinstance(a, SVar):
-        if _occurs_sort(a, b):
+        if _occurs(a, b):
             raise TypingError("value's sort would have to contain itself")
         a.link = b
         return

@@ -45,6 +45,21 @@ session_types = st.recursive(
         _arms(child, sx.select)),
     max_leaves=6)
 
+VARS = ("x", "y")
+
+expressions = st.recursive(
+    st.one_of(st.integers(0, 1000).map(sx.IntLit),
+              st.booleans().map(sx.BoolLit),
+              st.text('ab "\\\n\t', max_size=4).map(sx.StrLit),
+              st.sampled_from(VARS).map(sx.Var)),
+    lambda child: st.one_of(
+        st.builds(sx.Binop,
+                  st.sampled_from(["or", "and", "=", "!=", "<", "<=", ">",
+                                   ">=", "+", "-", "*"]),
+                  child, child),
+        st.builds(sx.Unop, st.sampled_from(["not", "-"]), child)),
+    max_leaves=8)
+
 
 # ------------------------------------------------------------ seeded samplers
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -233,3 +234,36 @@ def test_json_output_does_not_depend_on_the_hash_seed():
         outs.append(r.stdout)
     assert outs[0].count("\n") == 4 * len(SOURCES)
     assert outs[0] == outs[1]
+
+
+_SOUP = ("sessions env new if then else not and or end int bool string true "
+         "false k a x 0 1 \"s\" \"a\\q\" \"open ( ) [ ] { } < > ? ! . , : ; | "
+         "* & + - = << >> != // # #s @ ² ½ \\").split() + ["\n", '"a\\\n"']
+
+
+def _fuzz_inputs(rng, n):
+    samples = sorted(SOURCES.values())
+    for i in range(n):
+        if i % 2:
+            soup = " ".join(rng.choice(_SOUP) for _ in range(rng.randint(1, 12)))
+            yield ("sessions k;\nenv a : <?[int].end>;\n" if i % 4 == 1
+                   else "") + soup
+        else:
+            s = rng.choice(samples)
+            a = rng.randrange(len(s))
+            yield s[:a] + rng.choice(_SOUP) + s[a + rng.randint(0, 8):]
+
+
+def test_cli_contract_on_fuzzed_inputs(capsys, tmp_path):
+    """Every input gets exit 0, 1 or 2, at most one line on stderr and,
+    with --json, one JSON record or nothing on stdout."""
+    f = tmp_path / "fuzz.spi"
+    for text in _fuzz_inputs(random.Random(7), 150):
+        f.write_text(text)
+        for cmd in (["check"], ["transparent"], ["progress", "--depth", "2"]):
+            for flags in ([], ["--json"]):
+                code, out, err = run(capsys, *flags, cmd[0], str(f), *cmd[1:])
+                assert code in (0, 1, 2), text
+                assert "Traceback" not in out + err and err.count("\n") <= 1, text
+                if flags and out:
+                    json.loads(out)

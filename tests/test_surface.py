@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import sessionpi.surface as sf
 import sessionpi.syntax as sx
@@ -117,3 +117,49 @@ def test_process_print_parse_roundtrip(seed):
     free = sorted({c.base for c in sx.free_session_channels(p)})
     q = sf.parse_process(sf.print_process(p), sessions=tuple(free), gamma=g)
     assert sx.alpha_equivalent(p, q)
+
+
+def _parse_expr(text):
+    p = sf._Parser(text)
+    p.vars = set(S.VARS)
+    return p.finish(p.parse_expr(), "expression")
+
+
+@given(S.expressions)
+@example(sx.Binop("=", sx.Binop("=", sx.IntLit(1), sx.IntLit(1)),
+                  sx.BoolLit(True)))
+def test_expression_print_parse_roundtrip(e):
+    assert _parse_expr(sf.print_expr(e)) == e
+
+
+_DECLS = "sessions k;\nenv a : int;\nenv b : int;\nenv c : int;\n"
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    # lexer
+    ('k!("ab', "unterminated string", 1, 4),
+    ('k!("ab\n', "unterminated string", 1, 4),
+    ('k!("ab\\', "unterminated string", 1, 4),
+    ('k!("ab\\\nc").0', "unterminated string", 1, 4),
+    ('sessions k;\nk!("a\\qb").0', "bad escape '\\q'", 2, 6),
+    ("env # : int;", "'#' must start a name", 1, 5),
+    ("k @", "unexpected character '@'", 1, 3),
+    ("0 | ½", "unexpected character '½'", 1, 5),
+    ("sessions k;\nk!(²).0", "unexpected character '²'", 2, 4),
+    ("sessions k;\nk!(1). // done", "expected a process, found end of input",
+     2, 8),
+    # expressions
+    (_DECLS + "k!(a < b < c).0", "expected ')', found '<'", 5, 10),
+    (_DECLS + "k!(not a = b = c).0", "expected ')', found '='", 5, 14),
+    (_DECLS + "k!(a = not b).0", "expected an expression, found 'not'", 5, 8),
+    (_DECLS + "k!(2 and 1 != 2 < true).0", "expected ')', found '<'", 5, 17),
+    # declarations and binders
+    ("env s : <&{l: end, m: end, l: end}>;\n0", "duplicate label 'l'", 1, 28),
+    ("sessions k;\nk >> {l: 0, l: 0}", "duplicate label 'l'", 2, 13),
+    ("new #k . 0", "name '#k' is reserved", 1, 5),
+    ("new k, k . 0", "'k' is already in scope", 1, 8),
+])
+def test_parse_error_positions(text, message, line, col):
+    with pytest.raises(sf.ParseError) as e:
+        sf.parse_source(text)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
