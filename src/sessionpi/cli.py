@@ -62,13 +62,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    if args.dot == "-" and getattr(args, "json", False):
+        raise ValueError("--dot - cannot be combined with --json:"
+                         " both write to standard output")
     src = _load(args.file)
     if args.all_subterms:
         subterms = congruence.maximal_parallel_subterms(src.process)
     else:
         subterms = [src.process]
     names = display_names(src.process)
-    graphs = [depgraph.build_graph(q) for q in subterms]
+    graphs = [depgraph.build_graph(q, names) for q in subterms]
     dots = [depgraph.to_dot(g, names, title=f"deps{i}")
             for i, g in enumerate(graphs)]
     if args.dot:
@@ -119,20 +122,18 @@ def _cmd_run(args) -> int:
     src = _load(args.file)
     try:
         if args.all:
-            states = semantics.explore(src.process, args.steps, mode="all")
+            states = semantics.explore(src.process, args.steps)
             shown = [print_process(q.process()) for q in states]
             _emit(args, "ok", {"states": shown},
                   [f"{len(shown)} states within {args.steps} steps:"]
                   + [f"  {s}" for s in shown])
         else:
-            trace = semantics.explore(src.process, args.steps, mode="seeded",
-                                      seed=args.seed)
+            t = semantics.trace(src.process, args.steps, seed=args.seed)
             # each state is printed once, for the form that is output
             if getattr(args, "json", False):
-                _emit(args, "ok", {"trace": semantics.trace_records(trace)},
-                      [])
+                _emit(args, "ok", {"trace": semantics.trace_records(t)}, [])
             else:
-                _emit(args, "ok", {}, semantics.trace_lines(trace))
+                _emit(args, "ok", {}, semantics.trace_lines(t))
     except semantics.EvalError as e:
         _emit(args, "stuck-expression", {"error": str(e)},
               [f"stuck expression: {e}"])

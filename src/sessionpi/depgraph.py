@@ -84,12 +84,17 @@ def _occurrences(nf: congruence.NormalForm) -> tuple[
     return fscs, occ
 
 
-def build_graph(p: Process) -> DepGraph:
+def build_graph(p: Process,
+                names: dict[Name, str] | None = None) -> DepGraph:
+    """The graph of p.  Node texts are printed with `names`, by default
+    p's own display names; a sub-term's graph takes the whole term's
+    names, so that its texts spell channels as its edge labels do."""
     nf = congruence.normal_form(p)
     fscs, occ = _occurrences(nf)
     removed = set(nf.binders)
     labels = tuple(frozenset(f - removed) for f in fscs)
-    names = display_names(p)
+    if names is None:
+        names = display_names(p)
     texts = tuple(print_process(t, names) for t in nf.threads)
 
     edges: list[tuple[int, int, Name]] = []

@@ -3,9 +3,12 @@
 Reduction operates on normal forms, so the contextual and structural
 rules never appear explicitly: a redex is a pair of thread positions
 (or a single position for a conditional) together with its rule tag.
-A state is a `congruence.NormalForm`: `step` flattens each state once,
-as it makes it, and `redexes`, `step` and `explore` take either a state
-or a `Process`; `.process()` turns a state back into a term.
+A state is a `congruence.NormalForm`: `step` flattens only the
+continuations it splices in, and `redexes`, `step`, `explore` and
+`trace` take either a state or a `Process`; `.process()` turns a state
+back into a term.  `_pair_redex` and `_if_redex` are the one judge of
+what may fire: `redexes` asks them at every position, and `step` asks
+them again at its redex's positions.
 Service initiation keeps replicated servers in place and spawns a body
 copy with fresh binders; one-shot accepts are consumed.  Delegation
 follows the original rule where the receiving side must guess the
@@ -155,6 +158,17 @@ def _pair_redex(i: int, ti: Process, j: int, tj: Process) -> Redex | None:
     return None
 
 
+def _if_redex(i: int, t: Process) -> Redex | None:
+    """The redex of a conditional at i whose guard is a closed boolean."""
+    if not isinstance(t, sx.If):
+        return None
+    try:
+        v = eval_expr(t.test)
+    except EvalError:
+        return None  # open guard: no branch to take yet
+    return Redex("IfT" if v else "IfF", i) if type(v) is bool else None
+
+
 def redexes(p: Process | NormalForm) -> list[Redex]:
     """Every enabled redex of normal_form(p), in (i, j) order.
 
@@ -176,19 +190,14 @@ def redexes(p: Process | NormalForm) -> list[Redex]:
             outputs.setdefault(tj.chan, []).append(j)
     out: list[Redex] = []
     for i, ti in enumerate(threads):
-        if isinstance(ti, sx.If):
-            try:
-                v = eval_expr(ti.test)
-            except EvalError:
-                continue
-            if type(v) is bool:
-                out.append(Redex("IfT" if v else "IfF", i))
-            continue
         if isinstance(ti, (sx.Serve, sx.Accept)):
             subject = ti.service
         elif isinstance(ti, (sx.Receive, sx.ReceiveSession, sx.Offer)):
             subject = ti.chan
         else:
+            r = _if_redex(i, ti)
+            if r is not None:
+                out.append(r)
             continue
         for j in outputs.get(subject, ()):
             r = _pair_redex(i, ti, j, threads[j])
@@ -199,84 +208,61 @@ def redexes(p: Process | NormalForm) -> list[Redex]:
 
 # ----------------------------------------------------------------- stepping
 
-def _stale(r: Redex, why: str) -> ValueError:
-    return ValueError(f"stale redex {r.describe()}: {why}")
-
-
 def step(p: Process | NormalForm, r: Redex) -> NormalForm:
     """Apply one redex of p; the result is the new state's normal form.
 
-    Raises ValueError when r does not match the current normal form.
+    r must be what `_pair_redex` or `_if_redex` judge at its positions
+    in normal_form(p); a stale redex raises ValueError.  The untouched
+    threads are kept as they are.  Each continuation is flattened on
+    its own and spliced in where its thread stood, so surviving threads
+    keep their order (and node numbering) across the step, and its
+    binders follow the state's and the fresh session channel's: the
+    order that flattening the whole new term would give.
     """
     nf = congruence.normal_form(p)
-    threads = list(nf.threads)
-    binders = list(nf.binders)
+    threads, binders = nf.threads, list(nf.binders)
     n = len(threads)
-    if not (0 <= r.i < n) or (r.j is not None and not (0 <= r.j < n)):
-        raise _stale(r, "thread position out of range")
-    ti = threads[r.i]
-    tj = threads[r.j] if r.j is not None else None
+    ti = threads[r.i] if 0 <= r.i < n else None
+    tj = threads[r.j] if r.j is not None and 0 <= r.j < n else None
+    got = _if_redex(r.i, ti) if r.j is None else _pair_redex(r.i, ti, r.j, tj)
+    # 1 == True, so a value's type must match as well as the value
+    if got != r or type(got.value) is not type(r.value):
+        raise ValueError(f"stale redex {r.describe()}: not enabled here")
 
-    # continuations land at the positions of the threads they came from,
-    # so surviving threads keep their node numbering across the step
-    match r.rule:
-        case "RInit":
-            if not (isinstance(ti, sx.Serve) and isinstance(tj, sx.Request)
-                    and ti.service == tj.service):
-                raise _stale(r, "no matching serve and request")
-            fresh = ti.chan.fresh()
-            body = sx.refresh(ti.body)  # new copy, binder ids stay unique
-            threads[r.j] = sx.Par(sx.subst_chan(body, ti.chan, fresh),
-                                  sx.subst_chan(tj.body, tj.chan, fresh))
-            binders.append(fresh)
-        case "Init":
-            if not (isinstance(ti, sx.Accept) and isinstance(tj, sx.Request)
-                    and ti.service == tj.service):
-                raise _stale(r, "no matching accept and request")
-            fresh = ti.chan.fresh()
-            threads[r.i] = sx.subst_chan(ti.body, ti.chan, fresh)
-            threads[r.j] = sx.subst_chan(tj.body, tj.chan, fresh)
-            binders.append(fresh)
+    match got.rule:
+        case "RInit" | "Init":
+            k = ti.chan.fresh()
+            binders.append(k)
+            # a replicated server stays and spawns a copy with new binders
+            body = sx.refresh(ti.body) if got.rule == "RInit" else ti.body
+            served = sx.subst_chan(body, ti.chan, k)
+            asked = sx.subst_chan(tj.body, tj.chan, k)
+            conts = ({r.j: sx.Par(served, asked)} if got.rule == "RInit"
+                     else {r.i: served, r.j: asked})
         case "Com":
-            if not (isinstance(ti, sx.Receive) and isinstance(tj, sx.Send)
-                    and ti.chan == tj.chan):
-                raise _stale(r, "no matching receive and send")
-            v = eval_expr(tj.expr)
-            threads[r.i] = sx.substitute(ti.body, ti.var, value_expr(v))
-            threads[r.j] = tj.body
+            v = value_expr(got.value)
+            conts = {r.i: sx.substitute(ti.body, ti.var, v), r.j: tj.body}
         case "Del":
-            if not (isinstance(ti, sx.ReceiveSession)
-                    and isinstance(tj, sx.SendSession)
-                    and ti.chan == tj.chan):
-                raise _stale(r, "no matching session receive and delegation")
-            m, sent = ti.bound, tj.sent
-            if m != sent and sent in sx.free_session_channels(ti.body):
-                raise _stale(r, f"{sent.base} is free in the receiver")
-            threads[r.i] = (ti.body if m == sent
-                            else sx.subst_chan(ti.body, m, sent))
-            threads[r.j] = tj.body
+            conts = {r.i: sx.subst_chan(ti.body, ti.bound, got.chan),
+                     r.j: tj.body}
         case "Sel":
-            if not (isinstance(ti, sx.Offer) and isinstance(tj, sx.Choose)
-                    and ti.chan == tj.chan and ti.arms):
-                raise _stale(r, "no matching offer and selection")
-            arm = next((a for l, a in ti.arms if l == r.label), None)
-            if arm is None or tj.label != r.label:
-                raise _stale(r, f"label {r.label!r} is not offered")
-            threads[r.i] = arm
-            threads[r.j] = tj.body
+            conts = {r.i: next(a for l, a in ti.arms if l == got.label),
+                     r.j: tj.body}
         case "IfT" | "IfF":
-            if not isinstance(ti, sx.If):
-                raise _stale(r, "no conditional at this position")
-            v = eval_expr(ti.test)
-            if type(v) is not bool or v != (r.rule == "IfT"):
-                raise _stale(r, "guard no longer evaluates that way")
-            threads[r.i] = ti.then if v else ti.els
-        case _:
-            raise _stale(r, f"unknown rule {r.rule!r}")
+            conts = {r.i: ti.then if got.rule == "IfT" else ti.els}
 
-    rebuilt = congruence.NormalForm(tuple(binders), tuple(threads)).process()
-    # continuations may be compositions or restrictions themselves
-    return congruence.normal_form(rebuilt)
+    out: list[Process] = []
+    last = 0
+    for pos in sorted(conts):
+        c = congruence.normal_form(conts[pos])
+        out += threads[last:pos]
+        out += c.threads
+        binders += c.binders
+        last = pos + 1
+    out += threads[last:]
+    if not out:
+        return NormalForm((), ())
+    return NormalForm(tuple(binders), tuple(out))
 
 
 # -------------------------------------------------------------- exploration
@@ -290,24 +276,11 @@ class Trace:
         return len(self.steps)
 
 
-def explore(p: Process | NormalForm, depth: int, mode: str = "all",
-            seed: int | None = None) -> list[NormalForm] | Trace:
-    """Reduction behaviour of p within a step bound.
-
-    mode="all": breadth-first list of the states (normal forms)
-    reachable in at most `depth` steps, deduplicated up to congruence
-    and renaming, starting with p's own normal form.
-
-    mode="seeded": one maximal trace of length <= depth, its states
-    normal forms too.  With a seed, redexes are chosen pseudo-randomly
-    and reproducibly; without, the first redex is taken each time,
-    which makes runs deterministic.
-    """
+def explore(p: Process | NormalForm, depth: int) -> list[NormalForm]:
+    """Breadth-first list of the states (normal forms) reachable from p
+    in at most `depth` steps, deduplicated up to congruence and
+    renaming, starting with p's own normal form."""
     start = congruence.normal_form(p)
-    if mode == "seeded":
-        return _random_trace(start, depth, seed)
-    if mode != "all":
-        raise ValueError(f"unknown exploration mode {mode!r}")
     seen = {congruence.canonical_key(start)}
     out = [start]
     frontier = [start]
@@ -327,7 +300,13 @@ def explore(p: Process | NormalForm, depth: int, mode: str = "all",
     return out
 
 
-def _random_trace(cur: NormalForm, depth: int, seed: int | None) -> Trace:
+def trace(p: Process | NormalForm, depth: int,
+          seed: int | None = None) -> Trace:
+    """One maximal run of p of at most `depth` steps, its states normal
+    forms.  With a seed, redexes are chosen pseudo-randomly and
+    reproducibly; without, the first redex is taken each time, which
+    makes runs deterministic."""
+    cur = congruence.normal_form(p)
     rng = random.Random(seed) if seed is not None else None
     steps: list[tuple[NormalForm, Redex]] = []
     for _ in range(depth):

@@ -139,8 +139,8 @@ class _Parser:
 
     # -- token helpers
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]  # `next` never moves past the eof token
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -389,13 +389,14 @@ class _Parser:
             self.expect_sym("(")
             # k!((k2)).P delegates k2 when the double parens wrap one
             # session channel; anything else is a parenthesised expression
-            sent = self.peek(1)
-            if (self.at_sym("(") and sent.kind == "ident"
-                    and self.peek(2)[:2] == self.peek(3)[:2] == ("sym", ")")
-                    and (sent.text in self.chans or sent.text in self.sessions)):
-                self.pos += 2
-                self.expect_sym(")", ")", ".")
-                return sx.SendSession(chan, self.session_name(sent), self.parse_unit())
+            match self.toks[self.pos:self.pos + 4]:
+                case [("sym", "(", *_), ("ident", name, *_) as sent,
+                      ("sym", ")", *_), ("sym", ")", *_)] \
+                        if name in self.chans or name in self.sessions:
+                    self.pos += 4
+                    self.expect_sym(".")
+                    return sx.SendSession(chan, self.session_name(sent),
+                                          self.parse_unit())
             e = self.parse_expr()
             self.expect_sym(")", ".")
             return sx.Send(chan, e, self.parse_unit())

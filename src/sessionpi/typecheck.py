@@ -645,15 +645,25 @@ def is_program(p: Process) -> bool:
 
     A restriction whose channel is never used can be erased up to
     congruence; one whose channel occurs below it cannot, because a
-    prefixed thread never disappears by rearrangement alone.
+    prefixed thread never disappears by rearrangement alone.  Binder
+    ids are globally unique, so a restricted channel occurs below its
+    `new` exactly when it occurs at all, and one sweep decides both:
+    every occurring channel must be bound, and not by `new`.
     """
-    if sx.free_session_channels(p):
-        return False
+    occurring: set[Name] = set()
+    bound: set[Name] = set()
     todo: list[Process] = [p]
     while todo:
         q = todo.pop()
+        b = sx.binder(q)
+        if b is not None and not isinstance(q, sx.New):
+            bound.add(b[0])
         match q:
-            case sx.New(c, body) if c in sx.free_session_channels(body):
-                return False
+            case sx.Receive(c, _, _) | sx.Send(c, _, _) | sx.Choose(c, _, _) \
+                    | sx.ReceiveSession(c, _, _) | sx.Offer(c, _):
+                occurring.add(c)
+            case sx.SendSession(c, s, _):
+                occurring.add(c)
+                occurring.add(s)
         todo.extend(sx.children(q))
-    return True
+    return occurring <= bound

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,35 @@ def test_graph_all_subterms(capsys, spi):
                        "--all-subterms")
     assert code == 0
     assert "graph 0:" in out and "graph 1:" in out
+
+
+def test_sub_term_graphs_use_the_file_s_names(capsys, tmp_path):
+    # both sub-terms bind their own j; the file calls the second j_1
+    f = tmp_path / "two_js.spi"
+    f.write_text("env a : <end>; env b : <end>;\n"
+                 "a(k1).new j . (j!(1).0 | j?(x).0)"
+                 " | b(k2).new j . (j!(2).0 | j?(y).0)\n")
+    code, data = run_json(capsys, "graph", str(f), "--all-subterms")
+    assert code == 0
+    graphs = data["data"]["graphs"]
+    assert [len(g["edges"]) for g in graphs] == [0, 1, 1]
+    for g in graphs:
+        texts = " ".join(node["text"] for node in g["nodes"])
+        for _, _, c in g["edges"]:
+            assert re.search(rf"(?<![\w#]){re.escape(c)}(?!\w)", texts), \
+                (c, texts)
+
+
+def test_graph_json_and_dot_on_stdout_is_a_usage_error(capsys, spi, tmp_path):
+    code, out, err = run(capsys, "--json", "graph", spi("relay"), "--dot", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    dot = tmp_path / "out.dot"
+    code, out, err = run(capsys, "--json", "graph", spi("relay"),
+                         "--dot", str(dot))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["data"]["graphs"][0]["edges"]
+    assert dot.read_text().startswith('graph "deps0" {')
 
 
 def test_run_trace(capsys, spi):
@@ -260,7 +290,9 @@ def test_cli_contract_on_fuzzed_inputs(capsys, tmp_path):
     f = tmp_path / "fuzz.spi"
     for text in _fuzz_inputs(random.Random(7), 150):
         f.write_text(text)
-        for cmd in (["check"], ["transparent"], ["progress", "--depth", "2"]):
+        for cmd in (["check"], ["transparent"], ["progress", "--depth", "2"],
+                    ["run", "--steps", "20"], ["run", "--all", "--steps", "3"],
+                    ["graph", "--all-subterms"], ["graph", "--dot", "-"]):
             for flags in ([], ["--json"]):
                 code, out, err = run(capsys, *flags, cmd[0], str(f), *cmd[1:])
                 assert code in (0, 1, 2), text

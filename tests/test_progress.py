@@ -94,7 +94,7 @@ def test_request_gets_accepted():
     q, ext = pg.construct_partner(g, p)
     assert isinstance(q, sx.Accept)
     assert q.service == sx.svc("a")
-    final = sm.explore(sx.Par(p, q), 10, mode="seeded").final
+    final = sm.trace(sx.Par(p, q), 10).final
     assert final.process() == sx.Stop()
 
 
@@ -214,7 +214,7 @@ def test_counterexample_state_is_reachable():
     src = load("service_loop")
     r = pg.check_progress(src.gamma, src.process, depth=5)
     keys = {cg.canonical_key(q)
-            for q in sm.explore(src.process, 5, mode="all")}
+            for q in sm.explore(src.process, 5)}
     assert cg.canonical_key(r.state) in keys
 
 

@@ -135,6 +135,149 @@ def test_continuations_keep_their_thread_positions():
     assert after == {(0, 2, "k"), (1, 2, "k1")}
 
 
+# ------------------------------------------------- step and its oracle
+
+def reference_step(p, r):
+    """`step` as first written: a shape check per rule, then the whole
+    state rebuilt as one term and flattened again."""
+    def stale(why):
+        return ValueError(f"stale redex {r.describe()}: {why}")
+
+    nf = cg.normal_form(p)
+    threads, binders = list(nf.threads), list(nf.binders)
+    n = len(threads)
+    if not (0 <= r.i < n) or (r.j is not None and not (0 <= r.j < n)):
+        raise stale("thread position out of range")
+    ti = threads[r.i]
+    tj = threads[r.j] if r.j is not None else None
+    match r.rule:
+        case "RInit":
+            if not (isinstance(ti, sx.Serve) and isinstance(tj, sx.Request)
+                    and ti.service == tj.service):
+                raise stale("no matching serve and request")
+            fresh = ti.chan.fresh()
+            body = sx.refresh(ti.body)
+            threads[r.j] = sx.Par(sx.subst_chan(body, ti.chan, fresh),
+                                  sx.subst_chan(tj.body, tj.chan, fresh))
+            binders.append(fresh)
+        case "Init":
+            if not (isinstance(ti, sx.Accept) and isinstance(tj, sx.Request)
+                    and ti.service == tj.service):
+                raise stale("no matching accept and request")
+            fresh = ti.chan.fresh()
+            threads[r.i] = sx.subst_chan(ti.body, ti.chan, fresh)
+            threads[r.j] = sx.subst_chan(tj.body, tj.chan, fresh)
+            binders.append(fresh)
+        case "Com":
+            if not (isinstance(ti, sx.Receive) and isinstance(tj, sx.Send)
+                    and ti.chan == tj.chan):
+                raise stale("no matching receive and send")
+            v = sm.eval_expr(tj.expr)
+            threads[r.i] = sx.substitute(ti.body, ti.var, sm.value_expr(v))
+            threads[r.j] = tj.body
+        case "Del":
+            if not (isinstance(ti, sx.ReceiveSession)
+                    and isinstance(tj, sx.SendSession)
+                    and ti.chan == tj.chan):
+                raise stale("no matching session receive and delegation")
+            m, sent = ti.bound, tj.sent
+            if m != sent and sent in sx.free_session_channels(ti.body):
+                raise stale(f"{sent.base} is free in the receiver")
+            threads[r.i] = (ti.body if m == sent
+                            else sx.subst_chan(ti.body, m, sent))
+            threads[r.j] = tj.body
+        case "Sel":
+            if not (isinstance(ti, sx.Offer) and isinstance(tj, sx.Choose)
+                    and ti.chan == tj.chan and ti.arms):
+                raise stale("no matching offer and selection")
+            arm = next((a for l, a in ti.arms if l == r.label), None)
+            if arm is None or tj.label != r.label:
+                raise stale(f"label {r.label!r} is not offered")
+            threads[r.i] = arm
+            threads[r.j] = tj.body
+        case "IfT" | "IfF":
+            if not isinstance(ti, sx.If):
+                raise stale("no conditional at this position")
+            v = sm.eval_expr(ti.test)
+            if type(v) is not bool or v != (r.rule == "IfT"):
+                raise stale("guard no longer evaluates that way")
+            threads[r.i] = ti.then if v else ti.els
+        case _:
+            raise stale(f"unknown rule {r.rule!r}")
+    rebuilt = cg.NormalForm(tuple(binders), tuple(threads)).process()
+    return cg.normal_form(rebuilt)
+
+
+def steps_agree(q):
+    """Every redex of q steps to the state the reference makes, down to
+    the order of its binders and threads."""
+    rs = sm.redexes(q)
+    for r in rs:
+        want = sf.print_process(reference_step(q, r).process())
+        assert sf.print_process(sm.step(q, r).process()) == want, r
+    return len(rs)
+
+
+def test_step_agrees_with_the_reference_on_the_corpus():
+    assert sum(steps_agree(q) for name in SOURCES
+               for q in sm.explore(load(name).process, 4)) > 0
+
+
+def test_step_agrees_with_the_reference_on_generated_simulate_traces():
+    for case in S.bench_gen().simulate(1, scale=0.3):
+        t = sm.trace(sf.parse_source(case.text).process, 1000)
+        assert all(steps_agree(q) for q, _ in t.steps)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000))
+def test_step_agrees_with_the_reference_on_generated_input(seed):
+    rng = random.Random(seed)
+    for p in (S.well_typed(rng)[1], S.typed_cycles(rng)[1]):
+        for q in sm.explore(p, 3):
+            steps_agree(q)
+
+
+@pytest.mark.parametrize("taken, applied", [
+    # a server, an accept or a request has gone from its position
+    ("env a : <end>; *a(k).0 | a<k>.0", "env a : <end>; *a(k).0 | 0 | a(k).0"),
+    ("env a : <end>; a(k).0 | a<k>.0", "env a : <end>; a<k>.0 | a(k).0"),
+    # the value or the delegated channel no longer matches: a step that
+    # reads them from the state rather than from the judge accepts these
+    ('sessions k; k?(x).0 | k!(1).0', 'sessions k; k?(x).0 | k!(2).0'),
+    ('sessions k; k?(x).0 | k!(1).0', 'sessions k; k?(x).0 | k!(true).0'),
+    ("sessions k, j, l; k?((m)).0 | k!((j)).0",
+     "sessions k, j, l; k?((m)).0 | k!((l)).0"),
+    # the label is no longer chosen, or no longer offered
+    ("sessions k; k >> {a: 0, b: 0} | k << a . 0",
+     "sessions k; k >> {a: 0, b: 0} | k << b . 0"),
+    ("sessions k; k >> {a: 0, b: 0} | k << a . 0",
+     "sessions k; k >> {b: 0} | k << a . 0"),
+    # the guard now evaluates the other way
+    ("if true then 0 else 0", "if false then 0 else 0"),
+    ("if false then 0 else 0", "if 1 < 2 then 0 else 0"),
+    # the two sides have swapped positions
+    ("sessions k; k?(x).0 | k!(1).0", "sessions k; k!(1).0 | k?(x).0"),
+])
+def test_step_rejects_a_redex_the_judge_no_longer_finds(taken, applied):
+    [r] = sm.redexes(sf.parse_source(taken).process)
+    q = sf.parse_source(applied).process
+    with pytest.raises(ValueError, match="stale redex"):
+        sm.step(q, r)
+
+
+def test_step_rejects_unknown_rules_and_positions():
+    p = parse("k?(x).0 | k!(1).0", sessions=("k",))
+    [r] = sm.redexes(p)
+    for bad in (sm.Redex("Com", 0, 5, value=1),
+                sm.Redex("Com", -2, -1, value=1),
+                sm.Redex("Com", 1, 0, value=1), sm.Redex("Swap", 0, 1),
+                sm.Redex("IfT", 0), sm.Redex("Com", 0, 1, value=1, label="a")):
+        with pytest.raises(ValueError, match="stale redex"):
+            sm.step(p, bad)
+    assert sm.step(p, r).threads == ()
+
+
 # ---------------------------------------------- the redex index and its oracle
 
 def reference_redexes(p):
@@ -167,14 +310,13 @@ def agree(p):
 
 def test_redex_index_agrees_with_the_pairwise_scan_on_the_corpus():
     for name in SOURCES:
-        for q in sm.explore(load(name).process, 4, mode="all"):
+        for q in sm.explore(load(name).process, 4):
             agree(q)
 
 
 def test_redex_index_agrees_on_a_generated_simulate_trace():
     for case in S.bench_gen().simulate(1, scale=0.3):
-        t = sm.explore(sf.parse_source(case.text).process, 1000,
-                       mode="seeded")
+        t = sm.trace(sf.parse_source(case.text).process, 1000)
         for q, _ in t.steps:
             assert agree(q)
         assert agree(t.final) == []
@@ -235,7 +377,7 @@ def test_each_input_tries_only_the_outputs_on_its_subject(monkeypatch, n):
 
 def test_explore_all_reaches_the_terminal():
     p = parse("k?(x).k1!(x).0 | k!(5).0 | k1?(y).0", sessions=("k", "k1"))
-    states = sm.explore(p, 10, mode="all")
+    states = sm.explore(p, 10)
     keys = {cg.canonical_key(q) for q in states}
     assert cg.canonical_key(p) in keys
     assert cg.canonical_key(sx.Stop()) in keys
@@ -244,7 +386,7 @@ def test_explore_all_reaches_the_terminal():
 def test_explore_respects_the_depth_bound():
     # a three-message session: one new state per step, four in all
     p = parse("k!(1).k!(2).k!(3).0 | k?(x).k?(y).k?(z).0", sessions=("k",))
-    counts = [len(sm.explore(p, d, mode="all")) for d in range(6)]
+    counts = [len(sm.explore(p, d)) for d in range(6)]
     assert counts == [1, 2, 3, 4, 4, 4]
 
 
@@ -252,7 +394,7 @@ def test_dead_restrictions_do_not_split_states():
     # every init leaves `new k` behind with no thread using it, so the
     # spawned states are all congruent to the start
     src = sf.parse_source("env a : <end>; *a(k).a<k1>.0 | a<k>.0")
-    assert len(sm.explore(src.process, 10, mode="all")) == 1
+    assert len(sm.explore(src.process, 10)) == 1
     p = sm.step(src.process, sm.redexes(src.process)[0])
     assert cg.normal_form(p).binders
     assert cg.canonical_key(p) == cg.canonical_key(src.process)
@@ -260,8 +402,8 @@ def test_dead_restrictions_do_not_split_states():
 
 def test_seeded_traces_are_reproducible():
     src = load("buyer_seller")
-    t1 = sm.explore(src.process, 8, mode="seeded", seed=42)
-    t2 = sm.explore(src.process, 8, mode="seeded", seed=42)
+    t1 = sm.trace(src.process, 8, seed=42)
+    t2 = sm.trace(src.process, 8, seed=42)
     assert [r.describe() for _, r in t1.steps] == \
         [r.describe() for _, r in t2.steps]
     assert cg.canonical_key(t1.final) == cg.canonical_key(t2.final)
@@ -269,34 +411,67 @@ def test_seeded_traces_are_reproducible():
 
 def test_default_trace_takes_the_first_redex():
     p = parse("k?(x).0 | k!(1).0 | j?(x).0 | j!(2).0", sessions=("k", "j"))
-    t = sm.explore(p, 1, mode="seeded")
+    t = sm.trace(p, 1)
     assert t.steps[0][1].rule == "Com"
     assert t.steps[0][1].value == 1
 
 
-def test_each_state_is_flattened_once(monkeypatch):
-    # the start and each state `step` makes are flattened once; every
-    # later use, printing included, takes the state as it is
-    flattened = 0
+def count_flattening(monkeypatch):
+    """Record (term, threads) for every flattening of a term; a state
+    handed back to `normal_form` is not flattened again."""
+    seen = []
     normal_form = cg.normal_form
 
     def counted(p):
-        nonlocal flattened
+        nf = normal_form(p)
         if not isinstance(p, cg.NormalForm):
-            flattened += 1
-        return normal_form(p)
+            seen.append((p, len(nf.threads)))
+        return nf
 
     monkeypatch.setattr(cg, "normal_form", counted)
-    t = sm.explore(load("buyer_seller").process, 100, mode="seeded")
+    return seen
+
+
+def test_the_start_is_flattened_once_and_printing_flattens_nothing(
+        monkeypatch):
+    seen = count_flattening(monkeypatch)
+    p = load("buyer_seller").process
+    t = sm.trace(p, 100)
+    assert len(t) == 7
+    assert sum(q is p for q, _ in seen) == 1
+    seen.clear()
     sm.trace_records(t)
     sm.trace_lines(t)
-    assert len(t) == 7
-    assert flattened <= len(t) + 1
+    assert seen == []
+
+
+def beside_dormant_servers(p, n):
+    def server(i):
+        k = sx.bound_chan("k")
+        return sx.Serve(sx.svc(f"d{i}"), k, sx.Receive(k, "x", sx.Stop()))
+
+    servers = [server(i) for i in range(n)]
+    return reduce(sx.Par, servers[:n // 2] + [p] + servers[n // 2:])
+
+
+def test_step_flattens_only_its_continuations(monkeypatch):
+    # the threads `step` flattens do not grow with the untouched ones
+    seen = count_flattening(monkeypatch)
+    flattened = []
+    for n in (10, 100):
+        start = cg.normal_form(beside_dormant_servers(
+            load("buyer_seller").process, n))
+        seen.clear()
+        t = sm.trace(start, 100)
+        assert len(t) == 7
+        assert len(t.final.threads) == n + 2  # the dormant and both services
+        flattened.append(sum(m for _, m in seen))
+    assert flattened[0] == flattened[1]
 
 
 def test_trace_records_shape():
     p = parse("k?(x).0 | k!(1).0", sessions=("k",))
-    t = sm.explore(p, 5, mode="seeded")
+    t = sm.trace(p, 5)
     recs = sm.trace_records(t)
     assert recs[0]["rule"] == "Com" and recs[0]["value"] == 1
     assert recs[-1]["final"] is True

@@ -1,7 +1,8 @@
 import random
+from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import sessionpi.surface as sf
 import sessionpi.syntax as sx
@@ -147,6 +148,81 @@ def test_is_program():
     assert not tc.is_program(parse("new m . (m!(1).0 | m?(x).0)"))
     # vacuous restrictions are erasable, so they do not
     assert tc.is_program(parse("new m . 0"))
+
+
+def reference_is_program(p):
+    """`is_program` as first written: the free channels of the body
+    below every restriction."""
+    if sx.free_session_channels(p):
+        return False
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        match q:
+            case sx.New(c, body) if c in sx.free_session_channels(body):
+                return False
+        todo.extend(sx.children(q))
+    return True
+
+
+def new_nest(rng):
+    """Restrictions nested around and under requests, each channel used
+    or not, sometimes beside a free channel."""
+    ks = [sx.bound_chan(f"m{i}") for i in range(rng.randint(1, 5))]
+    used = [k for k in ks if rng.random() < 0.5]
+    if rng.random() < 0.2:
+        used.append(sx.chan("free"))
+    r = sx.bound_chan("r")
+    used.append(r)
+    body = reduce(sx.Par, [sx.Send(k, sx.IntLit(1), sx.Stop())
+                           for k in rng.sample(used, len(used))])
+    outer = [k for k in ks if rng.random() < 0.5]
+    for k in reversed(ks):
+        if k not in outer:
+            body = sx.New(k, body)
+    body = sx.Request(sx.svc("a"), r, body)
+    for k in reversed(outer):
+        body = sx.New(k, body)
+    return body
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 10_000))
+def test_is_program_agrees_with_the_reference(seed):
+    rng = random.Random(seed)
+    for p in (S.well_typed(rng)[1], S.cyclic(rng), S.program(rng)[1],
+              new_nest(rng)):
+        assert tc.is_program(p) == reference_is_program(p)
+
+
+def test_is_program_agrees_with_the_reference_on_the_samples():
+    verdicts = [tc.is_program(sf.parse_source(text).process)
+                for text in SOURCES.values()]
+    assert verdicts == [reference_is_program(sf.parse_source(t).process)
+                        for t in SOURCES.values()]
+    assert True in verdicts and False in verdicts
+
+
+def test_is_program_sweeps_once(monkeypatch):
+    # n vacuous restrictions around one client: the walk stays linear in
+    # the term's size (a sweep below every `new` makes it quadratic)
+    calls = 0
+    children = sx.children
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return children(p)
+
+    monkeypatch.setattr(sx, "children", counted)
+    for n in (200, 2_000):
+        r = sx.bound_chan("r")
+        p = sx.Request(sx.svc("a"), r, sx.Send(r, sx.IntLit(1), sx.Stop()))
+        for i in range(n):
+            p = sx.New(sx.bound_chan(f"m{i}"), p)
+        calls = 0
+        assert tc.is_program(p)
+        assert calls <= 2 * (n + 3)
 
 
 # ------------------------------------------------------------------ properties
