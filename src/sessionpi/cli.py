@@ -37,9 +37,9 @@ def _graph_data(g: depgraph.DepGraph, names) -> dict:
         return names.get(c, c.base)
 
     return {
-        "nodes": [{"id": i, "text": g.texts[i] if g.texts else "",
-                   "labels": sorted(nm(c) for c in g.labels[i])}
-                  for i in range(g.node_count)],
+        "nodes": [{"id": i, "text": text,
+                   "labels": sorted(nm(c) for c in labels)}
+                  for i, (labels, text) in enumerate(zip(g.labels, g.texts))],
         "edges": [[i, j, nm(c)] for i, j, c in g.edges],
     }
 
@@ -67,15 +67,14 @@ def _cmd_graph(args) -> int:
                          " both write to standard output")
     src = _load(args.file)
     if args.all_subterms:
-        subterms = congruence.maximal_parallel_subterms(src.process)
+        subterms = congruence.clusters(src.process)
     else:
         subterms = [src.process]
     names = display_names(src.process)
     graphs = [depgraph.build_graph(q, names) for q in subterms]
-    dots = [depgraph.to_dot(g, names, title=f"deps{i}")
-            for i, g in enumerate(graphs)]
     if args.dot:
-        text = "\n".join(dots)
+        text = "\n".join(depgraph.to_dot(g, names, title=f"deps{i}")
+                         for i, g in enumerate(graphs))
         if args.dot == "-":
             print(text)
         else:

@@ -85,6 +85,28 @@ def maximal_parallel_subterms(p: Process) -> list[Process]:
     return [nf.process() for nf in clusters(p)]
 
 
+def chan_order(c: Name) -> tuple[str, int]:
+    """A run-independent order on channels: spelling, then binder id."""
+    return c.base, c.uid or 0
+
+
+def occurrences(nf: NormalForm) -> tuple[
+        list[set[Name]], dict[Name, list[int]]]:
+    """Each thread's free channels, and the threads each channel is free
+    in, ascending: the one occurrence index behind the dependency graph,
+    its cycle check and `canonical_key`.
+
+    Channels enter the index thread by thread, each thread's in
+    `chan_order`, so walking it gives the same cycle on every run.
+    """
+    fscs = [sx.free_session_channels(t) for t in nf.threads]
+    occ: dict[Name, list[int]] = {}
+    for i, f in enumerate(fscs):
+        for c in sorted(f, key=chan_order):
+            occ.setdefault(c, []).append(i)
+    return fscs, occ
+
+
 def has_live_channels(p: Process) -> bool:
     """True when a session channel is mentioned outside every service
     prefix.
@@ -114,9 +136,10 @@ def canonical_key(p: Process | NormalForm) -> str:
     bound names: a thread's own binders are numbered in its traversal
     order, and every restriction gets a colour.  While threads tie, each
     restriction's colour is refined by the prints of the threads it
-    occurs in, until the colours stop splitting, so threads that differ
-    only in which restricted channel they share with whom are told
-    apart.  Then every binder is numbered in traversal order and the
+    occurs in (read off the `occurrences` index, built only when there
+    are restrictions), until the colours stop splitting, so threads that
+    differ only in which restricted channel they share with whom are
+    told apart.  Then every binder is numbered in traversal order and the
     term is re-printed.  A restriction no thread uses is left out,
     since `new k . P` is congruent to P when k is not free in P.  Equal
     keys imply congruent processes; the converse can fail on ties that
@@ -125,9 +148,8 @@ def canonical_key(p: Process | NormalForm) -> str:
     """
     nf = normal_form(p)
     threads = nf.threads
-    free = [sx.free_session_channels(t) for t in threads] if nf.binders else []
-    occurring = set().union(*free)
-    binders = [c for c in nf.binders if c in occurring]
+    occ = occurrences(nf)[1] if nf.binders else {}
+    binders = [c for c in nf.binders if c in occ]
 
     def collect(t: Process, names: dict[Name, str], tag) -> None:
         todo = [t]
@@ -150,8 +172,7 @@ def canonical_key(p: Process | NormalForm) -> str:
     # only ties between threads that mention a restriction can split
     while len(set(shown)) < len(shown) and any(
             n > 1 and "#r" in s for s, n in Counter(shown).items()):
-        sig = {c: (blind[c], *sorted(s for s, f in zip(shown, free)
-                                     if c in f))
+        sig = {c: (blind[c], *sorted(shown[i] for i in occ[c]))
                for c in binders}
         ranks = {s: f"#r{i}" for i, s in enumerate(sorted(set(sig.values())))}
         if len(ranks) == colours:

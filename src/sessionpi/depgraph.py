@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from . import congruence, syntax as sx, typecheck
+from . import congruence, typecheck
+from .congruence import NormalForm
 from .surface import display_names, print_process
 from .syntax import Name, Process, Sort
 
@@ -25,7 +26,7 @@ class DepGraph:
     `texts` keeps each thread's printed form for witnesses and DOT."""
     labels: tuple[frozenset[Name], ...]
     edges: tuple[tuple[int, int, Name], ...]
-    texts: tuple[str, ...] = ()
+    texts: tuple[str, ...]
 
     @property
     def node_count(self) -> int:
@@ -64,37 +65,18 @@ class _DSU:
         return True
 
 
-def _chan_order(c: Name) -> tuple[str, int]:
-    return c.base, c.uid or 0
-
-
-def _occurrences(nf: congruence.NormalForm) -> tuple[
-        list[set[Name]], dict[Name, list[int]]]:
-    """Each thread's free channels in a parallel region, and the threads
-    each channel is free in, ascending.
-
-    Channels enter the index thread by thread, each thread's in
-    `_chan_order`, so walking it gives the same cycle on every run.
-    """
-    fscs = [sx.free_session_channels(t) for t in nf.threads]
-    occ: dict[Name, list[int]] = {}
-    for i, f in enumerate(fscs):
-        for c in sorted(f, key=_chan_order):
-            occ.setdefault(c, []).append(i)
-    return fscs, occ
-
-
-def build_graph(p: Process,
+def build_graph(p: Process | NormalForm,
                 names: dict[Name, str] | None = None) -> DepGraph:
-    """The graph of p.  Node texts are printed with `names`, by default
-    p's own display names; a sub-term's graph takes the whole term's
-    names, so that its texts spell channels as its edge labels do."""
+    """The graph of p, a term or a normal form.  Node texts are printed
+    with `names`, by default p's own display names; a sub-term's graph
+    takes the whole term's names, so that its texts spell channels as
+    its edge labels do."""
     nf = congruence.normal_form(p)
-    fscs, occ = _occurrences(nf)
+    fscs, occ = congruence.occurrences(nf)
     removed = set(nf.binders)
     labels = tuple(frozenset(f - removed) for f in fscs)
     if names is None:
-        names = display_names(p)
+        names = display_names(nf.process())
     texts = tuple(print_process(t, names) for t in nf.threads)
 
     edges: list[tuple[int, int, Name]] = []
@@ -102,7 +84,7 @@ def build_graph(p: Process,
         for x in range(len(nodes)):
             for y in range(x + 1, len(nodes)):
                 edges.append((nodes[x], nodes[y], c))
-    edges.sort(key=lambda e: (e[0], e[1], _chan_order(e[2])))
+    edges.sort(key=lambda e: (e[0], e[1], congruence.chan_order(e[2])))
     return DepGraph(labels, tuple(edges), texts)
 
 
@@ -149,13 +131,13 @@ def is_acyclic(g: DepGraph) -> bool:
     return find_cycle(g) is None
 
 
-def _cluster_cycle(nf: congruence.NormalForm) -> Cycle | None:
+def _cluster_cycle(nf: NormalForm) -> Cycle | None:
     """A cycle of build_graph(nf.process()) if it has one, found without
     enumerating all pairs: a channel on three threads is already a
     triangle."""
     dsu = _DSU()
     adj: dict[int, list[tuple[int, Name]]] = {}
-    for c, nodes in _occurrences(nf)[1].items():
+    for c, nodes in congruence.occurrences(nf)[1].items():
         if len(nodes) >= 3:
             a, b, d = nodes[:3]
             return Cycle((a, b, d), (c, c, c))
@@ -234,15 +216,12 @@ def to_dot(g: DepGraph, names: dict[Name, str] | None = None,
         return c.base
 
     lines = [f'graph "{_dot_escape(title)}" {{']
-    for i, ls in enumerate(g.labels):
-        parts = []
-        if i < len(g.texts):
-            text = g.texts[i]
-            if len(text) > 60:
-                text = text[:57] + "..."
-            parts.append(_dot_escape(text))
-        parts.append(_dot_escape("{" + ", ".join(sorted(nm(c) for c in ls)) + "}"))
-        body = "\\n".join(parts)  # a DOT line break, not a real newline
+    for i, (ls, text) in enumerate(zip(g.labels, g.texts)):
+        if len(text) > 60:
+            text = text[:57] + "..."
+        parts = [text, "{" + ", ".join(sorted(nm(c) for c in ls)) + "}"]
+        # a DOT line break, not a real newline
+        body = "\\n".join(map(_dot_escape, parts))
         lines.append(f'  n{i} [label="{body}"];')
     for u, v, c in g.edges:
         lines.append(f'  n{u} -- n{v} [label="{_dot_escape(nm(c))}"];')

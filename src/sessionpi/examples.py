@@ -77,10 +77,6 @@ def load(name: str) -> surface.Source:
     return surface.parse_source(SOURCES[name])
 
 
-def _graph(src: surface.Source) -> depgraph.DepGraph:
-    return depgraph.build_graph(src.process)
-
-
 def selftest() -> list[tuple[str, bool, str]]:
     """(check name, passed, detail) for every golden verdict."""
     out: list[tuple[str, bool, str]] = []
@@ -89,7 +85,7 @@ def selftest() -> list[tuple[str, bool, str]]:
         out.append((name, got == want, f"want {want!r}, got {got!r}"))
 
     src = load("relay")
-    g = _graph(src)
+    g = depgraph.build_graph(src.process)
     chk("relay graph shape", (g.node_count, g.edge_count), (3, 2))
     chk("relay path k to k1",
         depgraph.leads_to(g, sx.chan("k"), sx.chan("k1")), True)
@@ -97,7 +93,7 @@ def selftest() -> list[tuple[str, bool, str]]:
         depgraph.is_transparent(src.gamma, src.process).verdict, "Transparent")
 
     src = load("circular_waits")
-    g = _graph(src)
+    g = depgraph.build_graph(src.process)
     chk("circular waits graph shape", (g.node_count, g.edge_count), (2, 2))
     chk("circular waits cyclic",
         depgraph.is_transparent(src.gamma, src.process).verdict,
@@ -107,7 +103,7 @@ def selftest() -> list[tuple[str, bool, str]]:
         ("counterexample", "no-partner", 2))
 
     src = load("circular_waits_hidden")
-    g = _graph(src)
+    g = depgraph.build_graph(src.process)
     chk("hidden waits graph shape", (g.node_count, g.edge_count), (2, 2))
     chk("hidden waits labels empty", [set(l) for l in g.labels],
         [set(), set()])
@@ -116,7 +112,7 @@ def selftest() -> list[tuple[str, bool, str]]:
         "NotTransparent")
 
     src = load("circular_waits_under_accept")
-    g = _graph(src)
+    g = depgraph.build_graph(src.process)
     chk("dormant waits graph shape", (g.node_count, g.edge_count), (1, 0))
     v = depgraph.is_transparent(src.gamma, src.process)
     chk("dormant waits still rejected", v.verdict, "NotTransparent")
@@ -156,11 +152,12 @@ def selftest() -> list[tuple[str, bool, str]]:
     rs = semantics.redexes(src.process)
     chk("delegation race has one handover",
         [r.rule for r in rs], ["Del"])
-    before = {(i, j, c.base) for i, j, c in _graph(src).edges}
+    before = {(i, j, c.base)
+              for i, j, c in depgraph.build_graph(src.process).edges}
     chk("race edges before", before, {(0, 1, "k"), (1, 2, "k1")})
     after_p = semantics.step(src.process, rs[0])
     after = {(i, j, c.base)
-             for i, j, c in depgraph.build_graph(after_p.process()).edges}
+             for i, j, c in depgraph.build_graph(after_p).edges}
     chk("race edge follows the channel", after, {(0, 2, "k"), (1, 2, "k1")})
 
     return out

@@ -101,16 +101,6 @@ def inhabit(a: SessionType, k: Name,
 
 # ---------------------------------------------------------- partner processes
 
-def _head_channel(t: Process) -> Name | None:
-    """The session channel an in-session prefix is waiting on."""
-    match t:
-        case (sx.Receive(c, _, _) | sx.Send(c, _, _)
-              | sx.ReceiveSession(c, _, _) | sx.SendSession(c, _, _)
-              | sx.Offer(c, _) | sx.Choose(c, _, _)):
-            return c
-    return None
-
-
 def construct_partner(
         gamma: dict[str, Sort],
         p: Process) -> tuple[Process, dict[str, Sort]] | None:
@@ -141,8 +131,8 @@ def construct_partner(
 
     delta = typecheck.check(gamma, p)
     open_chans = [c for c, ty in delta.items() if not isinstance(ty, sx.Bot)]
-    heads = [c for t in threads
-             if (c := _head_channel(t)) is not None and c in open_chans]
+    # a service is never a session channel, so requests drop out here
+    heads = [c for t in threads if (c := sx.subject(t)) in open_chans]
     ordered = heads + sorted((c for c in open_chans if c not in heads),
                              key=lambda c: (c.base, c.uid or 0))
     for c in ordered:

@@ -169,37 +169,35 @@ def _if_redex(i: int, t: Process) -> Redex | None:
     return Redex("IfT" if v else "IfF", i) if type(v) is bool else None
 
 
+_INPUTS = (sx.Serve, sx.Accept, sx.Receive, sx.ReceiveSession, sx.Offer)
+_OUTPUTS = (sx.Request, sx.Send, sx.SendSession, sx.Choose)
+
+
 def redexes(p: Process | NormalForm) -> list[Redex]:
     """Every enabled redex of normal_form(p), in (i, j) order.
 
-    One pass buckets the output sides by subject (a request by its
-    service; a send, delegation or selection by its session channel),
-    in position order.  Each input side then tries only the bucket of
-    its own subject, so the scan costs one pass over the threads plus
-    one `_pair_redex` call per input and output side that share a
-    subject.  The buckets are built afresh on each call: a step
+    One pass buckets the output sides by `syntax.subject` (a request by
+    its service; a send, delegation or selection by its session
+    channel), in position order.  Each input side then tries only the
+    bucket of its own subject, so the scan costs one pass over the
+    threads plus one `_pair_redex` call per input and output side that
+    share a subject.  The buckets are built afresh on each call: a step
     renormalises, and a continuation that is a composition shifts
     every later position.
     """
     threads = congruence.normal_form(p).threads
     outputs: dict[Name, list[int]] = {}
     for j, tj in enumerate(threads):
-        if isinstance(tj, sx.Request):
-            outputs.setdefault(tj.service, []).append(j)
-        elif isinstance(tj, (sx.Send, sx.SendSession, sx.Choose)):
-            outputs.setdefault(tj.chan, []).append(j)
+        if isinstance(tj, _OUTPUTS):
+            outputs.setdefault(sx.subject(tj), []).append(j)
     out: list[Redex] = []
     for i, ti in enumerate(threads):
-        if isinstance(ti, (sx.Serve, sx.Accept)):
-            subject = ti.service
-        elif isinstance(ti, (sx.Receive, sx.ReceiveSession, sx.Offer)):
-            subject = ti.chan
-        else:
+        if not isinstance(ti, _INPUTS):
             r = _if_redex(i, ti)
             if r is not None:
                 out.append(r)
             continue
-        for j in outputs.get(subject, ()):
+        for j in outputs.get(sx.subject(ti), ()):
             r = _pair_redex(i, ti, j, threads[j])
             if r is not None:
                 out.append(r)

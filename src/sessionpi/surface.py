@@ -492,10 +492,12 @@ def display_names(p: Process) -> dict[Name, str]:
     """Choose a distinct spelling for every channel in p.
 
     Free channels keep their spelling; bound channels get a numeric
-    suffix when their spelling is already taken.  One sweep collects the
-    binders, the services and the occurring channels; as in
-    `syntax.free_session_channels`, the free ones are the occurring
-    names minus the bound ones, since binder ids are globally unique.
+    suffix when their spelling is already taken, by a free channel, a
+    service or an earlier binder.  One sweep collects the binders, and
+    through `syntax.subject` and `syntax.mentions` the services and the
+    occurring channels; as in `syntax.free_session_channels`, the free
+    ones are the occurring names minus the bound ones, since binder ids
+    are globally unique.
     """
     occurring: set[Name] = set()
     bound: list[Name] = []
@@ -508,15 +510,10 @@ def display_names(p: Process) -> dict[Name, str]:
         if b is not None and b[0] not in seen:
             seen.add(b[0])
             bound.append(b[0])
-        match q:
-            case sx.Serve(a, _, _) | sx.Accept(a, _, _) | sx.Request(a, _, _):
-                services.add(a.base)
-            case sx.SendSession(c, n, _):
-                occurring.add(c)
-                occurring.add(n)
-            case sx.Receive(c, _, _) | sx.Send(c, _, _) | sx.Choose(c, _, _) \
-                    | sx.ReceiveSession(c, _, _) | sx.Offer(c, _):
-                occurring.add(c)
+        a = sx.subject(q)
+        if a is not None and a.kind == sx.SERVICE:
+            services.add(a.base)
+        occurring.update(sx.mentions(q))
         todo.extend(reversed(sx.children(q)))
     free = occurring - seen
     taken = {n.base for n in free} | services
@@ -610,16 +607,7 @@ def print_process(p: Process, names: dict[Name, str] | None = None) -> str:
             case sx.Stop():
                 return "0"
             case sx.Par(_, _):
-                leaves: list[Process] = []
-                todo = [p]
-                while todo:
-                    q = todo.pop()
-                    if isinstance(q, sx.Par):
-                        todo.append(q.right)
-                        todo.append(q.left)
-                    else:
-                        leaves.append(q)
-                return " | ".join(unit(x) for x in leaves)
+                return " | ".join(unit(x) for x in sx.par_leaves(p))
             case sx.New(c, body):
                 chain = [c]
                 while isinstance(body, sx.New):

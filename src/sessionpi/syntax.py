@@ -338,6 +338,53 @@ def rebuild(p: Process, kids: Sequence[Process]) -> Process:
     raise TypeError(f"not a process: {p!r}")
 
 
+def par_leaves(p: Process) -> list[Process]:
+    """The operands of the `|` nest at p, left to right; [p] when p is
+    not a `|`."""
+    leaves: list[Process] = []
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Par):
+            todo.append(q.right)
+            todo.append(q.left)
+        else:
+            leaves.append(q)
+    return leaves
+
+
+# ----------------------------------------------------------------- node names
+#
+# `subject` and `mentions` are the one place that knows where each
+# prefix keeps its names; every reader of a node's own names goes
+# through them.  They look at p's prefix only, never below it.
+
+_SESSION_PREFIXES = (Receive, Send, ReceiveSession, SendSession, Offer, Choose)
+_SERVICE_PREFIXES = (Serve, Accept, Request)
+
+
+def subject(p: Process) -> Name | None:
+    """The name p's prefix acts on: the session channel of an
+    in-session prefix, the service of a serve, accept or request; None
+    for `0`, `|`, `new` and `if`."""
+    if isinstance(p, _SERVICE_PREFIXES):
+        return p.service  # type: ignore[attr-defined]
+    if isinstance(p, _SESSION_PREFIXES):
+        return p.chan  # type: ignore[attr-defined]
+    return None
+
+
+def mentions(p: Process) -> tuple[Name, ...]:
+    """The session channels p's prefix names: its subject, then the
+    delegated channel of a delegation.  Empty for service prefixes,
+    whose channel is a binder, and for `0`, `|`, `new` and `if`."""
+    if isinstance(p, SendSession):
+        return (p.chan, p.sent)
+    if isinstance(p, _SESSION_PREFIXES):
+        return (p.chan,)  # type: ignore[attr-defined]
+    return ()
+
+
 def free_session_channels(p: Process) -> set[Name]:
     """Free session channels of a process.
 
@@ -353,15 +400,7 @@ def free_session_channels(p: Process) -> set[Name]:
         b = binder(q)
         if b is not None:
             bound.add(b[0])
-        match q:
-            case Receive(c, _, _) | Send(c, _, _) | Choose(c, _, _) \
-                    | ReceiveSession(c, _, _) | Offer(c, _):
-                occurring.add(c)
-            case SendSession(c, s, _):
-                occurring.add(c)
-                occurring.add(s)
-            case _:
-                pass
+        occurring.update(mentions(q))
         todo.extend(children(q))
     return occurring - bound
 

@@ -334,17 +334,23 @@ def _compose_into(out: Delta, d2: Delta) -> None:
         out[k] = Bot()
 
 
-def _join_missing(t: SessionType, k: Name) -> SessionType:
+def _ends(t: SessionType) -> bool:
+    """True when t is `end` or a type variable, which is then fixed to
+    `end`: whether a channel at t may stop here."""
     w = walk(t)
-    if isinstance(w, Bot):
-        return Bot()
-    if isinstance(w, End):
-        return End()
     if isinstance(w, TVar):
         bind(w, End())
+        return True
+    return isinstance(w, End)
+
+
+def _join_missing(t: SessionType, k: Name) -> SessionType:
+    if isinstance(walk(t), Bot):
+        return Bot()
+    if _ends(t):
         return End()
     raise TypingError(
-        f"channel {k.base} is used in only some branches (as {show(w)})")
+        f"channel {k.base} is used in only some branches (as {show(t)})")
 
 
 def _join2(a: SessionType, b: SessionType, k: Name) -> SessionType:
@@ -354,10 +360,7 @@ def _join2(a: SessionType, b: SessionType, k: Name) -> SessionType:
         return Bot()
     if abot or bbot:
         other = wb if abot else wa
-        if isinstance(other, End):
-            return Bot()
-        if isinstance(other, TVar):
-            bind(other, End())
+        if _ends(other):
             return Bot()
         raise TypingError(
             f"branches disagree on channel {k.base}: "
@@ -440,24 +443,15 @@ def _service_session(env: dict[str, Sort], a: Name, rule: str,
     return sort.session
 
 
-def _infer(env: dict[str, Sort], p: Process, relax: bool = False) -> Delta:
+def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
     match p:
         case sx.Stop():
             return {}
         case sx.Par(_, _):
             # flatten so that wide compositions neither recurse deeply
             # nor copy the accumulated typing once per thread
-            leaves: list[Process] = []
-            todo = [p]
-            while todo:
-                q = todo.pop()
-                if isinstance(q, sx.Par):
-                    todo.append(q.right)
-                    todo.append(q.left)
-                else:
-                    leaves.append(q)
             acc: Delta = {}
-            for leaf in leaves:
+            for leaf in sx.par_leaves(p):
                 d = _infer(env, leaf, relax)
                 try:
                     _compose_into(acc, d)
@@ -466,11 +460,8 @@ def _infer(env: dict[str, Sort], p: Process, relax: bool = False) -> Delta:
             return acc
         case sx.New(c, body):
             d = _infer(env, body, relax)
-            t = walk(d.pop(c, End()))
-            if isinstance(t, (Bot, End)):
-                return d
-            if isinstance(t, TVar):
-                bind(t, End())
+            t = d.pop(c, End())
+            if isinstance(walk(t), Bot) or _ends(t):
                 return d
             raise _err(
                 "T-Res", p,
@@ -488,17 +479,10 @@ def _infer(env: dict[str, Sort], p: Process, relax: bool = False) -> Delta:
             if relax:
                 return d
             # the body may mention outer channels only at end
-            open_left = []
-            for k, t2 in d.items():
-                w = walk(t2)
-                if isinstance(w, TVar):
-                    bind(w, End())
-                elif not isinstance(w, End):
-                    open_left.append(k.base)
+            open_left = sorted(k.base for k, t2 in d.items() if not _ends(t2))
             if open_left:
-                raise _err(
-                    rule, p,
-                    f"body uses open session {', '.join(sorted(open_left))}")
+                raise _err(rule, p,
+                           f"body uses open session {', '.join(open_left)}")
             return {}
         case sx.Request(a, c, body):
             s = _service_session(env, a, "T-Req", p)
@@ -605,10 +589,9 @@ def check(gamma: dict[str, Sort], p: Process, *,
     return {k: resolve(t) for k, t in d.items()}
 
 
-def check_against(gamma: dict[str, Sort], p: Process, target: Delta, *,
-                  relax_services: bool = False) -> None:
+def check_against(gamma: dict[str, Sort], p: Process, target: Delta) -> None:
     """Raise unless p can be typed at exactly `target`."""
-    d = _infer(dict(gamma), p, relax_services)
+    d = _infer(dict(gamma), p, False)
     for k, t in d.items():
         if k not in target:
             raise TypingError(
@@ -616,10 +599,7 @@ def check_against(gamma: dict[str, Sort], p: Process, target: Delta, *,
         tt = target[k]
         w = walk(t)
         if isinstance(tt, Bot):
-            if isinstance(w, Bot) or isinstance(w, End):
-                continue
-            if isinstance(w, TVar):
-                bind(w, End())
+            if isinstance(w, Bot) or _ends(w):
                 continue
             raise TypingError(
                 f"target closes channel {k.base} but it is left at {show(w)}")
@@ -658,12 +638,6 @@ def is_program(p: Process) -> bool:
         b = sx.binder(q)
         if b is not None and not isinstance(q, sx.New):
             bound.add(b[0])
-        match q:
-            case sx.Receive(c, _, _) | sx.Send(c, _, _) | sx.Choose(c, _, _) \
-                    | sx.ReceiveSession(c, _, _) | sx.Offer(c, _):
-                occurring.add(c)
-            case sx.SendSession(c, s, _):
-                occurring.add(c)
-                occurring.add(s)
+        occurring.update(sx.mentions(q))
         todo.extend(sx.children(q))
     return occurring <= bound

@@ -313,11 +313,17 @@ def size(p: sx.Process) -> int:
 
 # ------------------------------------------------- the benchmark's generators
 
-def bench_gen():
-    """The benchmark's seeded input generators, `bench/gen.py`."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("sessionpi_bench_gen", path)
+def bench_module(name: str):
+    """The benchmark's module `bench/<name>.py`."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"sessionpi_bench_{name}",
+                                                  path)
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod  # dataclasses look their module up
     spec.loader.exec_module(mod)
     return mod
+
+
+def bench_gen():
+    """The benchmark's seeded input generators, `bench/gen.py`."""
+    return bench_module("gen")

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -9,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import sessionpi.cli as cli
+import sessionpi.congruence as congruence
+import sessionpi.depgraph as depgraph
 import sessionpi.semantics as semantics
+import strategies as S
 from sessionpi.examples import SOURCES
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -113,6 +117,43 @@ def test_graph_all_subterms(capsys, spi):
                        "--all-subterms")
     assert code == 0
     assert "graph 0:" in out and "graph 1:" in out
+
+
+def test_graph_flattens_each_cluster_once(capsys, monkeypatch, tmp_path):
+    f = tmp_path / "nested.spi"
+    f.write_text("env a : <end>; sessions k;\n"
+                 "k!(1).0 | a(k1).(k?(x).0 | new m . (m!(1).0 | m?(y).0))\n")
+    flattened = []
+    normal_form = congruence.normal_form
+
+    def counted(p):
+        nf = normal_form(p)
+        if nf is not p:
+            flattened.append(len(nf.threads))
+        return nf
+
+    monkeypatch.setattr(congruence, "normal_form", counted)
+    code, data = run_json(capsys, "graph", str(f), "--all-subterms")
+    nodes = [len(g["nodes"]) for g in data["data"]["graphs"]]
+    assert (code, nodes) == (0, [2, 3])
+    assert flattened == nodes
+
+
+def test_graph_writes_dot_only_when_asked(capsys, monkeypatch, spi, tmp_path):
+    titles = []
+    to_dot = depgraph.to_dot
+
+    def counted(g, names=None, title="deps"):
+        titles.append(title)
+        return to_dot(g, names, title)
+
+    monkeypatch.setattr(depgraph, "to_dot", counted)
+    f = spi("circular_waits_under_accept")
+    assert run(capsys, "graph", f, "--all-subterms")[0] == 0
+    assert titles == []
+    dot = tmp_path / "out.dot"
+    assert run(capsys, "graph", f, "--all-subterms", "--dot", str(dot))[0] == 0
+    assert titles == ["deps0", "deps1"]
 
 
 def test_sub_term_graphs_use_the_file_s_names(capsys, tmp_path):
@@ -299,3 +340,10 @@ def test_cli_contract_on_fuzzed_inputs(capsys, tmp_path):
                 assert "Traceback" not in out + err and err.count("\n") <= 1, text
                 if flags and out:
                     json.loads(out)
+
+
+def test_every_traced_function_exists():
+    # the benchmark's tracer and self-check look these up by name
+    for mod, fn in S.bench_module("spans").TRACED:
+        module = importlib.import_module(f"sessionpi.{mod}")
+        assert callable(getattr(module, fn, None)), f"{mod}.{fn}"

@@ -1,0 +1,190 @@
+"""Four functions as they read before `syntax.subject`, `syntax.mentions`
+and `congruence.occurrences` took over their node-name matches and
+their occurrence scans, kept as oracles for the rewritten ones."""
+import functools
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import sessionpi.congruence as cg
+import sessionpi.semantics as sm
+import sessionpi.surface as sf
+import sessionpi.syntax as sx
+import strategies as S
+from sessionpi.examples import SOURCES, load
+
+
+def reference_free_session_channels(p):
+    occurring, bound = set(), set()
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        b = sx.binder(q)
+        if b is not None:
+            bound.add(b[0])
+        match q:
+            case sx.Receive(c, _, _) | sx.Send(c, _, _) | sx.Choose(c, _, _) \
+                    | sx.ReceiveSession(c, _, _) | sx.Offer(c, _):
+                occurring.add(c)
+            case sx.SendSession(c, s, _):
+                occurring.add(c)
+                occurring.add(s)
+        todo.extend(sx.children(q))
+    return occurring - bound
+
+
+def reference_display_names(p):
+    occurring, bound, seen, services = set(), [], set(), set()
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        b = sx.binder(q)
+        if b is not None and b[0] not in seen:
+            seen.add(b[0])
+            bound.append(b[0])
+        match q:
+            case sx.Serve(a, _, _) | sx.Accept(a, _, _) | sx.Request(a, _, _):
+                services.add(a.base)
+            case sx.SendSession(c, n, _):
+                occurring.add(c)
+                occurring.add(n)
+            case sx.Receive(c, _, _) | sx.Send(c, _, _) | sx.Choose(c, _, _) \
+                    | sx.ReceiveSession(c, _, _) | sx.Offer(c, _):
+                occurring.add(c)
+        todo.extend(reversed(sx.children(q)))
+    free = occurring - seen
+    taken = {n.base for n in free} | services
+    names = {n: n.base for n in free}
+    for n in sorted(bound, key=lambda n: n.uid or 0):
+        if n.base not in taken:
+            names[n] = n.base
+            taken.add(n.base)
+            continue
+        i = 1
+        while f"{n.base}_{i}" in taken:
+            i += 1
+        names[n] = f"{n.base}_{i}"
+        taken.add(names[n])
+    return names
+
+
+def reference_redexes(p):
+    threads = cg.normal_form(p).threads
+    outputs = {}
+    for j, tj in enumerate(threads):
+        if isinstance(tj, sx.Request):
+            outputs.setdefault(tj.service, []).append(j)
+        elif isinstance(tj, (sx.Send, sx.SendSession, sx.Choose)):
+            outputs.setdefault(tj.chan, []).append(j)
+    out = []
+    for i, ti in enumerate(threads):
+        if isinstance(ti, (sx.Serve, sx.Accept)):
+            subject = ti.service
+        elif isinstance(ti, (sx.Receive, sx.ReceiveSession, sx.Offer)):
+            subject = ti.chan
+        else:
+            r = sm._if_redex(i, ti)
+            if r is not None:
+                out.append(r)
+            continue
+        for j in outputs.get(subject, ()):
+            r = sm._pair_redex(i, ti, j, threads[j])
+            if r is not None:
+                out.append(r)
+    return out
+
+
+def reference_canonical_key(p):
+    nf = cg.normal_form(p)
+    threads = nf.threads
+    free = ([reference_free_session_channels(t) for t in threads]
+            if nf.binders else [])
+    occurring = set().union(*free)
+    binders = [c for c in nf.binders if c in occurring]
+
+    def collect(t, names, tag):
+        todo = [t]
+        while todo:
+            q = todo.pop()
+            b = sx.binder(q)
+            if b is not None and b[0] not in names:
+                names[b[0]] = tag(len(names))
+            todo.extend(reversed(sx.children(q)))
+
+    blind = {}
+    for t in threads:
+        start = len(blind)
+        collect(t, blind, lambda i: f"#{i - start}")
+    for c in binders:
+        blind[c] = "#r"
+
+    shown = [sf.print_process(t, blind) for t in threads]
+    colours = min(1, len(binders))
+    while len(set(shown)) < len(shown) and any(
+            n > 1 and "#r" in s for s, n in Counter(shown).items()):
+        sig = {c: (blind[c], *sorted(s for s, f in zip(shown, free)
+                                     if c in f))
+               for c in binders}
+        ranks = {s: f"#r{i}" for i, s in enumerate(sorted(set(sig.values())))}
+        if len(ranks) == colours:
+            break
+        colours = len(ranks)
+        for c in binders:
+            blind[c] = ranks[sig[c]]
+        shown = [sf.print_process(t, blind) for t in threads]
+    order = [threads[i] for i in sorted(range(len(threads)),
+                                        key=shown.__getitem__)]
+
+    numbered = {}
+    for t in order:
+        collect(t, numbered, lambda i: f"b{i}")
+    for c in binders:
+        numbered.setdefault(c, f"b{len(numbered)}")
+
+    used = sorted({numbered[c] for c in binders})
+    head = f"new {', '.join(used)} . " if used else ""
+    return head + " | ".join(sf.print_process(t, numbered) for t in order)
+
+
+def free_channels_of_each_part(fn):
+    """fn on the whole term and on each of its threads."""
+    return lambda p: [fn(p)] + [fn(t) for t in cg.normal_form(p).threads]
+
+
+PAIRS = {
+    "free_session_channels": (
+        free_channels_of_each_part(sx.free_session_channels),
+        free_channels_of_each_part(reference_free_session_channels)),
+    "display_names": (sf.display_names, reference_display_names),
+    "redexes": (sm.redexes, reference_redexes),
+    "canonical_key": (cg.canonical_key, reference_canonical_key),
+}
+
+
+@functools.cache
+def corpus_states():
+    """Every state `explore` reaches in 3 steps from a sample, and every
+    state of the default run of each `simulate(1, scale=0.3)` file."""
+    out = [q for name in SOURCES for q in sm.explore(load(name).process, 3)]
+    for case in S.bench_gen().simulate(1, scale=0.3):
+        t = sm.trace(sf.parse_source(case.text).process, 1000)
+        out += [q for q, _ in t.steps] + [t.final]
+    return [q.process() for q in out]
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_rewritten_functions_agree_with_the_reference(name):
+    new, reference = PAIRS[name]
+    for p in corpus_states():
+        assert new(p) == reference(p), sf.print_process(p)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10_000))
+    def generated(seed):
+        rng = random.Random(seed)
+        for p in (S.well_typed(rng)[1], S.cyclic(rng), S.typed_cycles(rng)[1]):
+            assert new(p) == reference(p), sf.print_process(p)
+
+    generated()

@@ -86,6 +86,79 @@ def test_rule_tagged_errors(src, sessions, tag):
     assert tag in str(e.value)
 
 
+K, K2, BOT = sx.chan("k"), sx.chan("k2"), sx.Bot()
+SERVE_END = {"a": sx.ServiceSort(sx.End())}
+SERVE_DEL = {"a": sx.ServiceSort(sf.parse_type("![end].end"))}
+
+
+# Every site that closes a channel at `end`, rejecting and accepting,
+# with the exact text.  A delegated channel's type starts as a variable
+# (`k!((k2))` types k2 so); the accepted rows fix one to `end`, and the
+# rows after them reject a later use that needs it to be something else.
+@pytest.mark.parametrize("src, sessions, gamma, target, want", [
+    # T-Res
+    ("new m . m!(1).0", (), None, None,
+     "T-Res: restricted channel m is left at ![int].end; both endpoints "
+     "must run to completion, at: new m . m!(1).0"),
+    ("new m . k!((m)).0", ("k",), None, None, "ok: k : ![end].end"),
+    ("new m . k!((m)).0 | k?((n)).n!(1).0", ("k",), None, None,
+     "T-Par: parallel threads disagree on channel k: cannot unify end with "
+     "![int].end, at: new m . k!((m)).0 | k?((n)).n!(1).0"),
+    # the body of a service
+    ("*a(k).k1!(1).0", ("k1",), SERVE_END, None,
+     "T-RServ: body uses open session k1, at: *a(k).k1!(1).0"),
+    ("*a(k).k1!((k2)).0", ("k1", "k2"), SERVE_END, None,
+     "T-RServ: body uses open session k1, at: *a(k).k1!((k2)).0"),
+    ("*a(k).k!((k2)).0", ("k2",), SERVE_DEL, None, "ok: "),
+    # a channel some branches leave out
+    ("if true then k!(1).0 else 0", ("k",), None, None,
+     "T-Cond: channel k is used in only some branches (as ![int].end), "
+     "at: if true then k!(1).0 else 0"),
+    ("if true then k1!((k)).0 else k1!((k2)).0", ("k", "k1", "k2"), None,
+     None, "ok: k : end, k1 : ![end].end, k2 : end"),
+    ("(if true then k1!((k)).0 else k1!((k2)).0) | k1?((n)).n!(1).0",
+     ("k", "k1", "k2"), None, None,
+     "T-Par: parallel threads disagree on channel k1: cannot unify end "
+     "with ![int].end, at: if true then k1!((k)).0 else k1!((k2)).0 "
+     "| k1?((n)).n!(1).0"),
+    # a channel one branch closes
+    ("if true then (k!(1).0 | k?(x).0) else k!(2).0", ("k",), None, None,
+     "T-Cond: branches disagree on channel k: closed in one, ![int].end "
+     "in another, at: if true then (k!(1).0 | k?(x).0) else k!(2).0"),
+    ("if true then (k!(1).0 | k?(x).0 | k1!((k2)).0) else k1!((k)).0",
+     ("k", "k1", "k2"), None, None,
+     "ok: k : bot, k1 : ![end].end, k2 : end"),
+    ("(if true then (k!(1).0 | k?(x).0 | k1!((k2)).0) else k1!((k)).0)"
+     " | k1?((n)).n!(1).0", ("k", "k1", "k2"), None, None,
+     "T-Par: parallel threads disagree on channel k1: cannot unify end "
+     "with ![int].end, at: if true then (k!(1).0 | k?(x).0 | k1!((k2)).0)"
+     " else k1!((k)).0 | k1?((n)).n!(1).0"),
+    # a target that closes a channel
+    ("k!(1).0", ("k",), None, {K: BOT},
+     "target closes channel k but it is left at ![int].end"),
+    ("k!(1).0 | k?(x).0", ("k",), None, {K: sf.parse_type("![int].end")},
+     "channel k is closed on both ends but the target gives it ![int].end"),
+    ("k >> {x: k!((k2)).0}", ("k", "k2"), None,
+     {K2: BOT, K: sf.parse_type("&{x: ![end].end}")}, "ok: "),
+    ("k >> {x: k!((k2)).0}", ("k", "k2"), None,
+     {K2: BOT, K: sf.parse_type("&{x: ![?[int].end].end}")},
+     "channel k: cannot unify end with ?[int].end"),
+    ("k!((k2)).0", ("k", "k2"), None,
+     {K: sf.parse_type("![end].end"), K2: BOT}, "ok: "),
+])
+def test_closing_at_end_golden(src, sessions, gamma, target, want):
+    p = parse(src, sessions, gamma)
+    try:
+        if target is None:
+            got = "ok: " + shown(tc.check(gamma or {}, p))
+        else:
+            tc.check_against(gamma or {}, p, target)
+            got = "ok: "
+    except tc.TypingError as e:
+        got = str(e)
+    assert got == want
+
+
 def test_errors_on_terms_the_parser_cannot_produce():
     # the parser rejects these shapes up front, the checker still must
     k = sx.chan("k")
