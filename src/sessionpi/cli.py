@@ -157,7 +157,8 @@ def _cmd_progress(args) -> int:
     src = _load(args.file)
     try:
         r = progress.check_progress(src.gamma, src.process, depth=args.depth,
-                                    subset_budget=args.subset_budget)
+                                    subset_budget=args.subset_budget,
+                                    max_states=args.max_states)
     except typecheck.TypingError as e:
         _emit(args, "ill-typed", {"error": str(e)}, [f"ill-typed: {e}"])
         return 1
@@ -176,8 +177,8 @@ def _cmd_progress(args) -> int:
         if r.partner is not None:
             lines.append(f"  best partner tried: {data['partner']}")
     if r.bound_hit:
-        lines.append("  (search bound hit; raise --depth or"
-                     " --subset-budget to search further)")
+        lines.append("  (search bound hit; raise --depth, --subset-budget"
+                     " or --max-states to search further)")
     _emit(args, r.verdict, data, lines)
     return 1 if r.verdict == "counterexample" else 0
 
@@ -196,7 +197,7 @@ def _cmd_selftest(args) -> int:
 
 
 def _bound(text: str) -> int:
-    """A step, depth or budget option: a whole number, at least 0."""
+    """A step, depth, budget or state bound: a whole number, at least 0."""
     try:
         n = int(text)
     except ValueError:  # the message argparse gives for type=int
@@ -264,6 +265,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--depth", type=_bound, default=10, metavar="N")
     p.add_argument("--subset-budget", type=_bound, default=512, metavar="B")
+    p.add_argument("--max-states", type=_bound, default=2000, metavar="N")
     p.set_defaults(fn=_cmd_progress)
 
     p = sub.add_parser("selftest", parents=[shared],

@@ -14,6 +14,7 @@ certificates come from transparency alone.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
 
@@ -192,6 +193,53 @@ def _cut_failure(gamma: dict[str, Sort],
     return None
 
 
+def _ties(t: Process) -> set[Name]:
+    """The names that can tie thread t to another thread: its free
+    session channels, and every service it serves, accepts or requests
+    anywhere below its head."""
+    names = sx.free_session_channels(t)
+    todo = [t]
+    while todo:
+        q = todo.pop()
+        a = sx.subject(q)
+        if a is not None and a.kind == sx.SERVICE:
+            names.add(a)
+        todo.extend(sx.children(q))
+    return names
+
+
+def _split(pick: tuple[int, ...],
+           ties: list[set[Name]]) -> list[tuple[int, ...]]:
+    """The threads of `pick` (thread numbers) grouped into parts that
+    share no tie; each part keeps the pick's order."""
+    groups: list[tuple[set[Name], list[int]]] = []
+    for n, i in enumerate(pick):
+        names, members = set(ties[i]), [n]
+        rest = []
+        for g in groups:
+            if names.isdisjoint(g[0]):
+                rest.append(g)
+            else:
+                names |= g[0]
+                members += g[1]
+        rest.append((names, members))
+        groups = rest
+    return [tuple(pick[n] for n in sorted(members)) for _, members in groups]
+
+
+def _parts_pass(nums: tuple[int, ...], ties: list[set[Name]],
+                live: list[bool], passed: set[tuple[int, ...]],
+                transparent: Callable[[tuple[int, ...]], bool]) -> bool:
+    """The independence rule for the stuck piece `nums` (thread
+    numbers): it splits into two or more parts, every live part has
+    passed, and every part is transparent."""
+    parts = _split(nums, ties)
+    return (len(parts) > 1
+            and all(part in passed for part in parts
+                    if any(live[i] for i in part))
+            and all(map(transparent, parts)))
+
+
 def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
                    subset_budget: int = 512,
                    max_states: int = 2000) -> ProgressResult:
@@ -210,7 +258,25 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     or an enabled conditional, and is live exactly when one of its
     threads is, so such picks cost a budget unit but no cut check.
     Each distinct stuck piece is checked once per search; a piece that
-    passed in one state passes in every other.
+    passed in one state passes in every other.  Threads are numbered
+    once per search, so a piece is known by its threads' numbers and
+    each thread is hashed once per state.
+
+    Independence rule: a stuck piece whose threads split into two or
+    more parts sharing no free session channel and no service (served,
+    accepted or requested anywhere in a thread) passes without a
+    partner when every live part has passed and every part is
+    transparent; being smaller, its parts were picked earlier in the
+    same state.  The rule holds because `construct_partner` builds the
+    piece's partner for one part, the one holding the first request or
+    else the first thread waiting on an open channel, and builds that
+    same partner for the part alone: a live part passes only if it has
+    such a thread, and a part without live channels has none.  The
+    other parts share no name with that part or its partner, so the
+    completed piece is well-typed, and the reduct that let the part
+    pass, beside the other transparent parts, is transparent.  Every
+    other piece goes through the full check, so a failing piece
+    reports the same condition, cut and partner.
     """
     verdict = depgraph.is_transparent(gamma, p)
     if verdict.reason == "ill-typed":
@@ -225,16 +291,39 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     seen = {congruence.canonical_key(start)}
     frontier = [start]
     visited = 0
-    passed: set[tuple[Process, ...]] = set()
+    # each distinct thread is hashed into `number` once per state;
+    # pieces, parts and what is known of them go by the numbers
+    number: dict[Process, int] = {}
+    numbered: list[Process] = []
+    live: list[bool] = []
+    ties: list[set[Name]] = []
+    passed: set[tuple[int, ...]] = set()
+    transparent_parts: dict[tuple[int, ...], bool] = {}
+
+    def transparent(part: tuple[int, ...]) -> bool:
+        ok = transparent_parts.get(part)
+        if ok is None:
+            piece = reduce(sx.Par, (numbered[i] for i in part))
+            ok = depgraph.is_transparent(gamma, piece).ok
+            transparent_parts[part] = ok
+        return ok
 
     while frontier:
         nxt: list[congruence.NormalForm] = []
         for state in frontier:
             visited += 1
             threads = state.threads
+            ids = []
+            for t in threads:
+                i = number.get(t)
+                if i is None:
+                    i = number[t] = len(numbered)
+                    numbered.append(t)
+                    live.append(congruence.has_live_channels(t))
+                    ties.append(_ties(t))
+                ids.append(i)
             succs = semantics.redexes(state)
             moves = {(r.i,) if r.j is None else (r.i, r.j) for r in succs}
-            live = [congruence.has_live_channels(t) for t in threads]
             budget = subset_budget
             for size in range(1, len(threads) + 1):
                 for pick in itertools.combinations(range(len(threads)), size):
@@ -242,15 +331,20 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
                         bound_hit = True
                         break
                     budget -= 1
-                    if (not any(live[i] for i in pick)
+                    if (not any(live[ids[i]] for i in pick)
                             or any(all(i in pick for i in m) for m in moves)):
                         continue
-                    cut = tuple(threads[i] for i in pick)
-                    if cut in passed:
+                    nums = tuple(ids[i] for i in pick)
+                    if nums in passed:
                         continue
+                    if size > 1 and _parts_pass(nums, ties, live, passed,
+                                                transparent):
+                        passed.add(nums)
+                        continue
+                    cut = tuple(threads[i] for i in pick)
                     bad = _cut_failure(gamma, reduce(sx.Par, cut))
                     if bad is None:
-                        passed.add(cut)
+                        passed.add(nums)
                         continue
                     failed, partner = bad
                     return ProgressResult(

@@ -18,6 +18,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import sessionpi.progress as pg
+import sessionpi.semantics as sm
 import sessionpi.syntax as sx
 import sessionpi.typecheck as tc
 
@@ -273,6 +274,70 @@ def typed_cycles(rng: random.Random) -> tuple[dict, sx.Process]:
         threads.append(sx.Stop())
     rng.shuffle(threads)
     return {}, reduce(sx.Par, threads)
+
+
+def _cycle_piece(rng: random.Random, tag: str) -> list[sx.Process]:
+    """Stuck threads of a state reachable from `typed_cycles`, with
+    every channel renamed apart by `tag`; possibly empty."""
+    _, p = typed_cycles(rng)
+    threads = list(rng.choice(sm.explore(p, rng.randint(0, 2))).threads)
+    rng.shuffle(threads)
+    piece = threads[:rng.randint(0, len(threads))]
+    while piece and (rs := sm.redexes(reduce(sx.Par, piece))):
+        del piece[rs[0].i]
+    names = set().union(*map(sx.free_session_channels, piece))
+    for c in names:
+        piece = [sx.subst_chan(t, c, sx.chan(f"{c.base}_{tag}"))
+                 for t in piece]
+    return piece
+
+
+def hidden_cycle(c: sx.Name) -> sx.Process:
+    """Waits on c for a choice; `go` ends, `stop` runs a live two-channel
+    cycle.  It passes its cut check (the partner picks `go`), yet it is
+    not transparent."""
+    a, b = sx.bound_chan("a"), sx.bound_chan("b")
+    cycle = sx.Par(sx.Send(a, sx.IntLit(1), sx.Send(b, sx.IntLit(2),
+                                                    sx.Stop())),
+                   sx.Receive(a, "x", sx.Receive(b, "y", sx.Stop())))
+    return sx.Offer(c, (("go", sx.Stop()),
+                        ("stop", sx.New(a, sx.New(b, cycle)))))
+
+
+def independent_units(
+        rng: random.Random) -> tuple[dict, list[tuple[list[sx.Process], bool]]]:
+    """Groups of threads for the independence rule of the progress
+    search, as (threads, tied) pairs; no two groups share a name.
+
+    A group is a stuck piece of a `typed_cycles` state renamed apart
+    (it may split further), a `hidden_cycle` thread, a dormant server,
+    or two requests for one service, which share only that service:
+    those are `tied` and must end up in one part."""
+    gamma: dict = {}
+    units: list[tuple[list[sx.Process], bool]] = []
+    for n in range(rng.randint(2, 4)):
+        kind = rng.random()
+        if kind < 0.5:
+            units.append((_cycle_piece(rng, str(n)), False))
+        elif kind < 0.7:
+            units.append(([hidden_cycle(sx.chan(f"h{n}"))], False))
+        elif kind < 0.8:
+            a = rand_type(rng, depth=2)
+            gamma[f"d{n}"] = sx.ServiceSort(a)
+            k = sx.bound_chan("k")
+            units.append(([sx.Serve(sx.svc(f"d{n}"), k,
+                                    _inhabit_into(gamma, a, k))], False))
+        else:
+            a = rand_type(rng, depth=2)
+            gamma[f"s{n}"] = sx.ServiceSort(a)
+            requests = []
+            for _ in range(2):
+                k = sx.bound_chan("k")
+                requests.append(sx.Request(sx.svc(f"s{n}"), k,
+                                           _inhabit_into(gamma, tc.dual(a),
+                                                         k)))
+            units.append((requests, True))
+    return gamma, units
 
 
 # ------------------------------------------------- scaling family + AST size

@@ -251,7 +251,8 @@ def test_progress_reports_the_cut(capsys, spi):
 
 @pytest.mark.parametrize("command, flag", [("run", "--steps"),
                                            ("progress", "--depth"),
-                                           ("progress", "--subset-budget")])
+                                           ("progress", "--subset-budget"),
+                                           ("progress", "--max-states")])
 def test_negative_bounds_are_usage_errors(capsys, spi, command, flag):
     code, out, err = run(capsys, command, spi("circular_waits"), flag, "-1")
     assert (code, out) == (2, "")
@@ -264,6 +265,23 @@ def test_zero_subset_budget_is_inconclusive(capsys, spi):
     assert code == 0
     assert (data["verdict"], data["data"]["bound_hit"]) == ("inconclusive",
                                                             True)
+
+
+def test_max_states_cuts_the_search_short(capsys, tmp_path):
+    # a live two-channel cycle: the search closes after three states,
+    # unless the state bound stops it after the first
+    f = tmp_path / "live_cycle.spi"
+    f.write_text("sessions a, b; a!(1).b!(2).0 | a?(x).b?(y).0")
+    code, data = run_json(capsys, "progress", str(f))
+    assert (code, data["verdict"], data["data"]["bound_hit"],
+            data["data"]["states_seen"]) == (0, "inconclusive", False, 3)
+    code, data = run_json(capsys, "progress", str(f), "--max-states", "1")
+    assert (code, data["verdict"], data["data"]["bound_hit"],
+            data["data"]["states_seen"]) == (0, "inconclusive", True, 1)
+    code, out, _ = run(capsys, "progress", str(f), "--max-states", "1")
+    assert out.splitlines()[-1] == ("  (search bound hit; raise --depth,"
+                                    " --subset-budget or --max-states to"
+                                    " search further)")
 
 
 def test_json_records_are_stable(capsys, spi):

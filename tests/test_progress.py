@@ -333,10 +333,14 @@ def test_search_agrees_with_the_reference_on_the_corpus(budget):
         agree(src.gamma, src.process, depth=5, subset_budget=budget)
 
 
+@pytest.mark.parametrize("scale", [0.3, 1.0])
 @pytest.mark.parametrize("budget", [3, 512])
-def test_search_agrees_with_the_reference_on_generated_refutations(budget):
+def test_search_agrees_with_the_reference_on_generated_refutations(budget,
+                                                                   scale):
+    # at full scale the files include the 4-cycle, (3,1) and (2,2)
+    # cycle sets, whose stuck pieces span the most independent parts
     verdicts = set()
-    for case in S.bench_gen().refute(1, scale=0.3):
+    for case in S.bench_gen().refute(1, scale=scale):
         src = sf.parse_source(case.text)
         verdicts.add(agree(src.gamma, src.process, subset_budget=budget)[0])
     assert verdicts == {"inconclusive", "counterexample"}
@@ -355,38 +359,87 @@ def test_search_agrees_with_the_reference_on_generated_input(seed, budget,
     agree(*S.typed_cycles(rng), **bounds)
 
 
+def count_calls(monkeypatch, module, name):
+    """Count the calls of module.name from now on; read counter[0]."""
+    counter = [0]
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counter[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return counter
+
+
 def test_each_distinct_stuck_piece_is_checked_once(monkeypatch):
     # three live two-channel cycles: 27 states, and 5**3 - 1 distinct
     # stuck pieces (each cycle contributes one of its five irreducible
-    # shapes, or nothing)
+    # shapes, or nothing); only the 4 * 3 single threads need a
+    # partner, every larger piece passes by the independence rule
     src = sf.parse_source(
         "sessions a0, b0, a1, b1, a2, b2;"
         " a0!(17).b0!(72).0 | a0?(x).b0?(y).0 | a1!(97).b1!(8).0"
         " | a2!(32).b2!(15).0 | a2?(x).b2?(y).0 | a1?(x).b1?(y).0")
-    calls = 0
-    scans = 0
-    construct = pg.construct_partner
-    scan = sm.redexes
-
-    def counted(gamma, p):
-        nonlocal calls
-        calls += 1
-        return construct(gamma, p)
-
-    def counted_scan(p):
-        nonlocal scans
-        scans += 1
-        return scan(p)
-
-    monkeypatch.setattr(pg, "construct_partner", counted)
-    monkeypatch.setattr(sm, "redexes", counted_scan)
+    calls = count_calls(monkeypatch, pg, "construct_partner")
+    scans = count_calls(monkeypatch, sm, "redexes")
     r = pg.check_progress(src.gamma, src.process)
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 27,
                                                         False)
-    assert 0 < calls <= 5 ** 3 - 1
-    # the search already knows each checked piece is live and
-    # irreducible, so its cut check scans only the partner and the pair
-    assert scans <= 399
+    assert calls[0] == 4 * 3
+    # one scan per state, and per cut check the piece (in
+    # `construct_partner`), the partner and the pair
+    assert scans[0] == 27 + 3 * 12
+
+
+def test_independent_cycles_need_a_partner_per_thread(monkeypatch):
+    # five cycles: 2,612 distinct stuck pieces, of which only the 20
+    # single threads are checked with a partner
+    src = sf.parse_source(
+        "sessions " + ", ".join(f"a{i}, b{i}" for i in range(5)) + "; "
+        + " | ".join(f"a{i}!({i}).b{i}!(7).0 | a{i}?(x).b{i}?(y).0"
+                     for i in range(5)))
+    calls = count_calls(monkeypatch, pg, "construct_partner")
+    r = pg.check_progress(src.gamma, src.process)
+    assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 243,
+                                                        True)
+    assert calls[0] == 20
+
+
+@given(st.integers(0, 10_000))
+@settings(deadline=None, max_examples=150)
+def test_the_independence_rule_is_sound(seed):
+    # every stuck piece of two or more parts that the independence rule
+    # passes also passes the full cut check
+    rng = random.Random(seed)
+    gamma, units = S.independent_units(rng)
+    threads = [t for ts, _ in units for t in ts]
+    rng.shuffle(threads)
+    nums = tuple(range(len(threads)))
+    ties = [pg._ties(t) for t in threads]
+    parts = pg._split(nums, ties)
+    part_of = {i: part for part in parts for i in part}
+    unit_of = {t: n for n, (ts, _) in enumerate(units) for t in ts}
+    for part in parts:  # groups share no name, so no part spans two
+        assert len({unit_of[threads[i]] for i in part}) == 1
+    for ts, tied in units:  # requests for one service stay together
+        if tied:
+            assert len({part_of[threads.index(t)] for t in ts}) == 1
+    if len(parts) < 2:
+        return
+    piece = reduce(sx.Par, threads)
+    if sm.redexes(piece) or not cg.has_live_channels(piece):
+        return
+    live = [cg.has_live_channels(t) for t in threads]
+
+    def of(part):
+        return reduce(sx.Par, (threads[i] for i in part))
+
+    passed = {part for part in parts if any(live[i] for i in part)
+              and pg._cut_failure(gamma, of(part)) is None}
+    if pg._parts_pass(nums, ties, live, passed,
+                      lambda part: dg.is_transparent(gamma, of(part)).ok):
+        assert pg._cut_failure(gamma, piece) is None
 
 
 # ------------------------------------------------- every counterexample holds
