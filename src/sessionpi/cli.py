@@ -122,7 +122,7 @@ def _cmd_run(args) -> int:
     try:
         if args.all:
             states = semantics.explore(src.process, args.steps)
-            shown = [print_process(q.process()) for q in states]
+            shown = surface.print_states(states)
             _emit(args, "ok", {"states": shown},
                   [f"{len(shown)} states within {args.steps} steps:"]
                   + [f"  {s}" for s in shown])

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from . import congruence, syntax as sx
-from .surface import print_process
+from .surface import print_states
 from .congruence import NormalForm
 from .syntax import Expr, Name, Process
 
@@ -273,6 +273,10 @@ class Trace:
     def __len__(self) -> int:
         return len(self.steps)
 
+    def states(self) -> list[NormalForm]:
+        """Every state of the run, the final one included."""
+        return [q for q, _ in self.steps] + [self.final]
+
 
 def explore(p: Process | NormalForm, depth: int) -> list[NormalForm]:
     """Breadth-first list of the states (normal forms) reachable from p
@@ -319,10 +323,11 @@ def trace(p: Process | NormalForm, depth: int,
 
 def trace_records(t: Trace) -> list[dict]:
     """One record per step plus a final record, CLI-ready."""
+    shown = print_states(t.states())
     out = []
-    for k, (q, r) in enumerate(t.steps):
+    for k, (_, r) in enumerate(t.steps):
         rec = {"index": k, "rule": r.rule, "threads": [r.i],
-               "process": print_process(q.process())}
+               "process": shown[k]}
         if r.j is not None:
             rec["threads"].append(r.j)
         if r.label is not None:
@@ -332,15 +337,15 @@ def trace_records(t: Trace) -> list[dict]:
         if r.chan is not None:
             rec["channel"] = r.chan.base
         out.append(rec)
-    out.append({"index": len(t.steps), "final": True,
-                "process": print_process(t.final.process())})
+    out.append({"index": len(t.steps), "final": True, "process": shown[-1]})
     return out
 
 
 def trace_lines(t: Trace) -> list[str]:
+    shown = print_states(t.states())
     lines = []
-    for q, r in t.steps:
-        lines.append(print_process(q.process()))
+    for s, (_, r) in zip(shown, t.steps):
+        lines.append(s)
         lines.append(f"  --[{r.describe()}]-->")
-    lines.append(print_process(t.final.process()))
+    lines.append(shown[-1])
     return lines

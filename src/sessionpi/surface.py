@@ -23,11 +23,16 @@ so `new k . P | Q` is `(new k . P) | Q`; parenthesise for wider scope.
 from __future__ import annotations
 
 import re
+from collections.abc import Collection, Sequence, Set as AbstractSet
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, TypeVar
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
 from . import syntax as sx
 from .syntax import Expr, Name, Process, SessionType, Sort
+
+if TYPE_CHECKING:
+    from .congruence import NormalForm
 
 _T = TypeVar("_T")
 
@@ -488,47 +493,67 @@ def parse_type(text: str) -> SessionType:
 
 # ------------------------------------------------------------------ printing
 
-def display_names(p: Process) -> dict[Name, str]:
-    """Choose a distinct spelling for every channel in p.
+class _Facts(NamedTuple):
+    """What a term's display names depend on, from one sweep of it."""
+    binders: tuple[Name, ...]  # in traversal order, each once
+    services: frozenset[str]   # spellings of the services its prefixes use
+    mentions: frozenset[Name]  # session channels its prefixes name
 
-    Free channels keep their spelling; bound channels get a numeric
-    suffix when their spelling is already taken, by a free channel, a
-    service or an earlier binder.  One sweep collects the binders, and
-    through `syntax.subject` and `syntax.mentions` the services and the
-    occurring channels; as in `syntax.free_session_channels`, the free
-    ones are the occurring names minus the bound ones, since binder ids
-    are globally unique.
-    """
-    occurring: set[Name] = set()
-    bound: list[Name] = []
-    seen: set[Name] = set()
+
+def _facts(p: Process) -> _Facts:
+    """One pre-order sweep of p, left to right, through `syntax.binder`,
+    `syntax.subject` and `syntax.mentions`."""
+    bound: dict[Name, None] = {}
     services: set[str] = set()
+    mentioned: set[Name] = set()
     todo = [p]
     while todo:
         q = todo.pop()
         b = sx.binder(q)
-        if b is not None and b[0] not in seen:
-            seen.add(b[0])
-            bound.append(b[0])
+        if b is not None:
+            bound.setdefault(b[0])
         a = sx.subject(q)
         if a is not None and a.kind == sx.SERVICE:
             services.add(a.base)
-        occurring.update(sx.mentions(q))
+        mentioned.update(sx.mentions(q))
         todo.extend(reversed(sx.children(q)))
-    free = occurring - seen
+    return _Facts(tuple(bound), frozenset(services), frozenset(mentioned))
+
+
+def _choose_names(binders: Collection[Name], mentioned: AbstractSet[Name],
+                  services: AbstractSet[str]) -> dict[Name, str]:
+    """The one naming rule: free channels keep their spelling; binders,
+    in binder id order, get a numeric suffix when their spelling is
+    already taken, by a free channel, a service or an earlier binder.
+
+    As in `syntax.free_session_channels`, the free channels are the
+    mentioned ones minus the binders, since binder ids are globally
+    unique.  The taken spellings only grow, so the smallest free suffix
+    of a spelling never falls: each spelling keeps the next suffix to
+    try, and each suffix is probed once.
+    """
+    free = mentioned.difference(binders)
     taken = {n.base for n in free} | services
     names: dict[Name, str] = {n: n.base for n in free}
-    for n in sorted(bound, key=lambda n: n.uid or 0):
-        if n.base not in taken:
-            names[n] = n.base
-            taken.add(n.base)
-            continue
-        i = 1
-        while f"{n.base}_{i}" in taken:
-            i += 1
-        names[n] = f"{n.base}_{i}"
-        taken.add(names[n])
+    suffix: dict[str, int] = {}
+    for n in sorted(binders, key=lambda n: n.uid or 0):
+        s = n.base
+        if s in taken:
+            i = suffix.get(s, 1)
+            while f"{s}_{i}" in taken:
+                i += 1
+            suffix[s] = i + 1
+            s = f"{s}_{i}"
+        names[n] = s
+        taken.add(s)
     return names
+
+
+def display_names(p: Process) -> dict[Name, str]:
+    """Choose a distinct spelling for every channel in p (see
+    `_choose_names`)."""
+    f = _facts(p)
+    return _choose_names(f.binders, f.mentions, f.services)
 
 
 # Expression precedence, loosest first, for both `_Parser.parse_expr`
@@ -638,6 +663,50 @@ def print_process(p: Process, names: dict[Name, str] | None = None) -> str:
         raise TypeError(f"not a process: {p!r}")
 
     return go(p)
+
+
+def print_states(states: Sequence[NormalForm]) -> list[str]:
+    """`print_process(q.process())` for each normal form q, with each
+    thread summarised once per call.
+
+    `semantics.step` keeps untouched threads as the same objects, so a
+    table local to the call, keyed by thread identity, holds each
+    thread's `_facts` and its last text.  A state's names come from its
+    restrictions and its threads' facts, with no walk of the state.  A
+    thread is printed again only when the spellings of the names it
+    uses change: a binder that disappears can turn a later `k_2` into
+    `k_1`, so this is checked on every state.  The table holds each
+    thread, so no id is reused while it is in use.
+    """
+    facts: dict[int, tuple[Process, _Facts, tuple[Name, ...]]] = {}
+    shown: dict[int, tuple[list[str], str]] = {}
+    out: list[str] = []
+    for q in states:
+        rows = []
+        for t in q.threads:
+            row = facts.get(id(t))
+            if row is None:
+                f = _facts(t)
+                row = facts[id(t)] = (t, f, f.binders + tuple(f.mentions))
+            rows.append(row)
+        fs = [f for _, f, _ in rows]
+        names = _choose_names(
+            dict.fromkeys(chain(q.binders, *(f.binders for f in fs))),
+            set().union(*(f.mentions for f in fs)),
+            set().union(*(f.services for f in fs)))
+        texts = []
+        for t, _, used in rows:
+            spelled = [names[n] for n in used]
+            last = shown.get(id(t))
+            if last is None or last[0] != spelled:
+                last = shown[id(t)] = (spelled, print_process(t, names))
+            texts.append(last[1])
+        text = " | ".join(texts) or "0"
+        if q.binders and texts:
+            body = f"({text})" if len(texts) > 1 else text
+            text = f"new {', '.join(names[c] for c in q.binders)} . {body}"
+        out.append(text)
+    return out
 
 
 def print_delta(delta: dict[Name, SessionType],

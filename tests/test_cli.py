@@ -12,7 +12,11 @@ import pytest
 import sessionpi.cli as cli
 import sessionpi.congruence as congruence
 import sessionpi.depgraph as depgraph
+import sessionpi.progress as progress
 import sessionpi.semantics as semantics
+import sessionpi.surface as surface
+import sessionpi.syntax as sx
+import sessionpi.typecheck as typecheck
 import strategies as S
 from sessionpi.examples import SOURCES
 
@@ -192,23 +196,59 @@ def test_run_trace(capsys, spi):
     assert out.rstrip().endswith("0")
 
 
-def test_run_prints_each_state_once(capsys, monkeypatch):
-    calls = 0
-    printer = cli.print_process
+def count_prints(monkeypatch):
+    """Every argument `surface.print_process` is called with, through
+    every module that holds it by name.  Check with `one_thread_each`."""
+    printed = []
+    printer = surface.print_process
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return printer(*args)
+    def counted(p, *rest):
+        printed.append(p)
+        return printer(p, *rest)
 
-    monkeypatch.setattr(cli, "print_process", counted)
-    monkeypatch.setattr(semantics, "print_process", counted)
+    for m in (cli, congruence, depgraph, progress, semantics, surface,
+              typecheck):
+        if getattr(m, "print_process", None) is printer:
+            monkeypatch.setattr(m, "print_process", counted)
+    return printed
+
+
+def one_thread_each(printed):
+    """Each print was of one thread, never of a whole state."""
+    return bool(printed) and not any(isinstance(p, (sx.Par, sx.New))
+                                     for p in printed)
+
+
+def test_run_prints_each_thread_object_at_most_once(capsys, monkeypatch):
+    printed = count_prints(monkeypatch)
     code, data = run_json(capsys, "run", "--steps", "4",
                           str(SAMPLES / "relay.spi"))
     assert code == 0
-    trace = data["data"]["trace"]
-    assert len(trace) == 3  # two steps and the final state
-    assert calls == len(trace)
+    assert len(data["data"]["trace"]) == 3  # two steps and the final state
+    # no thread twice (`printed` keeps them alive, so ids stay distinct)
+    assert one_thread_each(printed)
+    assert len({id(p) for p in printed}) == len(printed)
+
+
+def test_run_reprints_few_of_the_threads_it_shows(capsys, monkeypatch,
+                                                 tmp_path):
+    slots = 0
+    files = []
+    for case in S.bench_gen().simulate(1):
+        f = tmp_path / case.name
+        f.write_text(case.text)
+        files.append(str(f))
+        src = surface.parse_source(case.text)
+        slots += sum(len(q.threads)
+                     for q in semantics.trace(src.process, 1000).states())
+    printed = count_prints(monkeypatch)
+    for f in files:
+        code, data = run_json(capsys, "run", "--steps", "1000", f)
+        assert code == 0 and data["data"]["trace"][-1]["final"]
+    # untouched threads are the same objects from state to state, and
+    # are printed again only when a name they use changes its spelling
+    assert one_thread_each(printed)
+    assert 5 * len(printed) <= slots, (len(printed), slots)
 
 
 def test_run_all_states(capsys, spi):
@@ -323,6 +363,18 @@ def test_json_output_does_not_depend_on_the_hash_seed():
         outs.append(r.stdout)
     assert outs[0].count("\n") == 4 * len(SOURCES)
     assert outs[0] == outs[1]
+
+
+def test_python_m_sessionpi_runs_the_cli(capsys):
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv, want in ((["run", "--steps", "4"], 0), (["transparent"], 1)):
+        f = str(SAMPLES / "circular_waits_hidden.spi")
+        r = subprocess.run([sys.executable, "-m", "sessionpi", *argv, f],
+                           env=env, capture_output=True, text=True,
+                           timeout=120)
+        assert (r.returncode, r.stdout) == run(capsys, *argv, f)[:2]
+        assert r.returncode == want
 
 
 _SOUP = ("sessions env new if then else not and or end int bool string true "

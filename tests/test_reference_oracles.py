@@ -1,6 +1,8 @@
 """Four functions as they read before `syntax.subject`, `syntax.mentions`
 and `congruence.occurrences` took over their node-name matches and
-their occurrence scans, kept as oracles for the rewritten ones."""
+their occurrence scans, kept as oracles for the rewritten ones.
+`reference_display_names` also keeps the suffix search that probes
+every suffix from 1 for each binder."""
 import functools
 import random
 from collections import Counter
@@ -163,15 +165,24 @@ PAIRS = {
 }
 
 
+def same_spelling_servers(n):
+    """`*a0(k).k?(x).0 | ... | *a{n-1}(k).k?(x).0`: n binders spelled k."""
+    def server(i):
+        k = sx.bound_chan("k")
+        return sx.Serve(sx.svc(f"a{i}"), k, sx.Receive(k, "x", sx.Stop()))
+
+    return functools.reduce(sx.Par, [server(i) for i in range(n)])
+
+
 @functools.cache
 def corpus_states():
-    """Every state `explore` reaches in 3 steps from a sample, and every
-    state of the default run of each `simulate(1, scale=0.3)` file."""
+    """Every state `explore` reaches in 3 steps from a sample, every
+    state of the default run of each `simulate(1, scale=0.3)` file, and
+    2,000 servers whose binders share one spelling."""
     out = [q for name in SOURCES for q in sm.explore(load(name).process, 3)]
     for case in S.bench_gen().simulate(1, scale=0.3):
-        t = sm.trace(sf.parse_source(case.text).process, 1000)
-        out += [q for q, _ in t.steps] + [t.final]
-    return [q.process() for q in out]
+        out += sm.trace(sf.parse_source(case.text).process, 1000).states()
+    return [q.process() for q in out] + [same_spelling_servers(2000)]
 
 
 @pytest.mark.parametrize("name", PAIRS)

@@ -469,6 +469,57 @@ def test_step_flattens_only_its_continuations(monkeypatch):
     assert flattened[0] == flattened[1]
 
 
+# ----------------------------------------------------------- printing states
+
+def assert_printed_as_processes(qs):
+    assert sf.print_states(qs) == [sf.print_process(q.process()) for q in qs]
+
+
+def test_print_states_agrees_with_printing_each_state():
+    # every trace and `explore(..., 4)` state list of the samples and of
+    # the `simulate(1, scale=0.3)` benchmark files
+    procs = [load(name).process for name in SOURCES]
+    procs += [sf.parse_source(case.text).process
+              for case in S.bench_gen().simulate(1, scale=0.3)]
+    for p in procs:
+        assert_printed_as_processes(sm.trace(p, 100).states())
+        assert_printed_as_processes(sm.trace(p, 100, seed=3).states())
+        assert_printed_as_processes(sm.explore(p, 4))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 10_000))
+def test_print_states_agrees_on_generated_traces(seed):
+    rng = random.Random(seed)
+    for p in (S.well_typed(rng)[1], S.cyclic(rng), S.typed_cycles(rng)[1]):
+        assert_printed_as_processes(sm.trace(p, 30, seed=seed).states())
+
+
+def test_a_kept_thread_is_printed_again_when_its_names_change():
+    # serving the first request drops its binder `k_1`, so the second
+    # request, the same thread object in both states, goes from `k_2`
+    # to `k_1`
+    src = sf.parse_source("env a : <?[int].end>;\n"
+                          "*a(k).k?(x).0 | a<k>.k!(1).0 | a<k>.k!(2).0")
+    qs = sm.trace(src.process, 100).states()
+    assert qs[1].threads[-1] is qs[0].threads[-1]
+    shown = sf.print_states(qs)
+    assert shown[:2] == [
+        "*a(k).k?(x).0 | a<k_1>.k_1!(1).0 | a<k_2>.k_2!(2).0",
+        "new k_2 . (*a(k).k?(x).0 | k_2?(x).0 | k_2!(1).0"
+        " | a<k_1>.k_1!(2).0)"]
+    assert_printed_as_processes(qs)
+
+
+def test_print_states_of_no_threads_and_of_one():
+    k = sx.bound_chan("k")
+    one = sx.Receive(k, "x", sx.Stop())
+    qs = [cg.NormalForm((), ()), cg.NormalForm((k,), ()),
+          cg.NormalForm((), (one,)), cg.NormalForm((k,), (one,))]
+    assert sf.print_states(qs) == ["0", "0", "k?(x).0", "new k . k?(x).0"]
+    assert_printed_as_processes(qs)
+
+
 def test_trace_records_shape():
     p = parse("k?(x).0 | k!(1).0", sessions=("k",))
     t = sm.trace(p, 5)
