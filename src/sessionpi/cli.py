@@ -101,15 +101,14 @@ def _cmd_transparent(args) -> int:
     v = depgraph.is_transparent(src.gamma, src.process)
     data: dict = {"reason": v.reason, "detail": v.detail}
     lines = [v.verdict]
-    if v.cycle is not None:
+    if v.cycle is not None:  # with the sub-term it lies in
         names = display_names(src.process)
         chans = [names.get(c, c.base) for c in v.cycle.channels]
         data["cycle"] = {"threads": list(v.cycle.nodes), "channels": chans}
+        data["subterm"] = print_process(v.subterm, names)
         hops = " -- ".join(f"t{n}" for n in v.cycle.nodes)
         lines.append(f"  cycle: {hops} -- t{v.cycle.nodes[0]}"
                      f" via {', '.join(chans)}")
-    if v.subterm is not None:
-        data["subterm"] = print_process(v.subterm)
         lines.append(f"  in sub-term: {data['subterm']}")
     if v.reason == "ill-typed":
         lines.append(f"  {v.detail}")
@@ -141,6 +140,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_inhabit(args) -> int:
+    try:
+        toks = surface.tokenize(args.chan)
+    except surface.ParseError:
+        toks = []
+    if (args.chan.startswith("#") or [(t.kind, t.text) for t in toks]
+            != [("ident", args.chan), ("eof", "")]):
+        raise ValueError(
+            f"--chan must be one channel name, not {args.chan!r}")
     a = surface.parse_type(args.type)
     k = sx.chan(args.chan)
     p, ext = progress.inhabit(a, k)
@@ -171,7 +178,7 @@ def _cmd_progress(args) -> int:
         data["cut"] = [print_process(t, names) for t in r.cut]
         data["failed"] = r.failed
         if r.partner is not None:
-            data["partner"] = print_process(r.partner)
+            data["partner"] = print_process(r.partner, names)
         lines.append(f"  state: {data['state']}")
         lines.append(f"  stuck decomposition: {' | '.join(data['cut'])}")
         if r.partner is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 
 from . import syntax as sx
 from .surface import print_process
@@ -91,7 +92,7 @@ def chan_order(c: Name) -> tuple[str, int]:
 
 
 def occurrences(nf: NormalForm) -> tuple[
-        list[set[Name]], dict[Name, list[int]]]:
+        list[frozenset[Name]], dict[Name, list[int]]]:
     """Each thread's free channels, and the threads each channel is free
     in, ascending: the one occurrence index behind the dependency graph,
     its cycle check and `canonical_key`.
@@ -134,7 +135,8 @@ def canonical_key(p: Process | NormalForm) -> str:
 
     Threads are sorted under a print that is blind to the spelling of
     bound names: a thread's own binders are numbered in its traversal
-    order, and every restriction gets a colour.  While threads tie, each
+    order (its `syntax.facts` binders, taken once per call), and every
+    restriction gets a colour.  While threads tie, each
     restriction's colour is refined by the prints of the threads it
     occurs in (read off the `occurrences` index, built only when there
     are restrictions), until the colours stop splitting, so threads that
@@ -151,19 +153,12 @@ def canonical_key(p: Process | NormalForm) -> str:
     occ = occurrences(nf)[1] if nf.binders else {}
     binders = [c for c in nf.binders if c in occ]
 
-    def collect(t: Process, names: dict[Name, str], tag) -> None:
-        todo = [t]
-        while todo:
-            q = todo.pop()
-            b = sx.binder(q)
-            if b is not None and b[0] not in names:
-                names[b[0]] = tag(len(names))
-            todo.extend(reversed(sx.children(q)))
-
+    binds = [sx.facts(t).binders for t in threads]
     blind: dict[Name, str] = {}
-    for t in threads:
+    for bs in binds:
         start = len(blind)
-        collect(t, blind, lambda i: f"#{i - start}")
+        for c in bs:
+            blind.setdefault(c, f"#{len(blind) - start}")
     for c in binders:
         blind[c] = "#r"
 
@@ -181,15 +176,13 @@ def canonical_key(p: Process | NormalForm) -> str:
         for c in binders:
             blind[c] = ranks[sig[c]]
         shown = [print_process(t, blind) for t in threads]
-    order = [threads[i] for i in sorted(range(len(threads)),
-                                        key=shown.__getitem__)]
+    order = sorted(range(len(threads)), key=shown.__getitem__)
 
     numbered: dict[Name, str] = {}
-    for t in order:
-        collect(t, numbered, lambda i: f"b{i}")
-    for c in binders:
+    for c in chain(*(binds[i] for i in order), binders):
         numbered.setdefault(c, f"b{len(numbered)}")
 
     used = sorted({numbered[c] for c in binders})
     head = f"new {', '.join(used)} . " if used else ""
-    return head + " | ".join(print_process(t, numbered) for t in order)
+    return head + " | ".join(print_process(threads[i], numbered)
+                             for i in order)

@@ -74,7 +74,7 @@ def build_graph(p: Process | NormalForm,
     nf = congruence.normal_form(p)
     fscs, occ = congruence.occurrences(nf)
     removed = set(nf.binders)
-    labels = tuple(frozenset(f - removed) for f in fscs)
+    labels = tuple(f - removed for f in fscs)
     if names is None:
         names = display_names(nf.process())
     texts = tuple(print_process(t, names) for t in nf.threads)

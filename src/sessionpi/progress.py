@@ -193,23 +193,8 @@ def _cut_failure(gamma: dict[str, Sort],
     return None
 
 
-def _ties(t: Process) -> set[Name]:
-    """The names that can tie thread t to another thread: its free
-    session channels, and every service it serves, accepts or requests
-    anywhere below its head."""
-    names = sx.free_session_channels(t)
-    todo = [t]
-    while todo:
-        q = todo.pop()
-        a = sx.subject(q)
-        if a is not None and a.kind == sx.SERVICE:
-            names.add(a)
-        todo.extend(sx.children(q))
-    return names
-
-
 def _split(pick: tuple[int, ...],
-           ties: list[set[Name]]) -> list[tuple[int, ...]]:
+           ties: list[frozenset[Name]]) -> list[tuple[int, ...]]:
     """The threads of `pick` (thread numbers) grouped into parts that
     share no tie; each part keeps the pick's order."""
     groups: list[tuple[set[Name], list[int]]] = []
@@ -227,7 +212,7 @@ def _split(pick: tuple[int, ...],
     return [tuple(pick[n] for n in sorted(members)) for _, members in groups]
 
 
-def _parts_pass(nums: tuple[int, ...], ties: list[set[Name]],
+def _parts_pass(nums: tuple[int, ...], ties: list[frozenset[Name]],
                 live: list[bool], passed: set[tuple[int, ...]],
                 transparent: Callable[[tuple[int, ...]], bool]) -> bool:
     """The independence rule for the stuck piece `nums` (thread
@@ -296,7 +281,7 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     number: dict[Process, int] = {}
     numbered: list[Process] = []
     live: list[bool] = []
-    ties: list[set[Name]] = []
+    ties: list[frozenset[Name]] = []
     passed: set[tuple[int, ...]] = set()
     transparent_parts: dict[tuple[int, ...], bool] = {}
 
@@ -320,7 +305,8 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
                     i = number[t] = len(numbered)
                     numbered.append(t)
                     live.append(congruence.has_live_channels(t))
-                    ties.append(_ties(t))
+                    f = sx.facts(t)
+                    ties.append(f.free | f.services)
                 ids.append(i)
             succs = semantics.redexes(state)
             moves = {(r.i,) if r.j is None else (r.i, r.j) for r in succs}

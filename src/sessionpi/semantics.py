@@ -127,7 +127,8 @@ class Redex:
         if self.rule == "Sel":
             extra = f" {self.label}"
         elif self.rule == "Com":
-            extra = f" {self.value!r}"
+            v = self.value
+            extra = f" {v.base}" if isinstance(v, Name) else f" {v!r}"
         elif self.rule == "Del" and self.chan is not None:
             extra = f" {self.chan.base}"
         return f"{self.rule}@{where}{extra}"

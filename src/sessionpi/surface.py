@@ -493,47 +493,20 @@ def parse_type(text: str) -> SessionType:
 
 # ------------------------------------------------------------------ printing
 
-class _Facts(NamedTuple):
-    """What a term's display names depend on, from one sweep of it."""
-    binders: tuple[Name, ...]  # in traversal order, each once
-    services: frozenset[str]   # spellings of the services its prefixes use
-    mentions: frozenset[Name]  # session channels its prefixes name
-
-
-def _facts(p: Process) -> _Facts:
-    """One pre-order sweep of p, left to right, through `syntax.binder`,
-    `syntax.subject` and `syntax.mentions`."""
-    bound: dict[Name, None] = {}
-    services: set[str] = set()
-    mentioned: set[Name] = set()
-    todo = [p]
-    while todo:
-        q = todo.pop()
-        b = sx.binder(q)
-        if b is not None:
-            bound.setdefault(b[0])
-        a = sx.subject(q)
-        if a is not None and a.kind == sx.SERVICE:
-            services.add(a.base)
-        mentioned.update(sx.mentions(q))
-        todo.extend(reversed(sx.children(q)))
-    return _Facts(tuple(bound), frozenset(services), frozenset(mentioned))
-
-
 def _choose_names(binders: Collection[Name], mentioned: AbstractSet[Name],
-                  services: AbstractSet[str]) -> dict[Name, str]:
+                  services: AbstractSet[Name]) -> dict[Name, str]:
     """The one naming rule: free channels keep their spelling; binders,
     in binder id order, get a numeric suffix when their spelling is
     already taken, by a free channel, a service or an earlier binder.
 
-    As in `syntax.free_session_channels`, the free channels are the
-    mentioned ones minus the binders, since binder ids are globally
-    unique.  The taken spellings only grow, so the smallest free suffix
-    of a spelling never falls: each spelling keeps the next suffix to
-    try, and each suffix is probed once.
+    As in `syntax.Facts.free`, the free channels are the mentioned ones
+    minus the binders, since binder ids are globally unique.  The taken
+    spellings only grow, so the smallest free suffix of a spelling
+    never falls: each spelling keeps the next suffix to try, and each
+    suffix is probed once.
     """
     free = mentioned.difference(binders)
-    taken = {n.base for n in free} | services
+    taken = {n.base for n in chain(free, services)}
     names: dict[Name, str] = {n: n.base for n in free}
     suffix: dict[str, int] = {}
     for n in sorted(binders, key=lambda n: n.uid or 0):
@@ -552,7 +525,7 @@ def _choose_names(binders: Collection[Name], mentioned: AbstractSet[Name],
 def display_names(p: Process) -> dict[Name, str]:
     """Choose a distinct spelling for every channel in p (see
     `_choose_names`)."""
-    f = _facts(p)
+    f = sx.facts(p)
     return _choose_names(f.binders, f.mentions, f.services)
 
 
@@ -671,14 +644,14 @@ def print_states(states: Sequence[NormalForm]) -> list[str]:
 
     `semantics.step` keeps untouched threads as the same objects, so a
     table local to the call, keyed by thread identity, holds each
-    thread's `_facts` and its last text.  A state's names come from its
-    restrictions and its threads' facts, with no walk of the state.  A
-    thread is printed again only when the spellings of the names it
-    uses change: a binder that disappears can turn a later `k_2` into
-    `k_1`, so this is checked on every state.  The table holds each
-    thread, so no id is reused while it is in use.
+    thread's `syntax.facts` and its last text.  A state's names come
+    from its restrictions and its threads' facts, with no walk of the
+    state.  A thread is printed again only when the spellings of the
+    names it uses change: a binder that disappears can turn a later
+    `k_2` into `k_1`, so this is checked on every state.  The table
+    holds each thread, so no id is reused while it is in use.
     """
-    facts: dict[int, tuple[Process, _Facts, tuple[Name, ...]]] = {}
+    facts: dict[int, tuple[Process, sx.Facts, tuple[Name, ...]]] = {}
     shown: dict[int, tuple[list[str], str]] = {}
     out: list[str] = []
     for q in states:
@@ -686,7 +659,7 @@ def print_states(states: Sequence[NormalForm]) -> list[str]:
         for t in q.threads:
             row = facts.get(id(t))
             if row is None:
-                f = _facts(t)
+                f = sx.facts(t)
                 row = facts[id(t)] = (t, f, f.binders + tuple(f.mentions))
             rows.append(row)
         fs = [f for _, f, _ in rows]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 _uids = itertools.count(1)
 
@@ -385,24 +386,45 @@ def mentions(p: Process) -> tuple[Name, ...]:
     return ()
 
 
-def free_session_channels(p: Process) -> set[Name]:
-    """Free session channels of a process.
+class Facts(NamedTuple):
+    """What a term's names are, from one sweep of it."""
+    binders: tuple[Name, ...]  # in pre-order, left to right, each once
+    services: frozenset[Name]  # those it serves, accepts or requests
+    mentions: frozenset[Name]  # session channels its prefixes name
 
-    Binder ids are globally unique, so a bound channel's occurrences can
-    only sit under its own binder: the free channels are the occurring
-    names minus the bound ones, collected in one non-recursive sweep.
-    """
-    occurring: set[Name] = set()
-    bound: set[Name] = set()
-    todo: list[Process] = [p]
+    @property
+    def free(self) -> frozenset[Name]:
+        """The free session channels.  Binder ids are globally unique,
+        so a bound channel's occurrences can only sit under its own
+        binder: the free channels are the mentioned ones minus the
+        binders."""
+        return self.mentions.difference(self.binders)
+
+
+def facts(p: Process) -> Facts:
+    """One non-recursive pre-order sweep of p, left to right, through
+    `binder`, `subject` and `mentions`: the one reader of a term's
+    names below its head."""
+    bound: dict[Name, None] = {}
+    services: set[Name] = set()
+    mentioned: set[Name] = set()
+    todo = [p]
     while todo:
         q = todo.pop()
         b = binder(q)
         if b is not None:
-            bound.add(b[0])
-        occurring.update(mentions(q))
-        todo.extend(children(q))
-    return occurring - bound
+            bound.setdefault(b[0])
+        a = subject(q)
+        if a is not None and a.kind == SERVICE:
+            services.add(a)
+        mentioned.update(mentions(q))
+        todo.extend(reversed(children(q)))
+    return Facts(tuple(bound), frozenset(services), frozenset(mentioned))
+
+
+def free_session_channels(p: Process) -> frozenset[Name]:
+    """Free session channels of a process: `facts(p).free`."""
+    return facts(p).free
 
 
 def _rename(p: Process, env: dict[Name, Name],

@@ -98,6 +98,22 @@ def test_transparent_verdicts(capsys, spi):
     assert "cycle" in out
 
 
+def test_transparent_prints_the_sub_term_with_the_file_s_names(capsys,
+                                                               tmp_path):
+    f = tmp_path / "two_ks.spi"
+    f.write_text("env a : <end>; new k . (k!(1).0 | k?(x).0)"
+                 " | a(k2) . new k, k1 . (k?(x).k1!(x).0 | k1?(x).k!(x).0)\n")
+    code, out, _ = run(capsys, "transparent", str(f))
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "  cycle: t0 -- t1 -- t0 via k_1, k1",
+        "  in sub-term: new k_1, k1 . (k_1?(x).k1!(x).0 | k1?(x).k_1!(x).0)"]
+    code, data = run_json(capsys, "transparent", str(f))
+    assert data["data"]["cycle"]["channels"] == ["k_1", "k1"]
+    assert data["data"]["subterm"] == \
+        "new k_1, k1 . (k_1?(x).k1!(x).0 | k1?(x).k_1!(x).0)"
+
+
 def test_transparent_reports_ill_typed(capsys, tmp_path):
     f = tmp_path / "bad.spi"
     f.write_text("sessions k;\nk!(1).0 | k!(2).0\n")
@@ -196,6 +212,17 @@ def test_run_trace(capsys, spi):
     assert out.rstrip().endswith("0")
 
 
+def test_run_shows_a_service_value_by_its_name(capsys, tmp_path):
+    f = tmp_path / "svc.spi"
+    f.write_text("env a : <![<end>].end>; env b : <end>;"
+                 " *a(k).k!(b).0 | a<k>.k?(x).0\n")
+    code, out, _ = run(capsys, "run", str(f))
+    assert code == 0
+    assert out.splitlines()[3] == "  --[Com@2,1 b]-->"
+    code, data = run_json(capsys, "run", str(f))
+    assert data["data"]["trace"][1]["value"] == "b"
+
+
 def count_prints(monkeypatch):
     """Every argument `surface.print_process` is called with, through
     every module that holds it by name.  Check with `one_thread_each`."""
@@ -275,6 +302,13 @@ def test_inhabit_bad_type_is_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("chan", ["", "x y", "end", "#k", "#", "k!", " k"])
+def test_inhabit_chan_must_be_one_channel_name(capsys, chan):
+    code, out, err = run(capsys, "inhabit", "![int].end", "--chan", chan)
+    assert (code, out) == (2, "")
+    assert err == f"error: --chan must be one channel name, not {chan!r}\n"
+
+
 def test_progress_exit_codes(capsys, spi):
     assert cli.main(["progress", spi("buyer_seller")]) == 0
     assert cli.main(["progress", spi("circular_waits")]) == 1
@@ -287,6 +321,23 @@ def test_progress_reports_the_cut(capsys, spi):
     assert data["verdict"] == "counterexample"
     assert data["data"]["failed"] == "no-partner"
     assert len(data["data"]["cut"]) == 2
+
+
+def test_progress_prints_the_partner_with_the_state_s_names(capsys, tmp_path):
+    # the partner completes the cut's k_1!(1).0; its k is the state's k_1
+    f = tmp_path / "partner.spi"
+    f.write_text("env a : <end>; a(k2) . new k, k1 . (k?(x).k1!(x).0"
+                 " | k1?(x).k!(x).0) | new k . (k!(1).0 | k?(x).0)\n")
+    code, out, _ = run(capsys, "progress", str(f))
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "  state: new k_1 . (a(k2).new k, k1 . (k?(x).k1!(x).0"
+        " | k1?(x).k!(x).0) | k_1!(1).0 | k_1?(x).0)",
+        "  stuck decomposition: a(k2).new k, k1 . (k?(x).k1!(x).0"
+        " | k1?(x).k!(x).0) | k_1!(1).0",
+        "  best partner tried: k_1?(x).0"]
+    code, data = run_json(capsys, "progress", str(f))
+    assert (code, data["data"]["partner"]) == (1, "k_1?(x).0")
 
 
 @pytest.mark.parametrize("command, flag", [("run", "--steps"),
@@ -410,6 +461,40 @@ def test_cli_contract_on_fuzzed_inputs(capsys, tmp_path):
                 assert "Traceback" not in out + err and err.count("\n") <= 1, text
                 if flags and out:
                     json.loads(out)
+
+
+_TYPE_SOUP = "end ? ! [ ] . , : < > & + { } int bool ok k ![ &{ #".split()
+_CHANS = ["k", "k2", "_k", "", " ", "x y", "k!", "1k", "end", "new", "int",
+          "#k", "#", "²", "k // c", "k\n", "ok"]
+
+
+def _session_type(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return "end"
+    t = _session_type(rng, depth - 1)
+    u = _session_type(rng, depth - 1)
+    return rng.choice([f"?[int].{t}", f"![bool].{t}", f"![<{u}>].{t}",
+                       f"?[{u}].{t}", f"![{u}].{t}", f"&{{ok: {t}, no: {u}}}",
+                       f"+{{ok: {t}, no: {u}}}"])
+
+
+def test_inhabit_contract_on_fuzzed_inputs(capsys):
+    """Every type string and --chan value gets exit 0, or exit 2 with
+    one line on stderr; with --json, one JSON record or nothing."""
+    rng = random.Random(11)
+    for i in range(200):
+        ty = _session_type(rng, 4)
+        if i % 3:  # splice in a token
+            a = rng.randrange(len(ty))
+            ty = ty[:a] + rng.choice(_TYPE_SOUP) + ty[a + rng.randint(0, 3):]
+        chan = rng.choice(_CHANS) if i % 2 else "k"
+        for flags in ([], ["--json"]):
+            argv = [*flags, "inhabit", ty, "--chan", chan]
+            code, out, err = run(capsys, *argv)
+            assert "Traceback" not in out + err, argv
+            assert (code, err.count("\n")) in ((0, 0), (2, 1)), argv
+            if flags and out:
+                json.loads(out)
 
 
 def test_every_traced_function_exists():

@@ -416,7 +416,7 @@ def test_the_independence_rule_is_sound(seed):
     threads = [t for ts, _ in units for t in ts]
     rng.shuffle(threads)
     nums = tuple(range(len(threads)))
-    ties = [pg._ties(t) for t in threads]
+    ties = [f.free | f.services for f in map(sx.facts, threads)]
     parts = pg._split(nums, ties)
     part_of = {i: part for part in parts for i in part}
     unit_of = {t: n for n, (ts, _) in enumerate(units) for t in ts}

@@ -1,8 +1,8 @@
-"""Four functions as they read before `syntax.subject`, `syntax.mentions`
-and `congruence.occurrences` took over their node-name matches and
-their occurrence scans, kept as oracles for the rewritten ones.
-`reference_display_names` also keeps the suffix search that probes
-every suffix from 1 for each binder."""
+"""Five functions as they read before `syntax.subject`, `syntax.mentions`,
+`syntax.facts` and `congruence.occurrences` took over their node-name
+matches, their sweeps for names and their occurrence scans, kept as
+oracles for the rewritten ones.  `reference_display_names` also keeps
+the suffix search that probes every suffix from 1 for each binder."""
 import functools
 import random
 from collections import Counter
@@ -69,6 +69,21 @@ def reference_display_names(p):
             i += 1
         names[n] = f"{n.base}_{i}"
         taken.add(names[n])
+    return names
+
+
+def reference_ties(t):
+    """The names that can tie thread t to another thread: its free
+    session channels, and every service it serves, accepts or requests
+    anywhere below its head."""
+    names = reference_free_session_channels(t)
+    todo = [t]
+    while todo:
+        q = todo.pop()
+        match q:
+            case sx.Serve(a, _, _) | sx.Accept(a, _, _) | sx.Request(a, _, _):
+                names.add(a)
+        todo.extend(sx.children(q))
     return names
 
 
@@ -150,15 +165,20 @@ def reference_canonical_key(p):
     return head + " | ".join(sf.print_process(t, numbered) for t in order)
 
 
-def free_channels_of_each_part(fn):
+def of_each_part(fn):
     """fn on the whole term and on each of its threads."""
     return lambda p: [fn(p)] + [fn(t) for t in cg.normal_form(p).threads]
 
 
+def ties(t):
+    f = sx.facts(t)
+    return f.free | f.services
+
+
 PAIRS = {
-    "free_session_channels": (
-        free_channels_of_each_part(sx.free_session_channels),
-        free_channels_of_each_part(reference_free_session_channels)),
+    "free_session_channels": (of_each_part(sx.free_session_channels),
+                              of_each_part(reference_free_session_channels)),
+    "ties": (of_each_part(ties), of_each_part(reference_ties)),
     "display_names": (sf.display_names, reference_display_names),
     "redexes": (sm.redexes, reference_redexes),
     "canonical_key": (cg.canonical_key, reference_canonical_key),
@@ -199,3 +219,20 @@ def test_rewritten_functions_agree_with_the_reference(name):
             assert new(p) == reference(p), sf.print_process(p)
 
     generated()
+
+
+def test_canonical_key_sweeps_each_thread_at_most_twice(monkeypatch):
+    # once for the occurrence index, once for the binders it numbers
+    calls = [0]
+    real = sx.facts
+
+    def counted(p):
+        calls[0] += 1
+        return real(p)
+
+    monkeypatch.setattr(sx, "facts", counted)
+    for p in corpus_states():
+        nf = cg.normal_form(p)
+        calls[0] = 0
+        cg.canonical_key(nf)
+        assert calls[0] <= 2 * len(nf.threads), sf.print_process(p)
