@@ -120,11 +120,18 @@ def _cmd_run(args) -> int:
     src = _load(args.file)
     try:
         if args.all:
-            states = semantics.explore(src.process, args.steps)
-            shown = surface.print_states(states)
-            _emit(args, "ok", {"states": shown},
-                  [f"{len(shown)} states within {args.steps} steps:"]
-                  + [f"  {s}" for s in shown])
+            # one state more than the bound tells whether it was hit
+            states = semantics.explore(src.process, args.steps,
+                                       args.max_states + 1)
+            shown = surface.print_states(states[:args.max_states])
+            data: dict = {"states": shown}
+            lines = ([f"{len(shown)} states within {args.steps} steps:"]
+                     + [f"  {s}" for s in shown])
+            if len(states) > args.max_states:
+                data["bound_hit"] = True
+                lines.append("  (state bound hit; raise --max-states to"
+                             " explore further)")
+            _emit(args, "ok", data, lines)
         else:
             t = semantics.trace(src.process, args.steps, seed=args.seed)
             # each state is printed once, for the form that is output
@@ -141,11 +148,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_inhabit(args) -> int:
     try:
-        toks = surface.tokenize(args.chan)
+        tags, texts, _ = surface.tokenize(args.chan)
     except surface.ParseError:
-        toks = []
-    if (args.chan.startswith("#") or [(t.kind, t.text) for t in toks]
-            != [("ident", args.chan), ("eof", "")]):
+        tags = texts = []
+    if (args.chan.startswith("#")
+            or list(zip(tags, texts)) != [(surface.IDENT, args.chan),
+                                          (surface.EOF, "")]):
         raise ValueError(
             f"--chan must be one channel name, not {args.chan!r}")
     a = surface.parse_type(args.type)
@@ -258,6 +266,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="random trace from this seed (default: first redex)")
     g.add_argument("--all", action="store_true",
                    help="every reachable state instead of one trace")
+    p.add_argument("--max-states", type=_bound, default=2000, metavar="N",
+                   help="with --all, stop after N distinct states")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("inhabit", parents=[shared],

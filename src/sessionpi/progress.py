@@ -118,8 +118,13 @@ def construct_partner(
         raise ValueError("process still reduces on its own")
     if not congruence.has_live_channels(p):
         raise ValueError("process has no live channels to complete")
+    return _partner(gamma, p, congruence.normal_form(p).threads)
 
-    threads = congruence.normal_form(p).threads
+
+def _partner(gamma: dict[str, Sort], p: Process, threads: tuple[Process, ...]
+             ) -> tuple[Process, dict[str, Sort]] | None:
+    """`construct_partner` for p, whose normal form has these threads,
+    once p is known to be irreducible and live."""
     avoid = set(gamma)
 
     for t in threads:
@@ -168,11 +173,12 @@ _CONDITIONS = {
 }
 
 
-def _cut_failure(gamma: dict[str, Sort],
-                 piece: Process) -> tuple[str, Process | None] | None:
-    """None when the live, irreducible piece passes; else (failed
-    condition, partner)."""
-    got = construct_partner(gamma, piece)
+def _cut_failure(gamma: dict[str, Sort], cut: tuple[Process, ...]
+                 ) -> tuple[str, Process | None] | None:
+    """None when the live, irreducible piece made of the threads `cut`
+    passes; else (failed condition, partner)."""
+    piece = reduce(sx.Par, cut)
+    got = _partner(gamma, piece, cut)
     if got is None:
         return ("no-partner", None)
     partner, ext = got
@@ -328,7 +334,7 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
                         passed.add(nums)
                         continue
                     cut = tuple(threads[i] for i in pick)
-                    bad = _cut_failure(gamma, reduce(sx.Par, cut))
+                    bad = _cut_failure(gamma, cut)
                     if bad is None:
                         passed.add(nums)
                         continue

@@ -279,10 +279,13 @@ class Trace:
         return [q for q, _ in self.steps] + [self.final]
 
 
-def explore(p: Process | NormalForm, depth: int) -> list[NormalForm]:
+def explore(p: Process | NormalForm, depth: int,
+            max_states: int = 2000) -> list[NormalForm]:
     """Breadth-first list of the states (normal forms) reachable from p
     in at most `depth` steps, deduplicated up to congruence and
-    renaming, starting with p's own normal form."""
+    renaming, starting with p's own normal form.  The search stops once
+    it holds `max_states` states, so the list is the first `max_states`
+    of the unbounded one (always at least the start)."""
     start = congruence.normal_form(p)
     seen = {congruence.canonical_key(start)}
     out = [start]
@@ -291,6 +294,8 @@ def explore(p: Process | NormalForm, depth: int) -> list[NormalForm]:
         nxt: list[NormalForm] = []
         for q in frontier:
             for r in redexes(q):
+                if len(out) >= max_states:
+                    return out
                 q2 = step(q, r)
                 key = congruence.canonical_key(q2)
                 if key not in seen:

@@ -19,6 +19,17 @@ rejected in every binding position except `env`.
 
 Comments run from `//` to end of line.  Prefixes bind tighter than `|`,
 so `new k . P | Q` is `(new k . P) | Q`; parenthesise for wider scope.
+
+Tokens.  `tokenize` makes one regex match per token, with the blanks,
+newlines and comments in front of it taken into the same match, and
+returns three parallel lists: tags, texts and offsets into the text.
+A symbol's or keyword's tag is its own text; identifiers, ints,
+strings and the end of input are tagged `IDENT`, `INT`, `STRING` and
+`EOF`, which start with a blank, so no token text equals them.  Lines
+are not tracked: `position` turns an offset into a line and a column
+when a `ParseError` is raised, and only then.  The parser reads the
+lists by index, and reads a chain of prefixes in a loop, so a long
+chain needs no recursion.
 """
 from __future__ import annotations
 
@@ -26,7 +37,7 @@ import re
 from collections.abc import Collection, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from . import syntax as sx
 from .syntax import Expr, Name, Process, SessionType, Sort
@@ -60,67 +71,83 @@ _SYMBOLS = [
     "|", "*", "&", "+", "-", "=", "/",
 ]
 
-# `\d` is `str.isdecimal` and `\w` is `str.isalnum` plus '_', so a
-# digit such as '²' starts a word, not an int; `tokenize` rejects a word
-# that does not start with a letter, '_' or '#'.  Any other character
-# is `bad`.
+IDENT, INT, STRING, EOF = " ident", " int", " string", " eof"
+
+# Each match is layout, then one token.  `\d` is `str.isdecimal` and
+# `\w` is `str.isalnum` plus '_', so a digit such as '²' starts a word,
+# not an int; `tokenize` rejects a word that does not start with a
+# letter, '_' or '#'.  Any other character is `bad`.  The layout takes
+# every blank, newline and comment, and `eof` or `bad` always matches
+# right after it, so a match never backtracks into the layout.
 _STRING = r'"(?:[^"\\\n]|\\[nt"\\])*'
-_TOKEN = re.compile("|".join([
-    r"(?P<nl>\n)", r"(?P<blank>[ \t\r]+)", r"(?P<comment>//[^\n]*)",
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|(?P<comment>//[^\n]*))*(?:" + "|".join([
     r"(?P<int>\d+)", r"(?P<word>[\w#]\w*)", f'(?P<string>{_STRING}")',
-    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")", r"(?P<bad>.)",
-]))
+    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+    r"(?P<eof>\Z)", r"(?P<bad>.)",
+]) + ")")
 _STRING_PREFIX = re.compile(_STRING)
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "int", "string", "kw", "sym", "eof"
-    text: str
-    line: int
-    col: int
+def position(text: str, off: int) -> tuple[int, int]:
+    """The line and column, both counted from 1, of offset `off`."""
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
-def _string_error(text: str, i: int, line: int, col: int) -> ParseError:
-    """Why the string starting at text[i] (line, col) does not lex."""
-    j = _STRING_PREFIX.match(text, i).end()
-    if j + 1 < len(text) and text[j] == "\\" and text[j + 1] != "\n":
-        return ParseError(f"bad escape '\\{text[j + 1]}'", line, col + j - i)
-    return ParseError("unterminated string", line, col)
+def _lex_error(text: str, off: int) -> ParseError:
+    """Why no token starts at text[off]."""
+    c = text[off]
+    if c == "#":
+        return ParseError("'#' must start a name", *position(text, off))
+    if c == '"':
+        j = _STRING_PREFIX.match(text, off).end()
+        if j + 1 < len(text) and text[j] == "\\" and text[j + 1] != "\n":
+            return ParseError(f"bad escape '\\{text[j + 1]}'",
+                              *position(text, j))
+        return ParseError("unterminated string", *position(text, off))
+    return ParseError(f"unexpected character {c!r}", *position(text, off))
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0
-    m = None
+def tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The tags, texts and offsets of text's tokens, the last one `EOF`
+    (with text "")."""
+    tags: list[str] = []
+    texts: list[str] = []
+    offs: list[int] = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "nl":
-            line, line_start = line + 1, m.end()
-            continue
-        if kind == "blank" or kind == "comment":
-            continue
-        word, col = m.group(), m.start() - line_start + 1
-        if kind == "word":
-            if word == "#":
-                raise ParseError("'#' must start a name", line, col)
-            if not (word[0].isalpha() or word[0] in "_#"):
-                kind, word = "bad", word[0]
+        word = m[kind]
+        off = m.start(kind)
+        if kind == "sym":
+            tag = word
+        elif kind == "word":
+            if word in _KEYWORDS:
+                tag = word
+            elif word != "#" and (word[0].isalpha() or word[0] in "_#"):
+                tag = IDENT
             else:
-                kind = "kw" if word in _KEYWORDS else "ident"
+                raise _lex_error(text, off)
+        elif kind == "int":
+            tag = INT
         elif kind == "string":
-            word = word[1:-1]
+            tag, word = STRING, word[1:-1]
             if "\\" in word:
                 word = re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]], word)
-        if kind == "bad":
-            if word == '"':
-                raise _string_error(text, m.start(), line, col)
-            raise ParseError(f"unexpected character {word!r}", line, col)
-        toks.append(Token(kind, word, line, col))
-    # a trailing comment does not count towards the end-of-input column
-    end = m.start() if m and m.lastgroup == "comment" else len(text)
-    toks.append(Token("eof", "", line, end - line_start + 1))
-    return toks
+        elif kind == "eof":
+            # a trailing comment does not count towards the end-of-input
+            # column
+            if m.end("comment") == len(text):
+                off = m.start("comment")
+            tags.append(EOF)
+            texts.append("")
+            offs.append(off)
+            break
+        else:
+            raise _lex_error(text, off)
+        tags.append(tag)
+        texts.append(word)
+        offs.append(off)
+    return tags, texts, offs
 
 
 # -------------------------------------------------------------------- parser
@@ -133,9 +160,19 @@ class Source:
     process: Process
 
 
+# A prefix read but not yet put around its continuation: the node's
+# constructor, its arguments before the continuation, and the name it
+# binds in the continuation (None if it binds none).
+_Head = tuple[Callable[..., Process], tuple, "str | None"]
+
+
 class _Parser:
+    """Reads the token lists by index; `pos` is the next token, and
+    never moves past the `EOF` token."""
+
     def __init__(self, text: str):
-        self.toks = tokenize(text)
+        self.text = text
+        self.tags, self.texts, self.offs = tokenize(text)
         self.pos = 0
         self.sessions: dict[str, Name] = {}
         self.gamma: dict[str, Sort] = {}
@@ -144,53 +181,40 @@ class _Parser:
 
     # -- token helpers
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]  # `next` never moves past the eof token
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        """A ParseError at token i, by default the next one."""
+        off = self.offs[self.pos if i is None else i]
+        return ParseError(message, *position(self.text, off))
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def show(self, i: int) -> str:
+        return "end of input" if self.tags[i] == EOF else repr(self.texts[i])
 
-    def at_sym(self, *texts: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text in texts
-
-    def at_kw(self, *words: str) -> bool:
-        t = self.peek()
-        return t.kind == "kw" and t.text in words
-
-    def expect(self, kind: str, text: str) -> Token:
-        t = self.next()
-        if t.kind != kind or t.text != text:
-            raise ParseError(f"expected '{text}', found {self._show(t)}", t.line, t.col)
-        return t
-
-    def expect_sym(self, *texts: str) -> None:
+    def expect(self, *texts: str) -> None:
+        """Step over symbols or keywords with these texts, in order."""
         for text in texts:
-            self.expect("sym", text)
+            if self.tags[self.pos] != text:
+                raise self.error(
+                    f"expected '{text}', found {self.show(self.pos)}")
+            self.pos += 1
 
-    def expect_ident(self, what: str = "name") -> Token:
-        t = self.next()
-        if t.kind != "ident":
-            raise ParseError(f"expected {what}, found {self._show(t)}", t.line, t.col)
-        return t
-
-    @staticmethod
-    def _show(t: Token) -> str:
-        return "end of input" if t.kind == "eof" else repr(t.text)
+    def expect_ident(self, what: str = "name") -> int:
+        """Step over an identifier and return its token index."""
+        i = self.pos
+        if self.tags[i] != IDENT:
+            raise self.error(f"expected {what}, found {self.show(i)}")
+        self.pos += 1
+        return i
 
     def finish(self, out: _T, what: str) -> _T:
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"unexpected {self._show(t)} after {what}", t.line, t.col)
+        if self.tags[self.pos] != EOF:
+            raise self.error(
+                f"unexpected {self.show(self.pos)} after {what}")
         return out
 
     def commas(self, item: Callable[[], _T]) -> list[_T]:
         out = [item()]
-        while self.at_sym(","):
-            self.next()
+        while self.tags[self.pos] == ",":
+            self.pos += 1
             out.append(item())
         return out
 
@@ -199,16 +223,17 @@ class _Parser:
         seen: set[str] = set()
 
         def arm() -> tuple[str, _T]:
-            lt = self.expect_ident("label")
-            if lt.text in seen:
-                raise ParseError(f"duplicate label {lt.text!r}", lt.line, lt.col)
-            seen.add(lt.text)
-            self.expect_sym(":")
-            return lt.text, body()
+            i = self.expect_ident("label")
+            label = self.texts[i]
+            if label in seen:
+                raise self.error(f"duplicate label {label!r}", i)
+            seen.add(label)
+            self.expect(":")
+            return label, body()
 
-        self.expect_sym("{")
+        self.expect("{")
         out = self.commas(arm)
-        self.expect_sym("}")
+        self.expect("}")
         return out
 
     # -- scope helpers
@@ -217,99 +242,108 @@ class _Parser:
         return (name in self.sessions or name in self.gamma
                 or name in self.chans or name in self.vars)
 
-    def _check_binder(self, t: Token) -> None:
-        if t.text.startswith("#"):
-            raise ParseError(f"name {t.text!r} is reserved", t.line, t.col)
-        if self._visible(t.text):
-            raise ParseError(f"{t.text!r} is already in scope", t.line, t.col)
+    def _check_binder(self, i: int) -> None:
+        name = self.texts[i]
+        if name.startswith("#"):
+            raise self.error(f"name {name!r} is reserved", i)
+        if self._visible(name):
+            raise self.error(f"{name!r} is already in scope", i)
 
     def bind(self) -> Name:
         """Bring a fresh bound channel into scope; the caller pops it."""
-        t = self.expect_ident("channel name")
-        self._check_binder(t)
-        name = self.chans[t.text] = sx.bound_chan(t.text)
+        i = self.expect_ident("channel name")
+        self._check_binder(i)
+        name = self.chans[self.texts[i]] = sx.bound_chan(self.texts[i])
         return name
 
-    def bound_body(self, *close: str) -> tuple[Name, Process]:
-        """`k` close... `.` P, with k bound in P."""
+    def bound_head(self, heads: list[_Head], make: Callable[..., Process],
+                   first: Name, *close: str) -> None:
+        """`k` close... `.`: push a head binding k in its continuation."""
         name = self.bind()
-        self.expect_sym(*close, ".")
-        body = self.parse_unit()
-        del self.chans[name.base]
-        return name, body
+        self.expect(*close, ".")
+        heads.append((make, (first, name), name.base))
 
     def declare_session(self) -> None:
-        t = self.expect_ident("session channel name")
-        self._check_binder(t)
-        self.sessions[t.text] = sx.chan(t.text)
+        i = self.expect_ident("session channel name")
+        self._check_binder(i)
+        self.sessions[self.texts[i]] = sx.chan(self.texts[i])
 
-    def session_name(self, t: Token) -> Name:
-        if t.text in self.chans:
-            return self.chans[t.text]
-        if t.text in self.sessions:
-            return self.sessions[t.text]
-        if t.text in self.gamma or t.text in self.vars:
-            raise ParseError(f"{t.text!r} is not a session channel", t.line, t.col)
-        raise ParseError(f"undeclared session channel {t.text!r}", t.line, t.col)
+    def session_name(self, i: int) -> Name:
+        name = self.texts[i]
+        if name in self.chans:
+            return self.chans[name]
+        if name in self.sessions:
+            return self.sessions[name]
+        if name in self.gamma or name in self.vars:
+            raise self.error(f"{name!r} is not a session channel", i)
+        raise self.error(f"undeclared session channel {name!r}", i)
 
-    def service_name(self, t: Token) -> Name:
-        sort = self.gamma.get(t.text)
+    def service_name(self, i: int) -> Name:
+        name = self.texts[i]
+        sort = self.gamma.get(name)
         if isinstance(sort, sx.ServiceSort):
-            return sx.svc(t.text)
-        if t.text in self.gamma:
-            raise ParseError(f"{t.text!r} is not a service", t.line, t.col)
-        if t.text in self.sessions or t.text in self.chans:
-            raise ParseError(f"{t.text!r} is a session channel, not a service",
-                             t.line, t.col)
-        raise ParseError(f"undeclared service {t.text!r}", t.line, t.col)
+            return sx.svc(name)
+        if name in self.gamma:
+            raise self.error(f"{name!r} is not a service", i)
+        if name in self.sessions or name in self.chans:
+            raise self.error(
+                f"{name!r} is a session channel, not a service", i)
+        raise self.error(f"undeclared service {name!r}", i)
 
     # -- declarations
 
     def parse_source(self) -> Source:
-        while self.at_kw("sessions", "env"):
-            if self.next().text == "sessions":
+        while (tag := self.tags[self.pos]) in ("sessions", "env"):
+            self.pos += 1
+            if tag == "sessions":
                 self.commas(self.declare_session)
             else:
-                t = self.expect_ident("name")
-                if self._visible(t.text):
-                    raise ParseError(f"{t.text!r} is already declared", t.line, t.col)
-                self.expect_sym(":")
-                self.gamma[t.text] = self.parse_sort()
-            self.expect_sym(";")
+                i = self.expect_ident("name")
+                if self._visible(self.texts[i]):
+                    raise self.error(
+                        f"{self.texts[i]!r} is already declared", i)
+                self.expect(":")
+                self.gamma[self.texts[i]] = self.parse_sort()
+            self.expect(";")
         p = self.finish(self.parse_par(), "process")
         return Source(tuple(self.sessions.values()), dict(self.gamma), p)
 
     # -- types
 
     def parse_sort(self) -> Sort:
-        t = self.peek()
-        if not (self.at_kw(*_BASIC) or self.at_sym("<")):
-            raise ParseError(f"expected a sort, found {self._show(t)}", t.line, t.col)
+        if self.tags[self.pos] not in (*_BASIC, "<"):
+            raise self.error(
+                f"expected a sort, found {self.show(self.pos)}")
         return self.parse_payload()
 
     def parse_type(self) -> SessionType:
-        t = self.next()
-        if t.kind == "kw" and t.text == "end":
+        i = self.pos
+        tag = self.tags[i]
+        if tag == "end":
+            self.pos += 1
             return sx.End()
-        if t.kind == "sym" and t.text in ("?", "!"):
-            self.expect_sym("[")
+        if tag == "?" or tag == "!":
+            self.pos += 1
+            self.expect("[")
             payload = self.parse_payload()
-            self.expect_sym("]", ".")
+            self.expect("]", ".")
             then = self.parse_type()
-            return sx.In(payload, then) if t.text == "?" else sx.Out(payload, then)
-        if t.kind == "sym" and t.text in ("&", "+"):
+            return (sx.In if tag == "?" else sx.Out)(payload, then)
+        if tag == "&" or tag == "+":
+            self.pos += 1
             arms = self.arms(self.parse_type)
-            return sx.branch(arms) if t.text == "&" else sx.select(arms)
-        raise ParseError(f"expected a session type, found {self._show(t)}",
-                         t.line, t.col)
+            return sx.branch(arms) if tag == "&" else sx.select(arms)
+        raise self.error(f"expected a session type, found {self.show(i)}")
 
     def parse_payload(self) -> Sort | SessionType:
-        if self.at_kw(*_BASIC):
-            return sx.Basic(self.next().text)
-        if self.at_sym("<"):
-            self.next()
+        tag = self.tags[self.pos]
+        if tag in _BASIC:
+            self.pos += 1
+            return sx.Basic(tag)
+        if tag == "<":
+            self.pos += 1
             s = self.parse_type()
-            self.expect_sym(">")
+            self.expect(">")
             return sx.ServiceSort(s)
         return self.parse_type()
 
@@ -317,99 +351,130 @@ class _Parser:
 
     def parse_par(self) -> Process:
         p = self.parse_unit()
-        while self.at_sym("|"):
-            self.next()
+        while self.tags[self.pos] == "|":
+            self.pos += 1
             p = sx.Par(p, self.parse_unit())
         return p
 
     def parse_unit(self) -> Process:
-        t = self.peek()
-        if t.kind == "int":
-            if t.text == "0":
-                self.next()
-                return sx.Stop()
-            raise ParseError("expected a process", t.line, t.col)
-        if self.at_sym("("):
-            self.next()
-            p = self.parse_par()
-            self.expect_sym(")")
-            return p
-        if self.at_kw("new"):
-            self.next()
-            names = self.commas(self.bind)
-            self.expect_sym(".")
-            body = self.parse_unit()
-            for name in reversed(names):
-                del self.chans[name.base]
-                body = sx.New(name, body)
-            return body
-        if self.at_kw("if"):
-            self.next()
-            test = self.parse_expr()
-            self.expect("kw", "then")
-            then = self.parse_unit()
-            self.expect("kw", "else")
-            return sx.If(test, then, self.parse_unit())
-        if self.at_sym("*"):
-            self.next()
-            service = self.service_name(self.expect_ident("service name"))
-            self.expect_sym("(")
-            return sx.Serve(service, *self.bound_body(")"))
-        if t.kind == "ident":
-            return self.parse_prefix()
-        raise ParseError(f"expected a process, found {self._show(t)}", t.line, t.col)
+        """A chain of prefixes and the process that ends it.
 
-    def parse_prefix(self) -> Process:
-        t = self.next()
-        nxt = self.peek()
-        if self.at_sym("("):  # accept: a(k).P
-            service = self.service_name(t)
-            self.next()
-            return sx.Accept(service, *self.bound_body(")"))
-        if self.at_sym("<"):  # request: a<k>.P
-            service = self.service_name(t)
-            self.next()
-            return sx.Request(service, *self.bound_body(">"))
-        if not self.at_sym("?", "!", ">>", "<<"):
-            if t.text in self.chans or t.text in self.sessions:
-                raise ParseError(
-                    f"expected '?', '!', '>>' or '<<' after session channel {t.text!r}",
-                    nxt.line, nxt.col)
-            raise ParseError(f"expected a process, found {t.text!r}", t.line, t.col)
-        chan = self.session_name(t)
-        self.next()
-        if nxt.text == "?":
-            self.expect_sym("(")
-            if self.at_sym("("):  # session reception: k?((k2)).P
-                self.next()
-                return sx.ReceiveSession(chan, *self.bound_body(")", ")"))
-            xt = self.expect_ident("variable name")
-            self._check_binder(xt)
-            self.expect_sym(")", ".")
-            self.vars.add(xt.text)
-            body = self.parse_unit()
-            self.vars.remove(xt.text)
-            return sx.Receive(chan, xt.text, body)
-        if nxt.text == "!":
-            self.expect_sym("(")
+        Each prefix is pushed as a head, and the heads are put around
+        the end from the innermost out, so a long chain needs no
+        recursion.  The names the heads bind stay in scope until the
+        end is read, and are popped in reverse."""
+        heads: list[_Head] = []
+        end = self.link(heads)
+        while end is None:
+            end = self.link(heads)
+        for make, args, bound in reversed(heads):
+            end = make(*args, end)
+            if bound in self.chans:
+                del self.chans[bound]
+            elif bound is not None:
+                self.vars.remove(bound)
+        return end
+
+    def link(self, heads: list[_Head]) -> Process | None:
+        """Push the next prefix of a chain onto heads and return None,
+        or return the process that ends the chain."""
+        i = self.pos
+        tag = self.tags[i]
+        if tag == IDENT:
+            return self.prefix(heads)
+        if tag == "new":
+            self.pos += 1
+            names = self.commas(self.bind)
+            self.expect(".")
+            heads += [(sx.New, (name,), name.base) for name in names]
+            return None
+        if tag == "*":
+            self.pos += 1
+            service = self.service_name(self.expect_ident("service name"))
+            self.expect("(")
+            self.bound_head(heads, sx.Serve, service, ")")
+            return None
+        if tag == INT:
+            if self.texts[i] == "0":
+                self.pos += 1
+                return sx.Stop()
+            raise self.error("expected a process")
+        if tag == "(":
+            self.pos += 1
+            p = self.parse_par()
+            self.expect(")")
+            return p
+        if tag == "if":
+            self.pos += 1
+            test = self.parse_expr()
+            self.expect("then")
+            then = self.parse_unit()
+            self.expect("else")
+            return sx.If(test, then, self.parse_unit())
+        raise self.error(f"expected a process, found {self.show(i)}")
+
+    def prefix(self, heads: list[_Head]) -> Process | None:
+        """`link` at an identifier: an accept, a request, a session
+        prefix, or an offer, which ends the chain."""
+        tags, texts = self.tags, self.texts
+        i = self.pos
+        j = self.pos = i + 1
+        op = tags[j]
+        if op == "(":  # accept: a(k).P
+            service = self.service_name(i)
+            self.pos += 1
+            self.bound_head(heads, sx.Accept, service, ")")
+            return None
+        if op == "<":  # request: a<k>.P
+            service = self.service_name(i)
+            self.pos += 1
+            self.bound_head(heads, sx.Request, service, ">")
+            return None
+        if op not in ("?", "!", ">>", "<<"):
+            name = texts[i]
+            if name in self.chans or name in self.sessions:
+                raise self.error(
+                    f"expected '?', '!', '>>' or '<<' after session channel"
+                    f" {name!r}", j)
+            raise self.error(f"expected a process, found {name!r}", i)
+        chan = self.session_name(i)
+        self.pos += 1
+        if op == "?":
+            self.expect("(")
+            if tags[self.pos] == "(":  # session reception: k?((k2)).P
+                self.pos += 1
+                self.bound_head(heads, sx.ReceiveSession, chan, ")", ")")
+                return None
+            x = self.expect_ident("variable name")
+            self._check_binder(x)
+            self.expect(")", ".")
+            self.vars.add(texts[x])
+            heads.append((sx.Receive, (chan, texts[x]), texts[x]))
+            return None
+        if op == "!":
+            self.expect("(")
             # k!((k2)).P delegates k2 when the double parens wrap one
             # session channel; anything else is a parenthesised expression
-            match self.toks[self.pos:self.pos + 4]:
-                case [("sym", "(", *_), ("ident", name, *_) as sent,
-                      ("sym", ")", *_), ("sym", ")", *_)] \
-                        if name in self.chans or name in self.sessions:
-                    self.pos += 4
-                    self.expect_sym(".")
-                    return sx.SendSession(chan, self.session_name(sent),
-                                          self.parse_unit())
+            k = self.pos
+            if (tags[k] == "(" and tags[k + 1] == IDENT
+                    and tags[k + 2] == ")" and tags[k + 3] == ")"
+                    and (texts[k + 1] in self.chans
+                         or texts[k + 1] in self.sessions)):
+                self.pos = k + 4
+                self.expect(".")
+                heads.append((sx.SendSession, (chan, self.session_name(k + 1)),
+                              None))
+                return None
             e = self.parse_expr()
-            self.expect_sym(")", ".")
-            return sx.Send(chan, e, self.parse_unit())
-        if nxt.text == ">>":
+            self.expect(")", ".")
+            heads.append((sx.Send, (chan, e), None))
+            return None
+        if op == ">>":
             return sx.Offer(chan, tuple(self.arms(self.parse_par)))
-        lt = self.expect_ident("label")
-        self.expect_sym(".")
-        return sx.Choose(chan, lt.text, self.parse_unit())
+        label = self.expect_ident("label")
+        self.expect(".")
+        heads.append((sx.Choose, (chan, texts[label]), None))
+        return None
 
     # -- expressions
 
@@ -421,56 +486,57 @@ class _Parser:
         and only operators below lv after a comparison, since
         comparisons do not chain.
         """
-        if level <= _NOT and self.at_kw("not"):
-            self.next()
+        tags = self.tags
+        if level <= _NOT and tags[self.pos] == "not":
+            self.pos += 1
             e: Expr = sx.Unop("not", self.parse_expr(_NOT))
             below = _NOT
         else:
             e, below = self.parse_atom(), _ATOM
         while True:
-            t = self.peek()
-            lv = _LEVELS.get(t.text, 0) if t.kind in ("sym", "kw") else 0
+            tag = tags[self.pos]
+            lv = _LEVELS.get(tag, 0)
             if not level <= lv < below:
                 return e
-            self.next()
-            e = sx.Binop(t.text, e, self.parse_expr(lv + 1))
+            self.pos += 1
+            e = sx.Binop(tag, e, self.parse_expr(lv + 1))
             below = lv if lv == _CMP else lv + 1
 
     def parse_atom(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return sx.IntLit(int(t.text))
-        if t.kind == "string":
-            self.next()
-            return sx.StrLit(t.text)
-        if self.at_kw("true", "false"):
-            self.next()
-            return sx.BoolLit(t.text == "true")
-        if self.at_sym("-"):
-            self.next()
+        i = self.pos
+        tag, text = self.tags[i], self.texts[i]
+        if tag == INT:
+            self.pos += 1
+            return sx.IntLit(int(text))
+        if tag == STRING:
+            self.pos += 1
+            return sx.StrLit(text)
+        if tag == "true" or tag == "false":
+            self.pos += 1
+            return sx.BoolLit(tag == "true")
+        if tag == "-":
+            self.pos += 1
             return sx.Unop("-", self.parse_atom())
-        if self.at_sym("("):
-            self.next()
+        if tag == "(":
+            self.pos += 1
             e = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(")")
             return e
-        if t.kind == "ident":
-            self.next()
-            if t.text in self.vars:
-                return sx.Var(t.text)
-            sort = self.gamma.get(t.text)
+        if tag == IDENT:
+            self.pos += 1
+            if text in self.vars:
+                return sx.Var(text)
+            sort = self.gamma.get(text)
             if isinstance(sort, sx.ServiceSort):
-                return sx.SvcRef(t.text)
+                return sx.SvcRef(text)
             if sort is not None:
-                return sx.Var(t.text)
-            if t.text in self.chans or t.text in self.sessions:
-                raise ParseError(
-                    f"session channel {t.text!r} cannot appear in an expression",
-                    t.line, t.col)
-            raise ParseError(f"undeclared name {t.text!r}", t.line, t.col)
-        raise ParseError(f"expected an expression, found {self._show(t)}",
-                         t.line, t.col)
+                return sx.Var(text)
+            if text in self.chans or text in self.sessions:
+                raise self.error(
+                    f"session channel {text!r} cannot appear in an expression",
+                    i)
+            raise self.error(f"undeclared name {text!r}", i)
+        raise self.error(f"expected an expression, found {self.show(i)}")
 
 
 def parse_source(text: str) -> Source:

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -284,6 +285,29 @@ def test_run_all_states(capsys, spi):
     assert data["data"]["states"] == ["k1?(x).k2!(x).0 | k2?(x).k1!(x).0"]
 
 
+def test_run_all_stops_at_the_state_bound(capsys, spi, tmp_path):
+    # the first `certify` benchmark file reaches far more states within
+    # six steps than the bound lets through
+    f = tmp_path / "certify_00.spi"
+    f.write_text(S.bench_gen().certify(1)[0].text)
+    argv = ["run", "--all", "--steps", "6", str(f)]
+    code, out, _ = run(capsys, *argv, "--max-states", "40")
+    lines = out.splitlines()
+    assert (code, lines[0], len(lines)) == (0, "40 states within 6 steps:", 42)
+    assert lines[-1] == ("  (state bound hit; raise --max-states to"
+                         " explore further)")
+    code, data = run_json(capsys, *argv, "--max-states", "40")
+    assert data["data"]["bound_hit"] is True
+    assert data["data"]["states"] == [s[2:] for s in lines[1:-1]]
+    _, wider = run_json(capsys, *argv, "--max-states", "41")
+    assert wider["data"]["states"][:40] == data["data"]["states"]
+    # exactly as many states as the bound: the bound is not hit
+    code, data = run_json(capsys, "run", spi("circular_waits"), "--all",
+                          "--max-states", "1")
+    assert (code, data["data"]) == (0, {
+        "states": ["k1?(x).k2!(x).0 | k2?(x).k1!(x).0"]})
+
+
 def test_run_seed_and_all_conflict(capsys, spi):
     code = cli.main(["run", spi("relay"), "--seed", "1", "--all"])
     assert code == 2
@@ -341,6 +365,7 @@ def test_progress_prints_the_partner_with_the_state_s_names(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command, flag", [("run", "--steps"),
+                                           ("run", "--max-states"),
                                            ("progress", "--depth"),
                                            ("progress", "--subset-budget"),
                                            ("progress", "--max-states")])
@@ -426,6 +451,32 @@ def test_python_m_sessionpi_runs_the_cli(capsys):
                            timeout=120)
         assert (r.returncode, r.stdout) == run(capsys, *argv, f)[:2]
         assert r.returncode == want
+
+
+def _python310():
+    """A `python3.10` on the path that starts, or None."""
+    exe = shutil.which("python3.10")
+    if exe is None:
+        return None
+    probe = subprocess.run([exe, "-c", "pass"], capture_output=True,
+                           timeout=120)
+    return exe if probe.returncode == 0 else None
+
+
+def test_cli_runs_on_the_oldest_supported_python(capsys):
+    # `requires-python` is >=3.10: no syntax, library call or regex
+    # feature (such as a possessive quantifier) from a later version
+    exe = _python310()
+    if exe is None:
+        pytest.skip("no working python3.10 on the path")
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for f in sorted(SAMPLES.glob("*.spi")):
+        for command in ("check", "progress"):
+            argv = ["--json", command, str(f)]
+            r = subprocess.run([exe, "-m", "sessionpi", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+            assert (r.returncode, r.stdout) == run(capsys, *argv)[:2], argv
 
 
 _SOUP = ("sessions env new if then else not and or end int bool string true "

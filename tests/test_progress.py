@@ -270,17 +270,17 @@ def reference_check_progress(gamma, p, depth=10, subset_budget=512,
                         bound_hit = True
                         break
                     budget -= 1
-                    piece = reduce(sx.Par, (threads[i] for i in pick))
+                    cut = tuple(threads[i] for i in pick)
+                    piece = reduce(sx.Par, cut)
                     if not cg.has_live_channels(piece) or sm.redexes(piece):
                         continue
-                    bad = pg._cut_failure(gamma, piece)
+                    bad = pg._cut_failure(gamma, cut)
                     if bad is not None:
                         failed, partner = bad
                         return pg.ProgressResult(
                             "counterexample",
                             f"stuck decomposition: {pg._CONDITIONS[failed]}",
-                            state=state,
-                            cut=tuple(threads[i] for i in pick),
+                            state=state, cut=cut,
                             partner=partner, failed=failed,
                             states_seen=visited, bound_hit=bound_hit)
             succs = sm.redexes(state)
@@ -381,15 +381,16 @@ def test_each_distinct_stuck_piece_is_checked_once(monkeypatch):
         "sessions a0, b0, a1, b1, a2, b2;"
         " a0!(17).b0!(72).0 | a0?(x).b0?(y).0 | a1!(97).b1!(8).0"
         " | a2!(32).b2!(15).0 | a2?(x).b2?(y).0 | a1?(x).b1?(y).0")
-    calls = count_calls(monkeypatch, pg, "construct_partner")
+    calls = count_calls(monkeypatch, pg, "_partner")
     scans = count_calls(monkeypatch, sm, "redexes")
     r = pg.check_progress(src.gamma, src.process)
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 27,
                                                         False)
     assert calls[0] == 4 * 3
-    # one scan per state, and per cut check the piece (in
-    # `construct_partner`), the partner and the pair
-    assert scans[0] == 27 + 3 * 12
+    # one scan per state, and per cut check the partner and the pair:
+    # the search knows the piece is live and irreducible, so it is not
+    # scanned again
+    assert scans[0] == 27 + 2 * 12
 
 
 def test_independent_cycles_need_a_partner_per_thread(monkeypatch):
@@ -399,7 +400,7 @@ def test_independent_cycles_need_a_partner_per_thread(monkeypatch):
         "sessions " + ", ".join(f"a{i}, b{i}" for i in range(5)) + "; "
         + " | ".join(f"a{i}!({i}).b{i}!(7).0 | a{i}?(x).b{i}?(y).0"
                      for i in range(5)))
-    calls = count_calls(monkeypatch, pg, "construct_partner")
+    calls = count_calls(monkeypatch, pg, "_partner")
     r = pg.check_progress(src.gamma, src.process)
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 243,
                                                         True)
@@ -433,13 +434,14 @@ def test_the_independence_rule_is_sound(seed):
     live = [cg.has_live_channels(t) for t in threads]
 
     def of(part):
-        return reduce(sx.Par, (threads[i] for i in part))
+        return tuple(threads[i] for i in part)
 
     passed = {part for part in parts if any(live[i] for i in part)
               and pg._cut_failure(gamma, of(part)) is None}
     if pg._parts_pass(nums, ties, live, passed,
-                      lambda part: dg.is_transparent(gamma, of(part)).ok):
-        assert pg._cut_failure(gamma, piece) is None
+                      lambda part: dg.is_transparent(
+                          gamma, reduce(sx.Par, of(part))).ok):
+        assert pg._cut_failure(gamma, tuple(threads)) is None
 
 
 # ------------------------------------------------- every counterexample holds
@@ -452,7 +454,7 @@ def assert_genuine(gamma, r):
     piece = reduce(sx.Par, r.cut)
     assert sm.redexes(piece) == []
     assert cg.has_live_channels(piece)
-    failure = pg._cut_failure(gamma, piece)
+    failure = pg._cut_failure(gamma, r.cut)
     assert failure is not None and failure[0] == r.failed
 
 

@@ -2,10 +2,15 @@
 `syntax.facts` and `congruence.occurrences` took over their node-name
 matches, their sweeps for names and their occurrence scans, kept as
 oracles for the rewritten ones.  `reference_display_names` also keeps
-the suffix search that probes every suffix from 1 for each binder."""
+the suffix search that probes every suffix from 1 for each binder.
+`reference_tokenize` is the lexer as it read before tokens became
+parallel lists of tags, texts and offsets: one match per blank, newline
+or comment, and a line and column tracked for every token."""
 import functools
 import random
+import re
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +168,116 @@ def reference_canonical_key(p):
     used = sorted({numbered[c] for c in binders})
     head = f"new {', '.join(used)} . " if used else ""
     return head + " | ".join(sf.print_process(t, numbered) for t in order)
+
+
+class Token(NamedTuple):
+    kind: str  # "ident", "int", "string", "kw", "sym", "eof"
+    text: str
+    line: int
+    col: int
+
+
+_REFERENCE_STRING = r'"(?:[^"\\\n]|\\[nt"\\])*'
+_REFERENCE_TOKEN = re.compile("|".join([
+    r"(?P<nl>\n)", r"(?P<blank>[ \t\r]+)", r"(?P<comment>//[^\n]*)",
+    r"(?P<int>\d+)", r"(?P<word>[\w#]\w*)",
+    f'(?P<string>{_REFERENCE_STRING}")',
+    "(?P<sym>" + "|".join(map(re.escape, sf._SYMBOLS)) + ")", r"(?P<bad>.)",
+]))
+_REFERENCE_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+
+def _reference_string_error(text, i, line, col):
+    j = re.compile(_REFERENCE_STRING).match(text, i).end()
+    if j + 1 < len(text) and text[j] == "\\" and text[j + 1] != "\n":
+        return sf.ParseError(f"bad escape '\\{text[j + 1]}'", line,
+                             col + j - i)
+    return sf.ParseError("unterminated string", line, col)
+
+
+def reference_tokenize(text):
+    toks = []
+    line, line_start = 1, 0
+    m = None
+    for m in _REFERENCE_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
+            continue
+        if kind == "blank" or kind == "comment":
+            continue
+        word, col = m.group(), m.start() - line_start + 1
+        if kind == "word":
+            if word == "#":
+                raise sf.ParseError("'#' must start a name", line, col)
+            if not (word[0].isalpha() or word[0] in "_#"):
+                kind, word = "bad", word[0]
+            else:
+                kind = "kw" if word in sf._KEYWORDS else "ident"
+        elif kind == "string":
+            word = word[1:-1]
+            if "\\" in word:
+                word = re.sub(r"\\(.)", lambda e: _REFERENCE_ESCAPES[e[1]],
+                              word)
+        if kind == "bad":
+            if word == '"':
+                raise _reference_string_error(text, m.start(), line, col)
+            raise sf.ParseError(f"unexpected character {word!r}", line, col)
+        toks.append(Token(kind, word, line, col))
+    # a trailing comment does not count towards the end-of-input column
+    end = m.start() if m and m.lastgroup == "comment" else len(text)
+    toks.append(Token("eof", "", line, end - line_start + 1))
+    return toks
+
+
+_KINDS = {sf.IDENT: "ident", sf.INT: "int", sf.STRING: "string",
+          sf.EOF: "eof"}
+
+
+def lexed(text):
+    """The tokens of text as (kind, text, line, col), or the lexer's
+    error as (message, line, col)."""
+    try:
+        tags, texts, offs = sf.tokenize(text)
+    except sf.ParseError as e:
+        return (e.message, e.line, e.col)
+    return [(_KINDS.get(tag) or ("kw" if tag in sf._KEYWORDS else "sym"),
+             word, *sf.position(text, off))
+            for tag, word, off in zip(tags, texts, offs)]
+
+
+def reference_lexed(text):
+    try:
+        return [tuple(t) for t in reference_tokenize(text)]
+    except sf.ParseError as e:
+        return (e.message, e.line, e.col)
+
+
+# Pieces that meet at the lexer's edge cases: comments, strings and
+# escapes, line ends, blanks, '#', digits that are not decimal, words
+# that are keywords, and symbols that are prefixes of longer ones.
+_FRAGMENTS = st.sampled_from([
+    "//", "/", '"', "\\", "\\n", "\\q", "\n", "\r", "\r\n", "\t", " ",
+    "²", "½", "#", "#a", "@", "0", "12", "k", "_x", "k2", "end", "new",
+    "sessions", "env", "if", "<", "<<", "<=", ">", ">>", "!", "!=", "?",
+    "(", ")", ".", ",", ";", ":", "|", "*", "{", "}", "-", "=",
+])
+
+
+@given(st.lists(_FRAGMENTS, max_size=12).map("".join))
+@settings(max_examples=400)
+def test_tokenize_agrees_with_the_reference_on_fragments(text):
+    assert lexed(text) == reference_lexed(text)
+
+
+def test_tokenize_agrees_with_the_reference_on_files():
+    gen = S.bench_gen()
+    texts = list(SOURCES.values())
+    for seed in (1, 2):
+        for workload in (gen.certify, gen.simulate, gen.refute):
+            texts += [case.text for case in workload(seed)]
+    for text in texts:
+        assert lexed(text) == reference_lexed(text)
 
 
 def of_each_part(fn):

@@ -390,6 +390,16 @@ def test_explore_respects_the_depth_bound():
     assert counts == [1, 2, 3, 4, 4, 4]
 
 
+def test_explore_stops_at_the_state_bound():
+    # the bounded search keeps the unbounded one's first states, in order
+    for name in SOURCES:
+        p = load(name).process
+        every = sf.print_states(sm.explore(p, 4))
+        for n in range(len(every) + 2):
+            bounded = sf.print_states(sm.explore(p, 4, n))
+            assert bounded == every[:max(n, 1)], (name, n)
+
+
 def test_dead_restrictions_do_not_split_states():
     # every init leaves `new k` behind with no thread using it, so the
     # spawned states are all congruent to the start

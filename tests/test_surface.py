@@ -135,7 +135,7 @@ def test_expression_print_parse_roundtrip(e):
 _DECLS = "sessions k;\nenv a : int;\nenv b : int;\nenv c : int;\n"
 
 
-@pytest.mark.parametrize("text, message, line, col", [
+ERROR_POSITIONS = [
     # lexer
     ('k!("ab', "unterminated string", 1, 4),
     ('k!("ab\n', "unterminated string", 1, 4),
@@ -148,6 +148,18 @@ _DECLS = "sessions k;\nenv a : int;\nenv b : int;\nenv c : int;\n"
     ("sessions k;\nk!(²).0", "unexpected character '²'", 2, 4),
     ("sessions k;\nk!(1). // done", "expected a process, found end of input",
      2, 8),
+    ("sessions k;\nk!(1).\n\t// one\n// two",
+     "expected a process, found end of input", 4, 1),
+    ("sessions k;\nk!(1). // done\n", "expected a process, found end of input",
+     3, 1),
+    ("sessions k;\r\nenv a : int;\r\nk!(a @ 1).0",
+     "unexpected character '@'", 3, 6),
+    ("sessions k;\r\nk!(1).\r\n", "expected a process, found end of input",
+     3, 1),
+    ("sessions k;\n\tk!(\t1)\t@", "unexpected character '@'", 2, 9),
+    ('sessions k;\n\nk!("ab\\qc").0', "bad escape '\\q'", 3, 7),
+    ("sessions k;\nk!(1).#", "'#' must start a name", 2, 7),
+    ('sessions k;\nk!("', "unterminated string", 2, 4),
     # expressions
     (_DECLS + "k!(a < b < c).0", "expected ')', found '<'", 5, 10),
     (_DECLS + "k!(not a = b = c).0", "expected ')', found '='", 5, 14),
@@ -158,8 +170,38 @@ _DECLS = "sessions k;\nenv a : int;\nenv b : int;\nenv c : int;\n"
     ("sessions k;\nk >> {l: 0, l: 0}", "duplicate label 'l'", 2, 13),
     ("new #k . 0", "name '#k' is reserved", 1, 5),
     ("new k, k . 0", "'k' is already in scope", 1, 8),
-])
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", ERROR_POSITIONS)
 def test_parse_error_positions(text, message, line, col):
     with pytest.raises(sf.ParseError) as e:
         sf.parse_source(text)
     assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+def test_positions_are_computed_only_for_errors(monkeypatch):
+    calls = [0]
+    real = sf.position
+
+    def counted(text, off):
+        calls[0] += 1
+        return real(text, off)
+
+    monkeypatch.setattr(sf, "position", counted)
+    for text in SOURCES.values():
+        sf.parse_source(text)
+    assert calls[0] == 0
+    for text, *_ in ERROR_POSITIONS:
+        calls[0] = 0
+        with pytest.raises(sf.ParseError):
+            sf.parse_source(text)
+        assert calls[0] == 1, text
+
+
+def test_a_long_prefix_chain_parses_without_recursion():
+    src = sf.parse_source("sessions k;\n" + "k!(1)." * 150_000 + "0")
+    sends, p = 0, src.process
+    while isinstance(p, sx.Send):
+        sends, p = sends + 1, p.body
+    assert (sends, p) == (150_000, sx.Stop())
