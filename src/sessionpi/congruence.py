@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
+from typing import NamedTuple
 
 from . import syntax as sx
 from .surface import print_process
@@ -94,8 +95,8 @@ def chan_order(c: Name) -> tuple[str, int]:
 def occurrences(nf: NormalForm) -> tuple[
         list[frozenset[Name]], dict[Name, list[int]]]:
     """Each thread's free channels, and the threads each channel is free
-    in, ascending: the one occurrence index behind the dependency graph,
-    its cycle check and `canonical_key`.
+    in, ascending: the one occurrence index behind the dependency graph
+    and its cycle check.
 
     Channels enter the index thread by thread, each thread's in
     `chan_order`, so walking it gives the same cycle on every run.
@@ -130,39 +131,94 @@ def has_live_channels(p: Process) -> bool:
     return False
 
 
-def canonical_key(p: Process | NormalForm) -> str:
+class KeyRow(NamedTuple):
+    """What `canonical_key` knows of one thread object."""
+    thread: Process  # held, so its id is not reused while in the table
+    facts: sx.Facts
+    text: str  # the thread printed once, one `str.format` field a name
+    slots: tuple[Name, ...]  # the names of the fields, by field number
+    bases: tuple[str, ...]  # their spellings, for names a map leaves out
+
+
+def _row(t: Process) -> KeyRow:
+    """t's facts and print template, from one `syntax.facts` sweep and
+    one print.
+
+    The printer writes every channel name through its name map, so t is
+    printed with each name as `\\n{i}\\n`, and the text between those
+    newlines is literal.  It writes a newline nowhere else: string
+    literals print theirs escaped, and labels, variables and services
+    are identifiers.  So the fields follow the order of the text, and a
+    literal holding a newline, a brace or a field number stays literal.
+    """
+    f = sx.facts(t)
+    slots = tuple(dict.fromkeys(chain(f.binders, f.mentions)))
+    marks = {n: f"\n{{{i}}}\n" for i, n in enumerate(slots)}
+    parts = print_process(t, marks).split("\n")
+    parts[::2] = [s.replace("{", "{{").replace("}", "}}") for s in parts[::2]]
+    return KeyRow(t, f, "".join(parts), slots, tuple(n.base for n in slots))
+
+
+# canonical_key's table: thread id -> what it knows of that thread
+KeyTable = dict[int, KeyRow]
+
+
+def _fill(row: KeyRow, names: dict[Name, str]) -> str:
+    """`print_process(row.thread, names)`, read off the template."""
+    return row.text.format(*map(names.get, row.slots, row.bases))
+
+
+def canonical_key(p: Process | NormalForm,
+                  table: KeyTable | None = None) -> str:
     """A printable key equal for structurally congruent alpha-variants.
 
     Threads are sorted under a print that is blind to the spelling of
     bound names: a thread's own binders are numbered in its traversal
-    order (its `syntax.facts` binders, taken once per call), and every
-    restriction gets a colour.  While threads tie, each
-    restriction's colour is refined by the prints of the threads it
-    occurs in (read off the `occurrences` index, built only when there
-    are restrictions), until the colours stop splitting, so threads that
+    order, and every restriction gets a colour.  While threads tie,
+    each restriction's colour is refined by the prints of the threads
+    it occurs in, until the colours stop splitting, so threads that
     differ only in which restricted channel they share with whom are
-    told apart.  Then every binder is numbered in traversal order and the
-    term is re-printed.  A restriction no thread uses is left out,
+    told apart.  Then every binder is numbered in traversal order and
+    the term is re-printed.  A restriction no thread uses is left out,
     since `new k . P` is congruent to P when k is not free in P.  Equal
     keys imply congruent processes; the converse can fail on ties that
     survive the refinement, which only costs duplicate work in state
     exploration, never wrong answers.
+
+    Each distinct thread object is read once per `table`: its
+    `syntax.facts` (binders and free channels) and its print as a
+    template, literal text with a slot for each name.  The blind print,
+    every refinement round and the final print fill the slots from the
+    current name map without walking the thread again.  The table is
+    keyed by thread identity and holds the threads; a caller that keys
+    many states, such as a search, passes one table for all of them,
+    and without one each call makes its own.
     """
+    if table is None:
+        table = {}
     nf = normal_form(p)
-    threads = nf.threads
-    occ = occurrences(nf)[1] if nf.binders else {}
+    rows = []
+    for t in nf.threads:
+        row = table.get(id(t))
+        if row is None:
+            row = table[id(t)] = _row(t)
+        rows.append(row)
+    occ: dict[Name, list[int]] = {}
+    if nf.binders:
+        for i, row in enumerate(rows):
+            for c in row.facts.free:
+                occ.setdefault(c, []).append(i)
     binders = [c for c in nf.binders if c in occ]
 
-    binds = [sx.facts(t).binders for t in threads]
     blind: dict[Name, str] = {}
-    for bs in binds:
+    for row in rows:
         start = len(blind)
-        for c in bs:
+        for c in row.facts.binders:
             blind.setdefault(c, f"#{len(blind) - start}")
     for c in binders:
         blind[c] = "#r"
 
-    shown = [print_process(t, blind) for t in threads]
+    shown = [_fill(row, blind) for row in rows]
     colours = min(1, len(binders))
     # only ties between threads that mention a restriction can split
     while len(set(shown)) < len(shown) and any(
@@ -175,14 +231,13 @@ def canonical_key(p: Process | NormalForm) -> str:
         colours = len(ranks)
         for c in binders:
             blind[c] = ranks[sig[c]]
-        shown = [print_process(t, blind) for t in threads]
-    order = sorted(range(len(threads)), key=shown.__getitem__)
+        shown = [_fill(row, blind) for row in rows]
+    order = sorted(range(len(rows)), key=shown.__getitem__)
 
     numbered: dict[Name, str] = {}
-    for c in chain(*(binds[i] for i in order), binders):
+    for c in chain(*(rows[i].facts.binders for i in order), binders):
         numbered.setdefault(c, f"b{len(numbered)}")
 
     used = sorted({numbered[c] for c in binders})
     head = f"new {', '.join(used)} . " if used else ""
-    return head + " | ".join(print_process(threads[i], numbered)
-                             for i in order)
+    return head + " | ".join(_fill(rows[i], numbered) for i in order)

@@ -14,6 +14,8 @@ certificates come from transparency alone.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
@@ -199,36 +201,53 @@ def _cut_failure(gamma: dict[str, Sort], cut: tuple[Process, ...]
     return None
 
 
-def _split(pick: tuple[int, ...],
-           ties: list[frozenset[Name]]) -> list[tuple[int, ...]]:
-    """The threads of `pick` (thread numbers) grouped into parts that
-    share no tie; each part keeps the pick's order."""
-    groups: list[tuple[set[Name], list[int]]] = []
-    for n, i in enumerate(pick):
-        names, members = set(ties[i]), [n]
-        rest = []
-        for g in groups:
-            if names.isdisjoint(g[0]):
-                rest.append(g)
-            else:
-                names |= g[0]
-                members += g[1]
-        rest.append((names, members))
-        groups = rest
-    return [tuple(pick[n] for n in sorted(members)) for _, members in groups]
+def _adjacency(ties: list[frozenset[Name]]) -> list[int]:
+    """For each position, the mask of the positions whose ties meet its
+    own (itself included)."""
+    holders: dict[Name, int] = {}
+    for i, names in enumerate(ties):
+        for c in names:
+            holders[c] = holders.get(c, 0) | 1 << i
+    return [reduce(operator.or_, map(holders.__getitem__, names), 1 << i)
+            for i, names in enumerate(ties)]
 
 
-def _parts_pass(nums: tuple[int, ...], ties: list[frozenset[Name]],
-                live: list[bool], passed: set[tuple[int, ...]],
+def _split(mask: int, adj: list[int]) -> list[int]:
+    """The positions of `mask` grouped into parts that share no tie, as
+    masks: the components of `adj` (see `_adjacency`) within the mask,
+    ordered by their last position."""
+    parts = []
+    rest = mask
+    while rest:
+        part = grow = 1 << (rest.bit_length() - 1)
+        while grow:
+            bit = grow & -grow
+            grow ^= bit
+            new = adj[bit.bit_length() - 1] & rest & ~part
+            part |= new
+            grow |= new
+        parts.append(part)
+        rest &= ~part
+    parts.reverse()
+    return parts
+
+
+def _parts_pass(parts: list[int], live: int, passed: set[tuple[int, ...]],
+                numbers: Callable[[int], tuple[int, ...]],
                 transparent: Callable[[tuple[int, ...]], bool]) -> bool:
-    """The independence rule for the stuck piece `nums` (thread
-    numbers): it splits into two or more parts, every live part has
-    passed, and every part is transparent."""
-    parts = _split(nums, ties)
-    return (len(parts) > 1
-            and all(part in passed for part in parts
-                    if any(live[i] for i in part))
-            and all(map(transparent, parts)))
+    """The independence rule for a stuck piece split into `parts`
+    (masks; `numbers` gives a part's thread numbers): there are two or
+    more, every part that meets the `live` mask has passed, and every
+    part is transparent."""
+    if len(parts) < 2:
+        return False
+    for part in parts:
+        if part & live and numbers(part) not in passed:
+            return False
+    for part in parts:
+        if not transparent(numbers(part)):
+            return False
+    return True
 
 
 def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
@@ -244,14 +263,21 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     A clean but bounded search stays inconclusive: certificates never
     come from the search.
 
-    Each state is scanned for redexes once: a sub-multiset reduces
-    exactly when it holds both ends of one of the state's pair redexes
-    or an enabled conditional, and is live exactly when one of its
-    threads is, so such picks cost a budget unit but no cut check.
-    Each distinct stuck piece is checked once per search; a piece that
-    passed in one state passes in every other.  Threads are numbered
-    once per search, so a piece is known by its threads' numbers and
-    each thread is hashed once per state.
+    Each position of a state's threads is one bit, and each pick's mask
+    is summed from its bits as `itertools.combinations` yields it.  The
+    state is scanned for redexes once, giving one mask per move (both
+    ends of a pair redex, or an enabled conditional) and one `live`
+    mask of the positions whose thread is live.  A pick reduces exactly
+    when it holds a move's mask, `m & mask == m`, and is live exactly
+    when `mask & live` is not 0, so such picks cost a budget unit but
+    no cut check.  Each distinct stuck piece is checked once per
+    search; a piece that passed in one state passes in every other.
+    Threads are numbered once per search, so a piece, and each part
+    the independence rule splits it into (parts are masks too), is
+    known by its threads' numbers, and each thread is hashed once per
+    state.  One `canonical_key` table serves the whole search: each
+    thread object is summarised and printed once, and its ties are
+    read from the table.
 
     Independence rule: a stuck piece whose threads split into two or
     more parts sharing no free session channel and no service (served,
@@ -278,23 +304,35 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
             "transparent: every reachable decomposition stays completable")
 
     bound_hit = False
+    keys: congruence.KeyTable = {}
     start = congruence.normal_form(p)
-    seen = {congruence.canonical_key(start)}
+    seen = {congruence.canonical_key(start, keys)}
     frontier = [start]
     visited = 0
     # each distinct thread is hashed into `number` once per state;
     # pieces, parts and what is known of them go by the numbers
     number: dict[Process, int] = {}
     numbered: list[Process] = []
-    live: list[bool] = []
+    alive: list[bool] = []
     ties: list[frozenset[Name]] = []
     passed: set[tuple[int, ...]] = set()
     transparent_parts: dict[tuple[int, ...], bool] = {}
+    ids: list[int] = []  # the current state's thread numbers
+    bits: list[int] = []  # and the bits of its positions
+    of_mask: dict[int, tuple[int, ...]] = {}  # numbers() of this state
+
+    def numbers(mask: int) -> tuple[int, ...]:
+        """The thread numbers of the positions in `mask`, in order."""
+        nums = of_mask.get(mask)
+        if nums is None:
+            nums = of_mask[mask] = tuple(
+                itertools.compress(ids, map(mask.__and__, bits)))
+        return nums
 
     def transparent(part: tuple[int, ...]) -> bool:
         ok = transparent_parts.get(part)
         if ok is None:
-            piece = reduce(sx.Par, (numbered[i] for i in part))
+            piece = reduce(sx.Par, map(numbered.__getitem__, part))
             ok = depgraph.is_transparent(gamma, piece).ok
             transparent_parts[part] = ok
         return ok
@@ -304,54 +342,71 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
         for state in frontier:
             visited += 1
             threads = state.threads
+            n = len(threads)
+            bits = [1 << i for i in range(n)]
             ids = []
-            for t in threads:
+            of_mask.clear()
+            live = 0
+            for t, bit in zip(threads, bits):
                 i = number.get(t)
                 if i is None:
                     i = number[t] = len(numbered)
                     numbered.append(t)
-                    live.append(congruence.has_live_channels(t))
-                    f = sx.facts(t)
+                    alive.append(congruence.has_live_channels(t))
+                    f = keys[id(t)].facts  # a state is keyed before its visit
                     ties.append(f.free | f.services)
                 ids.append(i)
+                if alive[i]:
+                    live |= bit
             succs = semantics.redexes(state)
-            moves = {(r.i,) if r.j is None else (r.i, r.j) for r in succs}
+            moves = list({bits[r.i] | (0 if r.j is None else bits[r.j])
+                          for r in succs})
+            adj = None
             budget = subset_budget
-            for size in range(1, len(threads) + 1):
-                for pick in itertools.combinations(range(len(threads)), size):
-                    if budget == 0:  # ends every larger size at once
-                        bound_hit = True
-                        break
-                    budget -= 1
-                    if (not any(live[ids[i]] for i in pick)
-                            or any(all(i in pick for i in m) for m in moves)):
+            for size in range(1, n + 1):
+                if budget == 0:  # ends every larger size at once
+                    bound_hit = True
+                    break
+                taken = min(budget, math.comb(n, size))
+                budget -= taken
+                picks = zip(itertools.combinations(range(n), size),
+                            map(sum, itertools.combinations(bits, size)))
+                for pick, mask in itertools.islice(picks, taken):
+                    if not mask & live:
                         continue
-                    nums = tuple(ids[i] for i in pick)
-                    if nums in passed:
-                        continue
-                    if size > 1 and _parts_pass(nums, ties, live, passed,
-                                                transparent):
-                        passed.add(nums)
-                        continue
-                    cut = tuple(threads[i] for i in pick)
-                    bad = _cut_failure(gamma, cut)
-                    if bad is None:
-                        passed.add(nums)
-                        continue
-                    failed, partner = bad
-                    return ProgressResult(
-                        "counterexample",
-                        f"stuck decomposition: {_CONDITIONS[failed]}",
-                        state=state.process(), cut=cut, partner=partner,
-                        failed=failed, states_seen=visited,
-                        bound_hit=bound_hit)
+                    for m in moves:
+                        if m & mask == m:
+                            break
+                    else:  # live and irreducible: a stuck piece
+                        nums = tuple(map(ids.__getitem__, pick))
+                        if nums in passed:
+                            continue
+                        if size > 1:
+                            if adj is None:
+                                adj = _adjacency([ties[i] for i in ids])
+                            if _parts_pass(_split(mask, adj), live, passed,
+                                           numbers, transparent):
+                                passed.add(nums)
+                                continue
+                        cut = tuple(map(threads.__getitem__, pick))
+                        bad = _cut_failure(gamma, cut)
+                        if bad is None:
+                            passed.add(nums)
+                            continue
+                        failed, partner = bad
+                        return ProgressResult(
+                            "counterexample",
+                            f"stuck decomposition: {_CONDITIONS[failed]}",
+                            state=state.process(), cut=cut, partner=partner,
+                            failed=failed, states_seen=visited,
+                            bound_hit=bound_hit)
             if depth <= 0:
                 if succs:
                     bound_hit = True
                 continue
             for r in succs:
                 q = semantics.step(state, r)
-                key = congruence.canonical_key(q)
+                key = congruence.canonical_key(q, keys)
                 if key in seen:
                     continue
                 if len(seen) >= max_states:

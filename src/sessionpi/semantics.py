@@ -285,9 +285,12 @@ def explore(p: Process | NormalForm, depth: int,
     in at most `depth` steps, deduplicated up to congruence and
     renaming, starting with p's own normal form.  The search stops once
     it holds `max_states` states, so the list is the first `max_states`
-    of the unbounded one (always at least the start)."""
+    of the unbounded one (always at least the start).  One
+    `canonical_key` table serves the whole call, so each distinct thread
+    object is summarised and printed once."""
+    keys: congruence.KeyTable = {}
     start = congruence.normal_form(p)
-    seen = {congruence.canonical_key(start)}
+    seen = {congruence.canonical_key(start, keys)}
     out = [start]
     frontier = [start]
     for _ in range(depth):
@@ -297,7 +300,7 @@ def explore(p: Process | NormalForm, depth: int,
                 if len(out) >= max_states:
                     return out
                 q2 = step(q, r)
-                key = congruence.canonical_key(q2)
+                key = congruence.canonical_key(q2, keys)
                 if key not in seen:
                     seen.add(key)
                     out.append(q2)

@@ -1,7 +1,9 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from functools import reduce
+from types import CodeType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -393,18 +395,80 @@ def test_each_distinct_stuck_piece_is_checked_once(monkeypatch):
     assert scans[0] == 27 + 2 * 12
 
 
+def cycles(n):
+    """n two-channel cycles `a!(i).b!(7).0 | a?(x).b?(y).0`."""
+    return sf.parse_source(
+        "sessions " + ", ".join(f"a{i}, b{i}" for i in range(n)) + "; "
+        + " | ".join(f"a{i}!({i}).b{i}!(7).0 | a{i}?(x).b{i}?(y).0"
+                     for i in range(n)))
+
+
 def test_independent_cycles_need_a_partner_per_thread(monkeypatch):
     # five cycles: 2,612 distinct stuck pieces, of which only the 20
     # single threads are checked with a partner
-    src = sf.parse_source(
-        "sessions " + ", ".join(f"a{i}, b{i}" for i in range(5)) + "; "
-        + " | ".join(f"a{i}!({i}).b{i}!(7).0 | a{i}?(x).b{i}?(y).0"
-                     for i in range(5)))
+    src = cycles(5)
     calls = count_calls(monkeypatch, pg, "_partner")
     r = pg.check_progress(src.gamma, src.process)
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 243,
                                                         True)
     assert calls[0] == 20
+
+
+def test_the_search_prints_each_thread_object_once(monkeypatch):
+    # five cycles: `canonical_key` printed 10,280 threads when it printed
+    # every thread of every state at least twice; now it prints each
+    # thread object once per search, as a template
+    printed = []
+    real = cg.print_process
+
+    def counted(t, names=None):
+        printed.append(t)
+        return real(t, names)
+
+    monkeypatch.setattr(cg, "print_process", counted)
+    src = cycles(5)
+    r = pg.check_progress(src.gamma, src.process)
+    assert r.states_seen == 243
+    assert len({id(t) for t in printed}) == len(printed)
+    assert 5 * len(printed) <= 10_280
+
+
+def _inner_code(fns):
+    """The code objects of fns and of the functions and generator
+    expressions defined in them."""
+    todo = [f.__code__ for f in fns]
+    out = set()
+    while todo:
+        code = todo.pop()
+        out.add(code)
+        todo.extend(c for c in code.co_consts if isinstance(c, CodeType))
+    return out
+
+
+def test_the_pick_loop_runs_no_generator_or_all():
+    # five cycles: the per-pick redex test was a generator of `all`s,
+    # millions of steps; picks, moves and parts are masks now, so the
+    # loop and its helpers step no generator and call no `all`/`any`
+    loop = _inner_code([pg.check_progress, pg._split, pg._parts_pass,
+                        pg._adjacency])
+    steps = Counter()
+
+    def profile(frame, event, arg):
+        if frame.f_code not in loop:
+            return
+        if event == "call" and frame.f_code.co_name == "<genexpr>":
+            steps["generator"] += 1
+        elif event == "c_call" and arg in (all, any):
+            steps[arg.__name__] += 1
+
+    src = cycles(5)
+    sys.setprofile(profile)
+    try:
+        r = pg.check_progress(src.gamma, src.process)
+    finally:
+        sys.setprofile(None)
+    assert r.states_seen == 243
+    assert steps == Counter()
 
 
 @given(st.integers(0, 10_000))
@@ -416,9 +480,13 @@ def test_the_independence_rule_is_sound(seed):
     gamma, units = S.independent_units(rng)
     threads = [t for ts, _ in units for t in ts]
     rng.shuffle(threads)
-    nums = tuple(range(len(threads)))
     ties = [f.free | f.services for f in map(sx.facts, threads)]
-    parts = pg._split(nums, ties)
+
+    def positions(mask):
+        return tuple(i for i in range(len(threads)) if mask >> i & 1)
+
+    masks = pg._split((1 << len(threads)) - 1, pg._adjacency(ties))
+    parts = list(map(positions, masks))
     part_of = {i: part for part in parts for i in part}
     unit_of = {t: n for n, (ts, _) in enumerate(units) for t in ts}
     for part in parts:  # groups share no name, so no part spans two
@@ -438,7 +506,8 @@ def test_the_independence_rule_is_sound(seed):
 
     passed = {part for part in parts if any(live[i] for i in part)
               and pg._cut_failure(gamma, of(part)) is None}
-    if pg._parts_pass(nums, ties, live, passed,
+    live_mask = sum(1 << i for i, ok in enumerate(live) if ok)
+    if pg._parts_pass(masks, live_mask, passed, positions,
                       lambda part: dg.is_transparent(
                           gamma, reduce(sx.Par, of(part))).ok):
         assert pg._cut_failure(gamma, tuple(threads)) is None

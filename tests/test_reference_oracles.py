@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sessionpi.congruence as cg
+import sessionpi.progress as pg
 import sessionpi.semantics as sm
 import sessionpi.surface as sf
 import sessionpi.syntax as sx
@@ -336,8 +337,10 @@ def test_rewritten_functions_agree_with_the_reference(name):
     generated()
 
 
-def test_canonical_key_sweeps_each_thread_at_most_twice(monkeypatch):
-    # once for the occurrence index, once for the binders it numbers
+def test_canonical_key_sweeps_each_thread_once_per_table(monkeypatch):
+    # one `syntax.facts` sweep per distinct thread object and table: a
+    # call without a table makes its own, and a shared table sweeps a
+    # thread it has seen in an earlier state never again
     calls = [0]
     real = sx.facts
 
@@ -346,8 +349,99 @@ def test_canonical_key_sweeps_each_thread_at_most_twice(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(sx, "facts", counted)
-    for p in corpus_states():
-        nf = cg.normal_form(p)
+    states = [cg.normal_form(p) for p in corpus_states()]
+    for nf in states:
         calls[0] = 0
         cg.canonical_key(nf)
-        assert calls[0] <= 2 * len(nf.threads), sf.print_process(p)
+        distinct = len({id(t) for t in nf.threads})
+        assert calls[0] == distinct, sf.print_process(nf.process())
+    table = {}
+    calls[0] = 0
+    for nf in states:
+        cg.canonical_key(nf, table)
+    assert calls[0] == len(table)
+    for nf in states:
+        cg.canonical_key(nf, table)
+    assert calls[0] == len(table)
+
+
+def keys_checked_against_the_reference(monkeypatch):
+    """Make every `canonical_key` call assert that its key is the
+    reference's; read the list of tables the calls were given."""
+    real = cg.canonical_key
+    tables = []
+
+    def checked(p, table=None):
+        key = real(p, table)
+        assert key == reference_canonical_key(p), key
+        if not any(table is t for t in tables):
+            tables.append(table)
+        return key
+
+    monkeypatch.setattr(cg, "canonical_key", checked)
+    return tables
+
+
+def test_keys_from_a_shared_table_are_the_reference_keys(monkeypatch):
+    # one table per search and per `explore` run, shared by every state
+    # it reaches; the keys must be the reference's byte for byte
+    tables = keys_checked_against_the_reference(monkeypatch)
+
+    def one_table(run):
+        tables.clear()
+        run()
+        assert len(tables) <= 1 and None not in tables
+
+    for name in SOURCES:
+        src = load(name)
+        one_table(lambda: pg.check_progress(src.gamma, src.process))
+        one_table(lambda: sm.explore(src.process, 4))
+    for seed in (1, 2, 3):
+        for case in S.bench_gen().refute(seed):
+            src = sf.parse_source(case.text)
+            one_table(lambda: pg.check_progress(src.gamma, src.process))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 10_000))
+    def generated(seed):
+        gamma, p = S.typed_cycles(random.Random(seed))
+        one_table(lambda: pg.check_progress(gamma, p, depth=6))
+        one_table(lambda: sm.explore(p, 3))
+
+    generated()
+
+
+def test_templates_keep_names_in_text_order_and_literals_literal():
+    # an offer prints its arms before its own channel, and its arms bind
+    # and use other names; string literals hold what a template is made
+    # of: newlines, braces and field numbers
+    k, m, n = sx.bound_chan("k"), sx.bound_chan("m"), sx.bound_chan("n")
+    j = sx.chan("j")
+    texts = ["\n0\n", "{0}", "{", "}}", "\n{1}\n", "%s", "\x00", "\\n"]
+    offer = sx.Offer(k, (
+        ("l", sx.New(m, sx.Send(m, sx.StrLit(texts[0]),
+                                sx.Send(j, sx.StrLit(texts[1]), sx.Stop())))),
+        ("r", sx.ReceiveSession(k, n, sx.Send(n, sx.StrLit(texts[4]),
+                                              sx.Stop())))))
+    threads = [
+        offer,
+        sx.Send(k, sx.StrLit("".join(texts)), sx.Choose(k, "l", sx.Stop())),
+        sx.Receive(j, "x", sx.Send(k, sx.StrLit(texts[2] + texts[3]),
+                                   sx.Stop())),
+    ]
+    for t in threads:
+        row = cg._row(t)
+        for names in (sf.display_names(t), {}, {c: f"{{{c.base}}}\n"
+                                                for c in row.slots}):
+            assert cg._fill(row, names) == sf.print_process(t, names)
+    states = [
+        functools.reduce(sx.Par, threads),
+        sx.New(k, functools.reduce(sx.Par, threads)),
+        sx.New(k, sx.New(j, sx.Par(threads[0], threads[0]))),
+        sx.New(j, functools.reduce(sx.Par, threads[::-1])),
+    ]
+    table = {}
+    for p in states:
+        assert cg.canonical_key(p, table) == reference_canonical_key(p)
+        assert cg.canonical_key(p) == reference_canonical_key(p)
+    assert len(table) == len(threads)
