@@ -9,6 +9,7 @@ With --json every result is one JSON object per line with fields
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -223,7 +224,11 @@ def _bound(text: str) -> int:
     return n
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process
+    like a compiled regex: parsing makes a new namespace per call and
+    leaves the parser as it was."""
     # SUPPRESS keeps a subcommand's unset flag from clobbering a --json
     # given before the subcommand name
     shared = argparse.ArgumentParser(add_help=False)

@@ -20,23 +20,28 @@ rejected in every binding position except `env`.
 Comments run from `//` to end of line.  Prefixes bind tighter than `|`,
 so `new k . P | Q` is `(new k . P) | Q`; parenthesise for wider scope.
 
-Tokens.  `tokenize` makes one regex match per token, with the blanks,
-newlines and comments in front of it taken into the same match, and
-returns three parallel lists: tags, texts and offsets into the text.
-A symbol's or keyword's tag is its own text; identifiers, ints,
-strings and the end of input are tagged `IDENT`, `INT`, `STRING` and
-`EOF`, which start with a blank, so no token text equals them.  Lines
-are not tracked: `position` turns an offset into a line and a column
-when a `ParseError` is raised, and only then.  The parser reads the
-lists by index, and reads a chain of prefixes in a loop, so a long
-chain needs no recursion.
+Tokens.  `_lex` finds every token with one `findall` of one pattern,
+whose only group is the token, with the blanks, newlines and comments
+in front of it taken into the same match.  It returns two parallel
+lists: tags and texts.  A symbol's or keyword's tag is its own text,
+looked up in a dict; identifiers, ints, strings and the end of input
+are tagged `IDENT`, `INT`, `STRING` and `EOF`, which start with a
+blank, so no token text equals them.  A second pass visits only the
+tokens the dict does not tag, to tell identifiers, ints and strings
+(whose escapes it applies) from a lexical error.  Offsets and lines
+are not tracked: `_offsets` finds the tokens again when a
+`ParseError` is built, and only then, and `position` turns an offset
+into a line and a column.  `tokenize` gives all three lists.  The
+parser reads the lists by index, and reads a chain of prefixes in a
+loop, so a long chain needs no recursion.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Collection, Sequence, Set as AbstractSet
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, count, repeat
+from operator import is_
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 from . import syntax as sx
@@ -73,25 +78,45 @@ _SYMBOLS = [
 
 IDENT, INT, STRING, EOF = " ident", " int", " string", " eof"
 
-# Each match is layout, then one token.  `\d` is `str.isdecimal` and
-# `\w` is `str.isalnum` plus '_', so a digit such as '²' starts a word,
-# not an int; `tokenize` rejects a word that does not start with a
-# letter, '_' or '#'.  Any other character is `bad`.  The layout takes
-# every blank, newline and comment, and `eof` or `bad` always matches
-# right after it, so a match never backtracks into the layout.
+# Each match is layout, then one token, the only group.  `\d` is
+# `str.isdecimal` and `\w` is `str.isalnum` plus '_', so a digit such
+# as '²' starts a word, not an int; `_lex` rejects a word that does not
+# start with a letter, '_' or '#'.  Any other character is a token of
+# its own, and a bad one.  The layout takes every blank, newline and
+# comment, and the end of input (an empty token) or a single character
+# always matches right after it, so a match never backtracks into the
+# layout, and the matches cover the text with no gap.
 _STRING = r'"(?:[^"\\\n]|\\[nt"\\])*'
-_TOKEN = re.compile(r"(?:[ \t\r\n]+|(?P<comment>//[^\n]*))*(?:" + "|".join([
-    r"(?P<int>\d+)", r"(?P<word>[\w#]\w*)", f'(?P<string>{_STRING}")',
-    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
-    r"(?P<eof>\Z)", r"(?P<bad>.)",
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*(" + "|".join([
+    r"\d+", r"[\w#]\w*", f'{_STRING}"',
+    *map(re.escape, _SYMBOLS), r"\Z", r".",
 ]) + ")")
 _STRING_PREFIX = re.compile(_STRING)
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+# the tags a token's text alone decides
+_TAGS = {**{w: w for w in [*_SYMBOLS, *_KEYWORDS]}, "": EOF}
 
 
 def position(text: str, off: int) -> tuple[int, int]:
     """The line and column, both counted from 1, of offset `off`."""
     return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
+
+
+def _offsets(text: str) -> list[int]:
+    """The offsets of text's tokens, the last one `EOF`.  The parser
+    needs them only to place a `ParseError`."""
+    offs = []
+    for m in _TOKEN.finditer(text):
+        offs.append(m.start(1))
+        if not m[1]:
+            break
+    # a trailing comment does not count towards the end-of-input column:
+    # on the layout's last line, blanks can only precede one comment
+    line = max(m.start(), text.rfind("\n", m.start()) + 1)
+    comment = text.find("//", line)
+    if comment >= 0:
+        offs[-1] = comment
+    return offs
 
 
 def _lex_error(text: str, off: int) -> ParseError:
@@ -108,46 +133,35 @@ def _lex_error(text: str, off: int) -> ParseError:
     return ParseError(f"unexpected character {c!r}", *position(text, off))
 
 
+def _lex(text: str) -> tuple[list[str], list[str]]:
+    """The tags and texts of text's tokens, the last one `EOF` (with
+    text ""): one `findall`, the symbols, keywords and end tagged by
+    their text, then one pass over the other tokens."""
+    texts = _TOKEN.findall(text)
+    # after layout at the very end, the end of input matches twice
+    del texts[texts.index("") + 1:]
+    tags = list(map(_TAGS.get, texts))
+    for i in compress(count(), map(is_, tags, repeat(None))):
+        word = texts[i]
+        c = word[0]
+        if c.isalpha() or c in "_#" and word != "#":
+            tags[i] = IDENT
+        elif c.isdecimal():
+            tags[i] = INT
+        elif c == '"' and word != '"':
+            tags[i], word = STRING, word[1:-1]
+            texts[i] = (re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]], word)
+                        if "\\" in word else word)
+        else:
+            raise _lex_error(text, _offsets(text)[i])
+    return tags, texts
+
+
 def tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
     """The tags, texts and offsets of text's tokens, the last one `EOF`
     (with text "")."""
-    tags: list[str] = []
-    texts: list[str] = []
-    offs: list[int] = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        word = m[kind]
-        off = m.start(kind)
-        if kind == "sym":
-            tag = word
-        elif kind == "word":
-            if word in _KEYWORDS:
-                tag = word
-            elif word != "#" and (word[0].isalpha() or word[0] in "_#"):
-                tag = IDENT
-            else:
-                raise _lex_error(text, off)
-        elif kind == "int":
-            tag = INT
-        elif kind == "string":
-            tag, word = STRING, word[1:-1]
-            if "\\" in word:
-                word = re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]], word)
-        elif kind == "eof":
-            # a trailing comment does not count towards the end-of-input
-            # column
-            if m.end("comment") == len(text):
-                off = m.start("comment")
-            tags.append(EOF)
-            texts.append("")
-            offs.append(off)
-            break
-        else:
-            raise _lex_error(text, off)
-        tags.append(tag)
-        texts.append(word)
-        offs.append(off)
-    return tags, texts, offs
+    tags, texts = _lex(text)
+    return tags, texts, _offsets(text)
 
 
 # -------------------------------------------------------------------- parser
@@ -172,7 +186,7 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        self.tags, self.texts, self.offs = tokenize(text)
+        self.tags, self.texts = _lex(text)
         self.pos = 0
         self.sessions: dict[str, Name] = {}
         self.gamma: dict[str, Sort] = {}
@@ -183,7 +197,7 @@ class _Parser:
 
     def error(self, message: str, i: int | None = None) -> ParseError:
         """A ParseError at token i, by default the next one."""
-        off = self.offs[self.pos if i is None else i]
+        off = _offsets(self.text)[self.pos if i is None else i]
         return ParseError(message, *position(self.text, off))
 
     def show(self, i: int) -> str:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import NamedTuple
 
 _uids = itertools.count(1)
@@ -25,8 +26,9 @@ CHAN = "chan"
 SERVICE = "service"
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(NamedTuple):
+    """A named tuple, so it hashes and compares in C; its hash is
+    `hash((base, kind, uid))`."""
     base: str
     kind: str = CHAN
     uid: int | None = None
@@ -264,79 +266,136 @@ class If(Process):
     els: Process
 
 
-# binder accessors: (bound name, subterm it scopes over)
+# ---------------------------------------------------------------- node shapes
+#
+# `SHAPES` is the one place that knows where each process form keeps
+# its names and its subprocesses; every reader of a node's own names
+# or children, and every map over a term, goes through it.  An entry
+# names the form's fields, each in the order the form is printed: the
+# channel it binds in its continuation, the service a serve, accept or
+# request names, the session channels its prefix names (its subject,
+# then the channel a delegation sends), and its subprocesses from left
+# to right: the two sides of `|`, the two branches of `if`, the arms of
+# an offer in their written order, and otherwise the one continuation
+# (none for `0`).  `binder`, `subject`, `mentions`, `children`,
+# `rebuild` and `facts` read it through attribute readers made from it
+# once, with one lookup by class per node; all but `facts` look at the
+# node they are given only.  Read-only walks use an explicit stack, so
+# deep terms need no raised recursion limit; pushing
+# `reversed(children(q))` visits a term in pre-order, left to right.
+
+class Shape(NamedTuple):
+    """Where a process form keeps its names and subprocesses, as field
+    names."""
+    binder: str | None         # the channel bound in its continuation
+    service: str | None        # the service it serves, accepts or requests
+    mentions: tuple[str, ...]  # the session channels its prefix names
+    children: tuple[str, ...]  # its subprocesses ("arms": an offer's)
+
+
+_BODY = ("body",)
+SHAPES: dict[type, Shape] = {
+    Stop: Shape(None, None, (), ()),
+    Par: Shape(None, None, (), ("left", "right")),
+    New: Shape("chan", None, (), _BODY),
+    Serve: Shape("chan", "service", (), _BODY),
+    Accept: Shape("chan", "service", (), _BODY),
+    Request: Shape("chan", "service", (), _BODY),
+    Receive: Shape(None, None, ("chan",), _BODY),
+    Send: Shape(None, None, ("chan",), _BODY),
+    ReceiveSession: Shape("bound", None, ("chan",), _BODY),
+    SendSession: Shape(None, None, ("chan", "sent"), _BODY),
+    Offer: Shape(None, None, ("chan",), ("arms",)),
+    Choose: Shape(None, None, ("chan",), _BODY),
+    If: Shape(None, None, (), ("then", "els")),
+}
+
+
+class _Readers(NamedTuple):
+    """A `Shape` as C-level attribute readers, None where the form has
+    no such field.  A role with one field or several has one reader for
+    each case: one gives the field's value, several a tuple."""
+    binder: Callable | None
+    service: Callable | None
+    subject: Callable | None   # the service, else the first mention
+    mention: Callable | None   # the one mentioned channel
+    mentions: Callable | None  # two or more, as a tuple
+    child: Callable | None     # the one subprocess
+    kids: Callable | None      # two or more, or an offer's, as a tuple
+    keep: tuple[str, ...]      # the fields that are not subprocesses
+
+
+def _arm_processes(p: Offer) -> tuple[Process, ...]:
+    return tuple([a for _, a in p.arms])
+
+
+def _readers(cls: type, s: Shape) -> _Readers:
+    def get(field: str | None) -> Callable | None:
+        return None if field is None else attrgetter(field)
+
+    def one(names: tuple[str, ...]) -> Callable | None:
+        return attrgetter(*names) if len(names) == 1 else None
+
+    def several(names: tuple[str, ...]) -> Callable | None:
+        return attrgetter(*names) if len(names) > 1 else None
+
+    arms = s.children == ("arms",)
+    return _Readers(
+        get(s.binder), get(s.service),
+        get(s.service or (s.mentions[0] if s.mentions else None)),
+        one(s.mentions), several(s.mentions),
+        None if arms else one(s.children),
+        _arm_processes if arms else several(s.children),
+        tuple(f.name for f in fields(cls) if f.name not in s.children))
+
+
+# indexed by `type(p)`: anything but a process raises KeyError
+_READERS = {cls: _readers(cls, s) for cls, s in SHAPES.items()}
+
 
 def binder(p: Process) -> tuple[Name, Process] | None:
-    match p:
-        case New(c, body) | ReceiveSession(_, c, body):
-            return c, body
-        case Serve(_, c, body) | Accept(_, c, body) | Request(_, c, body):
-            return c, body
-    return None
+    """The channel p binds and the subprocess it scopes over: for
+    `new`, serve, accept, request and session reception; else None."""
+    r = _READERS[type(p)]
+    return None if r.binder is None else (r.binder(p), r.child(p))
 
 
-# ----------------------------------------------------------------- traversals
-#
-# `children` and `rebuild` are the one place that knows where each
-# process form keeps its subprocesses; every walk and every map over a
-# term goes through them.  `children(p)` lists the immediate
-# subprocesses of p from left to right: the two sides of `|`, the two
-# branches of `if`, the arms of an offer in their written order, and
-# otherwise the one continuation (none for `0`).  `rebuild(p, kids)`
-# puts a process of the same form back together around new
-# subprocesses given in that order, keeping everything else of p: its
-# names, expressions, the chosen label, and each offer arm's label.
-# Read-only walks use an explicit stack, so deep terms need no raised
-# recursion limit; pushing `reversed(children(q))` visits a term in
-# pre-order, left to right.
+def subject(p: Process) -> Name | None:
+    """The name p's prefix acts on: the session channel of an
+    in-session prefix, the service of a serve, accept or request; None
+    for `0`, `|`, `new` and `if`."""
+    get = _READERS[type(p)].subject
+    return None if get is None else get(p)
+
+
+def mentions(p: Process) -> tuple[Name, ...]:
+    """The session channels p's prefix names: its subject, then the
+    delegated channel of a delegation.  Empty for service prefixes,
+    whose channel is a binder, and for `0`, `|`, `new` and `if`."""
+    r = _READERS[type(p)]
+    if r.mention is not None:
+        return (r.mention(p),)
+    return () if r.mentions is None else r.mentions(p)
+
 
 def children(p: Process) -> tuple[Process, ...]:
     """The immediate subprocesses of p, left to right."""
-    match p:
-        case Par(l, r):
-            return (l, r)
-        case Offer(_, arms):
-            return tuple(a for _, a in arms)
-        case If(_, t, e):
-            return (t, e)
-        case Stop():
-            return ()
-        case Process():
-            return (p.body,)  # type: ignore[attr-defined]
-    raise TypeError(f"not a process: {p!r}")
+    r = _READERS[type(p)]
+    if r.child is not None:
+        return (r.child(p),)
+    return () if r.kids is None else r.kids(p)
 
 
 def rebuild(p: Process, kids: Sequence[Process]) -> Process:
     """p with its immediate subprocesses replaced by `kids`, given in
-    the order of `children(p)`."""
-    match p:
-        case Stop():
-            return p
-        case Par():
-            return Par(*kids)
-        case New(c, _):
-            return New(c, *kids)
-        case Serve(a, c, _):
-            return Serve(a, c, *kids)
-        case Accept(a, c, _):
-            return Accept(a, c, *kids)
-        case Request(a, c, _):
-            return Request(a, c, *kids)
-        case Receive(c, x, _):
-            return Receive(c, x, *kids)
-        case Send(c, e, _):
-            return Send(c, e, *kids)
-        case ReceiveSession(c, n, _):
-            return ReceiveSession(c, n, *kids)
-        case SendSession(c, n, _):
-            return SendSession(c, n, *kids)
-        case Offer(c, arms):
-            return Offer(c, tuple((l, a) for (l, _), a in zip(arms, kids)))
-        case Choose(c, l, _):
-            return Choose(c, l, *kids)
-        case If(e, _, _):
-            return If(e, *kids)
-    raise TypeError(f"not a process: {p!r}")
+    the order of `children(p)`, and everything else of p kept: its
+    names, expressions, the chosen label and each offer arm's label."""
+    keep = _READERS[type(p)].keep
+    if type(p) is Offer:
+        return Offer(p.chan, tuple((l, a) for (l, _), a in zip(p.arms, kids)))
+    if not kids:  # `0`
+        return p
+    return type(p)(*[getattr(p, f) for f in keep], *kids)
 
 
 def par_leaves(p: Process) -> list[Process]:
@@ -352,38 +411,6 @@ def par_leaves(p: Process) -> list[Process]:
         else:
             leaves.append(q)
     return leaves
-
-
-# ----------------------------------------------------------------- node names
-#
-# `subject` and `mentions` are the one place that knows where each
-# prefix keeps its names; every reader of a node's own names goes
-# through them.  They look at p's prefix only, never below it.
-
-_SESSION_PREFIXES = (Receive, Send, ReceiveSession, SendSession, Offer, Choose)
-_SERVICE_PREFIXES = (Serve, Accept, Request)
-
-
-def subject(p: Process) -> Name | None:
-    """The name p's prefix acts on: the session channel of an
-    in-session prefix, the service of a serve, accept or request; None
-    for `0`, `|`, `new` and `if`."""
-    if isinstance(p, _SERVICE_PREFIXES):
-        return p.service  # type: ignore[attr-defined]
-    if isinstance(p, _SESSION_PREFIXES):
-        return p.chan  # type: ignore[attr-defined]
-    return None
-
-
-def mentions(p: Process) -> tuple[Name, ...]:
-    """The session channels p's prefix names: its subject, then the
-    delegated channel of a delegation.  Empty for service prefixes,
-    whose channel is a binder, and for `0`, `|`, `new` and `if`."""
-    if isinstance(p, SendSession):
-        return (p.chan, p.sent)
-    if isinstance(p, _SESSION_PREFIXES):
-        return (p.chan,)  # type: ignore[attr-defined]
-    return ()
 
 
 class Facts(NamedTuple):
@@ -402,23 +429,29 @@ class Facts(NamedTuple):
 
 
 def facts(p: Process) -> Facts:
-    """One non-recursive pre-order sweep of p, left to right, through
-    `binder`, `subject` and `mentions`: the one reader of a term's
-    names below its head."""
+    """One non-recursive pre-order sweep of p, left to right, reading
+    each node through `SHAPES`: the one reader of a term's names below
+    its head."""
     bound: dict[Name, None] = {}
     services: set[Name] = set()
     mentioned: set[Name] = set()
+    readers = _READERS
     todo = [p]
     while todo:
         q = todo.pop()
-        b = binder(q)
+        b, a, _, m, ms, k, ks, _ = readers[type(q)]
         if b is not None:
-            bound.setdefault(b[0])
-        a = subject(q)
-        if a is not None and a.kind == SERVICE:
-            services.add(a)
-        mentioned.update(mentions(q))
-        todo.extend(reversed(children(q)))
+            bound.setdefault(b(q))
+        if a is not None and (n := a(q)).kind == SERVICE:
+            services.add(n)
+        if m is not None:
+            mentioned.add(m(q))
+        elif ms is not None:
+            mentioned.update(ms(q))
+        if k is not None:
+            todo.append(k(q))
+        elif ks is not None:
+            todo.extend(reversed(ks(q)))
     return Facts(tuple(bound), frozenset(services), frozenset(mentioned))
 
 
@@ -441,14 +474,10 @@ def _rename(p: Process, env: dict[Name, Name],
             if c2 != c or c in env:  # renamed, or shields env's entry
                 env = env | {c: c2}
         q = rebuild(q, [go(k, env) for k in children(q)])
-        match q:
-            case Stop() | Par() | If():
-                return q
-            case ReceiveSession(c, n, body) | SendSession(c, n, body):
-                if n in env:
-                    q = type(q)(c, env[n], body)
-        c = q.chan  # type: ignore[attr-defined]
-        return replace(q, chan=env[c]) if c in env else q
+        s = SHAPES[type(q)]
+        renamed = {f: env[n] for f in (s.binder, *s.mentions)
+                   if f is not None and (n := getattr(q, f)) in env}
+        return replace(q, **renamed) if renamed else q
 
     return go(p, env)
 

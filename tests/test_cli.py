@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import random
@@ -308,6 +310,32 @@ def test_run_all_stops_at_the_state_bound(capsys, spi, tmp_path):
         "states": ["k1?(x).k2!(x).0 | k2?(x).k1!(x).0"]})
 
 
+def test_the_parser_carries_nothing_from_one_call_to_the_next(
+        capsys, monkeypatch, spi):
+    # the argument parser is built once per process and reused
+    f = spi("buyer_seller")
+    before = run(capsys, "transparent", f)
+    assert run(capsys, "check", f, "--json")[1].startswith("{")
+    code, out, _ = run(capsys, "check", f)
+    assert (code, out.startswith("well-typed")) == (0, True)
+    depths = []
+    real = progress.check_progress
+
+    def recorded(gamma, p, **kw):
+        depths.append(kw["depth"])
+        return real(gamma, p, **kw)
+
+    monkeypatch.setattr(progress, "check_progress", recorded)
+    run(capsys, "progress", f, "--depth", "2")
+    run(capsys, "progress", f)
+    assert depths == [2, 10]
+    code, out, err = run(capsys, "progress", f, "--depth", "-1")
+    assert (code, out) == (2, "") and "must not be negative" in err
+    assert run(capsys, "transparent", f) == before
+    assert before[0] == 0 and not before[1].startswith("{")
+    assert cli._parser() is cli._parser()
+
+
 def test_run_seed_and_all_conflict(capsys, spi):
     code = cli.main(["run", spi("relay"), "--seed", "1", "--all"])
     assert code == 2
@@ -553,3 +581,44 @@ def test_every_traced_function_exists():
     for mod, fn in S.bench_module("spans").TRACED:
         module = importlib.import_module(f"sessionpi.{mod}")
         assert callable(getattr(module, fn, None)), f"{mod}.{fn}"
+
+
+# The golden transcript: every output-producing command on every sample,
+# in text and --json, byte for byte.  Regenerate it only when an output
+# is meant to change, with `PYTHONPATH=src python tests/test_cli.py`.
+GOLDEN = Path(__file__).resolve().parent / "golden" / "samples.txt"
+_GOLDEN_COMMANDS = (
+    ["check"], ["graph"], ["graph", "--all-subterms"], ["transparent"],
+    ["run"], ["run", "--seed", "3"], ["run", "--all", "--steps", "6"],
+    ["progress"], ["progress", "--subset-budget", "3"],
+)
+
+
+def golden_transcript() -> str:
+    parts = []
+    for f in sorted(SAMPLES.glob("*.spi")):
+        for cmd in _GOLDEN_COMMANDS:
+            for flags in ([], ["--json"]):
+                argv = [*flags, cmd[0], str(f), *cmd[1:]]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                shown = " ".join([*flags, cmd[0], f"samples/{f.name}",
+                                  *cmd[1:]])
+                parts.append(f"$ sessionpi {shown}\n--- exit {code}\n"
+                             f"--- stdout\n{out.getvalue()}"
+                             f"--- stderr\n{err.getvalue()}")
+    return "".join(parts)
+
+
+def test_cli_output_matches_the_golden_transcript():
+    want = GOLDEN.read_text()
+    got = golden_transcript()
+    assert got.count("\n$ sessionpi ") + 1 == 18 * len(SOURCES)
+    assert got == want
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(golden_transcript())

@@ -1,7 +1,11 @@
 """Five functions as they read before `syntax.subject`, `syntax.mentions`,
 `syntax.facts` and `congruence.occurrences` took over their node-name
 matches, their sweeps for names and their occurrence scans, kept as
-oracles for the rewritten ones.  `reference_display_names` also keeps
+oracles for the rewritten ones.  `reference_binder`,
+`reference_subject`, `reference_mentions`, `reference_children` and
+`reference_facts` are the node readers and the sweep as they read
+before `syntax.SHAPES` took over their `match` and `isinstance`
+chains.  `reference_display_names` also keeps
 the suffix search that probes every suffix from 1 for each binder.
 `reference_tokenize` is the lexer as it read before tokens became
 parallel lists of tags, texts and offsets: one match per blank, newline
@@ -22,6 +26,80 @@ import sessionpi.surface as sf
 import sessionpi.syntax as sx
 import strategies as S
 from sessionpi.examples import SOURCES, load
+
+
+def reference_binder(p):
+    match p:
+        case sx.New(c, body) | sx.ReceiveSession(_, c, body):
+            return c, body
+        case sx.Serve(_, c, body) | sx.Accept(_, c, body) \
+                | sx.Request(_, c, body):
+            return c, body
+    return None
+
+
+def reference_children(p):
+    match p:
+        case sx.Par(l, r):
+            return (l, r)
+        case sx.Offer(_, arms):
+            return tuple(a for _, a in arms)
+        case sx.If(_, t, e):
+            return (t, e)
+        case sx.Stop():
+            return ()
+        case sx.Process():
+            return (p.body,)
+    raise TypeError(f"not a process: {p!r}")
+
+
+_SESSION_PREFIXES = (sx.Receive, sx.Send, sx.ReceiveSession, sx.SendSession,
+                     sx.Offer, sx.Choose)
+_SERVICE_PREFIXES = (sx.Serve, sx.Accept, sx.Request)
+
+
+def reference_subject(p):
+    if isinstance(p, _SERVICE_PREFIXES):
+        return p.service
+    if isinstance(p, _SESSION_PREFIXES):
+        return p.chan
+    return None
+
+
+def reference_mentions(p):
+    if isinstance(p, sx.SendSession):
+        return (p.chan, p.sent)
+    if isinstance(p, _SESSION_PREFIXES):
+        return (p.chan,)
+    return ()
+
+
+def reference_facts(p):
+    bound, services, mentioned = {}, set(), set()
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        b = reference_binder(q)
+        if b is not None:
+            bound.setdefault(b[0])
+        a = reference_subject(q)
+        if a is not None and a.kind == sx.SERVICE:
+            services.add(a)
+        mentioned.update(reference_mentions(q))
+        todo.extend(reversed(reference_children(q)))
+    return sx.Facts(tuple(bound), frozenset(services), frozenset(mentioned))
+
+
+def of_each_node(fn):
+    """fn on every node of the term, in pre-order."""
+    def each(p):
+        out, todo = [], [p]
+        while todo:
+            q = todo.pop()
+            out.append(fn(q))
+            todo.extend(reversed(reference_children(q)))
+        return out
+    return each
 
 
 def reference_free_session_channels(p):
@@ -298,7 +376,14 @@ PAIRS = {
     "display_names": (sf.display_names, reference_display_names),
     "redexes": (sm.redexes, reference_redexes),
     "canonical_key": (cg.canonical_key, reference_canonical_key),
+    "binder": (of_each_node(sx.binder), of_each_node(reference_binder)),
+    "subject": (of_each_node(sx.subject), of_each_node(reference_subject)),
+    "mentions": (of_each_node(sx.mentions), of_each_node(reference_mentions)),
+    "children": (of_each_node(sx.children), of_each_node(reference_children)),
+    "facts": (of_each_part(sx.facts), of_each_part(reference_facts)),
 }
+# the node readers are also checked on every benchmark file
+NODE_READERS = ("binder", "subject", "mentions", "children", "facts")
 
 
 def same_spelling_servers(n):
@@ -321,10 +406,23 @@ def corpus_states():
     return [q.process() for q in out] + [same_spelling_servers(2000)]
 
 
+@functools.cache
+def bench_terms():
+    """The processes of the `certify`, `simulate` and `refute` files of
+    the benchmark's seeds 1 and 2."""
+    gen = S.bench_gen()
+    return [sf.parse_source(case.text).process for seed in (1, 2)
+            for workload in (gen.certify, gen.simulate, gen.refute)
+            for case in workload(seed)]
+
+
 @pytest.mark.parametrize("name", PAIRS)
 def test_rewritten_functions_agree_with_the_reference(name):
     new, reference = PAIRS[name]
-    for p in corpus_states():
+    terms = corpus_states()
+    if name in NODE_READERS:
+        terms = terms + bench_terms()
+    for p in terms:
         assert new(p) == reference(p), sf.print_process(p)
 
     @settings(deadline=None, max_examples=60)

@@ -181,22 +181,28 @@ def test_parse_error_positions(text, message, line, col):
 
 
 def test_positions_are_computed_only_for_errors(monkeypatch):
-    calls = [0]
-    real = sf.position
+    # parsing keeps no token offsets: they are found again, once, for
+    # the one error a parse raises
+    calls = {"offsets": 0, "position": 0}
 
-    def counted(text, off):
-        calls[0] += 1
-        return real(text, off)
+    def counted(name, real):
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
 
-    monkeypatch.setattr(sf, "position", counted)
-    for text in SOURCES.values():
+    monkeypatch.setattr(sf, "_offsets", counted("offsets", sf._offsets))
+    monkeypatch.setattr(sf, "position", counted("position", sf.position))
+    texts = [case.text for case in S.bench_gen().certify(1)]
+    assert len(texts) == 13
+    for text in [*texts, *SOURCES.values()]:
         sf.parse_source(text)
-    assert calls[0] == 0
+    assert calls == {"offsets": 0, "position": 0}
     for text, *_ in ERROR_POSITIONS:
-        calls[0] = 0
+        calls.update(offsets=0, position=0)
         with pytest.raises(sf.ParseError):
             sf.parse_source(text)
-        assert calls[0] == 1, text
+        assert calls == {"offsets": 1, "position": 1}, text
 
 
 def test_a_long_prefix_chain_parses_without_recursion():

@@ -29,6 +29,20 @@ def test_fresh_keeps_base_and_kind():
     assert f != k
 
 
+def test_name_hash_and_equality_contract():
+    # the hash is the tuple's, so sets and dicts of names keep the
+    # order they had when `Name` was a dataclass, and outputs with it
+    names = [sx.chan("k"), sx.svc("k"), sx.bound_chan("k"), sx.Name("k")]
+    for n in names:
+        assert hash(n) == hash((n.base, n.kind, n.uid))
+    k = sx.chan("k")
+    assert k == sx.Name("k", sx.CHAN, None)
+    assert k != sx.svc("k") and k != k._replace(uid=1)  # kind, uid
+    f = k.fresh()
+    assert (f.base, f.kind) == (k.base, k.kind)
+    assert f.uid is not None and f.uid != k.fresh().uid
+
+
 def test_free_session_channels():
     k, k2 = sx.chan("k"), sx.chan("k2")
     p = sx.Send(k, sx.IntLit(1), sx.Receive(k2, "x", sx.Stop()))
