@@ -84,7 +84,7 @@ def _cmd_graph(args) -> int:
     data = []
     for i, g in enumerate(graphs):
         gd = _graph_data(g, names)
-        gd["acyclic"] = depgraph.is_acyclic(g)
+        gd["acyclic"] = g.cycle is None
         data.append(gd)
         lines.append(f"graph {i}: {g.node_count} nodes, {g.edge_count} edges,"
                      f" {'acyclic' if gd['acyclic'] else 'cyclic'}")
@@ -121,10 +121,12 @@ def _cmd_run(args) -> int:
     src = _load(args.file)
     try:
         if args.all:
-            # one state more than the bound tells whether it was hit
+            # one state more than the bound tells whether it was hit;
+            # the states are printed from the rows that keyed them
+            table: congruence.Table = {}
             states = semantics.explore(src.process, args.steps,
-                                       args.max_states + 1)
-            shown = surface.print_states(states[:args.max_states])
+                                       args.max_states + 1, table)
+            shown = congruence.print_states(states[:args.max_states], table)
             data: dict = {"states": shown}
             lines = ([f"{len(shown)} states within {args.steps} steps:"]
                      + [f"  {s}" for s in shown])

@@ -5,17 +5,21 @@ where every thread `ti` starts with a prefix or a conditional.  Stopped
 threads are dropped, parallel composition is flattened, and restrictions
 are hoisted to the front; restrictions guarding nothing are erased.
 Hoisting never captures because binder ids are globally unique.
+
+A caller-owned `Table` holds one `Row` per thread object: what
+`canonical_key`, `print_states` and the progress search know of it.
 """
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from typing import NamedTuple
 
 from . import syntax as sx
-from .surface import print_process
+from .surface import choose_names, print_process
 from .syntax import Name, Process
 
 
@@ -131,18 +135,23 @@ def has_live_channels(p: Process) -> bool:
     return False
 
 
-class KeyRow(NamedTuple):
-    """What `canonical_key` knows of one thread object."""
+class Row(NamedTuple):
+    """What is known of one thread object."""
     thread: Process  # held, so its id is not reused while in the table
     facts: sx.Facts
     text: str  # the thread printed once, one `str.format` field a name
     slots: tuple[Name, ...]  # the names of the fields, by field number
     bases: tuple[str, ...]  # their spellings, for names a map leaves out
+    live: bool  # `has_live_channels(thread)`
+    ties: frozenset[Name]  # its free session channels and its services
 
 
-def _row(t: Process) -> KeyRow:
-    """t's facts and print template, from one `syntax.facts` sweep and
-    one print.
+# one caller-owned table: thread id -> the row of that thread object
+Table = dict[int, Row]
+
+
+def _row(t: Process) -> Row:
+    """t's row, from one `syntax.facts` sweep and one print.
 
     The printer writes every channel name through its name map, so t is
     printed with each name as `\\n{i}\\n`, and the text between those
@@ -156,20 +165,28 @@ def _row(t: Process) -> KeyRow:
     marks = {n: f"\n{{{i}}}\n" for i, n in enumerate(slots)}
     parts = print_process(t, marks).split("\n")
     parts[::2] = [s.replace("{", "{{").replace("}", "}}") for s in parts[::2]]
-    return KeyRow(t, f, "".join(parts), slots, tuple(n.base for n in slots))
+    return Row(t, f, "".join(parts), slots, tuple(n.base for n in slots),
+               has_live_channels(t), f.free | f.services)
 
 
-# canonical_key's table: thread id -> what it knows of that thread
-KeyTable = dict[int, KeyRow]
+def rows(table: Table, threads: Iterable[Process]) -> list[Row]:
+    """The rows of `threads`, each built once per table."""
+    out = []
+    for t in threads:
+        row = table.get(id(t))
+        if row is None:
+            row = table[id(t)] = _row(t)
+        out.append(row)
+    return out
 
 
-def _fill(row: KeyRow, names: dict[Name, str]) -> str:
+def _fill(row: Row, names: dict[Name, str]) -> str:
     """`print_process(row.thread, names)`, read off the template."""
     return row.text.format(*map(names.get, row.slots, row.bases))
 
 
 def canonical_key(p: Process | NormalForm,
-                  table: KeyTable | None = None) -> str:
+                  table: Table | None = None) -> str:
     """A printable key equal for structurally congruent alpha-variants.
 
     Threads are sorted under a print that is blind to the spelling of
@@ -185,40 +202,33 @@ def canonical_key(p: Process | NormalForm,
     survive the refinement, which only costs duplicate work in state
     exploration, never wrong answers.
 
-    Each distinct thread object is read once per `table`: its
-    `syntax.facts` (binders and free channels) and its print as a
-    template, literal text with a slot for each name.  The blind print,
-    every refinement round and the final print fill the slots from the
-    current name map without walking the thread again.  The table is
-    keyed by thread identity and holds the threads; a caller that keys
-    many states, such as a search, passes one table for all of them,
-    and without one each call makes its own.
+    Each distinct thread object is read once per `table`, into its
+    `Row`: its `syntax.facts` (binders and free channels) and its print
+    as a template, literal text with a slot for each name.  The blind
+    print, every refinement round and the final print fill the slots
+    from the current name map without walking the thread again.  The
+    table belongs to the caller: a search or `explore` passes one for
+    every state it keys, and `print_states` can read the same rows.
+    Without one, each call makes its own.
     """
-    if table is None:
-        table = {}
     nf = normal_form(p)
-    rows = []
-    for t in nf.threads:
-        row = table.get(id(t))
-        if row is None:
-            row = table[id(t)] = _row(t)
-        rows.append(row)
+    known = rows({} if table is None else table, nf.threads)
     occ: dict[Name, list[int]] = {}
     if nf.binders:
-        for i, row in enumerate(rows):
+        for i, row in enumerate(known):
             for c in row.facts.free:
                 occ.setdefault(c, []).append(i)
     binders = [c for c in nf.binders if c in occ]
 
     blind: dict[Name, str] = {}
-    for row in rows:
+    for row in known:
         start = len(blind)
         for c in row.facts.binders:
             blind.setdefault(c, f"#{len(blind) - start}")
     for c in binders:
         blind[c] = "#r"
 
-    shown = [_fill(row, blind) for row in rows]
+    shown = [_fill(row, blind) for row in known]
     colours = min(1, len(binders))
     # only ties between threads that mention a restriction can split
     while len(set(shown)) < len(shown) and any(
@@ -231,13 +241,52 @@ def canonical_key(p: Process | NormalForm,
         colours = len(ranks)
         for c in binders:
             blind[c] = ranks[sig[c]]
-        shown = [_fill(row, blind) for row in rows]
-    order = sorted(range(len(rows)), key=shown.__getitem__)
+        shown = [_fill(row, blind) for row in known]
+    order = sorted(range(len(known)), key=shown.__getitem__)
 
     numbered: dict[Name, str] = {}
-    for c in chain(*(rows[i].facts.binders for i in order), binders):
+    for c in chain(*(known[i].facts.binders for i in order), binders):
         numbered.setdefault(c, f"b{len(numbered)}")
 
     used = sorted({numbered[c] for c in binders})
     head = f"new {', '.join(used)} . " if used else ""
-    return head + " | ".join(_fill(rows[i], numbered) for i in order)
+    return head + " | ".join(_fill(known[i], numbered) for i in order)
+
+
+def print_states(states: Sequence[NormalForm],
+                 table: Table | None = None) -> list[str]:
+    """`print_process(q.process())` for each normal form q, read off the
+    rows of its threads in `table` (by default one for this call).
+
+    `semantics.step` keeps untouched threads as the same objects, so a
+    state's names come from its restrictions and its rows' facts, with
+    no walk of the state.  A row's template is filled again only when
+    the spellings of its slots change: a binder that disappears can
+    turn a later `k_2` into `k_1`, so this is checked on every state.
+    """
+    if table is None:
+        table = {}
+    shown: dict[int, tuple[list[str], str]] = {}  # thread id -> last fill
+    out: list[str] = []
+    for q in states:
+        known = rows(table, q.threads)
+        fs = [row.facts for row in known]
+        names = choose_names(
+            dict.fromkeys(chain(q.binders, *(f.binders for f in fs))),
+            set().union(*(f.mentions for f in fs)),
+            set().union(*(f.services for f in fs)))
+        texts = []
+        for row in known:
+            # every slot is a binder or a mention, so `names` holds it
+            spelled = [names[n] for n in row.slots]
+            last = shown.get(id(row.thread))
+            if last is None or last[0] != spelled:
+                last = shown[id(row.thread)] = (spelled,
+                                                row.text.format(*spelled))
+            texts.append(last[1])
+        text = " | ".join(texts) or "0"
+        if q.binders and texts:
+            body = f"({text})" if len(texts) > 1 else text
+            text = f"new {', '.join(names[c] for c in q.binders)} . {body}"
+        out.append(text)
+    return out

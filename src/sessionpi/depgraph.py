@@ -5,9 +5,9 @@ thread's free channels minus the restrictions above it, and one edge
 per channel shared by two threads.  Edges are recorded even for
 channels that a restriction later strips from the labels.  Because a
 channel shared by m threads contributes an edge for every pair, three
-threads on one channel already close a cycle; the fast path used by the
-transparency check exploits this instead of materialising quadratically
-many edges.
+threads on one channel already close a cycle; `find_cycle`, behind both
+a graph's `cycle` and the transparency check, exploits this and reads
+the channel-occurrence index instead of the quadratically many edges.
 """
 from __future__ import annotations
 
@@ -21,12 +21,21 @@ from .syntax import Name, Process, Sort
 
 
 @dataclass(frozen=True)
+class Cycle:
+    """nodes[i] -- channels[i] -- nodes[i+1], closing back to nodes[0]."""
+    nodes: tuple[int, ...]
+    channels: tuple[Name, ...]
+
+
+@dataclass(frozen=True)
 class DepGraph:
     """Nodes are thread positions in the normal form, left to right;
-    `texts` keeps each thread's printed form for witnesses and DOT."""
+    `texts` keeps each thread's printed form for witnesses and DOT, and
+    `cycle` is a cycle of the graph, None when it is a forest."""
     labels: tuple[frozenset[Name], ...]
     edges: tuple[tuple[int, int, Name], ...]
     texts: tuple[str, ...]
+    cycle: Cycle | None
 
     @property
     def node_count(self) -> int:
@@ -35,13 +44,6 @@ class DepGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """nodes[i] -- channels[i] -- nodes[i+1], closing back to nodes[0]."""
-    nodes: tuple[int, ...]
-    channels: tuple[Name, ...]
 
 
 class _DSU:
@@ -85,7 +87,7 @@ def build_graph(p: Process | NormalForm,
             for y in range(x + 1, len(nodes)):
                 edges.append((nodes[x], nodes[y], c))
     edges.sort(key=lambda e: (e[0], e[1], congruence.chan_order(e[2])))
-    return DepGraph(labels, tuple(edges), texts)
+    return DepGraph(labels, tuple(edges), texts, find_cycle(occ))
 
 
 def _tree_path(adj: dict[int, list[tuple[int, Name]]], u: int,
@@ -114,30 +116,13 @@ def _tree_path(adj: dict[int, list[tuple[int, Name]]], u: int,
     return nodes, chans
 
 
-def find_cycle(g: DepGraph) -> Cycle | None:
+def find_cycle(occ: dict[Name, list[int]]) -> Cycle | None:
+    """A cycle of the graph whose occurrence index is `occ` (see
+    `congruence.occurrences`) if it has one, found without enumerating
+    all pairs: a channel on three threads is already a triangle."""
     dsu = _DSU()
     adj: dict[int, list[tuple[int, Name]]] = {}
-    for u, v, c in g.edges:
-        if dsu.union(u, v):
-            adj.setdefault(u, []).append((v, c))
-            adj.setdefault(v, []).append((u, c))
-            continue
-        nodes, chans = _tree_path(adj, u, v)
-        return Cycle(tuple(nodes), tuple(chans + [c]))
-    return None
-
-
-def is_acyclic(g: DepGraph) -> bool:
-    return find_cycle(g) is None
-
-
-def _cluster_cycle(nf: NormalForm) -> Cycle | None:
-    """A cycle of build_graph(nf.process()) if it has one, found without
-    enumerating all pairs: a channel on three threads is already a
-    triangle."""
-    dsu = _DSU()
-    adj: dict[int, list[tuple[int, Name]]] = {}
-    for c, nodes in congruence.occurrences(nf)[1].items():
+    for c, nodes in occ.items():
         if len(nodes) >= 3:
             a, b, d = nodes[:3]
             return Cycle((a, b, d), (c, c, c))
@@ -194,7 +179,7 @@ def is_transparent(gamma: dict[str, Sort], p: Process) -> Transparency:
     except typecheck.TypingError as e:
         return Transparency(False, "ill-typed", str(e))
     for nf in congruence.clusters(p):
-        cyc = _cluster_cycle(nf)
+        cyc = find_cycle(congruence.occurrences(nf)[1])
         if cyc is not None:
             chans = ", ".join(sorted({c.base for c in cyc.channels}))
             return Transparency(

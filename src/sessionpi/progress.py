@@ -276,8 +276,8 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     the independence rule splits it into (parts are masks too), is
     known by its threads' numbers, and each thread is hashed once per
     state.  One `canonical_key` table serves the whole search: each
-    thread object is summarised and printed once, and its ties are
-    read from the table.
+    thread object is summarised and printed once, and its liveness and
+    its ties are read from the table.
 
     Independence rule: a stuck piece whose threads split into two or
     more parts sharing no free session channel and no service (served,
@@ -304,17 +304,16 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
             "transparent: every reachable decomposition stays completable")
 
     bound_hit = False
-    keys: congruence.KeyTable = {}
+    table: congruence.Table = {}
     start = congruence.normal_form(p)
-    seen = {congruence.canonical_key(start, keys)}
+    seen = {congruence.canonical_key(start, table)}
     frontier = [start]
     visited = 0
     # each distinct thread is hashed into `number` once per state;
-    # pieces, parts and what is known of them go by the numbers
+    # pieces, parts and what is known of them go by the numbers, and
+    # equal threads that are distinct objects share a number
     number: dict[Process, int] = {}
-    numbered: list[Process] = []
-    alive: list[bool] = []
-    ties: list[frozenset[Name]] = []
+    known: list[congruence.Row] = []  # the row of each number
     passed: set[tuple[int, ...]] = set()
     transparent_parts: dict[tuple[int, ...], bool] = {}
     ids: list[int] = []  # the current state's thread numbers
@@ -332,7 +331,7 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     def transparent(part: tuple[int, ...]) -> bool:
         ok = transparent_parts.get(part)
         if ok is None:
-            piece = reduce(sx.Par, map(numbered.__getitem__, part))
+            piece = reduce(sx.Par, [known[i].thread for i in part])
             ok = depgraph.is_transparent(gamma, piece).ok
             transparent_parts[part] = ok
         return ok
@@ -350,13 +349,11 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
             for t, bit in zip(threads, bits):
                 i = number.get(t)
                 if i is None:
-                    i = number[t] = len(numbered)
-                    numbered.append(t)
-                    alive.append(congruence.has_live_channels(t))
-                    f = keys[id(t)].facts  # a state is keyed before its visit
-                    ties.append(f.free | f.services)
+                    i = number[t] = len(known)
+                    # a state is keyed before its visit
+                    known.append(table[id(t)])
                 ids.append(i)
-                if alive[i]:
+                if known[i].live:
                     live |= bit
             succs = semantics.redexes(state)
             moves = list({bits[r.i] | (0 if r.j is None else bits[r.j])
@@ -383,7 +380,7 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
                             continue
                         if size > 1:
                             if adj is None:
-                                adj = _adjacency([ties[i] for i in ids])
+                                adj = _adjacency([known[i].ties for i in ids])
                             if _parts_pass(_split(mask, adj), live, passed,
                                            numbers, transparent):
                                 passed.add(nums)
@@ -406,7 +403,7 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
                 continue
             for r in succs:
                 q = semantics.step(state, r)
-                key = congruence.canonical_key(q, keys)
+                key = congruence.canonical_key(q, table)
                 if key in seen:
                     continue
                 if len(seen) >= max_states:

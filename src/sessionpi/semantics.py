@@ -21,8 +21,7 @@ import random
 from dataclasses import dataclass
 
 from . import congruence, syntax as sx
-from .surface import print_states
-from .congruence import NormalForm
+from .congruence import NormalForm, print_states
 from .syntax import Expr, Name, Process
 
 
@@ -279,18 +278,20 @@ class Trace:
         return [q for q, _ in self.steps] + [self.final]
 
 
-def explore(p: Process | NormalForm, depth: int,
-            max_states: int = 2000) -> list[NormalForm]:
+def explore(p: Process | NormalForm, depth: int, max_states: int = 2000,
+            table: congruence.Table | None = None) -> list[NormalForm]:
     """Breadth-first list of the states (normal forms) reachable from p
     in at most `depth` steps, deduplicated up to congruence and
     renaming, starting with p's own normal form.  The search stops once
     it holds `max_states` states, so the list is the first `max_states`
     of the unbounded one (always at least the start).  One
     `canonical_key` table serves the whole call, so each distinct thread
-    object is summarised and printed once."""
-    keys: congruence.KeyTable = {}
+    object is summarised and printed once; a caller that passes `table`
+    can print the states from the same rows (`print_states`)."""
+    if table is None:
+        table = {}
     start = congruence.normal_form(p)
-    seen = {congruence.canonical_key(start, keys)}
+    seen = {congruence.canonical_key(start, table)}
     out = [start]
     frontier = [start]
     for _ in range(depth):
@@ -300,7 +301,7 @@ def explore(p: Process | NormalForm, depth: int,
                 if len(out) >= max_states:
                     return out
                 q2 = step(q, r)
-                key = congruence.canonical_key(q2, keys)
+                key = congruence.canonical_key(q2, table)
                 if key not in seen:
                     seen.add(key)
                     out.append(q2)

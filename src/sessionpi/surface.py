@@ -38,17 +38,14 @@ loop, so a long chain needs no recursion.
 from __future__ import annotations
 
 import re
-from collections.abc import Collection, Sequence, Set as AbstractSet
+from collections.abc import Collection, Set as AbstractSet
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import is_
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import Callable, TypeVar
 
 from . import syntax as sx
 from .syntax import Expr, Name, Process, SessionType, Sort
-
-if TYPE_CHECKING:
-    from .congruence import NormalForm
 
 _T = TypeVar("_T")
 
@@ -573,8 +570,8 @@ def parse_type(text: str) -> SessionType:
 
 # ------------------------------------------------------------------ printing
 
-def _choose_names(binders: Collection[Name], mentioned: AbstractSet[Name],
-                  services: AbstractSet[Name]) -> dict[Name, str]:
+def choose_names(binders: Collection[Name], mentioned: AbstractSet[Name],
+                 services: AbstractSet[Name]) -> dict[Name, str]:
     """The one naming rule: free channels keep their spelling; binders,
     in binder id order, get a numeric suffix when their spelling is
     already taken, by a free channel, a service or an earlier binder.
@@ -604,9 +601,9 @@ def _choose_names(binders: Collection[Name], mentioned: AbstractSet[Name],
 
 def display_names(p: Process) -> dict[Name, str]:
     """Choose a distinct spelling for every channel in p (see
-    `_choose_names`)."""
+    `choose_names`)."""
     f = sx.facts(p)
-    return _choose_names(f.binders, f.mentions, f.services)
+    return choose_names(f.binders, f.mentions, f.services)
 
 
 # Expression precedence, loosest first, for both `_Parser.parse_expr`
@@ -716,50 +713,6 @@ def print_process(p: Process, names: dict[Name, str] | None = None) -> str:
         raise TypeError(f"not a process: {p!r}")
 
     return go(p)
-
-
-def print_states(states: Sequence[NormalForm]) -> list[str]:
-    """`print_process(q.process())` for each normal form q, with each
-    thread summarised once per call.
-
-    `semantics.step` keeps untouched threads as the same objects, so a
-    table local to the call, keyed by thread identity, holds each
-    thread's `syntax.facts` and its last text.  A state's names come
-    from its restrictions and its threads' facts, with no walk of the
-    state.  A thread is printed again only when the spellings of the
-    names it uses change: a binder that disappears can turn a later
-    `k_2` into `k_1`, so this is checked on every state.  The table
-    holds each thread, so no id is reused while it is in use.
-    """
-    facts: dict[int, tuple[Process, sx.Facts, tuple[Name, ...]]] = {}
-    shown: dict[int, tuple[list[str], str]] = {}
-    out: list[str] = []
-    for q in states:
-        rows = []
-        for t in q.threads:
-            row = facts.get(id(t))
-            if row is None:
-                f = sx.facts(t)
-                row = facts[id(t)] = (t, f, f.binders + tuple(f.mentions))
-            rows.append(row)
-        fs = [f for _, f, _ in rows]
-        names = _choose_names(
-            dict.fromkeys(chain(q.binders, *(f.binders for f in fs))),
-            set().union(*(f.mentions for f in fs)),
-            set().union(*(f.services for f in fs)))
-        texts = []
-        for t, _, used in rows:
-            spelled = [names[n] for n in used]
-            last = shown.get(id(t))
-            if last is None or last[0] != spelled:
-                last = shown[id(t)] = (spelled, print_process(t, names))
-            texts.append(last[1])
-        text = " | ".join(texts) or "0"
-        if q.binders and texts:
-            body = f"({text})" if len(texts) > 1 else text
-            text = f"new {', '.join(names[c] for c in q.binders)} . {body}"
-        out.append(text)
-    return out
 
 
 def print_delta(delta: dict[Name, SessionType],

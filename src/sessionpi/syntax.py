@@ -526,52 +526,3 @@ def refresh(p: Process) -> Process:
     next to the original, so binder ids stay globally unique.
     """
     return _rename(p, {}, Name.fresh)
-
-
-def alpha_equivalent(p: Process, q: Process) -> bool:
-    """Structural equality up to renaming of bound channels."""
-    def names_eq(n: Name, m: Name, env: dict[Name, Name]) -> bool:
-        if n in env:
-            return env[n] == m
-        return n == m and m not in env.values()
-
-    def go(p: Process, q: Process, env: dict[Name, Name]) -> bool:
-        match p, q:
-            case Stop(), Stop():
-                return True
-            case Par(a, b), Par(c, d):
-                return go(a, c, env) and go(b, d, env)
-            case New(n, b1), New(m, b2):
-                return go(b1, b2, env | {n: m})
-            case Serve(a1, n, b1), Serve(a2, m, b2):
-                return a1 == a2 and go(b1, b2, env | {n: m})
-            case Accept(a1, n, b1), Accept(a2, m, b2):
-                return a1 == a2 and go(b1, b2, env | {n: m})
-            case Request(a1, n, b1), Request(a2, m, b2):
-                return a1 == a2 and go(b1, b2, env | {n: m})
-            case Receive(c1, x1, b1), Receive(c2, x2, b2):
-                if not names_eq(c1, c2, env):
-                    return False
-                if x1 != x2:
-                    # expression variables are not renamed; require equality
-                    return False
-                return go(b1, b2, env)
-            case Send(c1, e1, b1), Send(c2, e2, b2):
-                return names_eq(c1, c2, env) and e1 == e2 and go(b1, b2, env)
-            case ReceiveSession(c1, n, b1), ReceiveSession(c2, m, b2):
-                return names_eq(c1, c2, env) and go(b1, b2, env | {n: m})
-            case SendSession(c1, n1, b1), SendSession(c2, n2, b2):
-                return (names_eq(c1, c2, env) and names_eq(n1, n2, env)
-                        and go(b1, b2, env))
-            case Offer(c1, arms1), Offer(c2, arms2):
-                if not names_eq(c1, c2, env) or len(arms1) != len(arms2):
-                    return False
-                return all(l1 == l2 and go(a1, a2, env)
-                           for (l1, a1), (l2, a2) in zip(arms1, arms2))
-            case Choose(c1, l1, b1), Choose(c2, l2, b2):
-                return names_eq(c1, c2, env) and l1 == l2 and go(b1, b2, env)
-            case If(e1, t1, el1), If(e2, t2, el2):
-                return e1 == e2 and go(t1, t2, env) and go(el1, el2, env)
-        return False
-
-    return go(p, q, {})

@@ -6,6 +6,7 @@ import sessionpi.congruence as cg
 import sessionpi.surface as sf
 import sessionpi.syntax as sx
 import strategies as S
+from test_reference_oracles import alpha_equivalent
 
 
 def parse(s, sessions=(), gamma=None):
@@ -107,7 +108,7 @@ def test_normal_form_is_idempotent(seed):
     _, p = S.well_typed(random.Random(seed))
     once = cg.normal_form(p).process()
     twice = cg.normal_form(once).process()
-    assert sx.alpha_equivalent(once, twice)
+    assert alpha_equivalent(once, twice)
 
 
 @given(st.integers(0, 10_000))

@@ -8,6 +8,7 @@ import sessionpi.surface as sf
 import sessionpi.syntax as sx
 import strategies as S
 from sessionpi.examples import SOURCES, load
+from test_reference_oracles import reference_find_cycle
 
 
 def graph_of(name):
@@ -23,21 +24,21 @@ def test_relay_graph():
     g, _ = graph_of("relay")
     assert g.node_count == 3
     assert edge_set(g) == {(0, 1, "k"), (0, 2, "k1")}
-    assert dg.is_acyclic(g)
+    assert reference_find_cycle(g) is None
 
 
 def test_circular_waits_graph():
     g, _ = graph_of("circular_waits")
     assert g.node_count == 2
     assert g.edge_count == 2  # one edge per shared channel: a multigraph
-    assert not dg.is_acyclic(g)
+    assert reference_find_cycle(g) is not None
 
 
 def test_restriction_strips_labels_not_edges():
     g, _ = graph_of("circular_waits_hidden")
     assert g.node_count == 2 and g.edge_count == 2
     assert all(l == frozenset() for l in g.labels)
-    assert not dg.is_acyclic(g)
+    assert reference_find_cycle(g) is not None
 
 
 def test_graph_stops_at_the_first_parallel_layer():
@@ -49,7 +50,7 @@ def test_three_threads_on_one_channel_close_a_cycle():
     p = sf.parse_process("k!(1).0 | k?(x).0 | k!(2).0", sessions=("k",))
     g = dg.build_graph(p)
     assert g.edge_count == 3
-    cyc = dg.find_cycle(g)
+    cyc = reference_find_cycle(g)
     assert cyc is not None
     assert set(cyc.nodes) <= {0, 1, 2}
 
@@ -70,7 +71,7 @@ def assert_real_cycle(g, cyc):
 
 def test_find_cycle_reports_a_real_cycle():
     g, _ = graph_of("circular_waits")
-    cyc = dg.find_cycle(g)
+    cyc = reference_find_cycle(g)
     assert cyc is not None
     assert_real_cycle(g, cyc)
 
@@ -125,7 +126,7 @@ def test_not_transparent_carries_a_witness():
     v = dg.is_transparent(src.gamma, src.process)
     assert v.subterm is not None
     inner = dg.build_graph(cg.normal_form(v.subterm).process())
-    assert not dg.is_acyclic(inner)
+    assert reference_find_cycle(inner) is not None
 
 
 CORPUS_SUBTERMS = [q for name in SOURCES
@@ -133,11 +134,13 @@ CORPUS_SUBTERMS = [q for name in SOURCES
 
 
 def fast_check_agrees(q):
-    """The fast check finds a cycle exactly when the graph has one, and
-    it is a real one; returns whether it found one."""
+    """`find_cycle`, on the occurrence index and as the graph's `cycle`,
+    finds a cycle exactly when the edges have one, and it is a real
+    one; returns whether it found one."""
     g = dg.build_graph(q)
-    fast = dg._cluster_cycle(cg.normal_form(q))
-    assert (fast is None) == (dg.find_cycle(g) is None), q
+    fast = dg.find_cycle(cg.occurrences(cg.normal_form(q))[1])
+    assert fast == g.cycle
+    assert (fast is None) == (reference_find_cycle(g) is None), q
     if fast is not None:
         assert_real_cycle(g, fast)
     return fast is not None
@@ -161,7 +164,7 @@ def test_generated_transparent_processes_have_acyclic_graphs(seed):
     g, p = S.transparent(random.Random(seed))
     assert dg.is_transparent(g, p).ok
     graph = dg.build_graph(cg.normal_form(p).process())
-    assert dg.is_acyclic(graph)
+    assert reference_find_cycle(graph) is None
 
 
 @given(st.integers(0, 10_000))

@@ -8,6 +8,7 @@ from types import CodeType
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sessionpi.cli as cli
 import sessionpi.congruence as cg
 import sessionpi.depgraph as dg
 import sessionpi.progress as pg
@@ -17,6 +18,7 @@ import sessionpi.syntax as sx
 import sessionpi.typecheck as tc
 import strategies as S
 from sessionpi.examples import SOURCES, load
+from test_reference_oracles import calls_by_caller, cli_calls
 
 K = sx.chan("k")
 
@@ -414,7 +416,7 @@ def test_independent_cycles_need_a_partner_per_thread(monkeypatch):
     assert calls[0] == 20
 
 
-def test_the_search_prints_each_thread_object_once(monkeypatch):
+def test_the_search_prints_each_thread_object_once(monkeypatch, tmp_path):
     # five cycles: `canonical_key` printed 10,280 threads when it printed
     # every thread of every state at least twice; now it prints each
     # thread object once per search, as a template
@@ -426,11 +428,30 @@ def test_the_search_prints_each_thread_object_once(monkeypatch):
         return real(t, names)
 
     monkeypatch.setattr(cg, "print_process", counted)
+    live = calls_by_caller(monkeypatch, "has_live_channels", cg)
     src = cycles(5)
     r = pg.check_progress(src.gamma, src.process)
     assert r.states_seen == 243
     assert len({id(t) for t in printed}) == len(printed)
     assert 5 * len(printed) <= 10_280
+    # liveness is read from the rows, each found once when it is built
+    assert {caller for caller, _ in live} == {"_row"}
+    assert [t for _, t in live] == printed
+
+    # in one `run`, `run --all` or `progress` call, a thread object is
+    # printed once, as its row's template; `run --all` prints from the
+    # rows that keyed its states.  Only a counterexample's state, cut and
+    # partner are printed whole, by the CLI.
+    monkeypatch.undo()
+    printed = calls_by_caller(monkeypatch, "print_process", sf, cli, cg, dg,
+                              pg, sm, tc)
+    for argv in cli_calls(tmp_path):
+        printed.clear()
+        assert cli.main(argv) in (0, 1), argv
+        rowed = [t for caller, t in printed if caller == "_row"]
+        assert rowed and len({id(t) for t in rowed}) == len(rowed), argv
+        assert {caller for caller, _ in printed} <= {"_row",
+                                                     "_cmd_progress"}, argv
 
 
 def _inner_code(fns):

@@ -9,17 +9,24 @@ chains.  `reference_display_names` also keeps
 the suffix search that probes every suffix from 1 for each binder.
 `reference_tokenize` is the lexer as it read before tokens became
 parallel lists of tags, texts and offsets: one match per blank, newline
-or comment, and a line and column tracked for every token."""
+or comment, and a line and column tracked for every token.
+`reference_find_cycle` walks a dependency graph's edges, as
+`depgraph.find_cycle` did before it read the occurrence index, and
+`alpha_equivalent` compares two terms up to their bound names."""
 import functools
 import random
 import re
+import sys
 from collections import Counter
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sessionpi.cli as cli
 import sessionpi.congruence as cg
+import sessionpi.depgraph as dg
 import sessionpi.progress as pg
 import sessionpi.semantics as sm
 import sessionpi.surface as sf
@@ -249,6 +256,99 @@ def reference_canonical_key(p):
     return head + " | ".join(sf.print_process(t, numbered) for t in order)
 
 
+def reference_find_cycle(g):
+    """A cycle of the graph g as a `depgraph.Cycle`, or None: the edges
+    are walked in order, and the first that closes a loop in the forest
+    of the earlier ones gives the forest path between its ends."""
+    root = {}
+
+    def find(x):
+        while root.setdefault(x, x) != x:
+            x = root[x]
+        return x
+
+    forest = {}
+    for u, v, c in g.edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
+            forest.setdefault(u, []).append((v, c))
+            forest.setdefault(v, []).append((u, c))
+            continue
+        back = {u: None}  # breadth first from u, each node's way back
+        queue = [u]
+        for x in queue:
+            for y, d in forest.get(x, ()):
+                if y not in back:
+                    back[y] = (x, d)
+                    queue.append(y)
+        nodes, chans = [v], []
+        while nodes[-1] != u:
+            x, d = back[nodes[-1]]
+            nodes.append(x)
+            chans.append(d)
+        return dg.Cycle(tuple(reversed(nodes)), (*reversed(chans), c))
+    return None
+
+
+def alpha_equivalent(p, q):
+    """Structural equality up to renaming of bound channels."""
+    def names_eq(n, m, env):
+        if n in env:
+            return env[n] == m
+        return n == m and m not in env.values()
+
+    def go(p, q, env):
+        match p, q:
+            case sx.Stop(), sx.Stop():
+                return True
+            case sx.Par(a, b), sx.Par(c, d):
+                return go(a, c, env) and go(b, d, env)
+            case sx.New(n, b1), sx.New(m, b2):
+                return go(b1, b2, env | {n: m})
+            case (sx.Serve(a1, n, b1), sx.Serve(a2, m, b2)) | \
+                    (sx.Accept(a1, n, b1), sx.Accept(a2, m, b2)) | \
+                    (sx.Request(a1, n, b1), sx.Request(a2, m, b2)):
+                return a1 == a2 and go(b1, b2, env | {n: m})
+            case sx.Receive(c1, x1, b1), sx.Receive(c2, x2, b2):
+                # expression variables are not renamed; require equality
+                return names_eq(c1, c2, env) and x1 == x2 and go(b1, b2, env)
+            case sx.Send(c1, e1, b1), sx.Send(c2, e2, b2):
+                return names_eq(c1, c2, env) and e1 == e2 and go(b1, b2, env)
+            case sx.ReceiveSession(c1, n, b1), sx.ReceiveSession(c2, m, b2):
+                return names_eq(c1, c2, env) and go(b1, b2, env | {n: m})
+            case sx.SendSession(c1, n1, b1), sx.SendSession(c2, n2, b2):
+                return (names_eq(c1, c2, env) and names_eq(n1, n2, env)
+                        and go(b1, b2, env))
+            case sx.Offer(c1, arms1), sx.Offer(c2, arms2):
+                if not names_eq(c1, c2, env) or len(arms1) != len(arms2):
+                    return False
+                return all(l1 == l2 and go(a1, a2, env)
+                           for (l1, a1), (l2, a2) in zip(arms1, arms2))
+            case sx.Choose(c1, l1, b1), sx.Choose(c2, l2, b2):
+                return names_eq(c1, c2, env) and l1 == l2 and go(b1, b2, env)
+            case sx.If(e1, t1, el1), sx.If(e2, t2, el2):
+                return e1 == e2 and go(t1, t2, env) and go(el1, el2, env)
+        return False
+
+    return go(p, q, {})
+
+
+def test_alpha_equivalent_ignores_binder_identity():
+    k1, k2 = sx.bound_chan("k"), sx.bound_chan("j")
+    p = sx.New(k1, sx.Send(k1, sx.IntLit(1), sx.Stop()))
+    q = sx.New(k2, sx.Send(k2, sx.IntLit(1), sx.Stop()))
+    assert alpha_equivalent(p, q)
+    r = sx.New(k2, sx.Send(k2, sx.IntLit(2), sx.Stop()))
+    assert not alpha_equivalent(p, r)
+
+
+def test_alpha_equivalent_distinguishes_free_names():
+    p = sx.Send(sx.chan("k"), sx.IntLit(1), sx.Stop())
+    q = sx.Send(sx.chan("k2"), sx.IntLit(1), sx.Stop())
+    assert not alpha_equivalent(p, q)
+
+
 class Token(NamedTuple):
     kind: str  # "ident", "int", "string", "kw", "sym", "eof"
     text: str
@@ -365,8 +465,7 @@ def of_each_part(fn):
 
 
 def ties(t):
-    f = sx.facts(t)
-    return f.free | f.services
+    return cg._row(t).ties
 
 
 PAIRS = {
@@ -435,7 +534,8 @@ def test_rewritten_functions_agree_with_the_reference(name):
     generated()
 
 
-def test_canonical_key_sweeps_each_thread_once_per_table(monkeypatch):
+def test_canonical_key_sweeps_each_thread_once_per_table(monkeypatch,
+                                                          tmp_path):
     # one `syntax.facts` sweep per distinct thread object and table: a
     # call without a table makes its own, and a shared table sweeps a
     # thread it has seen in an earlier state never again
@@ -461,6 +561,55 @@ def test_canonical_key_sweeps_each_thread_once_per_table(monkeypatch):
     for nf in states:
         cg.canonical_key(nf, table)
     assert calls[0] == len(table)
+
+    # in one `run`, `run --all` or `progress` call, keys, prints and the
+    # search sweep a thread object only through its row, once; `run
+    # --all` prints from the rows that keyed its states.  The graph's
+    # occurrence index and a witness's names are swept on their own.
+    swept = calls_by_caller(monkeypatch, "facts", sx)
+    for argv in cli_calls(tmp_path):
+        swept.clear()
+        assert cli.main(argv) in (0, 1), argv
+        rowed = [p for caller, p in swept if caller == "_row"]
+        assert rowed and len({id(p) for p in rowed}) == len(rowed), argv
+        assert {caller for caller, _ in swept} <= {
+            "_row", "free_session_channels", "display_names"}, argv
+
+
+def calls_by_caller(monkeypatch, name, *modules):
+    """Patch the function `name` of the first module, in every one of
+    `modules` that holds it, to record each call as the name of the
+    calling function (a comprehension counts as the function it is in)
+    and the first argument; returns the records, which keep the
+    arguments alive, so their ids stay distinct."""
+    real = getattr(modules[0], name)
+    calls = []
+
+    def recorded(p, *rest):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        calls.append((frame.f_code.co_name, p))
+        return real(p, *rest)
+
+    for m in modules:
+        if getattr(m, name, None) is real:
+            monkeypatch.setattr(m, name, recorded)
+    return calls
+
+
+def cli_calls(tmp_path):
+    """A `run`, a `run --all`, a `progress` search of many states that
+    finds nothing, and a `progress` call that prints a counterexample."""
+    cycles = tmp_path / "cycles.spi"
+    cycles.write_text("sessions a0, b0, a1, b1, a2, b2;\n" + " | ".join(
+        f"a{i}!({i}).b{i}!(7).0 | a{i}?(x).b{i}?(y).0" for i in range(3)))
+    samples = Path(__file__).parents[1] / "samples"
+    return [["run", "--steps", "20", str(samples / "buyer_seller.spi")],
+            ["run", "--all", "--steps", "8",
+             str(samples / "buyer_seller.spi")],
+            ["progress", str(cycles)],
+            ["progress", str(samples / "blocked_delegation.spi")]]
 
 
 def keys_checked_against_the_reference(monkeypatch):

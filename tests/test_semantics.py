@@ -394,9 +394,9 @@ def test_explore_stops_at_the_state_bound():
     # the bounded search keeps the unbounded one's first states, in order
     for name in SOURCES:
         p = load(name).process
-        every = sf.print_states(sm.explore(p, 4))
+        every = cg.print_states(sm.explore(p, 4))
         for n in range(len(every) + 2):
-            bounded = sf.print_states(sm.explore(p, 4, n))
+            bounded = cg.print_states(sm.explore(p, 4, n))
             assert bounded == every[:max(n, 1)], (name, n)
 
 
@@ -481,8 +481,9 @@ def test_step_flattens_only_its_continuations(monkeypatch):
 
 # ----------------------------------------------------------- printing states
 
-def assert_printed_as_processes(qs):
-    assert sf.print_states(qs) == [sf.print_process(q.process()) for q in qs]
+def assert_printed_as_processes(qs, table=None):
+    assert cg.print_states(qs, table) == [sf.print_process(q.process())
+                                          for q in qs]
 
 
 def test_print_states_agrees_with_printing_each_state():
@@ -495,6 +496,8 @@ def test_print_states_agrees_with_printing_each_state():
         assert_printed_as_processes(sm.trace(p, 100).states())
         assert_printed_as_processes(sm.trace(p, 100, seed=3).states())
         assert_printed_as_processes(sm.explore(p, 4))
+        table = {}  # the rows that keyed the states print them
+        assert_printed_as_processes(sm.explore(p, 4, table=table), table)
 
 
 @settings(deadline=None, max_examples=100)
@@ -513,7 +516,7 @@ def test_a_kept_thread_is_printed_again_when_its_names_change():
                           "*a(k).k?(x).0 | a<k>.k!(1).0 | a<k>.k!(2).0")
     qs = sm.trace(src.process, 100).states()
     assert qs[1].threads[-1] is qs[0].threads[-1]
-    shown = sf.print_states(qs)
+    shown = cg.print_states(qs)
     assert shown[:2] == [
         "*a(k).k?(x).0 | a<k_1>.k_1!(1).0 | a<k_2>.k_2!(2).0",
         "new k_2 . (*a(k).k?(x).0 | k_2?(x).0 | k_2!(1).0"
@@ -526,7 +529,7 @@ def test_print_states_of_no_threads_and_of_one():
     one = sx.Receive(k, "x", sx.Stop())
     qs = [cg.NormalForm((), ()), cg.NormalForm((k,), ()),
           cg.NormalForm((), (one,)), cg.NormalForm((k,), (one,))]
-    assert sf.print_states(qs) == ["0", "0", "k?(x).0", "new k . k?(x).0"]
+    assert cg.print_states(qs) == ["0", "0", "k?(x).0", "new k . k?(x).0"]
     assert_printed_as_processes(qs)
 
 
