@@ -121,16 +121,17 @@ def _cmd_run(args) -> int:
     src = _load(args.file)
     try:
         if args.all:
-            # one state more than the bound tells whether it was hit;
             # the states are printed from the rows that keyed them
             table: congruence.Table = {}
-            states = semantics.explore(src.process, args.steps,
-                                       args.max_states + 1, table)
+            cuts: set[str] = set()
+            states = [q for q, _ in semantics.explore(
+                src.process, args.steps, args.max_states, table, cuts)]
+            # the walk keeps the start even when the bound is 0
             shown = congruence.print_states(states[:args.max_states], table)
             data: dict = {"states": shown}
             lines = ([f"{len(shown)} states within {args.steps} steps:"]
                      + [f"  {s}" for s in shown])
-            if len(states) > args.max_states:
+            if "max-states" in cuts or len(shown) < len(states):
                 data["bound_hit"] = True
                 lines.append("  (state bound hit; raise --max-states to"
                              " explore further)")

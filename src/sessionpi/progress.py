@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
 
@@ -232,68 +231,51 @@ def _split(mask: int, adj: list[int]) -> list[int]:
     return parts
 
 
-def _parts_pass(parts: list[int], live: int, passed: set[tuple[int, ...]],
-                numbers: Callable[[int], tuple[int, ...]],
-                transparent: Callable[[tuple[int, ...]], bool]) -> bool:
-    """The independence rule for a stuck piece split into `parts`
-    (masks; `numbers` gives a part's thread numbers): there are two or
-    more, every part that meets the `live` mask has passed, and every
-    part is transparent."""
-    if len(parts) < 2:
-        return False
-    for part in parts:
-        if part & live and numbers(part) not in passed:
-            return False
-    for part in parts:
-        if not transparent(numbers(part)):
-            return False
-    return True
-
-
 def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
                    subset_budget: int = 512,
                    max_states: int = 2000) -> ProgressResult:
     """Certify or refute progress, within bounds.
 
-    Transparency certifies outright.  Otherwise reachable states up to
-    `depth` steps (at most `max_states` of them) are decomposed into
-    sub-multisets of their threads, smallest first, at most
-    `subset_budget` per state; a decomposition with live channels that
-    neither reduces nor accepts a canonical partner refutes progress.
-    A clean but bounded search stays inconclusive: certificates never
-    come from the search.
+    Transparency certifies outright.  Otherwise the states that
+    `semantics.explore` reaches within `depth` steps (at most
+    `max_states` of them) are decomposed into sub-multisets of their
+    threads, smallest first, at most `subset_budget` per state; a
+    decomposition with live channels that neither reduces nor accepts a
+    canonical partner refutes progress.  A clean but bounded search
+    stays inconclusive: certificates never come from the search.
 
     Each position of a state's threads is one bit, and each pick's mask
     is summed from its bits as `itertools.combinations` yields it.  The
-    state is scanned for redexes once, giving one mask per move (both
-    ends of a pair redex, or an enabled conditional) and one `live`
-    mask of the positions whose thread is live.  A pick reduces exactly
+    walk gives each state's redexes, one mask per move (both ends of a
+    pair redex, or an enabled conditional).  A pick reduces exactly
     when it holds a move's mask, `m & mask == m`, and is live exactly
-    when `mask & live` is not 0, so such picks cost a budget unit but
-    no cut check.  Each distinct stuck piece is checked once per
-    search; a piece that passed in one state passes in every other.
-    Threads are numbered once per search, so a piece, and each part
-    the independence rule splits it into (parts are masks too), is
-    known by its threads' numbers, and each thread is hashed once per
-    state.  One `canonical_key` table serves the whole search: each
-    thread object is summarised and printed once, and its liveness and
-    its ties are read from the table.
+    when it meets the mask of the live positions, so such picks cost a
+    budget unit but no cut check.  Each distinct stuck piece is checked
+    once per search, known by its threads' numbers, and so is each part
+    the independence rule splits it into.  Threads are numbered by
+    their rows' templates and names (a str and a tuple of `Name`s, from
+    the one `canonical_key` table of the search, which also gives their
+    liveness and ties), so no thread is hashed or compared by value.
+    Threads that print alike share a number: they differ at most in how
+    `|` nests or how a negative literal is written, so they are
+    congruent and `_cut_failure` answers the same on them.
 
     Independence rule: a stuck piece whose threads split into two or
     more parts sharing no free session channel and no service (served,
-    accepted or requested anywhere in a thread) passes without a
-    partner when every live part has passed and every part is
-    transparent; being smaller, its parts were picked earlier in the
-    same state.  The rule holds because `construct_partner` builds the
-    piece's partner for one part, the one holding the first request or
-    else the first thread waiting on an open channel, and builds that
-    same partner for the part alone: a live part passes only if it has
-    such a thread, and a part without live channels has none.  The
-    other parts share no name with that part or its partner, so the
-    completed piece is well-typed, and the reduct that let the part
-    pass, beside the other transparent parts, is transparent.  Every
-    other piece goes through the full check, so a failing piece
-    reports the same condition, cut and partner.
+    accepted or requested anywhere in a thread) passes without a partner
+    when every part is transparent.  Its live parts have passed already:
+    each is a smaller stuck piece of the same state (a move inside a
+    part is a move inside the piece), so it was picked earlier, within
+    the budget, and either passed or ended the search.  The rule holds
+    because `construct_partner` builds the piece's partner for one part,
+    the one holding the first request or else the first thread waiting
+    on an open channel, and builds that same partner for the part alone:
+    a live part passes only if it has such a thread, and a part without
+    live channels has none.  The other parts share no name with that
+    part or its partner, so the completed piece is well-typed, and the
+    reduct that let the part pass, beside the other transparent parts,
+    is transparent.  Every other piece goes through the full check, so a
+    failing piece reports the same condition, cut and partner.
     """
     verdict = depgraph.is_transparent(gamma, p)
     if verdict.reason == "ill-typed":
@@ -303,118 +285,88 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
             "certificate",
             "transparent: every reachable decomposition stays completable")
 
-    bound_hit = False
+    cuts: set[str] = set()  # the bounds that cut the search short
     table: congruence.Table = {}
-    start = congruence.normal_form(p)
-    seen = {congruence.canonical_key(start, table)}
-    frontier = [start]
     visited = 0
-    # each distinct thread is hashed into `number` once per state;
-    # pieces, parts and what is known of them go by the numbers, and
-    # equal threads that are distinct objects share a number
-    number: dict[Process, int] = {}
+    number: dict[tuple[str, tuple[Name, ...]], int] = {}
     known: list[congruence.Row] = []  # the row of each number
     passed: set[tuple[int, ...]] = set()
     transparent_parts: dict[tuple[int, ...], bool] = {}
-    ids: list[int] = []  # the current state's thread numbers
-    bits: list[int] = []  # and the bits of its positions
-    of_mask: dict[int, tuple[int, ...]] = {}  # numbers() of this state
 
-    def numbers(mask: int) -> tuple[int, ...]:
-        """The thread numbers of the positions in `mask`, in order."""
-        nums = of_mask.get(mask)
-        if nums is None:
-            nums = of_mask[mask] = tuple(
-                itertools.compress(ids, map(mask.__and__, bits)))
-        return nums
+    def independent(mask: int) -> bool:
+        """The independence rule for the stuck piece `mask` of this
+        state: two or more parts, each transparent."""
+        nonlocal adj
+        if adj is None:
+            adj = _adjacency([known[i].ties for i in ids])
+        parts = _split(mask, adj)
+        if len(parts) < 2:
+            return False
+        for part in parts:
+            nums = tuple(itertools.compress(ids, map(part.__and__, bits)))
+            ok = transparent_parts.get(nums)
+            if ok is None:
+                piece = reduce(sx.Par, [known[i].thread for i in nums])
+                ok = depgraph.is_transparent(gamma, piece).ok
+                transparent_parts[nums] = ok
+            if not ok:
+                return False
+        return True
 
-    def transparent(part: tuple[int, ...]) -> bool:
-        ok = transparent_parts.get(part)
-        if ok is None:
-            piece = reduce(sx.Par, [known[i].thread for i in part])
-            ok = depgraph.is_transparent(gamma, piece).ok
-            transparent_parts[part] = ok
-        return ok
-
-    while frontier:
-        nxt: list[congruence.NormalForm] = []
-        for state in frontier:
-            visited += 1
-            threads = state.threads
-            n = len(threads)
-            bits = [1 << i for i in range(n)]
-            ids = []
-            of_mask.clear()
-            live = 0
-            for t, bit in zip(threads, bits):
-                i = number.get(t)
-                if i is None:
-                    i = number[t] = len(known)
-                    # a state is keyed before its visit
-                    known.append(table[id(t)])
-                ids.append(i)
-                if known[i].live:
-                    live |= bit
-            succs = semantics.redexes(state)
-            moves = list({bits[r.i] | (0 if r.j is None else bits[r.j])
-                          for r in succs})
-            adj = None
-            budget = subset_budget
-            for size in range(1, n + 1):
-                if budget == 0:  # ends every larger size at once
-                    bound_hit = True
-                    break
-                taken = min(budget, math.comb(n, size))
-                budget -= taken
-                picks = zip(itertools.combinations(range(n), size),
-                            map(sum, itertools.combinations(bits, size)))
-                for pick, mask in itertools.islice(picks, taken):
-                    if not mask & live:
+    for state, succs in semantics.explore(p, depth, max_states, table, cuts):
+        visited += 1
+        threads = state.threads
+        n = len(threads)
+        bits = [1 << i for i in range(n)]  # one per position
+        ids: list[int] = []  # the thread number at each position
+        adj: list[int] | None = None  # the `_adjacency`, once needed
+        live = 0
+        # a state is keyed, so its rows are built, before it is yielded
+        for row, bit in zip(congruence.rows(table, threads), bits):
+            i = number.setdefault((row.text, row.slots), len(known))
+            if i == len(known):
+                known.append(row)
+            ids.append(i)
+            if row.live:
+                live |= bit
+        moves = list({bits[r.i] | (0 if r.j is None else bits[r.j])
+                      for r in succs})
+        budget = subset_budget
+        for size in range(1, n + 1):
+            if budget == 0:  # ends every larger size at once
+                cuts.add("subset-budget")
+                break
+            taken = min(budget, math.comb(n, size))
+            budget -= taken
+            picks = zip(itertools.combinations(range(n), size),
+                        map(sum, itertools.combinations(bits, size)))
+            for pick, mask in itertools.islice(picks, taken):
+                if not mask & live:
+                    continue
+                for m in moves:
+                    if m & mask == m:
+                        break
+                else:  # live and irreducible: a stuck piece
+                    nums = tuple(map(ids.__getitem__, pick))
+                    if nums in passed:
                         continue
-                    for m in moves:
-                        if m & mask == m:
-                            break
-                    else:  # live and irreducible: a stuck piece
-                        nums = tuple(map(ids.__getitem__, pick))
-                        if nums in passed:
-                            continue
-                        if size > 1:
-                            if adj is None:
-                                adj = _adjacency([known[i].ties for i in ids])
-                            if _parts_pass(_split(mask, adj), live, passed,
-                                           numbers, transparent):
-                                passed.add(nums)
-                                continue
-                        cut = tuple(map(threads.__getitem__, pick))
-                        bad = _cut_failure(gamma, cut)
-                        if bad is None:
-                            passed.add(nums)
-                            continue
-                        failed, partner = bad
-                        return ProgressResult(
-                            "counterexample",
-                            f"stuck decomposition: {_CONDITIONS[failed]}",
-                            state=state.process(), cut=cut, partner=partner,
-                            failed=failed, states_seen=visited,
-                            bound_hit=bound_hit)
-            if depth <= 0:
-                if succs:
-                    bound_hit = True
-                continue
-            for r in succs:
-                q = semantics.step(state, r)
-                key = congruence.canonical_key(q, table)
-                if key in seen:
-                    continue
-                if len(seen) >= max_states:
-                    bound_hit = True
-                    continue
-                seen.add(key)
-                nxt.append(q)
-        depth -= 1
-        frontier = nxt
+                    if size > 1 and independent(mask):
+                        passed.add(nums)
+                        continue
+                    cut = tuple(map(threads.__getitem__, pick))
+                    bad = _cut_failure(gamma, cut)
+                    if bad is None:
+                        passed.add(nums)
+                        continue
+                    failed, partner = bad
+                    return ProgressResult(
+                        "counterexample",
+                        f"stuck decomposition: {_CONDITIONS[failed]}",
+                        state=state.process(), cut=cut, partner=partner,
+                        failed=failed, states_seen=visited,
+                        bound_hit=bool(cuts))
 
     return ProgressResult(
         "inconclusive",
         "no refutation within the search bounds; only transparency "
-        "certifies", states_seen=visited, bound_hit=bound_hit)
+        "certifies", states_seen=visited, bound_hit=bool(cuts))

@@ -18,6 +18,7 @@ can be renamed to the delegated one without capture.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import congruence, syntax as sx
@@ -279,37 +280,52 @@ class Trace:
 
 
 def explore(p: Process | NormalForm, depth: int, max_states: int = 2000,
-            table: congruence.Table | None = None) -> list[NormalForm]:
-    """Breadth-first list of the states (normal forms) reachable from p
-    in at most `depth` steps, deduplicated up to congruence and
-    renaming, starting with p's own normal form.  The search stops once
-    it holds `max_states` states, so the list is the first `max_states`
-    of the unbounded one (always at least the start).  One
-    `canonical_key` table serves the whole call, so each distinct thread
-    object is summarised and printed once; a caller that passes `table`
-    can print the states from the same rows (`print_states`)."""
+            table: congruence.Table | None = None,
+            cuts: set[str] | None = None
+            ) -> Iterator[tuple[NormalForm, list[Redex]]]:
+    """The states (normal forms) reachable from p within `depth` steps,
+    each with its redexes: breadth first from p's own normal form,
+    deduplicated up to congruence and renaming.
+
+    A state is stepped only once the next pair is asked for.  States at
+    the last level are yielded but not stepped; one that still reduces
+    adds "depth" to `cuts`.  At most `max_states` states are kept
+    (always at least the start): the first new state beyond them adds
+    "max-states" and ends all stepping.  One `canonical_key` table,
+    `table` if given, serves the whole walk.
+    """
     if table is None:
         table = {}
+    if cuts is None:
+        cuts = set()
     start = congruence.normal_form(p)
     seen = {congruence.canonical_key(start, table)}
-    out = [start]
     frontier = [start]
-    for _ in range(depth):
+    full = False
+    while frontier:
         nxt: list[NormalForm] = []
         for q in frontier:
-            for r in redexes(q):
-                if len(out) >= max_states:
-                    return out
+            rs = redexes(q)
+            yield q, rs
+            if depth <= 0:
+                if rs:
+                    cuts.add("depth")
+                continue
+            for r in rs:
+                if full:
+                    break
                 q2 = step(q, r)
                 key = congruence.canonical_key(q2, table)
-                if key not in seen:
+                if key in seen:
+                    continue
+                if len(seen) >= max_states:
+                    cuts.add("max-states")
+                    full = True
+                else:
                     seen.add(key)
-                    out.append(q2)
                     nxt.append(q2)
-        if not nxt:
-            break
+        depth -= 1
         frontier = nxt
-    return out
 
 
 def trace(p: Process | NormalForm, depth: int,

@@ -8,11 +8,6 @@ channel, paired with a mirror variable so that taking duals commutes
 with later instantiation.  A label selection produces an extensible
 internal select type that absorbs sibling labels when matched against a
 wider select, and is frozen to its accumulated labels at the end.
-
-`check_against` asks instead whether the process can be typed at one
-given typing, which may be wider than the minimal one: unused channels
-may be carried at `end`, and selections may be typed with labels they
-never choose.
 """
 from __future__ import annotations
 
@@ -494,8 +489,18 @@ def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
                 raise _err("T-Req", p, str(e)) from e
             return d
         case sx.Receive(c, x, body):
+            # x is bound in the one dict and unbound after: a copy per
+            # receive would keep one dict per level of nesting alive
             sv = SVar()
-            d = _infer({**env, x: sv}, body, relax)
+            outer = env.pop(x, None)
+            env[x] = sv
+            try:
+                d = _infer(env, body, relax)
+            finally:
+                if outer is None:
+                    del env[x]
+                else:
+                    env[x] = outer
             cont = _pop_cont(d, c, "T-In", p)
             d[c] = In(sv, cont)
             return d
@@ -587,36 +592,6 @@ def check(gamma: dict[str, Sort], p: Process, *,
     """
     d = _infer(dict(gamma), p, relax_services)
     return {k: resolve(t) for k, t in d.items()}
-
-
-def check_against(gamma: dict[str, Sort], p: Process, target: Delta) -> None:
-    """Raise unless p can be typed at exactly `target`."""
-    d = _infer(dict(gamma), p, False)
-    for k, t in d.items():
-        if k not in target:
-            raise TypingError(
-                f"channel {k.base} is used but absent from the target typing")
-        tt = target[k]
-        w = walk(t)
-        if isinstance(tt, Bot):
-            if isinstance(w, Bot) or _ends(w):
-                continue
-            raise TypingError(
-                f"target closes channel {k.base} but it is left at {show(w)}")
-        if isinstance(w, Bot):
-            raise TypingError(
-                f"channel {k.base} is closed on both ends but the target "
-                f"gives it {show(tt)}")
-        try:
-            unify(t, tt)
-        except TypingError as e:
-            raise TypingError(f"channel {k.base}: {e}") from e
-    for k, tt in target.items():
-        if k in d:
-            continue
-        if not isinstance(tt, (End, Bot)):
-            raise TypingError(
-                f"target types unused channel {k.base} at {show(tt)}")
 
 
 def is_program(p: Process) -> bool:

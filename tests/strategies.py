@@ -280,7 +280,8 @@ def _cycle_piece(rng: random.Random, tag: str) -> list[sx.Process]:
     """Stuck threads of a state reachable from `typed_cycles`, with
     every channel renamed apart by `tag`; possibly empty."""
     _, p = typed_cycles(rng)
-    threads = list(rng.choice(sm.explore(p, rng.randint(0, 2))).threads)
+    states = [q for q, _ in sm.explore(p, rng.randint(0, 2))]
+    threads = list(rng.choice(states).threads)
     rng.shuffle(threads)
     piece = threads[:rng.randint(0, len(threads))]
     while piece and (rs := sm.redexes(reduce(sx.Par, piece))):

@@ -17,6 +17,7 @@ import sessionpi.syntax as sx
 import sessionpi.typecheck as tc
 import strategies as S
 from sessionpi.examples import load
+from test_progress import check_against
 from test_reference_oracles import reference_find_cycle
 
 
@@ -167,7 +168,7 @@ def test_criterion_7_inhabitation():
         rng = random.Random(seed)
         a = S.rand_type(rng)
         p, ext = pg.inhabit(a, k)
-        tc.check_against(ext, p, {k: a})
+        check_against(ext, p, {k: a})
         assert dg.is_transparent(ext, p).ok
         assert sm.redexes(p) == []
     print("criterion 7 (inhabitation, 1000 types): PASS")

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -426,6 +427,51 @@ def test_max_states_cuts_the_search_short(capsys, tmp_path):
     assert out.splitlines()[-1] == ("  (search bound hit; raise --depth,"
                                     " --subset-budget or --max-states to"
                                     " search further)")
+
+
+def test_a_state_bound_of_zero_keeps_only_the_start(capsys, spi):
+    # the walk always holds the start: `run --all` shows none of it and
+    # reports the bound, and `progress` still decomposes it
+    hit = "  (state bound hit; raise --max-states to explore further)"
+    searched = {"relay": ("certificate", 0), "circular_waits_under_accept":
+                ("inconclusive", 1)}
+    for name, (verdict, seen) in searched.items():
+        argv = ["run", "--all", "--max-states", "0", spi(name)]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.splitlines()) == (
+            0, ["0 states within 100 steps:", hit])
+        code, data = run_json(capsys, *argv)
+        assert data["data"] == {"bound_hit": True, "states": []}
+        code, data = run_json(capsys, "progress", "--max-states", "0",
+                              spi(name))
+        assert (code, data["verdict"], data["data"]["states_seen"],
+                data["data"]["bound_hit"]) == (0, verdict, seen, False)
+
+
+def test_progress_answers_on_deep_threads(tmp_path):
+    # a circular wait beside a 20,000-prefix session: numbering threads
+    # by value hashed each thread down its whole prefix chain and
+    # overflowed the C stack (exit 139), and typing the receiving side
+    # kept one copy of the variables per receive
+    n = 20_000
+    f = tmp_path / "deep.spi"
+    f.write_text("sessions k1, k2, c;\nk1?(x).k2!(x).0 | k2?(x).k1!(x).0 | "
+                 + "c!(1)." * n + "0 | "
+                 + "".join(f"c?(x{i})." for i in range(n)) + "0\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    r = subprocess.run([sys.executable, "-m", "sessionpi", "progress", str(f)],
+                       env=env, capture_output=True, text=True, timeout=300,
+                       preexec_fn=_limit_memory)
+    assert r.returncode == 1, r.stderr[-500:]
+    assert r.stdout.splitlines()[-1] == (
+        "  stuck decomposition: k1?(x).k2!(x).0 | k2?(x).k1!(x).0")
+
+
+def _limit_memory():
+    """Cap a child's address space, so a blow-up fails the test rather
+    than the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
 
 
 def test_json_records_are_stable(capsys, spi):

@@ -13,7 +13,6 @@ UNREFERENCED = {
     "construct_partner": "public; traced by bench/spans.py",
     "maximal_parallel_subterms": "traced by bench/spans.py; deleting it"
                                  " waits for ROADMAP item 7",
-    "check_against": "ROADMAP item 3 rewrites typing",
 }
 
 

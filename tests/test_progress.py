@@ -27,6 +27,39 @@ def inhabit(spec: str):
     return pg.inhabit(sf.parse_type(spec), K)
 
 
+def check_against(gamma, p, target):
+    """Raise unless p can be typed at exactly `target`, which may be
+    wider than the minimal typing: unused channels may be carried at
+    `end`, and selections may be typed with labels they never choose."""
+    d = tc._infer(dict(gamma), p, False)
+    for k, t in d.items():
+        if k not in target:
+            raise tc.TypingError(
+                f"channel {k.base} is used but absent from the target typing")
+        tt = target[k]
+        w = tc.walk(t)
+        if isinstance(tt, sx.Bot):
+            if isinstance(w, sx.Bot) or tc._ends(w):
+                continue
+            raise tc.TypingError(
+                f"target closes channel {k.base} but it is left at"
+                f" {tc.show(w)}")
+        if isinstance(w, sx.Bot):
+            raise tc.TypingError(
+                f"channel {k.base} is closed on both ends but the target "
+                f"gives it {tc.show(tt)}")
+        try:
+            tc.unify(t, tt)
+        except tc.TypingError as e:
+            raise tc.TypingError(f"channel {k.base}: {e}") from e
+    for k, tt in target.items():
+        if k in d:
+            continue
+        if not isinstance(tt, (sx.End, sx.Bot)):
+            raise tc.TypingError(
+                f"target types unused channel {k.base} at {tc.show(tt)}")
+
+
 # ------------------------------------------------------------------- inhabit
 
 def test_end_inhabits_to_stop():
@@ -85,7 +118,7 @@ def test_fresh_names_avoid_the_given_set():
 @settings(deadline=None)
 def test_inhabitants_type_exactly_and_stand_still(a):
     p, ext = pg.inhabit(a, K)
-    tc.check_against(ext, p, {K: a})
+    check_against(ext, p, {K: a})
     assert sm.redexes(p) == []
     assert dg.is_transparent(ext, p).ok
 
@@ -218,7 +251,7 @@ def test_counterexample_state_is_reachable():
     src = load("service_loop")
     r = pg.check_progress(src.gamma, src.process, depth=5)
     keys = {cg.canonical_key(q)
-            for q in sm.explore(src.process, 5)}
+            for q, _ in sm.explore(src.process, 5)}
     assert cg.canonical_key(r.state) in keys
 
 
@@ -416,6 +449,18 @@ def test_independent_cycles_need_a_partner_per_thread(monkeypatch):
     assert calls[0] == 20
 
 
+def test_the_walk_stops_stepping_once_the_state_bound_is_hit(monkeypatch):
+    # eight cycles: the search stepped every successor of every state
+    # to learn of states it had no room for, 13,176 steps; the walk
+    # stops stepping at the first state beyond the bound
+    src = cycles(8)
+    steps = count_calls(monkeypatch, sm, "step")
+    r = pg.check_progress(src.gamma, src.process)
+    assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 2000,
+                                                        True)
+    assert steps[0] <= 7_574
+
+
 def test_the_search_prints_each_thread_object_once(monkeypatch, tmp_path):
     # five cycles: `canonical_key` printed 10,280 threads when it printed
     # every thread of every state at least twice; now it prints each
@@ -469,9 +514,10 @@ def _inner_code(fns):
 def test_the_pick_loop_runs_no_generator_or_all():
     # five cycles: the per-pick redex test was a generator of `all`s,
     # millions of steps; picks, moves and parts are masks now, so the
-    # loop and its helpers step no generator and call no `all`/`any`
-    loop = _inner_code([pg.check_progress, pg._split, pg._parts_pass,
-                        pg._adjacency])
+    # loop, the independence rule it defines, its mask helpers and the
+    # walk that feeds it step no generator and call no `all`/`any`
+    loop = _inner_code([pg.check_progress, pg._split, pg._adjacency,
+                        sm.explore])
     steps = Counter()
 
     def profile(frame, event, arg):
@@ -525,12 +571,15 @@ def test_the_independence_rule_is_sound(seed):
     def of(part):
         return tuple(threads[i] for i in part)
 
-    passed = {part for part in parts if any(live[i] for i in part)
-              and pg._cut_failure(gamma, of(part)) is None}
-    live_mask = sum(1 << i for i, ok in enumerate(live) if ok)
-    if pg._parts_pass(masks, live_mask, passed, positions,
-                      lambda part: dg.is_transparent(
-                          gamma, reduce(sx.Par, of(part))).ok):
+    # in the search every live part of a stuck piece is a smaller stuck
+    # piece of the same state, so it has passed before the piece is
+    # picked; the rule then asks only that every part be transparent
+    for part in parts:
+        if (any(live[i] for i in part)
+                and pg._cut_failure(gamma, of(part)) is not None):
+            return
+    if all(dg.is_transparent(gamma, reduce(sx.Par, of(part))).ok
+           for part in parts):
         assert pg._cut_failure(gamma, tuple(threads)) is None
 
 

@@ -499,7 +499,8 @@ def corpus_states():
     """Every state `explore` reaches in 3 steps from a sample, every
     state of the default run of each `simulate(1, scale=0.3)` file, and
     2,000 servers whose binders share one spelling."""
-    out = [q for name in SOURCES for q in sm.explore(load(name).process, 3)]
+    out = [q for name in SOURCES
+           for q, _ in sm.explore(load(name).process, 3)]
     for case in S.bench_gen().simulate(1, scale=0.3):
         out += sm.trace(sf.parse_source(case.text).process, 1000).states()
     return [q.process() for q in out] + [same_spelling_servers(2000)]
@@ -642,7 +643,7 @@ def test_keys_from_a_shared_table_are_the_reference_keys(monkeypatch):
     for name in SOURCES:
         src = load(name)
         one_table(lambda: pg.check_progress(src.gamma, src.process))
-        one_table(lambda: sm.explore(src.process, 4))
+        one_table(lambda: list(sm.explore(src.process, 4)))
     for seed in (1, 2, 3):
         for case in S.bench_gen().refute(seed):
             src = sf.parse_source(case.text)
@@ -653,7 +654,7 @@ def test_keys_from_a_shared_table_are_the_reference_keys(monkeypatch):
     def generated(seed):
         gamma, p = S.typed_cycles(random.Random(seed))
         one_table(lambda: pg.check_progress(gamma, p, depth=6))
-        one_table(lambda: sm.explore(p, 3))
+        one_table(lambda: list(sm.explore(p, 3)))
 
     generated()
 

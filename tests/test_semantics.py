@@ -17,6 +17,11 @@ def parse(s, sessions=(), gamma=None):
     return sf.parse_process(s, sessions=sessions, gamma=gamma)
 
 
+def states(p, depth, *bounds, **kwargs):
+    """The states `explore` walks, without their redexes."""
+    return [q for q, _ in sm.explore(p, depth, *bounds, **kwargs)]
+
+
 # ----------------------------------------------------------------- eval_expr
 
 def test_eval_expr():
@@ -220,7 +225,7 @@ def steps_agree(q):
 
 def test_step_agrees_with_the_reference_on_the_corpus():
     assert sum(steps_agree(q) for name in SOURCES
-               for q in sm.explore(load(name).process, 4)) > 0
+               for q in states(load(name).process, 4)) > 0
 
 
 def test_step_agrees_with_the_reference_on_generated_simulate_traces():
@@ -234,7 +239,7 @@ def test_step_agrees_with_the_reference_on_generated_simulate_traces():
 def test_step_agrees_with_the_reference_on_generated_input(seed):
     rng = random.Random(seed)
     for p in (S.well_typed(rng)[1], S.typed_cycles(rng)[1]):
-        for q in sm.explore(p, 3):
+        for q in states(p, 3):
             steps_agree(q)
 
 
@@ -310,7 +315,7 @@ def agree(p):
 
 def test_redex_index_agrees_with_the_pairwise_scan_on_the_corpus():
     for name in SOURCES:
-        for q in sm.explore(load(name).process, 4):
+        for q in states(load(name).process, 4):
             agree(q)
 
 
@@ -377,8 +382,7 @@ def test_each_input_tries_only_the_outputs_on_its_subject(monkeypatch, n):
 
 def test_explore_all_reaches_the_terminal():
     p = parse("k?(x).k1!(x).0 | k!(5).0 | k1?(y).0", sessions=("k", "k1"))
-    states = sm.explore(p, 10)
-    keys = {cg.canonical_key(q) for q in states}
+    keys = {cg.canonical_key(q) for q in states(p, 10)}
     assert cg.canonical_key(p) in keys
     assert cg.canonical_key(sx.Stop()) in keys
 
@@ -386,17 +390,41 @@ def test_explore_all_reaches_the_terminal():
 def test_explore_respects_the_depth_bound():
     # a three-message session: one new state per step, four in all
     p = parse("k!(1).k!(2).k!(3).0 | k?(x).k?(y).k?(z).0", sessions=("k",))
-    counts = [len(sm.explore(p, d)) for d in range(6)]
+    counts = [len(states(p, d)) for d in range(6)]
     assert counts == [1, 2, 3, 4, 4, 4]
+
+
+def test_explore_reports_its_cuts_and_steps_only_on_demand(monkeypatch):
+    # four states in a line, the last terminal
+    p = parse("k!(1).k!(2).k!(3).0 | k?(x).k?(y).k?(z).0", sessions=("k",))
+    for depth, max_states, want in [(0, 0, {"depth"}), (2, 10, {"depth"}),
+                                    (3, 10, set()), (3, 4, set()),
+                                    (3, 2, {"max-states"})]:
+        cuts = set()
+        states(p, depth, max_states, cuts=cuts)
+        assert cuts == want, (depth, max_states)
+    stepped = []
+    real = sm.step
+
+    def counted(q, r):
+        stepped.append(r)
+        return real(q, r)
+
+    monkeypatch.setattr(sm, "step", counted)
+    walk = sm.explore(p, 10)
+    next(walk)
+    assert stepped == []  # the start is stepped only once asked for more
+    next(walk)
+    assert len(stepped) == 1
 
 
 def test_explore_stops_at_the_state_bound():
     # the bounded search keeps the unbounded one's first states, in order
     for name in SOURCES:
         p = load(name).process
-        every = cg.print_states(sm.explore(p, 4))
+        every = cg.print_states(states(p, 4))
         for n in range(len(every) + 2):
-            bounded = cg.print_states(sm.explore(p, 4, n))
+            bounded = cg.print_states(states(p, 4, n))
             assert bounded == every[:max(n, 1)], (name, n)
 
 
@@ -404,7 +432,7 @@ def test_dead_restrictions_do_not_split_states():
     # every init leaves `new k` behind with no thread using it, so the
     # spawned states are all congruent to the start
     src = sf.parse_source("env a : <end>; *a(k).a<k1>.0 | a<k>.0")
-    assert len(sm.explore(src.process, 10)) == 1
+    assert len(states(src.process, 10)) == 1
     p = sm.step(src.process, sm.redexes(src.process)[0])
     assert cg.normal_form(p).binders
     assert cg.canonical_key(p) == cg.canonical_key(src.process)
@@ -495,9 +523,9 @@ def test_print_states_agrees_with_printing_each_state():
     for p in procs:
         assert_printed_as_processes(sm.trace(p, 100).states())
         assert_printed_as_processes(sm.trace(p, 100, seed=3).states())
-        assert_printed_as_processes(sm.explore(p, 4))
+        assert_printed_as_processes(states(p, 4))
         table = {}  # the rows that keyed the states print them
-        assert_printed_as_processes(sm.explore(p, 4, table=table), table)
+        assert_printed_as_processes(states(p, 4, table=table), table)
 
 
 @settings(deadline=None, max_examples=100)

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from functools import reduce
 
 import pytest
@@ -9,6 +11,7 @@ import sessionpi.syntax as sx
 import sessionpi.typecheck as tc
 import strategies as S
 from sessionpi.examples import SOURCES
+from test_progress import check_against
 
 
 def parse(s, sessions=(), gamma=None):
@@ -152,7 +155,7 @@ def test_closing_at_end_golden(src, sessions, gamma, target, want):
         if target is None:
             got = "ok: " + shown(tc.check(gamma or {}, p))
         else:
-            tc.check_against(gamma or {}, p, target)
+            check_against(gamma or {}, p, target)
             got = "ok: "
     except tc.TypingError as e:
         got = str(e)
@@ -195,19 +198,37 @@ def test_conditional_arms_must_agree():
     assert "T-Cond" in str(e.value) or "unify" in str(e.value)
 
 
+def test_nested_receives_share_one_value_environment():
+    # each receive used to type its body under a copy of the value
+    # environment, and every copy stayed alive down the recursion:
+    # 331 MB at 5,000 receives with distinct variables
+    n = 5_000
+    p = parse("".join(f"k?(x{i})." for i in range(n)) + "0", ("k",))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(4 * n)
+    tracemalloc.start()
+    try:
+        tc.check({}, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sys.setrecursionlimit(limit)
+    assert peak < 20 * 2**20, peak
+
+
 # ---------------------------------------------------------------- check_against
 
 def test_check_against_accepts_the_exact_typing():
     p = parse("k?(x).0", ("k",))
-    tc.check_against({}, p, {sx.chan("k"): sf.parse_type("?[bool].end")})
+    check_against({}, p, {sx.chan("k"): sf.parse_type("?[bool].end")})
 
 
 def test_check_against_rejects_other_typings():
     p = parse("k?(x).0", ("k",))
     with pytest.raises(tc.TypingError):
-        tc.check_against({}, p, {sx.chan("k"): sf.parse_type("![int].end")})
+        check_against({}, p, {sx.chan("k"): sf.parse_type("![int].end")})
     with pytest.raises(tc.TypingError):
-        tc.check_against({}, p, {})
+        check_against({}, p, {})
 
 
 # ------------------------------------------------------------------ is_program
