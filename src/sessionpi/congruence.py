@@ -8,6 +8,7 @@ Hoisting never captures because binder ids are globally unique.
 
 A caller-owned `Table` holds one `Row` per thread object: what
 `canonical_key`, `print_states` and the progress search know of it.
+A row's print template is made from `surface.pieces`, the one layout.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import syntax as sx
-from .surface import choose_names, print_process
+from .surface import choose_names, pieces
 from .syntax import Name, Process
 
 
@@ -139,7 +140,7 @@ class Row(NamedTuple):
     """What is known of one thread object."""
     thread: Process  # held, so its id is not reused while in the table
     facts: sx.Facts
-    text: str  # the thread printed once, one `str.format` field a name
+    text: str  # its `pieces`, with one `str.format` field a name
     slots: tuple[Name, ...]  # the names of the fields, by field number
     bases: tuple[str, ...]  # their spellings, for names a map leaves out
     live: bool  # `has_live_channels(thread)`
@@ -151,22 +152,20 @@ Table = dict[int, Row]
 
 
 def _row(t: Process) -> Row:
-    """t's row, from one `syntax.facts` sweep and one print.
-
-    The printer writes every channel name through its name map, so t is
-    printed with each name as `\\n{i}\\n`, and the text between those
-    newlines is literal.  It writes a newline nowhere else: string
-    literals print theirs escaped, and labels, variables and services
-    are identifiers.  So the fields follow the order of the text, and a
-    literal holding a newline, a brace or a field number stays literal.
-    """
+    """t's row, from one `syntax.facts` sweep and t's `pieces`: the
+    literal pieces, braces escaped, make the template's text, and each
+    distinct name one field, numbered in the order of the text."""
     f = sx.facts(t)
-    slots = tuple(dict.fromkeys(chain(f.binders, f.mentions)))
-    marks = {n: f"\n{{{i}}}\n" for i, n in enumerate(slots)}
-    parts = print_process(t, marks).split("\n")
-    parts[::2] = [s.replace("{", "{{").replace("}", "}}") for s in parts[::2]]
-    return Row(t, f, "".join(parts), slots, tuple(n.base for n in slots),
-               has_live_channels(t), f.free | f.services)
+    fields: dict[Name, int] = {}
+    text = []
+    for x in pieces(t):
+        if type(x) is str:
+            text.append(x.replace("{", "{{").replace("}", "}}"))
+        else:
+            text.append(f"{{{fields.setdefault(x, len(fields))}}}")
+    return Row(t, f, "".join(text), tuple(fields),
+               tuple(n.base for n in fields), has_live_channels(t),
+               f.free | f.services)
 
 
 def rows(table: Table, threads: Iterable[Process]) -> list[Row]:

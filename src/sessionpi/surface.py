@@ -666,53 +666,66 @@ def print_type(t: SessionType | Sort) -> str:
     raise TypeError(f"not a type: {t!r}")
 
 
+# what each prefix prints before its continuation: text and names
+_HEADS: dict[type, Callable[..., tuple[str | Name, ...]]] = {
+    sx.Serve: lambda q: (f"*{q.service.base}(", q.chan, ")."),
+    sx.Accept: lambda q: (f"{q.service.base}(", q.chan, ")."),
+    sx.Request: lambda q: (f"{q.service.base}<", q.chan, ">."),
+    sx.Receive: lambda q: (q.chan, f"?({q.var})."),
+    sx.Send: lambda q: (q.chan, f"!({print_expr(q.expr)})."),
+    sx.ReceiveSession: lambda q: (q.chan, "?((", q.bound, "))."),
+    sx.SendSession: lambda q: (q.chan, "!((", q.sent, "))."),
+    sx.Choose: lambda q: (q.chan, f" << {q.label}."),
+}
+
+
+def pieces(p: Process) -> list[str | Name]:
+    """p's text as literal strings with its channel names between them,
+    laid out on an explicit stack: `new a, b .` chains, and parentheses
+    around a `|` that is a prefix's continuation or a branch of `if`."""
+    out: list[str | Name] = []
+    todo: list[Process | str] = [p]  # names go straight to `out`
+    while todo:
+        q = todo.pop()
+        if type(q) is str:
+            out.append(q)
+        elif type(q) is sx.Stop:
+            out.append("0")
+        elif type(q) is sx.Par:
+            todo += (q.right, " | ", q.left)
+        elif type(q) is sx.Offer:
+            out += (q.chan, " >> {")
+            todo.append("}")
+            for i, (label, arm) in reversed(list(enumerate(q.arms))):
+                todo += (arm, f", {label}: " if i else f"{label}: ")
+        else:
+            if type(q) is sx.New:
+                out += ("new ", q.chan)
+                body = q.body
+                while type(body) is sx.New:
+                    out += (", ", body.chan)
+                    body = body.body
+                out.append(" . ")
+            elif type(q) is sx.If:
+                out.append(f"if {print_expr(q.test)} then ")
+                els = q.els
+                todo += (")", els, "(") if isinstance(els, sx.Par) else (els,)
+                todo.append(" else ")
+                body = q.then
+            else:  # a prefix; anything else raises KeyError
+                out += _HEADS[type(q)](q)
+                body = q.body
+            todo += (")", body, "(") if isinstance(body, sx.Par) else (body,)
+    return out
+
+
 def print_process(p: Process, names: dict[Name, str] | None = None) -> str:
+    """p's `pieces`, each name spelled by `names` (by default p's
+    `display_names`), else by its own spelling."""
     if names is None:
         names = display_names(p)
-
-    def nm(n: Name) -> str:
-        return names.get(n, n.base)
-
-    def unit(p: Process) -> str:
-        s = go(p)
-        return f"({s})" if isinstance(p, sx.Par) else s
-
-    def go(p: Process) -> str:
-        match p:
-            case sx.Stop():
-                return "0"
-            case sx.Par(_, _):
-                return " | ".join(unit(x) for x in sx.par_leaves(p))
-            case sx.New(c, body):
-                chain = [c]
-                while isinstance(body, sx.New):
-                    chain.append(body.chan)
-                    body = body.body
-                return f"new {', '.join(nm(c) for c in chain)} . {unit(body)}"
-            case sx.Serve(a, c, body):
-                return f"*{a.base}({nm(c)}).{unit(body)}"
-            case sx.Accept(a, c, body):
-                return f"{a.base}({nm(c)}).{unit(body)}"
-            case sx.Request(a, c, body):
-                return f"{a.base}<{nm(c)}>.{unit(body)}"
-            case sx.Receive(c, x, body):
-                return f"{nm(c)}?({x}).{unit(body)}"
-            case sx.Send(c, e, body):
-                return f"{nm(c)}!({print_expr(e)}).{unit(body)}"
-            case sx.ReceiveSession(c, n, body):
-                return f"{nm(c)}?(({nm(n)})).{unit(body)}"
-            case sx.SendSession(c, n, body):
-                return f"{nm(c)}!(({nm(n)})).{unit(body)}"
-            case sx.Offer(c, arms):
-                inner = ", ".join(f"{l}: {go(a)}" for l, a in arms)
-                return f"{nm(c)} >> {{{inner}}}"
-            case sx.Choose(c, l, body):
-                return f"{nm(c)} << {l}.{unit(body)}"
-            case sx.If(e, t, els):
-                return f"if {print_expr(e)} then {unit(t)} else {unit(els)}"
-        raise TypeError(f"not a process: {p!r}")
-
-    return go(p)
+    return "".join([x if type(x) is str else names.get(x, x.base)
+                     for x in pieces(p)])
 
 
 def print_delta(delta: dict[Name, SessionType],

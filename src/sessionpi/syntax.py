@@ -268,21 +268,21 @@ class If(Process):
 
 # ---------------------------------------------------------------- node shapes
 #
-# `SHAPES` is the one place that knows where each process form keeps
-# its names and its subprocesses; every reader of a node's own names
-# or children, and every map over a term, goes through it.  An entry
-# names the form's fields, each in the order the form is printed: the
-# channel it binds in its continuation, the service a serve, accept or
-# request names, the session channels its prefix names (its subject,
+# `SHAPES` is the one place that knows where each process form keeps its
+# names and its subprocesses; every reader of a node's own names or
+# children but the printer, and every map over a term, uses it.  An
+# entry names the form's fields, each in the order the form is printed:
+# the channel it binds in its continuation, the service a serve, accept
+# or request names, the session channels its prefix names (its subject,
 # then the channel a delegation sends), and its subprocesses from left
 # to right: the two sides of `|`, the two branches of `if`, the arms of
 # an offer in their written order, and otherwise the one continuation
-# (none for `0`).  `binder`, `subject`, `mentions`, `children`,
-# `rebuild` and `facts` read it through attribute readers made from it
-# once, with one lookup by class per node; all but `facts` look at the
-# node they are given only.  Read-only walks use an explicit stack, so
-# deep terms need no raised recursion limit; pushing
-# `reversed(children(q))` visits a term in pre-order, left to right.
+# (none for `0`).  `binder`, `subject`, `children`, `rebuild` and
+# `facts` read it through attribute readers made from it once, with one
+# lookup by class per node; all but `facts` look at the node they are
+# given only.  Read-only walks use an explicit stack, so deep terms need
+# no raised recursion limit; pushing `reversed(children(q))` visits a
+# term in pre-order, left to right.
 
 class Shape(NamedTuple):
     """Where a process form keeps its names and subprocesses, as field
@@ -366,16 +366,6 @@ def subject(p: Process) -> Name | None:
     for `0`, `|`, `new` and `if`."""
     get = _READERS[type(p)].subject
     return None if get is None else get(p)
-
-
-def mentions(p: Process) -> tuple[Name, ...]:
-    """The session channels p's prefix names: its subject, then the
-    delegated channel of a delegation.  Empty for service prefixes,
-    whose channel is a binder, and for `0`, `|`, `new` and `if`."""
-    r = _READERS[type(p)]
-    if r.mention is not None:
-        return (r.mention(p),)
-    return () if r.mentions is None else r.mentions(p)
 
 
 def children(p: Process) -> tuple[Process, ...]:

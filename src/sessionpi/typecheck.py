@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import congruence
 from . import syntax as sx
 from .surface import print_process, print_type
 from .syntax import (
@@ -372,12 +373,7 @@ def join(deltas: list[Delta]) -> Delta:
     channels must agree (a finished side may be lifted to `bot`), and a
     channel missing from some branch can only be carried at `end`."""
     out: Delta = {}
-    keys: list[Name] = []
-    for d in deltas:
-        for k in d:
-            if k not in keys:
-                keys.append(k)
-    for k in keys:
+    for k in dict.fromkeys(k for d in deltas for k in d):
         have = [d[k] for d in deltas if k in d]
         t = have[0]
         for u in have[1:]:
@@ -602,17 +598,10 @@ def is_program(p: Process) -> bool:
     congruence; one whose channel occurs below it cannot, because a
     prefixed thread never disappears by rearrangement alone.  Binder
     ids are globally unique, so a restricted channel occurs below its
-    `new` exactly when it occurs at all, and one sweep decides both:
-    every occurring channel must be bound, and not by `new`.
+    `new` exactly when it is mentioned at all.  The restrictions are
+    the binders of p's clusters; a cluster with no threads drops its
+    binders, but nothing below it mentions them.
     """
-    occurring: set[Name] = set()
-    bound: set[Name] = set()
-    todo: list[Process] = [p]
-    while todo:
-        q = todo.pop()
-        b = sx.binder(q)
-        if b is not None and not isinstance(q, sx.New):
-            bound.add(b[0])
-        occurring.update(sx.mentions(q))
-        todo.extend(sx.children(q))
-    return occurring <= bound
+    f = sx.facts(p)
+    restricted = {c for nf in congruence.clusters(p) for c in nf.binders}
+    return not f.free and f.mentions.isdisjoint(restricted)

@@ -23,6 +23,7 @@ import sessionpi.syntax as sx
 import sessionpi.typecheck as typecheck
 import strategies as S
 from sessionpi.examples import SOURCES
+from test_reference_oracles import calls_by_caller
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -228,20 +229,21 @@ def test_run_shows_a_service_value_by_its_name(capsys, tmp_path):
 
 
 def count_prints(monkeypatch):
-    """Every argument `surface.print_process` is called with, through
-    every module that holds it by name.  Check with `one_thread_each`."""
-    printed = []
-    printer = surface.print_process
+    """Record every call of `surface.pieces` and of `print_process`,
+    with its caller, through every module that holds either by name.
+    Read the records with `rowed_threads`."""
+    modules = (surface, cli, congruence, depgraph, progress, semantics,
+               typecheck)
+    return (calls_by_caller(monkeypatch, "pieces", *modules),
+            calls_by_caller(monkeypatch, "print_process", *modules))
 
-    def counted(p, *rest):
-        printed.append(p)
-        return printer(p, *rest)
 
-    for m in (cli, congruence, depgraph, progress, semantics, surface,
-              typecheck):
-        if getattr(m, "print_process", None) is printer:
-            monkeypatch.setattr(m, "print_process", counted)
-    return printed
+def rowed_threads(laid_out, printed):
+    """The threads laid out for their rows' templates.  Nothing else
+    lays out a thread, and only `progress` prints one whole."""
+    assert {caller for caller, _ in printed} <= {"_cmd_progress"}
+    assert {caller for caller, _ in laid_out} <= {"_row", "print_process"}
+    return [p for caller, p in laid_out if caller == "_row"]
 
 
 def one_thread_each(printed):
@@ -251,12 +253,13 @@ def one_thread_each(printed):
 
 
 def test_run_prints_each_thread_object_at_most_once(capsys, monkeypatch):
-    printed = count_prints(monkeypatch)
+    calls = count_prints(monkeypatch)
     code, data = run_json(capsys, "run", "--steps", "4",
                           str(SAMPLES / "relay.spi"))
     assert code == 0
     assert len(data["data"]["trace"]) == 3  # two steps and the final state
-    # no thread twice (`printed` keeps them alive, so ids stay distinct)
+    # no thread twice (the records keep them alive, so ids stay distinct)
+    printed = rowed_threads(*calls)
     assert one_thread_each(printed)
     assert len({id(p) for p in printed}) == len(printed)
 
@@ -272,12 +275,13 @@ def test_run_reprints_few_of_the_threads_it_shows(capsys, monkeypatch,
         src = surface.parse_source(case.text)
         slots += sum(len(q.threads)
                      for q in semantics.trace(src.process, 1000).states())
-    printed = count_prints(monkeypatch)
+    calls = count_prints(monkeypatch)
     for f in files:
         code, data = run_json(capsys, "run", "--steps", "1000", f)
         assert code == 0 and data["data"]["trace"][-1]["final"]
     # untouched threads are the same objects from state to state, and
     # are printed again only when a name they use changes its spelling
+    printed = rowed_threads(*calls)
     assert one_thread_each(printed)
     assert 5 * len(printed) <= slots, (len(printed), slots)
 
@@ -468,6 +472,26 @@ def test_progress_answers_on_deep_threads(tmp_path):
         "  stuck decomposition: k1?(x).k2!(x).0 | k2?(x).k1!(x).0")
 
 
+def test_run_and_graph_print_a_long_prefix_chain(tmp_path):
+    # the printer recursed twice per prefix: both exited 2, "input
+    # nested too deeply", on a chain that `check` answers
+    chain = "k!(1)." * 60_000 + "0"
+    f = tmp_path / "chain.spi"
+    f.write_text(f"sessions k;\n{chain}\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv, want in (
+            (["run", "--steps", "0"], [chain]),
+            (["graph"], ["graph 0: 1 nodes, 0 edges, acyclic",
+                         f"  n0 [k] {chain}"])):
+        r = subprocess.run(
+            [sys.executable, "-m", "sessionpi", *argv, str(f)], env=env,
+            capture_output=True, text=True, timeout=300,
+            preexec_fn=_limit_memory)
+        assert r.returncode == 0, r.stderr[-500:]
+        assert r.stdout.splitlines() == want, argv
+
+
 def _limit_memory():
     """Cap a child's address space, so a blow-up fails the test rather
     than the machine."""
@@ -528,13 +552,23 @@ def test_python_m_sessionpi_runs_the_cli(capsys):
 
 
 def _python310():
-    """A `python3.10` on the path that starts, or None."""
-    exe = shutil.which("python3.10")
-    if exe is None:
-        return None
-    probe = subprocess.run([exe, "-c", "pass"], capture_output=True,
-                           timeout=120)
-    return exe if probe.returncode == 0 else None
+    """A `python3.10` that starts: the one on the path, else the newest
+    `$(pyenv root)/versions/3.10.*/bin/python3.10` (a pyenv shim on the
+    path fails unless the version is selected); None if neither does."""
+    candidates = [shutil.which("python3.10")]
+    pyenv = shutil.which("pyenv")
+    if pyenv is not None:
+        root = subprocess.run([pyenv, "root"], capture_output=True,
+                              text=True, timeout=120).stdout.strip()
+        installed = Path(root).glob("versions/3.10.*/bin/python3.10")
+        candidates += sorted(installed, reverse=True, key=lambda exe: [
+            int(n) for n in re.findall(r"\d+", exe.parts[-3])])
+    for exe in filter(None, candidates):
+        probe = subprocess.run([exe, "-c", "pass"], capture_output=True,
+                               timeout=120)
+        if probe.returncode == 0:
+            return str(exe)
+    return None
 
 
 def test_cli_runs_on_the_oldest_supported_python(capsys):
@@ -542,11 +576,11 @@ def test_cli_runs_on_the_oldest_supported_python(capsys):
     # feature (such as a possessive quantifier) from a later version
     exe = _python310()
     if exe is None:
-        pytest.skip("no working python3.10 on the path")
+        pytest.skip("no working python3.10 on the path or from pyenv")
     src = Path(cli.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     for f in sorted(SAMPLES.glob("*.spi")):
-        for command in ("check", "progress"):
+        for command in ("check", "graph", "run", "progress"):
             argv = ["--json", command, str(f)]
             r = subprocess.run([exe, "-m", "sessionpi", *argv], env=env,
                                capture_output=True, text=True, timeout=120)

@@ -463,20 +463,15 @@ def test_the_walk_stops_stepping_once_the_state_bound_is_hit(monkeypatch):
 
 def test_the_search_prints_each_thread_object_once(monkeypatch, tmp_path):
     # five cycles: `canonical_key` printed 10,280 threads when it printed
-    # every thread of every state at least twice; now it prints each
+    # every thread of every state at least twice; now it lays out each
     # thread object once per search, as a template
-    printed = []
-    real = cg.print_process
-
-    def counted(t, names=None):
-        printed.append(t)
-        return real(t, names)
-
-    monkeypatch.setattr(cg, "print_process", counted)
+    laid_out = calls_by_caller(monkeypatch, "pieces", sf, cg)
     live = calls_by_caller(monkeypatch, "has_live_channels", cg)
     src = cycles(5)
     r = pg.check_progress(src.gamma, src.process)
     assert r.states_seen == 243
+    assert {caller for caller, _ in laid_out} == {"_row"}
+    printed = [t for _, t in laid_out]
     assert len({id(t) for t in printed}) == len(printed)
     assert 5 * len(printed) <= 10_280
     # liveness is read from the rows, each found once when it is built
@@ -484,19 +479,22 @@ def test_the_search_prints_each_thread_object_once(monkeypatch, tmp_path):
     assert [t for _, t in live] == printed
 
     # in one `run`, `run --all` or `progress` call, a thread object is
-    # printed once, as its row's template; `run --all` prints from the
+    # laid out once, for its row's template; `run --all` prints from the
     # rows that keyed its states.  Only a counterexample's state, cut and
     # partner are printed whole, by the CLI.
     monkeypatch.undo()
+    laid_out = calls_by_caller(monkeypatch, "pieces", sf, cg)
     printed = calls_by_caller(monkeypatch, "print_process", sf, cli, cg, dg,
                               pg, sm, tc)
     for argv in cli_calls(tmp_path):
+        laid_out.clear()
         printed.clear()
         assert cli.main(argv) in (0, 1), argv
-        rowed = [t for caller, t in printed if caller == "_row"]
+        rowed = [t for caller, t in laid_out if caller == "_row"]
         assert rowed and len({id(t) for t in rowed}) == len(rowed), argv
-        assert {caller for caller, _ in printed} <= {"_row",
-                                                     "_cmd_progress"}, argv
+        assert {caller for caller, _ in laid_out} <= {"_row",
+                                                      "print_process"}, argv
+        assert {caller for caller, _ in printed} <= {"_cmd_progress"}, argv
 
 
 def _inner_code(fns):

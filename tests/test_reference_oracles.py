@@ -1,12 +1,13 @@
-"""Five functions as they read before `syntax.subject`, `syntax.mentions`,
-`syntax.facts` and `congruence.occurrences` took over their node-name
-matches, their sweeps for names and their occurrence scans, kept as
-oracles for the rewritten ones.  `reference_binder`,
-`reference_subject`, `reference_mentions`, `reference_children` and
-`reference_facts` are the node readers and the sweep as they read
-before `syntax.SHAPES` took over their `match` and `isinstance`
-chains.  `reference_display_names` also keeps
-the suffix search that probes every suffix from 1 for each binder.
+"""Five functions as they read before `syntax.subject`, `syntax.facts`
+and `congruence.occurrences` took over their node-name matches, their
+sweeps for names and their occurrence scans, kept as oracles for the
+rewritten ones.  `reference_binder`, `reference_subject`,
+`reference_mentions`, `reference_children` and `reference_facts` are
+the node readers and the sweep as they read before `syntax.SHAPES`
+took over their `match` and `isinstance` chains (`reference_mentions`
+is now read only by `reference_facts`).  `reference_display_names`
+also keeps the suffix search that probes every suffix from 1 for each
+binder.
 `reference_tokenize` is the lexer as it read before tokens became
 parallel lists of tags, texts and offsets: one match per blank, newline
 or comment, and a line and column tracked for every token.
@@ -477,12 +478,11 @@ PAIRS = {
     "canonical_key": (cg.canonical_key, reference_canonical_key),
     "binder": (of_each_node(sx.binder), of_each_node(reference_binder)),
     "subject": (of_each_node(sx.subject), of_each_node(reference_subject)),
-    "mentions": (of_each_node(sx.mentions), of_each_node(reference_mentions)),
     "children": (of_each_node(sx.children), of_each_node(reference_children)),
     "facts": (of_each_part(sx.facts), of_each_part(reference_facts)),
 }
 # the node readers are also checked on every benchmark file
-NODE_READERS = ("binder", "subject", "mentions", "children", "facts")
+NODE_READERS = ("binder", "subject", "children", "facts")
 
 
 def same_spelling_servers(n):

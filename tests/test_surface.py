@@ -1,8 +1,11 @@
 import random
+import sys
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import sessionpi.congruence as cg
 import sessionpi.surface as sf
 import sessionpi.syntax as sx
 import strategies as S
@@ -212,3 +215,56 @@ def test_a_long_prefix_chain_parses_without_recursion():
     while isinstance(p, sx.Send):
         sends, p = sends + 1, p.body
     assert (sends, p) == (150_000, sx.Stop())
+
+
+def deep_nests(n):
+    """(what, process, its print, its canonical key) for n-deep nests of
+    each form, the texts built without the printer."""
+    k, one = sx.chan("k"), sx.IntLit(1)
+    p = sx.Stop()
+    for _ in range(n):
+        p = sx.Send(k, one, p)
+    text = "k!(1)." * n + "0"
+    yield "prefixes", p, text, text
+    p = sx.Stop()
+    for _ in range(n):
+        p = sx.Send(k, one, sx.Par(p, sx.Stop()))
+    text = "k!(1).(" * n + "0" + " | 0)" * n
+    yield "prefixes over |", p, text, text
+    p = sx.Stop()
+    for _ in range(n):
+        p = sx.If(sx.BoolLit(True), p, sx.Stop())
+    text = "if true then " * n + "0" + " else 0" * n
+    yield "if", p, text, text
+    p = sx.Stop()
+    for _ in range(n):
+        p = sx.Offer(k, (("l", p),))
+    text = "k >> {l: " * n + "0" + "}" * n
+    yield "offer", p, text, text
+    cs = [sx.bound_chan(f"c{i}") for i in range(n)]
+    p = reduce(lambda body, c: sx.Send(c, one, body), reversed(cs), sx.Stop())
+    p = reduce(lambda body, c: sx.New(c, body), reversed(cs), p)
+    text = (f"new {', '.join(f'c{i}' for i in range(n))} . "
+            + "".join(f"c{i}!(1)." for i in range(n)) + "0")
+    key = (f"new {', '.join(sorted(f'b{i}' for i in range(n)))} . "
+           + "".join(f"b{i}!(1)." for i in range(n)) + "0")
+    yield "new", p, text, key
+    threads = [sx.Send(sx.chan(f"k{i}"), sx.IntLit(i), sx.Stop())
+               for i in range(n)]
+    texts = [f"k{i}!({i}).0" for i in range(n)]
+    key = " | ".join(sorted(texts))
+    yield "left |", reduce(sx.Par, threads), " | ".join(texts), key
+    yield ("right |", reduce(lambda r, t: sx.Par(t, r), reversed(threads)),
+           " | ".join(texts), key)
+
+
+def test_deep_nests_print_and_key_at_the_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        for what, p, text, key in deep_nests(20_000):
+            assert sf.print_process(p) == text, what
+            assert cg.print_states([cg.normal_form(p)]) == [text], what
+            assert cg.canonical_key(p) == key, what
+    finally:
+        sys.setrecursionlimit(limit)
