@@ -303,7 +303,10 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
         if len(parts) < 2:
             return False
         for part in parts:
-            nums = tuple(itertools.compress(ids, map(part.__and__, bits)))
+            nums = numbers_of.get(part)
+            if nums is None:
+                nums = numbers_of[part] = tuple(
+                    itertools.compress(ids, map(part.__and__, bits)))
             ok = transparent_parts.get(nums)
             if ok is None:
                 piece = reduce(sx.Par, [known[i].thread for i in nums])
@@ -320,6 +323,7 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
         bits = [1 << i for i in range(n)]  # one per position
         ids: list[int] = []  # the thread number at each position
         adj: list[int] | None = None  # the `_adjacency`, once needed
+        numbers_of: dict[int, tuple[int, ...]] = {}  # a part's, by mask
         live = 0
         # a state is keyed, so its rows are built, before it is yielded
         for row, bit in zip(congruence.rows(table, threads), bits):

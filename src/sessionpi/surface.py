@@ -200,13 +200,11 @@ class _Parser:
     def show(self, i: int) -> str:
         return "end of input" if self.tags[i] == EOF else repr(self.texts[i])
 
-    def expect(self, *texts: str) -> None:
-        """Step over symbols or keywords with these texts, in order."""
-        for text in texts:
-            if self.tags[self.pos] != text:
-                raise self.error(
-                    f"expected '{text}', found {self.show(self.pos)}")
-            self.pos += 1
+    def expect(self, text: str) -> None:
+        """Step over the symbol or keyword `text`."""
+        if self.tags[self.pos] != text:
+            raise self.error(f"expected '{text}', found {self.show(self.pos)}")
+        self.pos += 1
 
     def expect_ident(self, what: str = "name") -> int:
         """Step over an identifier and return its token index."""
@@ -268,10 +266,13 @@ class _Parser:
         return name
 
     def bound_head(self, heads: list[_Head], make: Callable[..., Process],
-                   first: Name, *close: str) -> None:
-        """`k` close... `.`: push a head binding k in its continuation."""
+                   first: Name, close: str) -> None:
+        """`k` close `.`: push a head binding k in its continuation;
+        close is one or two closing symbols, one character each."""
         name = self.bind()
-        self.expect(*close, ".")
+        for text in close:
+            self.expect(text)
+        self.expect(".")
         heads.append((make, (first, name), name.base))
 
     def declare_session(self) -> None:
@@ -337,7 +338,8 @@ class _Parser:
             self.pos += 1
             self.expect("[")
             payload = self.parse_payload()
-            self.expect("]", ".")
+            self.expect("]")
+            self.expect(".")
             then = self.parse_type()
             return (sx.In if tag == "?" else sx.Out)(payload, then)
         if tag == "&" or tag == "+":
@@ -454,11 +456,12 @@ class _Parser:
             self.expect("(")
             if tags[self.pos] == "(":  # session reception: k?((k2)).P
                 self.pos += 1
-                self.bound_head(heads, sx.ReceiveSession, chan, ")", ")")
+                self.bound_head(heads, sx.ReceiveSession, chan, "))")
                 return None
             x = self.expect_ident("variable name")
             self._check_binder(x)
-            self.expect(")", ".")
+            self.expect(")")
+            self.expect(".")
             self.vars.add(texts[x])
             heads.append((sx.Receive, (chan, texts[x]), texts[x]))
             return None
@@ -477,7 +480,8 @@ class _Parser:
                               None))
                 return None
             e = self.parse_expr()
-            self.expect(")", ".")
+            self.expect(")")
+            self.expect(".")
             heads.append((sx.Send, (chan, e), None))
             return None
         if op == ">>":
@@ -644,26 +648,26 @@ def print_expr(e: Expr, level: int = 0) -> str:
 
 
 def print_type(t: SessionType | Sort) -> str:
+    out = []  # the heads along t's continuations, in a loop
+    while type(t) is sx.In or type(t) is sx.Out:
+        out += ("?[" if type(t) is sx.In else "![", print_type(t.payload),
+                "].")
+        t = t.then
     match t:
         case sx.End():
-            return "end"
+            out.append("end")
         case sx.Bot():
-            return "bot"
-        case sx.In(p, then):
-            return f"?[{print_type(p)}].{print_type(then)}"
-        case sx.Out(p, then):
-            return f"![{print_type(p)}].{print_type(then)}"
-        case sx.BranchT(opts):
+            out.append("bot")
+        case sx.BranchT(opts) | sx.SelectT(opts):
             inner = ", ".join(f"{l}: {print_type(a)}" for l, a in opts)
-            return "&{" + inner + "}"
-        case sx.SelectT(opts):
-            inner = ", ".join(f"{l}: {print_type(a)}" for l, a in opts)
-            return "+{" + inner + "}"
+            out += ("&{" if type(t) is sx.BranchT else "+{", inner, "}")
         case sx.Basic(n):
-            return n
+            out.append(n)
         case sx.ServiceSort(s):
-            return f"<{print_type(s)}>"
-    raise TypeError(f"not a type: {t!r}")
+            out.append(f"<{print_type(s)}>")
+        case _:
+            raise TypeError(f"not a type: {t!r}")
+    return "".join(out)
 
 
 # what each prefix prints before its continuation: text and names

@@ -280,9 +280,9 @@ class If(Process):
 # (none for `0`).  `binder`, `subject`, `children`, `rebuild` and
 # `facts` read it through attribute readers made from it once, with one
 # lookup by class per node; all but `facts` look at the node they are
-# given only.  Read-only walks use an explicit stack, so deep terms need
-# no raised recursion limit; pushing `reversed(children(q))` visits a
-# term in pre-order, left to right.
+# given only.  Walks use an explicit stack, also those that rebuild a
+# term (`_map`), so deep terms need no raised recursion limit; pushing
+# `reversed(children(q))` visits a term in pre-order, left to right.
 
 class Shape(NamedTuple):
     """Where a process form keeps its names and subprocesses, as field
@@ -450,26 +450,74 @@ def free_session_channels(p: Process) -> frozenset[Name]:
     return facts(p).free
 
 
+def _map(p: Process, enter: Callable[[Process], Process | None],
+         leave: Callable[[Process, list[Process]], Process]) -> Process:
+    """p rebuilt bottom-up on an explicit stack, so a long prefix chain
+    needs no recursion.  `enter(q)` runs as the walk reaches q, in
+    pre-order left to right, and may return q's result to keep the
+    walk out of q; otherwise `leave(q, kids)` makes q's result from the
+    results of `children(q)`, once those are all made."""
+    out: list[Process] = []
+    todo: list = [p]  # terms to reach, and (term, number of children)
+    while todo:
+        q = todo.pop()
+        if type(q) is tuple:
+            q, n = q
+            if n == 1:
+                kids = [out.pop()]
+            else:
+                kids = out[-n:]
+                del out[-n:]
+            out.append(leave(q, kids))
+            continue
+        done = enter(q)
+        if done is not None:
+            out.append(done)
+            continue
+        kids = children(q)
+        if kids:
+            todo.append((q, len(kids)))
+            todo += reversed(kids)
+        else:
+            out.append(leave(q, []))
+    return out[0]
+
+
 def _rename(p: Process, env: dict[Name, Name],
             bind: Callable[[Name], Name]) -> Process:
     """p with each channel n free in p renamed to env.get(n, n), and
-    each binder b renamed to bind(b) throughout its scope.
+    each binder b renamed to bind(b) throughout its scope; env is the
+    caller's to give up.
 
     bind is called on the binders in pre-order, left to right.
     """
-    def go(q: Process, env: dict[Name, Name]) -> Process:
-        b = binder(q)
-        if b is not None:
-            c, c2 = b[0], bind(b[0])
+    # env is changed in place: each binder in scope that changed it is
+    # kept with the entry it hid
+    shields: list[tuple[Process, Name, Name | None]] = []
+
+    def enter(q: Process) -> None:
+        get = _READERS[type(q)].binder
+        if get is not None:
+            c = get(q)
+            c2 = bind(c)
             if c2 != c or c in env:  # renamed, or shields env's entry
-                env = env | {c: c2}
-        q = rebuild(q, [go(k, env) for k in children(q)])
+                shields.append((q, c, env.get(c)))
+                env[c] = c2
+
+    def leave(q: Process, kids: list[Process]) -> Process:
+        done = rebuild(q, kids)
         s = SHAPES[type(q)]
         renamed = {f: env[n] for f in (s.binder, *s.mentions)
-                   if f is not None and (n := getattr(q, f)) in env}
-        return replace(q, **renamed) if renamed else q
+                   if f is not None and (n := getattr(done, f)) in env}
+        if shields and shields[-1][0] is q:  # q's scope ends here
+            _, c, hidden = shields.pop()
+            if hidden is None:
+                del env[c]
+            else:
+                env[c] = hidden
+        return replace(done, **renamed) if renamed else done
 
-    return go(p, env)
+    return _map(p, enter, leave)
 
 
 def subst_chan(p: Process, old: Name, new: Name) -> Process:
@@ -496,17 +544,17 @@ def substitute_expr(e: Expr, name: str, value: Expr) -> Expr:
 
 def substitute(p: Process, name: str, value: Expr) -> Process:
     """p with free occurrences of expression variable `name` replaced."""
-    def go(p: Process) -> Process:
-        match p:
-            case Receive(_, x, _) if x == name:
-                return p
-            case Send(c, e, body):
-                return Send(c, substitute_expr(e, name, value), go(body))
-            case If(e, t, el):
-                return If(substitute_expr(e, name, value), go(t), go(el))
-        return rebuild(p, [go(k) for k in children(p)])
+    def enter(q: Process) -> Process | None:
+        return q if type(q) is Receive and q.var == name else None
 
-    return go(p)
+    def leave(q: Process, kids: list[Process]) -> Process:
+        if type(q) is Send:
+            return Send(q.chan, substitute_expr(q.expr, name, value), *kids)
+        if type(q) is If:
+            return If(substitute_expr(q.test, name, value), *kids)
+        return rebuild(q, kids)
+
+    return _map(p, enter, leave)
 
 
 def refresh(p: Process) -> Process:

@@ -1,17 +1,39 @@
-"""Session typing: duality, composition and type inference.
+"""Session typing: duality, composition and type checking.
 
 `check` computes the minimal session typing of a process: a map from
 free channels to session types, where `bot` marks channels whose two
-endpoints are both used inside the process.  Inference is bottom-up
-with unification.  Delegation introduces a type variable for the sent
-channel, paired with a mirror variable so that taking duals commutes
-with later instantiation.  A label selection produces an extensible
-internal select type that absorbs sibling labels when matched against a
-wider select, and is frozen to its accumulated labels at the end.
+endpoints are both used inside the process.
+
+A serve, accept or request is checked against a type known before its
+body is read: the declared session for a serve or accept, its dual for
+a request (taken once per service and call).  Check mode (`_check`)
+walks the body and consumes one head of a channel's type per prefix
+on it: a receive binds its variable straight to a basic payload sort,
+a send types its expression against the payload sort, a selection and
+an offer are matched against the declared labels, and both branches
+of `if` go on from the same types.  Nested serves, accepts and
+requests, and channels received at a declared payload, are checked in
+the same walk.
+
+Everything else is inferred bottom-up with unification (`_infer`):
+free sessions, `new`, `|`, and any service body check mode is unsure
+of.  Check mode unifies nothing, so when it is unsure, the body is
+inferred as if it had never been checked, and inference alone raises
+every `TypingError`.  Delegation introduces a type variable for the
+sent channel, paired with a mirror variable so that taking duals
+commutes with later instantiation.  A label selection produces an
+extensible internal select type that absorbs sibling labels when
+matched against a wider select, and is frozen to its accumulated
+labels at the end.
+
+Terms are walked on explicit stacks, and types in loops along their
+continuations, so a long prefix chain and its type need no deep
+recursion; the type functions recurse only into label options and
+payloads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import congruence
 from . import syntax as sx
@@ -62,11 +84,11 @@ class SVar(Sort):
 
 
 def walk(t: SessionType) -> SessionType:
-    while isinstance(t, TVar) and t.link is not None:
+    while type(t) is TVar and t.link is not None:
         t = t.link
-    if isinstance(t, OpenSel):
+    if type(t) is OpenSel:
         return osfind(t)
-    if isinstance(t, DualOpen):
+    if type(t) is DualOpen:
         return DualOpen(osfind(t.base))
     return t
 
@@ -86,50 +108,58 @@ def osfind(o: OpenSel) -> OpenSel:
 def dual(t: SessionType) -> SessionType:
     """The other endpoint's view: inputs and outputs swap, offered and
     chosen labels swap, payloads stay as they are."""
+    heads = []  # the inputs and outputs along t's continuations
     t = walk(t)
+    while type(t) is In or type(t) is Out:
+        heads.append(t)
+        t = walk(t.then)
     match t:
         case End():
-            return t
-        case In(p, then):
-            return Out(p, dual(then))
-        case Out(p, then):
-            return In(p, dual(then))
+            d = t
         case BranchT(opts):
-            return SelectT(tuple((l, dual(a)) for l, a in opts))
+            d = SelectT(tuple((l, dual(a)) for l, a in opts))
         case SelectT(opts):
-            return BranchT(tuple((l, dual(a)) for l, a in opts))
+            d = BranchT(tuple((l, dual(a)) for l, a in opts))
         case TVar():
             assert t.mate is not None
-            return t.mate
+            d = t.mate
         case OpenSel():
-            return DualOpen(t)
+            d = DualOpen(t)
         case DualOpen(base):
-            return base
-    raise TypingError(f"type {show(t)} has no dual")
+            d = base
+        case _:
+            raise TypingError(f"type {show(t)} has no dual")
+    for h in reversed(heads):
+        d = (Out if type(h) is In else In)(h.payload, d)
+    return d
 
 
 def resolve(t: SessionType) -> SessionType:
     """Strip solver nodes: unresolved variables default to `end`, open
     selects freeze to their accumulated labels."""
+    heads = []  # (In or Out, resolved payload) along t's continuations
     t = walk(t)
+    while type(t) is In or type(t) is Out:
+        heads.append((type(t), resolve_payload(t.payload)))
+        t = walk(t.then)
     match t:
         case TVar():
-            return End()
+            r = End()
         case End() | Bot():
-            return t
-        case In(p, then):
-            return In(resolve_payload(p), resolve(then))
-        case Out(p, then):
-            return Out(resolve_payload(p), resolve(then))
+            r = t
         case BranchT(opts):
-            return sx.branch([(l, resolve(a)) for l, a in opts])
+            r = sx.branch([(l, resolve(a)) for l, a in opts])
         case SelectT(opts):
-            return sx.select([(l, resolve(a)) for l, a in opts])
+            r = sx.select([(l, resolve(a)) for l, a in opts])
         case OpenSel(opts, _, _):
-            return sx.select([(l, resolve(a)) for l, a in opts.items()])
+            r = sx.select([(l, resolve(a)) for l, a in opts.items()])
         case DualOpen(base):
-            return dual(resolve(base))
-    raise TypingError(f"cannot resolve {t!r}")
+            r = dual(resolve(base))
+        case _:
+            raise TypingError(f"cannot resolve {t!r}")
+    for make, p in reversed(heads):
+        r = make(p, r)
+    return r
 
 
 def resolve_sort(s: Sort) -> Sort:
@@ -152,22 +182,25 @@ def show(t: SessionType | Sort) -> str:
 # ------------------------------------------------------------------ unifiers
 
 def _occurs(v: TVar | SVar, t: SessionType | Sort) -> bool:
-    t = walk(t) if isinstance(t, SessionType) else walk_sort(t)
-    match t:
-        case TVar() | SVar():
-            return t is v
-        case In(p, then) | Out(p, then):
-            return _occurs(v, p) or _occurs(v, then)
-        case BranchT(opts) | SelectT(opts):
-            return any(_occurs(v, a) for _, a in opts)
-        case OpenSel(opts, _, _):
-            return any(_occurs(v, a) for a in opts.values())
-        case DualOpen(base):
-            return any(_occurs(v, a) for a in osfind(base).options.values())
-        case ServiceSort(s):
-            return _occurs(v, s)
-        case _:
-            return False
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        t = walk(t) if isinstance(t, SessionType) else walk_sort(t)
+        match t:
+            case TVar() | SVar():
+                if t is v:
+                    return True
+            case In(p, then) | Out(p, then):
+                todo += (then, p)
+            case BranchT(opts) | SelectT(opts):
+                todo += [a for _, a in opts]
+            case OpenSel(opts, _, _):
+                todo += opts.values()
+            case DualOpen(base):
+                todo += osfind(base).options.values()
+            case ServiceSort(s):
+                todo.append(s)
+    return False
 
 
 def bind(v: TVar, t: SessionType) -> None:
@@ -182,44 +215,46 @@ def bind(v: TVar, t: SessionType) -> None:
 
 
 def unify(a: SessionType, b: SessionType) -> None:
-    a, b = walk(a), walk(b)
-    if a is b:
-        return
-    if isinstance(a, TVar):
-        bind(a, b)
-        return
-    if isinstance(b, TVar):
-        bind(b, a)
-        return
-    match a, b:
-        case End(), End():
+    while True:  # along the continuations of a and b
+        a, b = walk(a), walk(b)
+        if a is b:
             return
-        case (In(p1, t1), In(p2, t2)) | (Out(p1, t1), Out(p2, t2)):
-            unify_payload(p1, p2)
-            unify(t1, t2)
+        if isinstance(a, TVar):
+            bind(a, b)
             return
-        case (BranchT(o1), BranchT(o2)) | (SelectT(o1), SelectT(o2)):
-            if [l for l, _ in o1] != [l for l, _ in o2]:
-                raise TypingError(f"label sets differ: {show(a)} vs {show(b)}")
-            for (_, x), (_, y) in zip(o1, o2):
-                unify(x, y)
+        if isinstance(b, TVar):
+            bind(b, a)
             return
-        case OpenSel(), OpenSel():
-            _os_union(a, b)
-            return
-        case (OpenSel(), SelectT(_)):
-            _os_close_to(a, b)
-            return
-        case (SelectT(_), OpenSel()):
-            _os_close_to(b, a)
-            return
-        case (DualOpen(base), _):
-            unify(base, dual(b))
-            return
-        case (_, DualOpen(base)):
-            unify(base, dual(a))
-            return
-    raise TypingError(f"cannot unify {show(a)} with {show(b)}")
+        match a, b:
+            case End(), End():
+                return
+            case (In(p1, t1), In(p2, t2)) | (Out(p1, t1), Out(p2, t2)):
+                unify_payload(p1, p2)
+                a, b = t1, t2
+                continue
+            case (BranchT(o1), BranchT(o2)) | (SelectT(o1), SelectT(o2)):
+                if [l for l, _ in o1] != [l for l, _ in o2]:
+                    raise TypingError(
+                        f"label sets differ: {show(a)} vs {show(b)}")
+                for (_, x), (_, y) in zip(o1, o2):
+                    unify(x, y)
+                return
+            case OpenSel(), OpenSel():
+                _os_union(a, b)
+                return
+            case (OpenSel(), SelectT(_)):
+                _os_close_to(a, b)
+                return
+            case (SelectT(_), OpenSel()):
+                _os_close_to(b, a)
+                return
+            case (DualOpen(base), _):
+                a, b = base, dual(b)
+                continue
+            case (_, DualOpen(base)):
+                a, b = base, dual(a)
+                continue
+        raise TypingError(f"cannot unify {show(a)} with {show(b)}")
 
 
 def unify_payload(p1: Sort | SessionType, p2: Sort | SessionType) -> None:
@@ -384,6 +419,15 @@ def join(deltas: list[Delta]) -> Delta:
     return out
 
 
+# the operand and result sorts of each binary operator but `=` and `!=`
+_BINOPS = {
+    **dict.fromkeys(("+", "-", "*"), (INT, INT)),
+    **dict.fromkeys(("and", "or"), (BOOL, BOOL)),
+    **dict.fromkeys(("<", "<=", ">", ">="), (INT, BOOL)),
+}
+_UNOPS = {"-": INT, "not": BOOL}
+
+
 def type_expr(env: dict[str, Sort], e: Expr) -> Sort:
     match e:
         case sx.IntLit(_):
@@ -397,182 +441,415 @@ def type_expr(env: dict[str, Sort], e: Expr) -> Sort:
                 return env[n]
             except KeyError:
                 raise TypingError(f"name {n!r} has no declared sort") from None
-        case sx.Unop("-", a):
-            unify_sort(type_expr(env, a), INT)
-            return INT
-        case sx.Unop("not", a):
-            unify_sort(type_expr(env, a), BOOL)
-            return BOOL
+        case sx.Unop(op, a) if op in _UNOPS:
+            unify_sort(type_expr(env, a), _UNOPS[op])
+            return _UNOPS[op]
         case sx.Binop(op, l, r):
             sl, sr = type_expr(env, l), type_expr(env, r)
-            if op in ("+", "-", "*"):
-                unify_sort(sl, INT)
-                unify_sort(sr, INT)
-                return INT
-            if op in ("and", "or"):
-                unify_sort(sl, BOOL)
-                unify_sort(sr, BOOL)
-                return BOOL
-            if op in ("<", "<=", ">", ">="):
-                unify_sort(sl, INT)
-                unify_sort(sr, INT)
-                return BOOL
-            if op in ("=", "!="):
+            if op == "=" or op == "!=":
                 unify_sort(sl, sr)
                 return BOOL
+            if op in _BINOPS:
+                arg, res = _BINOPS[op]
+                unify_sort(sl, arg)
+                unify_sort(sr, arg)
+                return res
     raise TypingError(f"not an expression: {e!r}")
 
 
-def _service_session(env: dict[str, Sort], a: Name, rule: str,
-                     at: Process) -> SessionType:
+def _service_sort(env: dict[str, Sort], a: Name, rule: str,
+                  at: Process) -> ServiceSort:
     sort = env.get(a.base)
     if sort is None:
         raise _err(rule, at, f"service {a.base} has no declared sort")
     if not isinstance(sort, ServiceSort):
         raise _err(rule, at,
                    f"{a.base} is not a service (its sort is {show(sort)})")
-    return sort.session
+    return sort
+
+
+# A request's channel is typed at the dual of its service's session,
+# taken once per service in one `check` call: the service's name maps
+# to its sort and that dual.
+Duals = dict[str, tuple[ServiceSort, SessionType]]
+
+
+def _requested(duals: Duals, a: Name, sort: ServiceSort) -> SessionType:
+    got = duals.get(a.base)
+    if got is None or got[0] is not sort:
+        got = duals[a.base] = (sort, dual(sort.session))
+    return got[1]
+
+
+# ---------------------------------------------------------------- check mode
+
+def _same(a: SessionType | Sort, b: SessionType | Sort) -> bool:
+    """Whether the types or sorts a and b, free of solver nodes, are
+    equal, which is when they unify; False if either holds a solver
+    node or `bot`."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        t = type(a)
+        if t is not type(b):
+            return False
+        if t is Basic:
+            if a.name != b.name:
+                return False
+        elif t is In or t is Out:
+            todo += ((a.payload, b.payload), (a.then, b.then))
+        elif t is BranchT or t is SelectT:
+            if len(a.options) != len(b.options):
+                return False
+            for (l1, x), (l2, y) in zip(a.options, b.options):
+                if l1 != l2:
+                    return False
+                todo.append((x, y))
+        elif t is ServiceSort:
+            todo.append((a.session, b.session))
+        elif t is not End:
+            return False
+    return True
+
+
+def _sort_of(env: dict[str, Sort], e: Expr) -> Sort | None:
+    """The sort `type_expr` gives e, found without unifying: None where
+    it would raise, or where e names a value whose sort is open."""
+    t = type(e)
+    if t is sx.IntLit:
+        return INT
+    if t is sx.BoolLit:
+        return BOOL
+    if t is sx.StrLit:
+        return STRING
+    if t is sx.Var or t is sx.SvcRef:
+        s = env.get(e.name)
+        s = None if s is None else walk_sort(s)
+        return None if type(s) is SVar else s
+    if t is sx.Unop:
+        want = _UNOPS.get(e.op)
+        a = _sort_of(env, e.arg)
+        return want if want and a is not None and _same(a, want) else None
+    if t is sx.Binop:
+        l, r = _sort_of(env, e.left), _sort_of(env, e.right)
+        if l is None or r is None:
+            return None
+        if e.op == "=" or e.op == "!=":
+            return BOOL if _same(l, r) else None
+        arg, res = _BINOPS.get(e.op, (None, None))
+        return res if arg and _same(l, arg) and _same(r, arg) else None
+    return None
+
+
+_GONE = object()  # in `_check`'s trail: the key had no entry
+_ON_CHANNEL = {sx.Send, sx.Receive, sx.Choose, sx.Offer, sx.ReceiveSession,
+               sx.SendSession}
+
+
+def _check(env: dict[str, Sort], p: Process, relax: bool,
+           duals: Duals) -> bool:
+    """True when `_infer` would type the serve, accept or request p at
+    {} without error; False when that is unsure.
+
+    Every channel the walk meets must have a known type: p's own, those
+    of the serves, accepts and requests below it, and channels received
+    at a declared payload; any other channel, `|` or `new` makes it
+    unsure.  `known` maps each channel in scope to what is left of its
+    type, and drops it at `end`; a prefix consumes one head of its
+    channel's entry, so `0` must find `known` empty.  Received basic
+    values are bound in env to their sort.  Each change to `known` and
+    env is logged in `trail`, and a branch of `if` or an offer arm
+    first undoes the log back to its head.  Nothing is unified, and env
+    is restored before the answer, so a False leaves no trace.
+    """
+    known: dict[Name, SessionType] = {}
+    trail: list[tuple[dict, object, object]] = []
+    # (trail length to undo to, term, channel to type first, its type)
+    todo: list[tuple[int, Process, Name | None, SessionType | None]]
+    todo = [(0, p, None, None)]
+
+    def put(m: dict, k: object, v: object) -> None:
+        if todo or m is env:  # a branch may undo it, or env is restored
+            trail.append((m, k, m.get(k, _GONE)))
+        if v is _GONE or type(v) is End:
+            m.pop(k, None)
+        else:
+            m[k] = v
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            m, k, old = trail.pop()
+            if old is _GONE:
+                m.pop(k, None)
+            else:
+                m[k] = old
+
+    try:
+        while todo:
+            mark, q, c, t = todo.pop()
+            if len(trail) > mark:
+                undo(mark)
+            if c is not None:
+                put(known, c, t)
+            while True:  # along q's prefix chain
+                tq = type(q)
+                if tq is sx.Stop:
+                    if known:
+                        return False
+                    break
+                if tq is sx.Serve or tq is sx.Accept or tq is sx.Request:
+                    sort = env.get(q.service.base)
+                    if type(sort) is not ServiceSort or q.chan in known:
+                        return False
+                    if tq is sx.Request:
+                        try:
+                            t = _requested(duals, q.service, sort)
+                        except TypingError:  # `bot` in the session
+                            return False
+                    elif known and not relax:
+                        return False  # the body of a service is closed
+                    else:
+                        t = sort.session
+                    put(known, q.chan, t)
+                    q = q.body
+                    continue
+                if tq is sx.If:
+                    s = _sort_of(env, q.test)
+                    if s is None or not _same(s, BOOL):
+                        return False
+                    mark = len(trail)
+                    todo += ((mark, q.els, None, None),
+                             (mark, q.then, None, None))
+                    break
+                if tq not in _ON_CHANNEL:  # `|`, `new`, or not a process
+                    return False
+                c = q.chan
+                t = known.get(c)
+                tt = type(t)
+                if tq is sx.Send:
+                    s = _sort_of(env, q.expr)
+                    if (tt is not Out or s is None
+                            or not _same(s, t.payload)):
+                        return False
+                elif tq is sx.Receive:
+                    # inference gives a received value an open sort,
+                    # which a request on its name refuses: only basic
+                    # values are bound here
+                    if tt is not In or type(t.payload) is not Basic:
+                        return False
+                    put(env, q.var, t.payload)
+                elif tq is sx.Choose:
+                    if tt is not SelectT:
+                        return False
+                    for label, a in t.options:
+                        if label == q.label:
+                            put(known, c, a)
+                            break
+                    else:
+                        return False
+                    q = q.body
+                    continue
+                elif tq is sx.Offer:
+                    labels = [l for l, _ in q.arms]
+                    if (tt is not BranchT
+                            or len(set(labels)) != len(labels)
+                            or sorted(labels) != [l for l, _ in t.options]):
+                        return False
+                    opts = dict(t.options)
+                    mark = len(trail)
+                    todo += [(mark, arm, c, opts[l])
+                             for l, arm in reversed(q.arms)]
+                    break
+                elif tq is sx.ReceiveSession:
+                    if (tt is not In or isinstance(t.payload, Sort)
+                            or q.bound in known):
+                        return False
+                    put(known, q.bound, t.payload)
+                elif tq is sx.SendSession:
+                    n = q.sent
+                    if (tt is not Out or isinstance(t.payload, Sort)
+                            or n == c or n not in known
+                            or not _same(known[n], t.payload)):
+                        return False
+                    put(known, n, _GONE)
+                put(known, c, t.then)
+                q = q.body
+        return True
+    finally:
+        undo(0)
+
+
+# ----------------------------------------------------------------- inference
+
+_SERVICE_RULES = {sx.Serve: "T-RServ", sx.Accept: "T-Serv",
+                  sx.Request: "T-Req"}
 
 
 def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
-    match p:
-        case sx.Stop():
-            return {}
-        case sx.Par(_, _):
-            # flatten so that wide compositions neither recurse deeply
-            # nor copy the accumulated typing once per thread
-            acc: Delta = {}
-            for leaf in sx.par_leaves(p):
-                d = _infer(env, leaf, relax)
+    """The typing of p, with solver nodes still in it.
+
+    Each serve, accept or request is checked first (`_check`), and
+    inferred only where that is unsure; nothing below an inferred one
+    is checked, so no part of p is walked more than twice.  Inference
+    runs on an explicit stack: `todo` holds the terms still to visit
+    and, below the parts of each, a step `(rule, term, data)` that
+    finishes the term from their typings, which wait on `done`.  So a
+    prefix chain is walked down and its heads are wrapped on the way
+    back up, and only `|`, `if` and offers wait on several parts.
+    """
+    duals: Duals = {}
+    done: list[Delta] = []
+    todo: list = [p]
+    inferring = 0  # the serves, accepts and requests being inferred
+    while todo:
+        q = todo.pop()
+        tq = type(q)
+        if tq is not tuple:
+            if tq is sx.Stop:
+                done.append({})
+            elif tq is sx.Send:
                 try:
-                    _compose_into(acc, d)
-                except TypingError as e:
-                    raise _err("T-Par", p, str(e)) from e
-            return acc
-        case sx.New(c, body):
-            d = _infer(env, body, relax)
+                    s = type_expr(env, q.expr)
+                except TypingError as err:
+                    raise _err("T-Out", q, str(err)) from err
+                todo += (("T-Out", q, s), q.body)
+            elif tq is sx.Receive:
+                # x is bound in the one dict and unbound after: a copy
+                # per receive would keep one dict per level alive
+                sv = SVar()
+                todo += (("T-In", q, (sv, env.pop(q.var, None))), q.body)
+                env[q.var] = sv
+            elif tq is sx.Par:
+                done.append({})
+                for leaf in reversed(sx.par_leaves(q)):
+                    todo += (("T-Par", q, None), leaf)
+            elif tq in _SERVICE_RULES:
+                rule = _SERVICE_RULES[tq]
+                sort = _service_sort(env, q.service, rule, q)
+                if not inferring and _check(env, q, relax, duals):
+                    done.append({})
+                    continue
+                inferring += 1
+                todo += ((rule, q, sort), q.body)
+            elif tq is sx.Offer:
+                arms: list[tuple[str, SessionType, Delta]] = []
+                todo.append(("T-Bra", q, arms))
+                for label, arm in reversed(q.arms):
+                    todo += (("arm", q, (label, arms)), arm)
+            elif tq is sx.If:
+                try:
+                    unify_sort(type_expr(env, q.test), BOOL)
+                except TypingError as err:
+                    raise _err("T-Cond", q, str(err)) from err
+                todo += (("T-Cond", q, None), q.els, q.then)
+            elif tq is sx.SendSession:
+                if q.sent == q.chan:
+                    raise _err("T-Del", q,
+                               f"channel {q.chan.base} cannot delegate itself")
+                todo += (("T-Del", q, None), q.body)
+            elif tq is sx.New or tq is sx.ReceiveSession or tq is sx.Choose:
+                rule = ("T-Res" if tq is sx.New else
+                        "T-InS" if tq is sx.ReceiveSession else "T-Sel")
+                todo += ((rule, q, None), q.body)
+            else:
+                raise TypingError(f"not a process: {q!r}")
+            continue
+        # finishing q from the typings of its parts
+        rule, q, data = q
+        if rule == "T-Par":
+            d = done.pop()
+            try:
+                _compose_into(done[-1], d)
+            except TypingError as e:
+                raise _err("T-Par", q, str(e)) from e
+            continue
+        if rule == "arm":
+            label, arms = data
+            d = done.pop()
+            t = d.pop(q.chan, End())
+            if isinstance(walk(t), Bot):
+                raise _err(
+                    "T-Bra", q,
+                    f"channel {q.chan.base} is closed inside its own "
+                    f"arm {label!r}")
+            arms.append((label, t, d))
+            continue
+        if rule == "T-Bra":
+            if len({l for l, _, _ in data}) != len(data):
+                raise _err("T-Bra", q, "duplicate labels offered")
+            try:
+                out = join([d for _, _, d in data])
+            except TypingError as e:
+                raise _err("T-Bra", q, str(e)) from e
+            out[q.chan] = BranchT(tuple(sorted(
+                ((l, t) for l, t, _ in data), key=lambda kv: kv[0])))
+            done.append(out)
+            continue
+        if rule == "T-Cond":
+            d2 = done.pop()
+            try:
+                done[-1] = join([done[-1], d2])
+            except TypingError as e:
+                raise _err("T-Cond", q, str(e)) from e
+            continue
+        d = done[-1]
+        c = q.chan
+        if rule == "T-Res":
             t = d.pop(c, End())
-            if isinstance(walk(t), Bot) or _ends(t):
-                return d
-            raise _err(
-                "T-Res", p,
-                f"restricted channel {c.base} is left at {show(t)}; "
-                "both endpoints must run to completion")
-        case sx.Serve(a, c, body) | sx.Accept(a, c, body):
-            rule = "T-RServ" if isinstance(p, sx.Serve) else "T-Serv"
-            s = _service_session(env, a, rule, p)
-            d = _infer(env, body, relax)
-            t = _pop_cont(d, c, rule, p)
-            try:
-                unify(t, s)
-            except TypingError as e:
-                raise _err(rule, p, f"body of {a.base}: {e}") from e
-            if relax:
-                return d
-            # the body may mention outer channels only at end
-            open_left = sorted(k.base for k, t2 in d.items() if not _ends(t2))
-            if open_left:
-                raise _err(rule, p,
-                           f"body uses open session {', '.join(open_left)}")
-            return {}
-        case sx.Request(a, c, body):
-            s = _service_session(env, a, "T-Req", p)
-            d = _infer(env, body, relax)
-            t = _pop_cont(d, c, "T-Req", p)
-            try:
-                unify(t, dual(s))
-            except TypingError as e:
-                raise _err("T-Req", p, str(e)) from e
-            return d
-        case sx.Receive(c, x, body):
-            # x is bound in the one dict and unbound after: a copy per
-            # receive would keep one dict per level of nesting alive
-            sv = SVar()
-            outer = env.pop(x, None)
-            env[x] = sv
-            try:
-                d = _infer(env, body, relax)
-            finally:
-                if outer is None:
-                    del env[x]
-                else:
-                    env[x] = outer
-            cont = _pop_cont(d, c, "T-In", p)
-            d[c] = In(sv, cont)
-            return d
-        case sx.Send(c, e, body):
-            try:
-                s = type_expr(env, e)
-            except TypingError as err:
-                raise _err("T-Out", p, str(err)) from err
-            d = _infer(env, body, relax)
-            cont = _pop_cont(d, c, "T-Out", p)
-            d[c] = Out(s, cont)
-            return d
-        case sx.ReceiveSession(c, n, body):
-            d = _infer(env, body, relax)
-            beta = d.pop(n, End())
+            if not (isinstance(walk(t), Bot) or _ends(t)):
+                raise _err(
+                    "T-Res", q,
+                    f"restricted channel {c.base} is left at {show(t)}; "
+                    "both endpoints must run to completion")
+        elif rule == "T-Out":
+            d[c] = Out(data, _pop_cont(d, c, rule, q))
+        elif rule == "T-In":
+            sv, outer = data
+            if outer is None:
+                del env[q.var]
+            else:
+                env[q.var] = outer
+            d[c] = In(sv, _pop_cont(d, c, rule, q))
+        elif rule == "T-Sel":
+            d[c] = OpenSel({q.label: _pop_cont(d, c, rule, q)})
+        elif rule == "T-InS":
+            beta = d.pop(q.bound, End())
             if isinstance(walk(beta), Bot):
                 raise _err(
-                    "T-InS", p,
-                    f"received channel {n.base} is closed on both ends "
-                    "inside the receiving process")
-            cont = _pop_cont(d, c, "T-InS", p)
-            d[c] = In(beta, cont)
-            return d
-        case sx.SendSession(c, n, body):
-            if n == c:
-                raise _err("T-Del", p,
-                           f"channel {c.base} cannot delegate itself")
-            d = _infer(env, body, relax)
+                    "T-InS", q,
+                    f"received channel {q.bound.base} is closed on both "
+                    "ends inside the receiving process")
+            d[c] = In(beta, _pop_cont(d, c, rule, q))
+        elif rule == "T-Del":
+            n = q.sent
             if n in d:
                 raise _err(
-                    "T-Del", p,
+                    "T-Del", q,
                     f"delegated channel {n.base} is still used by the "
                     "continuation")
             beta = tvar_pair()
-            cont = _pop_cont(d, c, "T-Del", p)
-            d[c] = Out(beta, cont)
+            d[c] = Out(beta, _pop_cont(d, c, rule, q))
             d[n] = beta
-            return d
-        case sx.Offer(c, arms):
-            ds = []
-            pairs = []
-            for label, arm in arms:
-                d = _infer(env, arm, relax)
-                t = d.pop(c, End())
-                if isinstance(walk(t), Bot):
-                    raise _err(
-                        "T-Bra", p,
-                        f"channel {c.base} is closed inside its own "
-                        f"arm {label!r}")
-                ds.append(d)
-                pairs.append((label, t))
-            if len({l for l, _ in pairs}) != len(pairs):
-                raise _err("T-Bra", p, "duplicate labels offered")
+        else:  # a serve, accept or request; data is its service's sort
+            inferring -= 1
+            t = _pop_cont(d, c, rule, q)
             try:
-                out = join(ds)
+                unify(t, _requested(duals, q.service, data)
+                      if rule == "T-Req" else data.session)
             except TypingError as e:
-                raise _err("T-Bra", p, str(e)) from e
-            out[c] = BranchT(tuple(sorted(pairs, key=lambda kv: kv[0])))
-            return out
-        case sx.Choose(c, label, body):
-            d = _infer(env, body, relax)
-            cont = _pop_cont(d, c, "T-Sel", p)
-            d[c] = OpenSel({label: cont})
-            return d
-        case sx.If(e, th, el):
-            try:
-                unify_sort(type_expr(env, e), BOOL)
-            except TypingError as err:
-                raise _err("T-Cond", p, str(err)) from err
-            d1 = _infer(env, th, relax)
-            d2 = _infer(env, el, relax)
-            try:
-                return join([d1, d2])
-            except TypingError as e:
-                raise _err("T-Cond", p, str(e)) from e
-    raise TypingError(f"not a process: {p!r}")
+                body = "" if rule == "T-Req" else f"body of {q.service.base}: "
+                raise _err(rule, q, body + str(e)) from e
+            if relax or rule == "T-Req":
+                continue
+            # the body may mention outer channels only at end
+            open_left = sorted(k.base for k, t2 in d.items() if not _ends(t2))
+            if open_left:
+                raise _err(rule, q,
+                           f"body uses open session {', '.join(open_left)}")
+            done[-1] = {}
+    return done[0]
 
 
 # ----------------------------------------------------------------- interface

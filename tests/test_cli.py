@@ -492,6 +492,35 @@ def test_run_and_graph_print_a_long_prefix_chain(tmp_path):
         assert r.stdout.splitlines() == want, argv
 
 
+def test_run_steps_a_long_chain_beside_its_partner(tmp_path):
+    # each step substitutes into, or renames, what is left of a chain:
+    # both exited 2, "input nested too deeply", while rewriting recursed
+    n = 60_000
+    sends = "k!(1)." * n + "0"
+    f = tmp_path / "pair.spi"
+    f.write_text(f"sessions k;\n{sends}\n| "
+                 + "".join(f"k?(x{i})." for i in range(n)) + "0\n")
+
+    def state(i):
+        return (sends[6 * i:] + " | "
+                + "".join(f"k?(x{j})." for j in range(i, n)) + "0")
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    step = "  --[Com@1,0 1]-->"
+    for argv, want in (
+            (["run", "--steps", "2"],
+             [state(0), step, state(1), step, state(2)]),
+            (["run", "--all", "--steps", "1"],
+             ["2 states within 1 steps:", f"  {state(0)}", f"  {state(1)}"])):
+        r = subprocess.run(
+            [sys.executable, "-m", "sessionpi", *argv, str(f)], env=env,
+            capture_output=True, text=True, timeout=300,
+            preexec_fn=_limit_memory)
+        assert r.returncode == 0, r.stderr[-500:]
+        assert r.stdout.splitlines() == want, argv
+
+
 def _limit_memory():
     """Cap a child's address space, so a blow-up fails the test rather
     than the machine."""

@@ -13,7 +13,10 @@ parallel lists of tags, texts and offsets: one match per blank, newline
 or comment, and a line and column tracked for every token.
 `reference_find_cycle` walks a dependency graph's edges, as
 `depgraph.find_cycle` did before it read the occurrence index, and
-`alpha_equivalent` compares two terms up to their bound names."""
+`alpha_equivalent` compares two terms up to their bound names.
+`reference_check` types a process as `typecheck.check` did before
+check mode: it infers every body with `reference_infer`, which
+recurses once per prefix, and unifies it with its declared session."""
 import functools
 import random
 import re
@@ -32,6 +35,7 @@ import sessionpi.progress as pg
 import sessionpi.semantics as sm
 import sessionpi.surface as sf
 import sessionpi.syntax as sx
+import sessionpi.typecheck as tc
 import strategies as S
 from sessionpi.examples import SOURCES, load
 
@@ -693,3 +697,342 @@ def test_templates_keep_names_in_text_order_and_literals_literal():
         assert cg.canonical_key(p, table) == reference_canonical_key(p)
         assert cg.canonical_key(p) == reference_canonical_key(p)
     assert len(table) == len(threads)
+
+
+# ------------------------------------------------------------------ typing
+
+def reference_service_session(env, a, rule, at):
+    sort = env.get(a.base)
+    if sort is None:
+        raise tc._err(rule, at, f"service {a.base} has no declared sort")
+    if not isinstance(sort, sx.ServiceSort):
+        raise tc._err(rule, at, f"{a.base} is not a service (its sort is "
+                                f"{tc.show(sort)})")
+    return sort.session
+
+
+def reference_infer(env, p, relax):
+    """`typecheck._infer` as it read before check mode, recursing once
+    per prefix: every body is inferred bottom-up, then unified with its
+    service's declared session or its dual."""
+    match p:
+        case sx.Stop():
+            return {}
+        case sx.Par(_, _):
+            # flatten so that wide compositions neither recurse deeply
+            # nor copy the accumulated typing once per thread
+            acc = {}
+            for leaf in sx.par_leaves(p):
+                d = reference_infer(env, leaf, relax)
+                try:
+                    tc._compose_into(acc, d)
+                except tc.TypingError as e:
+                    raise tc._err("T-Par", p, str(e)) from e
+            return acc
+        case sx.New(c, body):
+            d = reference_infer(env, body, relax)
+            t = d.pop(c, sx.End())
+            if isinstance(tc.walk(t), sx.Bot) or tc._ends(t):
+                return d
+            raise tc._err(
+                "T-Res", p,
+                f"restricted channel {c.base} is left at {tc.show(t)}; "
+                "both endpoints must run to completion")
+        case sx.Serve(a, c, body) | sx.Accept(a, c, body):
+            rule = "T-RServ" if isinstance(p, sx.Serve) else "T-Serv"
+            s = reference_service_session(env, a, rule, p)
+            d = reference_infer(env, body, relax)
+            t = tc._pop_cont(d, c, rule, p)
+            try:
+                tc.unify(t, s)
+            except tc.TypingError as e:
+                raise tc._err(rule, p, f"body of {a.base}: {e}") from e
+            if relax:
+                return d
+            # the body may mention outer channels only at end
+            open_left = sorted(k.base for k, t2 in d.items()
+                               if not tc._ends(t2))
+            if open_left:
+                raise tc._err(rule, p,
+                              f"body uses open session {', '.join(open_left)}")
+            return {}
+        case sx.Request(a, c, body):
+            s = reference_service_session(env, a, "T-Req", p)
+            d = reference_infer(env, body, relax)
+            t = tc._pop_cont(d, c, "T-Req", p)
+            try:
+                tc.unify(t, tc.dual(s))
+            except tc.TypingError as e:
+                raise tc._err("T-Req", p, str(e)) from e
+            return d
+        case sx.Receive(c, x, body):
+            # x is bound in the one dict and unbound after: a copy per
+            # receive would keep one dict per level of nesting alive
+            sv = tc.SVar()
+            outer = env.pop(x, None)
+            env[x] = sv
+            try:
+                d = reference_infer(env, body, relax)
+            finally:
+                if outer is None:
+                    del env[x]
+                else:
+                    env[x] = outer
+            cont = tc._pop_cont(d, c, "T-In", p)
+            d[c] = sx.In(sv, cont)
+            return d
+        case sx.Send(c, e, body):
+            try:
+                s = tc.type_expr(env, e)
+            except tc.TypingError as err:
+                raise tc._err("T-Out", p, str(err)) from err
+            d = reference_infer(env, body, relax)
+            cont = tc._pop_cont(d, c, "T-Out", p)
+            d[c] = sx.Out(s, cont)
+            return d
+        case sx.ReceiveSession(c, n, body):
+            d = reference_infer(env, body, relax)
+            beta = d.pop(n, sx.End())
+            if isinstance(tc.walk(beta), sx.Bot):
+                raise tc._err(
+                    "T-InS", p,
+                    f"received channel {n.base} is closed on both ends "
+                    "inside the receiving process")
+            cont = tc._pop_cont(d, c, "T-InS", p)
+            d[c] = sx.In(beta, cont)
+            return d
+        case sx.SendSession(c, n, body):
+            if n == c:
+                raise tc._err("T-Del", p,
+                              f"channel {c.base} cannot delegate itself")
+            d = reference_infer(env, body, relax)
+            if n in d:
+                raise tc._err(
+                    "T-Del", p,
+                    f"delegated channel {n.base} is still used by the "
+                    "continuation")
+            beta = tc.tvar_pair()
+            cont = tc._pop_cont(d, c, "T-Del", p)
+            d[c] = sx.Out(beta, cont)
+            d[n] = beta
+            return d
+        case sx.Offer(c, arms):
+            ds = []
+            pairs = []
+            for label, arm in arms:
+                d = reference_infer(env, arm, relax)
+                t = d.pop(c, sx.End())
+                if isinstance(tc.walk(t), sx.Bot):
+                    raise tc._err(
+                        "T-Bra", p,
+                        f"channel {c.base} is closed inside its own "
+                        f"arm {label!r}")
+                ds.append(d)
+                pairs.append((label, t))
+            if len({l for l, _ in pairs}) != len(pairs):
+                raise tc._err("T-Bra", p, "duplicate labels offered")
+            try:
+                out = tc.join(ds)
+            except tc.TypingError as e:
+                raise tc._err("T-Bra", p, str(e)) from e
+            out[c] = sx.BranchT(tuple(sorted(pairs, key=lambda kv: kv[0])))
+            return out
+        case sx.Choose(c, label, body):
+            d = reference_infer(env, body, relax)
+            cont = tc._pop_cont(d, c, "T-Sel", p)
+            d[c] = tc.OpenSel({label: cont})
+            return d
+        case sx.If(e, th, el):
+            try:
+                tc.unify_sort(tc.type_expr(env, e), sx.BOOL)
+            except tc.TypingError as err:
+                raise tc._err("T-Cond", p, str(err)) from err
+            d1 = reference_infer(env, th, relax)
+            d2 = reference_infer(env, el, relax)
+            try:
+                return tc.join([d1, d2])
+            except tc.TypingError as e:
+                raise tc._err("T-Cond", p, str(e)) from e
+    raise tc.TypingError(f"not a process: {p!r}")
+
+
+def reference_check(gamma, p, relax_services=False):
+    d = reference_infer(dict(gamma), p, relax_services)
+    return {k: tc.resolve(t) for k, t in d.items()}
+
+
+def typing(check, gamma, p, relax=False):
+    """check's typing of p as its printed entries in order, or the text
+    of its error."""
+    try:
+        d = check(gamma, p, relax_services=relax)
+    except tc.TypingError as e:
+        return str(e)
+    return [(k, sf.print_type(t)) for k, t in d.items()]
+
+
+def assert_same_typing(gamma, p):
+    """Assert that `check` and the reference give p the same typing or
+    error, strict and relaxed; return the strict one."""
+    for relax in (True, False):
+        got = typing(tc.check, gamma, p, relax)
+        assert got == typing(reference_check, gamma, p, relax), \
+            (relax, sf.print_process(p))
+    return got
+
+
+def bench_sources(seeds, scale=1.0):
+    gen = S.bench_gen()
+    return [case.text for seed in seeds
+            for workload in (gen.certify, gen.simulate, gen.refute)
+            for case in workload(seed, scale)]
+
+
+def test_check_agrees_with_the_reference_on_files():
+    # the samples, each state within 3 steps of them, and the
+    # benchmark's files of seeds 1 to 3
+    for name in SOURCES:
+        src = load(name)
+        for q, _ in sm.explore(src.process, 3):
+            assert_same_typing(src.gamma, q.process())
+    for text in bench_sources((1, 2, 3)):
+        src = sf.parse_source(text)
+        assert_same_typing(src.gamma, src.process)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 10_000))
+def test_check_agrees_with_the_reference_on_generated_terms(seed):
+    rng = random.Random(seed)
+    for gamma, p in (S.well_typed(rng), S.transparent(rng),
+                     S.irreducible_live(rng), S.program(rng),
+                     S.typed_cycles(rng), ({}, S.cyclic(rng))):
+        assert_same_typing(gamma, p)
+
+
+def test_check_agrees_with_the_reference_on_hand_built_terms():
+    # terms the parser cannot produce, each on a path where check mode
+    # must give up: a received service value requested by its name, a
+    # declared session with no dual, and a body that is not a process
+    k, j = sx.bound_chan("k"), sx.bound_chan("j")
+    a, z = sx.svc("a"), sx.svc("z")
+    passes = {"a": sx.ServiceSort(sx.In(sx.ServiceSort(sx.End()), sx.End()))}
+    broken = {"a": sx.ServiceSort(sx.Out(sx.INT, sx.Bot()))}
+    for gamma, p in (
+            (passes, sx.Serve(a, k, sx.Receive(
+                k, "z", sx.Request(z, j, sx.Stop())))),
+            (broken, sx.Request(a, k, sx.Receive(k, "x", sx.Stop()))),
+            (broken, sx.Serve(a, k, sx.Send(k, sx.IntLit(1), sx.Stop()))),
+            ({"a": sx.ServiceSort(sx.End())}, sx.Serve(a, k, "0"))):
+        assert_same_typing(gamma, p)
+
+
+def mutated(rng, t):
+    """t with one node changed, chosen in pre-order: inputs and outputs
+    swapped, `int` and `bool` swapped, a label dropped or renamed, an
+    offer turned into a selection or back, or the node cut to `end`."""
+    size = 0
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        size += 1
+        match u:
+            case sx.In(a, b) | sx.Out(a, b):
+                todo += (a, b)
+            case sx.BranchT(opts) | sx.SelectT(opts):
+                todo += [a for _, a in opts]
+            case sx.ServiceSort(s):
+                todo.append(s)
+    at = rng.randrange(size)
+
+    def change(u):
+        match u:
+            case sx.In(a, b):
+                return rng.choice([sx.Out(a, b), sx.End(), b])
+            case sx.Out(a, b):
+                return rng.choice([sx.In(a, b), sx.End(), b])
+            case sx.Basic("int"):
+                return sx.BOOL
+            case sx.Basic(_):
+                return sx.INT
+            case sx.BranchT(opts) | sx.SelectT(opts):
+                (l, a), *rest = rng.sample(opts, len(opts))
+                other = sx.SelectT if type(u) is sx.BranchT else sx.BranchT
+                return rng.choice([
+                    type(u)(tuple(sorted(rest))) if rest else sx.End(),
+                    type(u)(tuple(sorted([("zz", a), *rest]))),
+                    other(opts), sx.End()])
+            case sx.ServiceSort(s):
+                return rng.choice([sx.INT, sx.ServiceSort(sx.End())])
+        return sx.Out(sx.INT, u)
+
+    def go(u):
+        nonlocal at
+        at -= 1
+        if at == -1:
+            return change(u)
+        match u:
+            case sx.In(a, b) | sx.Out(a, b):
+                a = go(a)
+                return type(u)(a, go(b))
+            case sx.BranchT(opts) | sx.SelectT(opts):
+                return type(u)(tuple((l, go(a)) for l, a in opts))
+            case sx.ServiceSort(s):
+                return sx.ServiceSort(go(s))
+        return u
+
+    return go(t)
+
+
+def test_check_agrees_with_the_reference_on_mutated_sources():
+    # one env declaration of a source changed at one place, which is
+    # what check mode reads; a text that no longer parses is skipped.
+    # The sources are the samples, and each thread of the benchmark's
+    # files that names a service, under its file's declarations.
+    texts = [t for t in SOURCES.values() if "\nenv " in t]
+    for text in bench_sources((1, 2, 3), scale=0.1):
+        head, body = text.rsplit(";\n", 1)
+        names = re.findall(r"^env (\S+) :", head, re.M)
+        texts += [f"{head};\n{t}" for t in body.split("\n| ")
+                  if any(n in t for n in names)]
+    rng = random.Random(19)
+    checked = errors = 0
+    while checked < 6_000:
+        text = rng.choice(texts)
+        head, body = text.rsplit(";\n", 1)
+        name, sort = rng.choice([d for d in re.findall(
+            r"^env (\S+) : (.*?);?$", head, re.M) if d[0] in body])
+        sort = sf.parse_source(f"env x : {sort};\n0").gamma["x"]
+        new = sf.print_type(mutated(rng, sort))
+        text = re.sub(rf"^env {re.escape(name)} : .*;$",
+                      f"env {name} : {new};", text, flags=re.M)
+        try:
+            src = sf.parse_source(text)
+        except sf.ParseError:
+            continue
+        checked += 1
+        errors += isinstance(assert_same_typing(src.gamma, src.process), str)
+    assert errors > 4_000  # most changes make the thread ill-typed
+
+
+def test_check_mode_halves_the_dual_and_unify_calls(monkeypatch):
+    # on the `certify` files of seed 1 every service body checks against
+    # its declared session.  Each call counts, recursive ones too.  Where
+    # every body was inferred and then unified with that session or its
+    # dual, rebuilt for each request, `check` made 10,702 `dual` and
+    # 15,299 `unify` calls on these files.
+    sources = [sf.parse_source(case.text)
+               for case in S.bench_gen().certify(1)]
+    counts = Counter()
+    for name in ("dual", "unify"):
+        real = getattr(tc, name)
+
+        def counted(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(tc, name, counted)
+    for src in sources:
+        tc.check(src.gamma, src.process)
+    assert 2 * counts["dual"] <= 10_702 and 2 * counts["unify"] <= 15_299, \
+        counts

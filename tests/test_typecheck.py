@@ -171,6 +171,14 @@ def test_errors_on_terms_the_parser_cannot_produce():
         tc.check({}, sx.Offer(k, (("a", sx.Stop()), ("a", sx.Stop()))))
     with pytest.raises(tc.TypingError, match="T-Req"):
         tc.check({}, sx.Request(sx.svc("b"), sx.bound_chan("k"), sx.Stop()))
+    # a received service value is not a service to request while its
+    # sort is open, even where the declared payload would make it one
+    k, j = sx.bound_chan("k"), sx.bound_chan("j")
+    g = {"a": sx.ServiceSort(sx.In(sx.ServiceSort(sx.End()), sx.End()))}
+    p = sx.Serve(sx.svc("a"), k,
+                 sx.Receive(k, "z", sx.Request(sx.svc("z"), j, sx.Stop())))
+    with pytest.raises(tc.TypingError, match="T-Req: z is not a service"):
+        tc.check(g, p)
 
 
 def test_serve_body_must_close_its_session():
@@ -204,16 +212,33 @@ def test_nested_receives_share_one_value_environment():
     # 331 MB at 5,000 receives with distinct variables
     n = 5_000
     p = parse("".join(f"k?(x{i})." for i in range(n)) + "0", ("k",))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(4 * n)
     tracemalloc.start()
     try:
         tc.check({}, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        sys.setrecursionlimit(limit)
     assert peak < 20 * 2**20, peak
+
+
+def test_long_chains_type_at_the_default_recursion_limit():
+    # a chain on a free session is inferred, the same chain served is
+    # checked against the type inferred for the first; the typing
+    # prints without recursing either
+    n = 150_000
+    chain = "k!(1)." * n + "0"
+    free = parse(chain, ("k",))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        delta = tc.check({}, free)
+        shown = sf.print_delta(delta)
+        gamma = {"a": sx.ServiceSort(delta[K])}
+        served = tc.check(gamma, parse("*a(k)." + chain, (), gamma))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert shown == "k : " + "![int]." * n + "end"
+    assert served == {}
 
 
 # ---------------------------------------------------------------- check_against
