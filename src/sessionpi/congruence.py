@@ -12,15 +12,17 @@ A row's print template is made from `surface.pieces`, the one layout.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, compress
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import syntax as sx
-from .surface import choose_names, pieces
+from .surface import binder_order, choose_names, family, pieces
 from .syntax import Name, Process
 
 
@@ -257,35 +259,104 @@ def print_states(states: Sequence[NormalForm],
     """`print_process(q.process())` for each normal form q, read off the
     rows of its threads in `table` (by default one for this call).
 
-    `semantics.step` keeps untouched threads as the same objects, so a
-    state's names come from its restrictions and its rows' facts, with
-    no walk of the state.  A row's template is filled again only when
-    the spellings of its slots change: a binder that disappears can
-    turn a later `k_2` into `k_1`, so this is checked on every state.
+    Names are carried from state to state.  `semantics.step` keeps
+    untouched threads as the same objects, so set operations on thread
+    ids and restrictions find what a step added or removed, and only
+    those rows are read.  The printer keeps the thread objects that
+    bind, serve or mention each name, so it sees a name become or stop
+    being a binder, or a free channel or service, whose spelling is
+    taken.  Only such a change can respell binders, and only in its
+    spelling family (`family`): that family is named again with
+    `choose_names`, from its first changed binder on.  A thread's last
+    fill is kept and made again only when one of its names is
+    respelled.  States in any order print right, as `run --all` needs;
+    they cost more the more successive states differ.
     """
     if table is None:
         table = {}
-    shown: dict[int, tuple[list[str], str]] = {}  # thread id -> last fill
+    present: set[int] = set()  # ids of the last state's thread objects
+    restricted: set[Name] = set()  # the last state's restrictions
+    # name -> the ids of those objects that bind, serve or mention it
+    holders: tuple[dict[Name, set[int]], ...] = ({}, {}, {})
+    bound, served, mentioned = holders
+    # family -> its binders as (`binder_order`, binder), sorted, and its
+    # free channels and services, whose spellings are taken
+    families: dict[str, tuple[list[tuple], set[Name]]] = {}
+    names: dict[Name, str] = {}  # binder -> spelling; the rest keep theirs
+    fills: dict[int, str] = {}  # thread id -> its last fill
     out: list[str] = []
     for q in states:
-        known = rows(table, q.threads)
-        fs = [row.facts for row in known]
-        names = choose_names(
-            dict.fromkeys(chain(q.binders, *(f.binders for f in fs))),
-            set().union(*(f.mentions for f in fs)),
-            set().union(*(f.services for f in fs)))
-        texts = []
-        for row in known:
-            # every slot is a binder or a mention, so `names` holds it
-            spelled = [names[n] for n in row.slots]
-            last = shown.get(id(row.thread))
-            if last is None or last[0] != spelled:
-                last = shown[id(row.thread)] = (spelled,
-                                                row.text.format(*spelled))
-            texts.append(last[1])
-        text = " | ".join(texts) or "0"
-        if q.binders and texts:
-            body = f"({text})" if len(texts) > 1 else text
-            text = f"new {', '.join(names[c] for c in q.binders)} . {body}"
+        ids = list(map(id, q.threads))
+        now = set(ids)
+        came, went = now - present, present - now
+        here = set(q.binders)
+        touched = here ^ restricted
+        # `Facts` reads binders, services, mentions, as `holders` does;
+        # a thread object twice in the state is entered twice, to no effect
+        for row in rows(table, compress(q.threads, map(came.__contains__,
+                                                       ids))):
+            i = id(row.thread)
+            for held, ns in zip(holders, row.facts):
+                for n in ns:
+                    if n in held:
+                        held[n].add(i)
+                    else:
+                        held[n] = {i}
+                        touched.add(n)
+        for i in went:
+            for held, ns in zip(holders, table[i].facts):
+                for n in ns:
+                    holding = held[n]
+                    holding.discard(i)
+                    if not holding:
+                        del held[n]
+                        touched.add(n)
+
+        first: dict[str, int] = {}  # family -> its first changed binder
+        respelled = set()
+        for n in touched:
+            root = family(n.base)
+            if root not in families:
+                families[root] = [], set()
+            binders, takers = families[root]
+            binder = n in here or n in bound
+            if binder != (n in names):
+                key = binder_order(n), n
+                pos = bisect_left(binders, key)
+                if binder:
+                    binders.insert(pos, key)
+                else:
+                    del binders[pos]
+                    if names.pop(n) != n.base:  # if still shown, it is free
+                        respelled.add(n)
+                first[root] = min(first.get(root, pos), pos)
+            taker = n in served or not binder and n in mentioned
+            if taker != (n in takers):
+                (takers.add if taker else takers.remove)(n)
+                first[root] = 0
+        for root, pos in first.items():
+            binders, takers = families[root]
+            if pos < len(binders):
+                taken = {n.base for n in takers}
+                taken.update(map(names.__getitem__,
+                                 map(itemgetter(1), binders[:pos])))
+                tail = map(itemgetter(1), binders[pos:])
+                for n, s in choose_names(tail, taken).items():
+                    if names.get(n, n.base) != s:  # as it was shown
+                        respelled.add(n)
+                    names[n] = s
+
+        refill = came  # and the threads that show a respelled name
+        for n in respelled:
+            refill.update(bound.get(n, ()), mentioned.get(n, ()))
+        for i in refill:
+            fills[i] = _fill(table[i], names)
+        present, restricted = now, here
+
+        text = " | ".join(map(fills.__getitem__, ids)) or "0"
+        if q.binders and ids:
+            body = f"({text})" if len(ids) > 1 else text
+            spelt = ", ".join(map(names.__getitem__, q.binders))
+            text = f"new {spelt} . {body}"
         out.append(text)
     return out

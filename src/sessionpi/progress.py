@@ -66,37 +66,53 @@ def inhabit(a: SessionType, k: Name,
         return sx.bound_chan("m" if n == 0 else f"m{n}")
 
     def go(a: SessionType, k: Name) -> Process:
-        match a:
-            case sx.End():
-                return sx.Stop()
-            case sx.In(payload, cont):
-                if isinstance(payload, Sort):
-                    return sx.Receive(k, fresh_var(), go(cont, k))
+        """The prefixes along a's continuations, read in a loop, then
+        put around the process that ends them from the innermost out;
+        only payloads and branch arms recurse.  Fresh names are drawn
+        as a recursive reading would: a service's server before the
+        continuation, a session payload's partner after it."""
+        heads: list[tuple] = []  # (prefix class, its name or value, payload)
+        while True:
+            if type(a) is sx.In and isinstance(a.payload, Sort):
+                heads.append((sx.Receive, fresh_var(), None))
+            elif type(a) is sx.In:
+                heads.append((sx.ReceiveSession, fresh_chan(), a.payload))
+            elif type(a) is sx.Out and isinstance(a.payload, sx.Basic):
+                heads.append((sx.Send, _CANONICAL[a.payload.name], None))
+            elif type(a) is sx.Out and isinstance(a.payload, sx.ServiceSort):
+                svc = fresh_service()
+                ext[svc.base] = a.payload
                 m = fresh_chan()
-                return sx.ReceiveSession(k, m, sx.Par(go(cont, k),
-                                                      go(payload, m)))
-            case sx.Out(payload, cont):
-                if isinstance(payload, sx.Basic):
-                    return sx.Send(k, _CANONICAL[payload.name], go(cont, k))
-                if isinstance(payload, sx.ServiceSort):
-                    svc = fresh_service()
-                    ext[svc.base] = payload
-                    m = fresh_chan()
-                    server = sx.Serve(svc, m, go(payload.session, m))
-                    return sx.Send(k, sx.SvcRef(svc.base),
-                                   sx.Par(go(cont, k), server))
+                heads.append((sx.Serve, svc,
+                              sx.Serve(svc, m, go(a.payload.session, m))))
+            elif type(a) is sx.Out:
+                heads.append((sx.SendSession, fresh_chan(), a.payload))
+            elif type(a) is sx.SelectT:
+                label, a = a.options[0]
+                heads.append((sx.Choose, label, None))
+                continue
+            else:
+                break
+            a = a.then
+        if type(a) is sx.End:
+            p: Process = sx.Stop()
+        elif type(a) is sx.BranchT:
+            p = sx.Offer(k, tuple((l, go(t, k)) for l, t in a.options))
+        else:
+            raise ValueError(f"cannot inhabit {a!r}")
+        for make, x, payload in reversed(heads):
+            if make is sx.ReceiveSession:
+                p = sx.ReceiveSession(k, x, sx.Par(p, go(payload, x)))
+            elif make is sx.Serve:  # payload is the server
+                p = sx.Send(k, sx.SvcRef(x.base), sx.Par(p, payload))
+            elif make is sx.SendSession:
                 # delegation: hand over a helper channel and serve its
                 # other end ourselves, sequenced so k stays linear
-                m = fresh_chan()
-                return sx.New(m, sx.Par(
-                    sx.SendSession(k, m, go(cont, k)),
-                    go(typecheck.dual(payload), m)))
-            case sx.BranchT(opts):
-                return sx.Offer(k, tuple((l, go(t, k)) for l, t in opts))
-            case sx.SelectT(opts):
-                label, t = opts[0]
-                return sx.Choose(k, label, go(t, k))
-        raise ValueError(f"cannot inhabit {a!r}")
+                p = sx.New(x, sx.Par(sx.SendSession(k, x, p),
+                                     go(typecheck.dual(payload), x)))
+            else:
+                p = make(k, x, p)
+        return p
 
     return go(a, k), ext
 

@@ -38,7 +38,7 @@ loop, so a long chain needs no recursion.
 from __future__ import annotations
 
 import re
-from collections.abc import Collection, Set as AbstractSet
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import is_
@@ -329,24 +329,29 @@ class _Parser:
         return self.parse_payload()
 
     def parse_type(self) -> SessionType:
-        i = self.pos
-        tag = self.tags[i]
-        if tag == "end":
-            self.pos += 1
-            return sx.End()
-        if tag == "?" or tag == "!":
+        """A chain of `?[…].` and `![…].` heads, read in a loop, and the
+        type that ends it; only payloads and label options recurse."""
+        heads = []
+        while (tag := self.tags[self.pos]) == "?" or tag == "!":
             self.pos += 1
             self.expect("[")
             payload = self.parse_payload()
             self.expect("]")
             self.expect(".")
-            then = self.parse_type()
-            return (sx.In if tag == "?" else sx.Out)(payload, then)
-        if tag == "&" or tag == "+":
+            heads.append((sx.In if tag == "?" else sx.Out, payload))
+        if tag == "end":
+            self.pos += 1
+            t = sx.End()
+        elif tag == "&" or tag == "+":
             self.pos += 1
             arms = self.arms(self.parse_type)
-            return sx.branch(arms) if tag == "&" else sx.select(arms)
-        raise self.error(f"expected a session type, found {self.show(i)}")
+            t = sx.branch(arms) if tag == "&" else sx.select(arms)
+        else:
+            raise self.error(
+                f"expected a session type, found {self.show(self.pos)}")
+        for make, payload in reversed(heads):
+            t = make(payload, t)
+        return t
 
     def parse_payload(self) -> Sort | SessionType:
         tag = self.tags[self.pos]
@@ -574,23 +579,37 @@ def parse_type(text: str) -> SessionType:
 
 # ------------------------------------------------------------------ printing
 
-def choose_names(binders: Collection[Name], mentioned: AbstractSet[Name],
-                 services: AbstractSet[Name]) -> dict[Name, str]:
-    """The one naming rule: free channels keep their spelling; binders,
-    in binder id order, get a numeric suffix when their spelling is
-    already taken, by a free channel, a service or an earlier binder.
+def binder_order(n: Name) -> tuple[int, str]:
+    """The order in which `choose_names` spells binders: binder id,
+    then spelling (only binders made without an id can tie)."""
+    return n.uid or 0, n.base
 
-    As in `syntax.Facts.free`, the free channels are the mentioned ones
-    minus the binders, since binder ids are globally unique.  The taken
-    spellings only grow, so the smallest free suffix of a spelling
-    never falls: each spelling keeps the next suffix to try, and each
-    suffix is probed once.
+
+_SUFFIXES = re.compile(r"(?:_\d+)+\Z")
+
+
+def family(spelling: str) -> str:
+    """The spelling with every trailing `_<digits>` removed.
+    `choose_names` only appends such suffixes, so the spellings it
+    tries for a binder all lie in the family of the binder's own, and
+    two spellings can only collide within one family."""
+    return _SUFFIXES.sub("", spelling) if "_" in spelling else spelling
+
+
+def choose_names(binders: Iterable[Name], taken: set[str]) -> dict[Name, str]:
+    """The one naming rule: free channels and services keep their
+    spelling, and `taken` starts as those spellings; binders, in
+    `binder_order`, get a numeric suffix when their spelling is already
+    taken, by a free channel, a service or an earlier binder.  Returns
+    the binders' spellings, each also added to `taken`.
+
+    The taken spellings only grow, so the smallest free suffix of a
+    spelling never falls: each spelling keeps the next suffix to try,
+    and each suffix is probed once.
     """
-    free = mentioned.difference(binders)
-    taken = {n.base for n in chain(free, services)}
-    names: dict[Name, str] = {n: n.base for n in free}
+    names: dict[Name, str] = {}
     suffix: dict[str, int] = {}
-    for n in sorted(binders, key=lambda n: n.uid or 0):
+    for n in sorted(binders, key=binder_order):
         s = n.base
         if s in taken:
             i = suffix.get(s, 1)
@@ -605,9 +624,15 @@ def choose_names(binders: Collection[Name], mentioned: AbstractSet[Name],
 
 def display_names(p: Process) -> dict[Name, str]:
     """Choose a distinct spelling for every channel in p (see
-    `choose_names`)."""
+    `choose_names`).  As in `syntax.Facts.free`, the free channels are
+    the mentioned ones minus the binders, since binder ids are globally
+    unique."""
     f = sx.facts(p)
-    return choose_names(f.binders, f.mentions, f.services)
+    free = f.free
+    names = {n: n.base for n in free}
+    names.update(choose_names(f.binders,
+                              {n.base for n in chain(free, f.services)}))
+    return names
 
 
 # Expression precedence, loosest first, for both `_Parser.parse_expr`

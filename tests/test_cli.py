@@ -492,6 +492,21 @@ def test_run_and_graph_print_a_long_prefix_chain(tmp_path):
         assert r.stdout.splitlines() == want, argv
 
 
+def test_check_answers_a_long_declared_type(tmp_path):
+    # `parse_type` recursed once per prefix of a declared type: exit 2,
+    # "input nested too deeply", although the served chain types
+    n = 150_000
+    f = tmp_path / "declared.spi"
+    f.write_text(f"env a : <{'![int].' * n}end>;\n*a(k).{'k!(1).' * n}0\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    r = subprocess.run([sys.executable, "-m", "sessionpi", "check", str(f)],
+                       env=env, capture_output=True, text=True, timeout=300,
+                       preexec_fn=_limit_memory)
+    assert r.returncode == 0, r.stderr[-500:]
+    assert r.stdout.splitlines() == ["well-typed, Delta = (empty)"]
+
+
 def test_run_steps_a_long_chain_beside_its_partner(tmp_path):
     # each step substitutes into, or renames, what is left of a chain:
     # both exited 2, "input nested too deeply", while rewriting recursed

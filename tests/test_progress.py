@@ -114,6 +114,43 @@ def test_fresh_names_avoid_the_given_set():
     assert list(ext) == ["#inh2"]
 
 
+def test_fresh_names_follow_the_order_of_the_type():
+    # a service's server takes its names before the continuation does,
+    # a received or delegated session's partner after it
+    p, ext = inhabit("?[?[int].end].![<![int].?[string].end>]."
+                     "![?[bool].end].?[int].?[?[int].end].end")
+    assert list(ext) == ["#inh0"]
+    assert sf.print_process(p) == (
+        "k?((m)).(k!(#inh0).(new m2 . (k!((m2)).k?(x1).k?((m3))."
+        "(0 | m3?(x2).0) | m2!(true).0) | *#inh0(m1).m1!(1).m1?(x).0)"
+        " | m?(x3).0)")
+    p, _ = inhabit("![?[?[int].end].end].?[int].end")
+    assert sf.print_process(p) == (
+        "new m . (k!((m)).k?(x).0 | new m1 . (m!((m1)).0 | m1!(1).0))")
+
+
+def test_inhabit_a_long_type_at_the_default_recursion_limit():
+    # `inhabit` recursed once per prefix of the type
+    n = 30_000
+    heads = [lambda t: sx.In(sx.Basic("int"), t),
+             lambda t: sx.Out(sx.Basic("bool"), t),
+             lambda t: sx.SelectT((("go", t),))]
+    a = sx.End()
+    for i in reversed(range(n)):
+        a = heads[i % 3](a)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        p, ext = pg.inhabit(a, K)
+        shown = sf.print_process(p)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ext == {}
+    assert shown == "".join(
+        ("k?(x).", f"k?(x{i // 3}).")[i > 0] if i % 3 == 0
+        else ("k!(true).", "k << go.")[i % 3 - 1] for i in range(n)) + "0"
+
+
 @given(S.session_types)
 @settings(deadline=None)
 def test_inhabitants_type_exactly_and_stand_still(a):

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from functools import reduce
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -509,6 +511,41 @@ def test_step_flattens_only_its_continuations(monkeypatch):
 
 # ----------------------------------------------------------- printing states
 
+def test_printing_a_step_does_not_grow_with_untouched_threads(monkeypatch):
+    # beside 10 and beside 100 dormant servers, printing a buyer-seller
+    # trace after its first state fills as many templates and names as
+    # many binders again.  The trace's first step drops the request's
+    # binder `k`, whose id is below the dormant servers' `k`s, and so
+    # respells them all: the trace is printed from its second state on.
+    work = Counter()
+    choose_names, fill = cg.choose_names, cg._fill
+
+    def naming(binders, *taken):
+        binders = list(binders)
+        work["named"] += len(binders)
+        return choose_names(binders, *taken)
+
+    def filling(row, names):
+        work["filled"] += 1
+        return fill(row, names)
+
+    monkeypatch.setattr(cg, "choose_names", naming)
+    monkeypatch.setattr(cg, "_fill", filling)
+    after_first = []
+    for n in (10, 100):
+        start = cg.normal_form(beside_dormant_servers(
+            load("buyer_seller").process, n))
+        qs = sm.trace(start, 100).states()[1:]
+        work.clear()
+        cg.print_states(qs[:1])
+        first = dict(work)
+        work.clear()
+        cg.print_states(qs)
+        after_first.append({w: work[w] - first[w] for w in work})
+    assert after_first[0] == after_first[1]
+    assert after_first[0]["named"] > 0 and after_first[0]["filled"] > 0
+
+
 def assert_printed_as_processes(qs, table=None):
     assert cg.print_states(qs, table) == [sf.print_process(q.process())
                                           for q in qs]
@@ -531,9 +568,57 @@ def test_print_states_agrees_with_printing_each_state():
 @settings(deadline=None, max_examples=100)
 @given(st.integers(0, 10_000))
 def test_print_states_agrees_on_generated_traces(seed):
+    # a trace; the `run --all` order, where the breadth-first walk jumps
+    # between branches; and both in a shuffled order, where threads and
+    # restrictions come and go at random
     rng = random.Random(seed)
     for p in (S.well_typed(rng)[1], S.cyclic(rng), S.typed_cycles(rng)[1]):
-        assert_printed_as_processes(sm.trace(p, 30, seed=seed).states())
+        qs = sm.trace(p, 30, seed=seed).states()
+        assert_printed_as_processes(qs)
+        walk = states(p, 3, 50)
+        assert_printed_as_processes(walk)
+        mixed = qs + walk
+        rng.shuffle(mixed)
+        assert_printed_as_processes(mixed)
+
+
+def test_print_states_as_spellings_collide_across_bases():
+    # a free `k_1`, binders `k`, a binder spelt `k_1` and a service `k_2`
+    # all compete for the spellings of one family; every subset of the
+    # threads and of the restrictions is printed, in three orders
+    free = sx.chan("k_1")
+    ks = [sx.bound_chan("k") for _ in range(3)]
+    k1 = sx.bound_chan("k_1")
+    threads = [
+        sx.Send(free, sx.IntLit(1), sx.Stop()),
+        sx.Request(sx.svc("k_2"), ks[0], sx.Send(ks[0], sx.IntLit(2),
+                                                  sx.Stop())),
+        sx.Receive(ks[1], "x", sx.Send(k1, sx.Var("x"), sx.Stop())),
+        sx.Receive(k1, "y", sx.Stop()),
+        sx.Receive(sx.chan("j"), "z", sx.New(ks[2], sx.Receive(
+            ks[2], "w", sx.Stop()))),
+    ]
+    restrictions = [ks[1], k1]
+    qs = [cg.NormalForm(tuple(compress(restrictions, rs)),
+                        tuple(compress(threads, ts)))
+          for rs in product((0, 1), repeat=2)
+          for ts in product((0, 1), repeat=len(threads))]
+    assert_printed_as_processes(qs)
+    assert_printed_as_processes(qs[::-1])
+    assert_printed_as_processes(random.Random(0).sample(qs, len(qs)))
+
+
+def test_print_states_of_one_thread_object_twice():
+    k, j = sx.bound_chan("k"), sx.bound_chan("k")
+    t = sx.Receive(k, "x", sx.Stop())
+    u = sx.Send(j, sx.IntLit(1), sx.Stop())
+    qs = [cg.NormalForm((k,), (t,)), cg.NormalForm((k, j), (t, u, t)),
+          cg.NormalForm((j,), (u, u)), cg.NormalForm((k, j), (t, t, u)),
+          cg.NormalForm((k,), (t, t)), cg.NormalForm((j, k), (u, t))]
+    assert cg.print_states(qs)[1] == (
+        "new k, k_1 . (k?(x).0 | k_1!(1).0 | k?(x).0)")
+    assert_printed_as_processes(qs)
+    assert_printed_as_processes(qs[::-1])
 
 
 def test_a_kept_thread_is_printed_again_when_its_names_change():

@@ -217,6 +217,23 @@ def test_a_long_prefix_chain_parses_without_recursion():
     assert (sends, p) == (150_000, sx.Stop())
 
 
+def test_a_long_declared_type_parses_at_the_default_recursion_limit():
+    # `parse_type` recursed once per `?[…].` or `![…].` head
+    n = 30_000
+    text = "?[int].![<![bool].end>]." * (n // 2) + "end"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        t = sf.parse_type(text)
+        shown = sf.print_type(t)
+    finally:
+        sys.setrecursionlimit(limit)
+    heads = 0
+    while isinstance(t, (sx.In, sx.Out)):
+        heads, t = heads + 1, t.then
+    assert (heads, t, shown) == (n, sx.End(), text)
+
+
 def deep_nests(n):
     """(what, process, its print, its canonical key) for n-deep nests of
     each form, the texts built without the printer."""
