@@ -20,29 +20,41 @@ rejected in every binding position except `env`.
 Comments run from `//` to end of line.  Prefixes bind tighter than `|`,
 so `new k . P | Q` is `(new k . P) | Q`; parenthesise for wider scope.
 
-Tokens.  `_lex` finds every token with one `findall` of one pattern,
-whose only group is the token, with the blanks, newlines and comments
-in front of it taken into the same match.  It returns two parallel
+Tokens.  The token texts are those that one `findall` of one pattern
+finds, whose only group is the token, with the blanks, newlines and
+comments in front of it taken into the same match.  `_lex` finds them
+faster with `_split`, which cuts strings and comments out whole and
+splits the rest at blanks after putting blanks around the symbols; it
+takes the pattern only when `_split` cannot vouch for its texts (a `"`
+that starts no string, or a text between blanks and symbols that is
+not one int or word, as in `12ab` or `a@b`).  It returns two parallel
 lists: tags and texts.  A symbol's or keyword's tag is its own text,
 looked up in a dict; identifiers, ints, strings and the end of input
 are tagged `IDENT`, `INT`, `STRING` and `EOF`, which start with a
-blank, so no token text equals them.  A second pass visits only the
-tokens the dict does not tag, to tell identifiers, ints and strings
+blank, so no token text equals them.  Each distinct text the dict does
+not tag is looked at once, to tell identifiers, ints and strings
 (whose escapes it applies) from a lexical error.  Offsets and lines
 are not tracked: `_offsets` finds the tokens again when a
 `ParseError` is built, and only then, and `position` turns an offset
-into a line and a column.  `tokenize` gives all three lists.  The
-parser reads the lists by index, and reads a chain of prefixes in a
-loop, so a long chain needs no recursion.
+into a line and a column.  `tokenize` gives all three lists.
+
+Parser.  `_Parser` reads the lists by index.  `parse_proc` reads a
+whole process in one loop on an explicit stack of the constructs still
+open (`( … )`, the branches of an `if`, the arms of an offer), so
+neither a long chain of prefixes nor deep nesting recurses.  It tells
+each prefix head by comparing a slice of the tags with the head's
+shape, and goes through a head's tokens one at a time only to raise the
+error of the first that does not fit.  Expressions, payloads and the
+options of branch and select types still recurse, once per level of
+nesting.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
-from operator import is_
-from typing import Callable, TypeVar
+from itertools import chain
+from typing import Callable, NoReturn, TypeVar
 
 from . import syntax as sx
 from .syntax import Expr, Name, Process, SessionType, Sort
@@ -64,7 +76,7 @@ _KEYWORDS = {
     "sessions", "env", "new", "if", "then", "else", "true", "false",
     "not", "and", "or", "end", "int", "bool", "string",
 }
-_BASIC = ("int", "bool", "string")
+_BASICS = {"int": sx.INT, "bool": sx.BOOL, "string": sx.STRING}
 
 # longest first so '<<' wins over '<'
 _SYMBOLS = [
@@ -82,13 +94,28 @@ IDENT, INT, STRING, EOF = " ident", " int", " string", " eof"
 # its own, and a bad one.  The layout takes every blank, newline and
 # comment, and the end of input (an empty token) or a single character
 # always matches right after it, so a match never backtracks into the
-# layout, and the matches cover the text with no gap.
+# layout, and the matches cover the text with no gap.  The symbols are
+# most of the tokens, so they come first, in the order that `findall`
+# runs fastest: those that start no longer symbol, then the longer ones,
+# then '<', '>' and '!'.  They are `_SYMBOLS` again, and no symbol starts
+# like an int, a word or a string, so the order does not change which
+# token matches.
 _STRING = r'"(?:[^"\\\n]|\\[nt"\\])*'
 _TOKEN = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*(" + "|".join([
-    r"\d+", r"[\w#]\w*", f'{_STRING}"',
-    *map(re.escape, _SYMBOLS), r"\Z", r".",
+    r"[()\[\]{}?.,:;|*&+\-=/]", "<<|>>|!=|<=|>=|[<>!]",
+    r"\d+", r"[\w#]\w*", f'{_STRING}"', r"\Z", r".",
 ]) + ")")
 _STRING_PREFIX = re.compile(_STRING)
+# `_split`: strings and comments, each cut out whole; the blanks that
+# each symbol gets on both sides; the two halves of a longer symbol,
+# joined again where they touched, in the pattern's order, so '<<='
+# is '<<' and '='; and what the pattern would match between blanks and
+# symbols as one int or word
+_PIECES = re.compile(f'({_STRING}"|//[^\\n]*)')
+_SPACED = [(s, f" {s} ") for s in _SYMBOLS if len(s) == 1]
+_JOINED = [(f" {s[0]}  {s[1]} ", f" {s} ") for s in _SYMBOLS
+           if len(s) == 2]
+_ONE_TOKEN = re.compile(r"\d+|(?!\d)[\w#]\w*")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 # the tags a token's text alone decides
 _TAGS = {**{w: w for w in [*_SYMBOLS, *_KEYWORDS]}, "": EOF}
@@ -130,27 +157,71 @@ def _lex_error(text: str, off: int) -> ParseError:
     return ParseError(f"unexpected character {c!r}", *position(text, off))
 
 
+def _split(text: str) -> list[str] | None:
+    """The texts of text's tokens, the last one "" for the end, or None
+    if a `"` starts no string.  Between the strings and comments, a
+    text may still hold what the pattern matches as several tokens."""
+    pieces = _PIECES.split(text)
+    texts: list[str] = []
+    for k in range(0, len(pieces), 2):
+        part = pieces[k]
+        if '"' in part:
+            return None
+        for a, b in _SPACED:
+            if a in part:
+                part = part.replace(a, b)
+        for a, b in _JOINED:
+            if a in part:
+                part = part.replace(a, b)
+        for a in "\t\r\n":
+            if a in part:
+                part = part.replace(a, " ")
+        texts += filter(None, part.split(" "))
+        if k + 1 < len(pieces) and pieces[k + 1][0] == '"':
+            texts.append(pieces[k + 1])
+    texts.append("")
+    return texts
+
+
 def _lex(text: str) -> tuple[list[str], list[str]]:
     """The tags and texts of text's tokens, the last one `EOF` (with
-    text ""): one `findall`, the symbols, keywords and end tagged by
-    their text, then one pass over the other tokens."""
-    texts = _TOKEN.findall(text)
-    # after layout at the very end, the end of input matches twice
-    del texts[texts.index("") + 1:]
-    tags = list(map(_TAGS.get, texts))
-    for i in compress(count(), map(is_, tags, repeat(None))):
-        word = texts[i]
-        c = word[0]
-        if c.isalpha() or c in "_#" and word != "#":
-            tags[i] = IDENT
-        elif c.isdecimal():
-            tags[i] = INT
-        elif c == '"' and word != '"':
-            tags[i], word = STRING, word[1:-1]
-            texts[i] = (re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]], word)
-                        if "\\" in word else word)
-        else:
-            raise _lex_error(text, _offsets(text)[i])
+    text ""): `_split`, or one `findall` where its texts are not all
+    single tokens, then each distinct text tagged once, in the order of
+    first use, so the first bad one raises; symbols, keywords and the
+    end are tagged by their text."""
+    texts = _split(text)
+    kinds = dict.fromkeys(texts or ())
+    if texts is None or not all(word in _TAGS or word[0] == '"'
+                                or _ONE_TOKEN.fullmatch(word)
+                                for word in kinds):
+        texts = _TOKEN.findall(text)
+        # the end of input is the only empty token, and after layout at
+        # the very end it matches twice
+        if len(texts) > 1 and texts[-2] == "":
+            texts.pop()
+        kinds = dict.fromkeys(texts)
+    strings = {}  # each string's text, unquoted and unescaped
+    for word in kinds:
+        tag = _TAGS.get(word)
+        if tag is None:
+            c = word[0]
+            if c.isalpha() or c in "_#" and word != "#":
+                tag = IDENT
+            elif c.isdecimal():
+                tag = INT
+            elif c == '"' and word != '"':
+                tag, body = STRING, word[1:-1]
+                strings[word] = (re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]],
+                                        body) if "\\" in body else body)
+            else:
+                raise _lex_error(text, _offsets(text)[texts.index(word)])
+        kinds[word] = tag
+    tags = list(map(kinds.__getitem__, texts))
+    i = 0
+    for _ in range(tags.count(STRING) if strings else 0):
+        i = tags.index(STRING, i)
+        texts[i] = strings[texts[i]]
+        i += 1
     return tags, texts
 
 
@@ -172,9 +243,24 @@ class Source:
 
 
 # A prefix read but not yet put around its continuation: the node's
-# constructor, its arguments before the continuation, and the name it
-# binds in the continuation (None if it binds none).
-_Head = tuple[Callable[..., Process], tuple, "str | None"]
+# constructor, its one or two arguments before the continuation (the
+# second None for `New`, which takes one), and the name it binds in the
+# continuation (None if it binds none).
+_Head = tuple[Callable[..., Process], object, object, "str | None"]
+
+# The tags of a prefix head from the token after its first, compared
+# with a slice of the tag list in one step; the identifiers among them
+# are what `_Parser.fail` is told to read on a mismatch.
+_RECEIVE = ["?", "(", IDENT, ")", "."]                    # k?(x).
+_RECEIVE_SESSION = ["?", "(", "(", IDENT, ")", ")", "."]  # k?((k2)).
+_DELEGATE = ["(", IDENT, ")", ")"]                        # k!((k2))
+_CHOOSE = ["<<", IDENT, "."]                              # k << l.
+_OFFER = [">>", "{", IDENT, ":"]                          # k >> {l:
+_ACCEPT = ["(", IDENT, ")", "."]                          # a(k).
+_REQUEST = ["<", IDENT, ">", "."]                         # a<k>.
+_SERVE = [IDENT, "(", IDENT, ")", "."]                    # *a(k).
+_PAYLOAD_END = ["]", "."]                                 # ?[int].
+_CLOSE_SEND = [")", "."]                                  # k!(e).
 
 
 class _Parser:
@@ -214,6 +300,27 @@ class _Parser:
         self.pos += 1
         return i
 
+    def fail(self, i: int, shape: list[str], *whats: str) -> NoReturn:
+        """Raise the error of the first of shape's tags that the tokens
+        from i on do not fit, checking them one at a time in order: a
+        symbol or keyword through `expect`, an identifier through
+        `expect_ident`, told what it is by the next of whats.  A
+        "service name" must name a service, and a "channel name" or
+        "variable name" must be a name a binder may take."""
+        self.pos = i
+        whats_left = iter(whats)
+        for tag in shape:
+            if tag != IDENT:
+                self.expect(tag)
+                continue
+            what = next(whats_left)
+            j = self.expect_ident(what)
+            if what == "service name":
+                self.service_name(j)
+            elif what != "label":
+                self._check_binder(j)
+        raise AssertionError(f"the tokens at {i} fit {shape}")
+
     def finish(self, out: _T, what: str) -> _T:
         if self.tags[self.pos] != EOF:
             raise self.error(
@@ -227,23 +334,29 @@ class _Parser:
             out.append(item())
         return out
 
+    def arm_label(self, seen: dict[str, _T | None]) -> str:
+        """`l:` in `{l: …, …}`, l not yet a key of seen, which it
+        becomes (with the value None)."""
+        i = self.expect_ident("label")
+        label = self.texts[i]
+        if label in seen:
+            raise self.error(f"duplicate label {label!r}", i)
+        seen[label] = None
+        self.expect(":")
+        return label
+
     def arms(self, body: Callable[[], _T]) -> list[tuple[str, _T]]:
         """`{l: body, ...}` with distinct labels."""
-        seen: set[str] = set()
-
-        def arm() -> tuple[str, _T]:
-            i = self.expect_ident("label")
-            label = self.texts[i]
-            if label in seen:
-                raise self.error(f"duplicate label {label!r}", i)
-            seen.add(label)
-            self.expect(":")
-            return label, body()
-
+        out: dict[str, _T | None] = {}
         self.expect("{")
-        out = self.commas(arm)
+        while True:
+            label = self.arm_label(out)
+            out[label] = body()
+            if self.tags[self.pos] != ",":
+                break
+            self.pos += 1
         self.expect("}")
-        return out
+        return list(out.items())
 
     # -- scope helpers
 
@@ -257,23 +370,6 @@ class _Parser:
             raise self.error(f"name {name!r} is reserved", i)
         if self._visible(name):
             raise self.error(f"{name!r} is already in scope", i)
-
-    def bind(self) -> Name:
-        """Bring a fresh bound channel into scope; the caller pops it."""
-        i = self.expect_ident("channel name")
-        self._check_binder(i)
-        name = self.chans[self.texts[i]] = sx.bound_chan(self.texts[i])
-        return name
-
-    def bound_head(self, heads: list[_Head], make: Callable[..., Process],
-                   first: Name, close: str) -> None:
-        """`k` close `.`: push a head binding k in its continuation;
-        close is one or two closing symbols, one character each."""
-        name = self.bind()
-        for text in close:
-            self.expect(text)
-        self.expect(".")
-        heads.append((make, (first, name), name.base))
 
     def declare_session(self) -> None:
         i = self.expect_ident("session channel name")
@@ -317,28 +413,36 @@ class _Parser:
                 self.expect(":")
                 self.gamma[self.texts[i]] = self.parse_sort()
             self.expect(";")
-        p = self.finish(self.parse_par(), "process")
+        p = self.finish(self.parse_proc(), "process")
         return Source(tuple(self.sessions.values()), dict(self.gamma), p)
 
     # -- types
 
     def parse_sort(self) -> Sort:
-        if self.tags[self.pos] not in (*_BASIC, "<"):
+        if self.tags[self.pos] not in (*_BASICS, "<"):
             raise self.error(
                 f"expected a sort, found {self.show(self.pos)}")
         return self.parse_payload()
 
     def parse_type(self) -> SessionType:
         """A chain of `?[…].` and `![…].` heads, read in a loop, and the
-        type that ends it; only payloads and label options recurse."""
+        type that ends it; only payloads and label options recurse.  A
+        head with a basic payload is read by index."""
+        tags = self.tags
         heads = []
-        while (tag := self.tags[self.pos]) == "?" or tag == "!":
-            self.pos += 1
+        while (tag := tags[i := self.pos]) == "?" or tag == "!":
+            make = sx.In if tag == "?" else sx.Out
+            if (tags[i + 1] == "[" and tags[i + 2] in _BASICS
+                    and tags[i + 3:i + 5] == _PAYLOAD_END):
+                heads.append((make, _BASICS[tags[i + 2]]))
+                self.pos = i + 5
+                continue
+            self.pos = i + 1
             self.expect("[")
             payload = self.parse_payload()
             self.expect("]")
             self.expect(".")
-            heads.append((sx.In if tag == "?" else sx.Out, payload))
+            heads.append((make, payload))
         if tag == "end":
             self.pos += 1
             t = sx.End()
@@ -355,9 +459,9 @@ class _Parser:
 
     def parse_payload(self) -> Sort | SessionType:
         tag = self.tags[self.pos]
-        if tag in _BASIC:
+        if tag in _BASICS:
             self.pos += 1
-            return sx.Basic(tag)
+            return _BASICS[tag]
         if tag == "<":
             self.pos += 1
             s = self.parse_type()
@@ -367,134 +471,216 @@ class _Parser:
 
     # -- processes
 
-    def parse_par(self) -> Process:
-        p = self.parse_unit()
-        while self.tags[self.pos] == "|":
-            self.pos += 1
-            p = sx.Par(p, self.parse_unit())
-        return p
+    def parse_proc(self) -> Process:
+        """Threads under `|`, each a chain of prefixes ended by `0`, a
+        parenthesised process, an `if` or an offer.
 
-    def parse_unit(self) -> Process:
-        """A chain of prefixes and the process that ends it.
-
-        Each prefix is pushed as a head, and the heads are put around
-        the end from the innermost out, so a long chain needs no
-        recursion.  The names the heads bind stay in scope until the
-        end is read, and are popped in reverse."""
-        heads: list[_Head] = []
-        end = self.link(heads)
-        while end is None:
-            end = self.link(heads)
-        for make, args, bound in reversed(heads):
-            end = make(*args, end)
-            if bound in self.chans:
-                del self.chans[bound]
-            elif bound is not None:
-                self.vars.remove(bound)
-        return end
-
-    def link(self, heads: list[_Head]) -> Process | None:
-        """Push the next prefix of a chain onto heads and return None,
-        or return the process that ends the chain."""
-        i = self.pos
-        tag = self.tags[i]
-        if tag == IDENT:
-            return self.prefix(heads)
-        if tag == "new":
-            self.pos += 1
-            names = self.commas(self.bind)
-            self.expect(".")
-            heads += [(sx.New, (name,), name.base) for name in names]
-            return None
-        if tag == "*":
-            self.pos += 1
-            service = self.service_name(self.expect_ident("service name"))
-            self.expect("(")
-            self.bound_head(heads, sx.Serve, service, ")")
-            return None
-        if tag == INT:
-            if self.texts[i] == "0":
-                self.pos += 1
-                return sx.Stop()
-            raise self.error("expected a process")
-        if tag == "(":
-            self.pos += 1
-            p = self.parse_par()
-            self.expect(")")
-            return p
-        if tag == "if":
-            self.pos += 1
-            test = self.parse_expr()
-            self.expect("then")
-            then = self.parse_unit()
-            self.expect("else")
-            return sx.If(test, then, self.parse_unit())
-        raise self.error(f"expected a process, found {self.show(i)}")
-
-    def prefix(self, heads: list[_Head]) -> Process | None:
-        """`link` at an identifier: an accept, a request, a session
-        prefix, or an offer, which ends the chain."""
+        One loop on an explicit stack, so neither a long chain nor deep
+        nesting recurses; only expressions do.  `heads` holds the
+        prefixes read of the chain being read, and `left` the threads
+        already read of the `|` it is in.  A `(`, an `if` or an offer
+        pushes both, with what it needs of its own, and its end pops
+        them.  A prefix head is told by comparing a slice of the tags
+        with its shape, and only on a mismatch does `fail` check the
+        tokens one at a time, to raise the error of the first that does
+        not fit.  The names a chain binds stay in scope until its end
+        is read, and are popped in reverse; the chain is then put
+        around its end from the innermost head out."""
         tags, texts = self.tags, self.texts
+        chans, vars_ = self.chans, self.vars
+        sessions, gamma = self.sessions, self.gamma
+        declared = sessions.keys() | gamma.keys()
+        services = {name: sx.svc(name) for name, sort in gamma.items()
+                    if isinstance(sort, sx.ServiceSort)}
+        # open constructs: ["(", heads, left], ["then", heads, left,
+        # test] (then ["else", …, test, then]) and ["{", heads, left,
+        # chan, arms, label], arms a dict from label to body
+        stack: list[list] = []
+        heads: list[_Head] = []
+        left: Process | None = None
         i = self.pos
-        j = self.pos = i + 1
-        op = tags[j]
-        if op == "(":  # accept: a(k).P
-            service = self.service_name(i)
-            self.pos += 1
-            self.bound_head(heads, sx.Accept, service, ")")
-            return None
-        if op == "<":  # request: a<k>.P
-            service = self.service_name(i)
-            self.pos += 1
-            self.bound_head(heads, sx.Request, service, ">")
-            return None
-        if op not in ("?", "!", ">>", "<<"):
-            name = texts[i]
-            if name in self.chans or name in self.sessions:
-                raise self.error(
-                    f"expected '?', '!', '>>' or '<<' after session channel"
-                    f" {name!r}", j)
-            raise self.error(f"expected a process, found {name!r}", i)
-        chan = self.session_name(i)
-        self.pos += 1
-        if op == "?":
-            self.expect("(")
-            if tags[self.pos] == "(":  # session reception: k?((k2)).P
-                self.pos += 1
-                self.bound_head(heads, sx.ReceiveSession, chan, "))")
-                return None
-            x = self.expect_ident("variable name")
-            self._check_binder(x)
-            self.expect(")")
-            self.expect(".")
-            self.vars.add(texts[x])
-            heads.append((sx.Receive, (chan, texts[x]), texts[x]))
-            return None
-        if op == "!":
-            self.expect("(")
-            # k!((k2)).P delegates k2 when the double parens wrap one
-            # session channel; anything else is a parenthesised expression
-            k = self.pos
-            if (tags[k] == "(" and tags[k + 1] == IDENT
-                    and tags[k + 2] == ")" and tags[k + 3] == ")"
-                    and (texts[k + 1] in self.chans
-                         or texts[k + 1] in self.sessions)):
-                self.pos = k + 4
-                self.expect(".")
-                heads.append((sx.SendSession, (chan, self.session_name(k + 1)),
-                              None))
-                return None
-            e = self.parse_expr()
-            self.expect(")")
-            self.expect(".")
-            heads.append((sx.Send, (chan, e), None))
-            return None
-        if op == ">>":
-            return sx.Offer(chan, tuple(self.arms(self.parse_par)))
-        label = self.expect_ident("label")
-        self.expect(".")
-        heads.append((sx.Choose, (chan, texts[label]), None))
-        return None
+        while True:
+            tag = tags[i]
+            if tag == IDENT:
+                name = texts[i]
+                op = tags[i + 1]
+                if op == "?" or op == "!" or op == "<<" or op == ">>":
+                    chan = (chans.get(name) or sessions.get(name)
+                            or self.session_name(i))
+                    if op == "?":
+                        if (tags[i + 1:i + 6] == _RECEIVE
+                                and (x := texts[i + 3])[0] != "#"
+                                and x not in declared and x not in chans
+                                and x not in vars_):
+                            vars_.add(x)
+                            heads.append((sx.Receive, chan, x, x))
+                            i += 6
+                        elif (tags[i + 1:i + 8] == _RECEIVE_SESSION
+                                and (b := texts[i + 4])[0] != "#"
+                                and b not in declared and b not in chans
+                                and b not in vars_):
+                            bound = chans[b] = sx.bound_chan(b)
+                            heads.append(
+                                (sx.ReceiveSession, chan, bound, b))
+                            i += 8
+                        elif tags[i + 2:i + 4] == ["(", "("]:
+                            self.fail(i + 1, _RECEIVE_SESSION, "channel name")
+                        else:
+                            self.fail(i + 1, _RECEIVE, "variable name")
+                    elif op == "!":
+                        if tags[i + 2] != "(":
+                            self.fail(i + 2, ["("])
+                        # k!((k2)).P delegates k2 when the double parens
+                        # wrap one session channel; anything else is a
+                        # parenthesised expression
+                        if tags[i + 3:i + 7] == _DELEGATE and (
+                                sent := chans.get(texts[i + 4])
+                                or sessions.get(texts[i + 4])):
+                            if tags[i + 7] != ".":
+                                self.fail(i + 7, ["."])
+                            heads.append((sx.SendSession, chan, sent, None))
+                            i += 8
+                        else:
+                            # an atom before `).` is the whole expression,
+                            # unless it is `not`, which `parse_atom` rejects
+                            self.pos = i + 3
+                            e = (self.parse_atom() if tags[i + 3] != "not"
+                                 and tags[i + 4:i + 6] == _CLOSE_SEND
+                                 else self.parse_expr())
+                            i = self.pos
+                            if tags[i:i + 2] != _CLOSE_SEND:
+                                self.fail(i, _CLOSE_SEND)
+                            heads.append((sx.Send, chan, e, None))
+                            i += 2
+                    elif op == "<<":
+                        if tags[i + 1:i + 4] != _CHOOSE:
+                            self.fail(i + 1, _CHOOSE, "label")
+                        heads.append((sx.Choose, chan, texts[i + 2], None))
+                        i += 4
+                    else:
+                        if tags[i + 1:i + 5] != _OFFER:
+                            self.fail(i + 1, _OFFER, "label")
+                        stack.append(["{", heads, left, chan,
+                                      {texts[i + 3]: None}, texts[i + 3]])
+                        heads, left = [], None
+                        i += 5
+                    continue
+                if op == "(" or op == "<":  # accept a(k).P, request a<k>.P
+                    service = services.get(name) or self.service_name(i)
+                    shape = _ACCEPT if op == "(" else _REQUEST
+                    if (tags[i + 1:i + 5] != shape
+                            or (b := texts[i + 2])[0] == "#"
+                            or b in declared or b in chans or b in vars_):
+                        self.fail(i + 1, shape, "channel name")
+                    bound = chans[b] = sx.bound_chan(b)
+                    heads.append((sx.Accept if op == "(" else sx.Request,
+                                  service, bound, b))
+                    i += 5
+                    continue
+                if name in chans or name in sessions:
+                    raise self.error(
+                        f"expected '?', '!', '>>' or '<<' after session"
+                        f" channel {name!r}", i + 1)
+                raise self.error(f"expected a process, found {name!r}", i)
+            if tag == "new":
+                while True:
+                    if (tags[i + 1] != IDENT
+                            or (b := texts[i + 1])[0] == "#"
+                            or b in declared or b in chans or b in vars_):
+                        self.fail(i + 1, [IDENT], "channel name")
+                    bound = chans[b] = sx.bound_chan(b)
+                    heads.append((sx.New, bound, None, b))
+                    i += 2
+                    if tags[i] != ",":
+                        break
+                if tags[i] != ".":
+                    self.fail(i, ["."])
+                i += 1
+                continue
+            if tag == "*":
+                if (tags[i + 1:i + 6] != _SERVE
+                        or (service := services.get(texts[i + 1])) is None
+                        or (b := texts[i + 3])[0] == "#"
+                        or b in declared or b in chans or b in vars_):
+                    self.fail(i + 1, _SERVE, "service name", "channel name")
+                bound = chans[b] = sx.bound_chan(b)
+                heads.append((sx.Serve, service, bound, b))
+                i += 6
+                continue
+            if tag == "(":
+                stack.append(["(", heads, left])
+                heads, left = [], None
+                i += 1
+                continue
+            if tag == "if":
+                self.pos = i + 1
+                test = self.parse_expr()
+                i = self.pos
+                if tags[i] != "then":
+                    self.fail(i, ["then"])
+                stack.append(["then", heads, left, test])
+                heads = []
+                i += 1
+                continue
+            if tag != INT:
+                raise self.error(f"expected a process, found {self.show(i)}",
+                                 i)
+            if texts[i] != "0":
+                raise self.error("expected a process", i)
+            p: Process = sx.Stop()
+            i += 1
+            # p ends the chain in `heads`: put the chain around it, then
+            # close what that ends, until a new chain starts
+            while True:
+                for make, first, second, binds in reversed(heads):
+                    p = (make(first, second, p) if second is not None
+                         else make(first, p))
+                    if binds in chans:
+                        del chans[binds]
+                    elif binds is not None:
+                        vars_.remove(binds)
+                frame = stack[-1] if stack else None
+                if frame is not None and frame[0] == "then":
+                    if tags[i] != "else":
+                        self.fail(i, ["else"])
+                    frame[0] = "else"
+                    frame.append(p)
+                    heads = []
+                    i += 1
+                    break
+                if frame is not None and frame[0] == "else":
+                    _, heads, left, test, then = stack.pop()
+                    p = sx.If(test, then, p)
+                    continue
+                # p is a thread of the `|` that `left` begins
+                if tags[i] == "|":
+                    left = p if left is None else sx.Par(left, p)
+                    heads = []
+                    i += 1
+                    break
+                if left is not None:
+                    p = sx.Par(left, p)
+                if frame is None:
+                    self.pos = i
+                    return p
+                if frame[0] == "(":
+                    if tags[i] != ")":
+                        self.fail(i, [")"])
+                else:  # the arm of an offer
+                    arms = frame[4]
+                    arms[frame[5]] = p
+                    if tags[i] == ",":
+                        self.pos = i + 1
+                        frame[5] = self.arm_label(arms)
+                        heads, left = [], None
+                        i = self.pos
+                        break
+                    if tags[i] != "}":
+                        self.fail(i, ["}"])
+                    p = sx.Offer(frame[3], tuple(arms.items()))
+                i += 1
+                stack.pop()
+                heads, left = frame[1], frame[2]
 
     # -- expressions
 
@@ -569,7 +755,7 @@ def parse_process(text: str, sessions: tuple[str, ...] = (),
     p = _Parser(text)
     p.sessions = {s: sx.chan(s) for s in sessions}
     p.gamma = dict(gamma or {})
-    return p.finish(p.parse_par(), "process")
+    return p.finish(p.parse_proc(), "process")
 
 
 def parse_type(text: str) -> SessionType:

@@ -67,6 +67,12 @@ expressions = st.recursive(
 _BASICS = (sx.INT, sx.BOOL, sx.STRING)
 
 
+# Tokens, keywords and bad characters for fuzzing the parser and the CLI
+SOUP = ("sessions env new if then else not and or end int bool string true "
+        "false k a x 0 1 \"s\" \"a\\q\" \"open ( ) [ ] { } < > ? ! . , : ; | "
+        "* & + - = << >> != // # #s @ ² ½ \\").split() + ["\n", '"a\\\n"']
+
+
 def rand_type(rng: random.Random, depth: int = 3,
               deleg: bool = True) -> sx.SessionType:
     # deleg=False leaves out session payloads in both directions: dual

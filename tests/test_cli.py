@@ -77,9 +77,10 @@ def test_parse_error_is_exit_2(capsys, tmp_path):
 
 
 def test_missing_file_is_exit_2(capsys, tmp_path):
-    # also a directory, and nesting too deep for the parser
+    # also a directory, and an expression nested too deep for the parser
     deep = tmp_path / "deep.spi"
-    deep.write_text("(" * 60_000 + "0" + ")" * 60_000)
+    deep.write_text("sessions k;\nk!(" + "(" * 60_000 + "1" + ")" * 60_000
+                    + ").0")
     limit = sys.getrecursionlimit()
     for path in ("does_not_exist.spi", str(tmp_path), str(deep)):
         code, out, err = run(capsys, "check", path)
@@ -507,6 +508,29 @@ def test_check_answers_a_long_declared_type(tmp_path):
     assert r.stdout.splitlines() == ["well-typed, Delta = (empty)"]
 
 
+def test_check_answers_deep_nests(tmp_path):
+    # the parser recursed once per `(` and `if` branch: both exited 2,
+    # "input nested too deeply".  Typing a deep offer still recurses,
+    # so it may meet the limit, but only with exit 2 and one line
+    n = 100_000
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for text, codes in (("(" * n + "0" + ")" * n, {0}),
+                        ("if true then " * n + "0" + " else 0" * n, {0}),
+                        ("k >> {a: " * n + "0" + "}" * n, {0, 2})):
+        f = tmp_path / "deep.spi"
+        f.write_text(f"sessions k;\n{text}\n")
+        r = subprocess.run(
+            [sys.executable, "-m", "sessionpi", "check", str(f)], env=env,
+            capture_output=True, text=True, timeout=300,
+            preexec_fn=_limit_memory)
+        assert r.returncode in codes, (text[:20], r.stderr[-500:])
+        if r.returncode == 0:
+            assert r.stdout.startswith("well-typed"), text[:20]
+        else:
+            assert r.stderr.count("\n") == 1 and not r.stdout, text[:20]
+
+
 def test_run_steps_a_long_chain_beside_its_partner(tmp_path):
     # each step substitutes into, or renames, what is left of a chain:
     # both exited 2, "input nested too deeply", while rewriting recursed
@@ -631,22 +655,18 @@ def test_cli_runs_on_the_oldest_supported_python(capsys):
             assert (r.returncode, r.stdout) == run(capsys, *argv)[:2], argv
 
 
-_SOUP = ("sessions env new if then else not and or end int bool string true "
-         "false k a x 0 1 \"s\" \"a\\q\" \"open ( ) [ ] { } < > ? ! . , : ; | "
-         "* & + - = << >> != // # #s @ ² ½ \\").split() + ["\n", '"a\\\n"']
-
-
 def _fuzz_inputs(rng, n):
     samples = sorted(SOURCES.values())
     for i in range(n):
         if i % 2:
-            soup = " ".join(rng.choice(_SOUP) for _ in range(rng.randint(1, 12)))
+            soup = " ".join(rng.choice(S.SOUP)
+                            for _ in range(rng.randint(1, 12)))
             yield ("sessions k;\nenv a : <?[int].end>;\n" if i % 4 == 1
                    else "") + soup
         else:
             s = rng.choice(samples)
             a = rng.randrange(len(s))
-            yield s[:a] + rng.choice(_SOUP) + s[a + rng.randint(0, 8):]
+            yield s[:a] + rng.choice(S.SOUP) + s[a + rng.randint(0, 8):]
 
 
 def test_cli_contract_on_fuzzed_inputs(capsys, tmp_path):

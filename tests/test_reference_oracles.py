@@ -11,12 +11,17 @@ binder.
 `reference_tokenize` is the lexer as it read before tokens became
 parallel lists of tags, texts and offsets: one match per blank, newline
 or comment, and a line and column tracked for every token.
+`reference_parse_source` parses with the process parser as it read
+before one loop on an explicit stack took over: it recurses once per
+`(`, `if` branch and offer arm, and reads each prefix head one token at
+a time.
 `reference_find_cycle` walks a dependency graph's edges, as
 `depgraph.find_cycle` did before it read the occurrence index, and
 `alpha_equivalent` compares two terms up to their bound names.
 `reference_check` types a process as `typecheck.check` did before
 check mode: it infers every body with `reference_infer`, which
 recurses once per prefix, and unifies it with its declared session."""
+import bisect
 import functools
 import random
 import re
@@ -26,7 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sessionpi.cli as cli
 import sessionpi.congruence as cg
@@ -443,15 +448,29 @@ def reference_lexed(text):
 _FRAGMENTS = st.sampled_from([
     "//", "/", '"', "\\", "\\n", "\\q", "\n", "\r", "\r\n", "\t", " ",
     "²", "½", "#", "#a", "@", "0", "12", "k", "_x", "k2", "end", "new",
-    "sessions", "env", "if", "<", "<<", "<=", ">", ">>", "!", "!=", "?",
-    "(", ")", ".", ",", ";", ":", "|", "*", "{", "}", "-", "=",
+    "sessions", "env", "if", "<", "<<", "<=", ">", ">>", ">=", "!", "!=",
+    "?", "(", ")", "[", "]", ".", ",", ";", ":", "|", "*", "&", "+", "{",
+    "}", "-", "=", "\x0c", "\xa0", "é",
 ])
 
 
 @given(st.lists(_FRAGMENTS, max_size=12).map("".join))
 @settings(max_examples=400)
+# longer symbols that overlap, where the pattern takes the leftmost
+# and, at one place, the first of `_SYMBOLS`
+@example("k<<=>>=!==<<<!=<=<>=")
 def test_tokenize_agrees_with_the_reference_on_fragments(text):
     assert lexed(text) == reference_lexed(text)
+
+
+def test_split_finds_the_patterns_texts_on_files():
+    # so `_lex` takes the pattern only for texts it cannot vouch for
+    texts = list(SOURCES.values())
+    for text in bench_sources((1, 2)):
+        texts += [text, text.replace(" ", "\t").replace("\n", "\r\n")]
+    for text in texts:
+        want = sf._TOKEN.findall(text)
+        assert sf._split(text) == want[:want.index("") + 1]
 
 
 def test_tokenize_agrees_with_the_reference_on_files():
@@ -462,6 +481,319 @@ def test_tokenize_agrees_with_the_reference_on_files():
             texts += [case.text for case in workload(seed)]
     for text in texts:
         assert lexed(text) == reference_lexed(text)
+
+
+class ReferenceParser(sf._Parser):
+    """The process parser as it read before one loop on an explicit
+    stack took over: `parse_par`, `parse_unit`, `link` and `prefix`
+    recurse once per `(`, `if` branch and offer arm, and read each head
+    one token at a time through `expect` and `expect_ident`.  Session
+    types and payloads are read as they were then, each payload a new
+    `Basic`."""
+
+    def arms(self, body):
+        seen = set()
+
+        def arm():
+            i = self.expect_ident("label")
+            label = self.texts[i]
+            if label in seen:
+                raise self.error(f"duplicate label {label!r}", i)
+            seen.add(label)
+            self.expect(":")
+            return label, body()
+
+        self.expect("{")
+        out = self.commas(arm)
+        self.expect("}")
+        return out
+
+    def bind(self):
+        i = self.expect_ident("channel name")
+        self._check_binder(i)
+        name = self.chans[self.texts[i]] = sx.bound_chan(self.texts[i])
+        return name
+
+    def bound_head(self, heads, make, first, close):
+        name = self.bind()
+        for text in close:
+            self.expect(text)
+        self.expect(".")
+        heads.append((make, (first, name), name.base))
+
+    def parse_type(self):
+        heads = []
+        while (tag := self.tags[self.pos]) == "?" or tag == "!":
+            self.pos += 1
+            self.expect("[")
+            payload = self.parse_payload()
+            self.expect("]")
+            self.expect(".")
+            heads.append((sx.In if tag == "?" else sx.Out, payload))
+        if tag == "end":
+            self.pos += 1
+            t = sx.End()
+        elif tag == "&" or tag == "+":
+            self.pos += 1
+            arms = self.arms(self.parse_type)
+            t = sx.branch(arms) if tag == "&" else sx.select(arms)
+        else:
+            raise self.error(
+                f"expected a session type, found {self.show(self.pos)}")
+        for make, payload in reversed(heads):
+            t = make(payload, t)
+        return t
+
+    def parse_payload(self):
+        tag = self.tags[self.pos]
+        if tag in ("int", "bool", "string"):
+            self.pos += 1
+            return sx.Basic(tag)
+        if tag == "<":
+            self.pos += 1
+            s = self.parse_type()
+            self.expect(">")
+            return sx.ServiceSort(s)
+        return self.parse_type()
+
+    def parse_par(self):
+        p = self.parse_unit()
+        while self.tags[self.pos] == "|":
+            self.pos += 1
+            p = sx.Par(p, self.parse_unit())
+        return p
+
+    parse_proc = parse_par  # what `parse_source` calls
+
+    def parse_unit(self):
+        heads = []
+        end = self.link(heads)
+        while end is None:
+            end = self.link(heads)
+        for make, args, bound in reversed(heads):
+            end = make(*args, end)
+            if bound in self.chans:
+                del self.chans[bound]
+            elif bound is not None:
+                self.vars.remove(bound)
+        return end
+
+    def link(self, heads):
+        i = self.pos
+        tag = self.tags[i]
+        if tag == sf.IDENT:
+            return self.prefix(heads)
+        if tag == "new":
+            self.pos += 1
+            names = self.commas(self.bind)
+            self.expect(".")
+            heads += [(sx.New, (name,), name.base) for name in names]
+            return None
+        if tag == "*":
+            self.pos += 1
+            service = self.service_name(self.expect_ident("service name"))
+            self.expect("(")
+            self.bound_head(heads, sx.Serve, service, ")")
+            return None
+        if tag == sf.INT:
+            if self.texts[i] == "0":
+                self.pos += 1
+                return sx.Stop()
+            raise self.error("expected a process")
+        if tag == "(":
+            self.pos += 1
+            p = self.parse_par()
+            self.expect(")")
+            return p
+        if tag == "if":
+            self.pos += 1
+            test = self.parse_expr()
+            self.expect("then")
+            then = self.parse_unit()
+            self.expect("else")
+            return sx.If(test, then, self.parse_unit())
+        raise self.error(f"expected a process, found {self.show(i)}")
+
+    def prefix(self, heads):
+        tags, texts = self.tags, self.texts
+        i = self.pos
+        j = self.pos = i + 1
+        op = tags[j]
+        if op == "(":
+            service = self.service_name(i)
+            self.pos += 1
+            self.bound_head(heads, sx.Accept, service, ")")
+            return None
+        if op == "<":
+            service = self.service_name(i)
+            self.pos += 1
+            self.bound_head(heads, sx.Request, service, ">")
+            return None
+        if op not in ("?", "!", ">>", "<<"):
+            name = texts[i]
+            if name in self.chans or name in self.sessions:
+                raise self.error(
+                    f"expected '?', '!', '>>' or '<<' after session channel"
+                    f" {name!r}", j)
+            raise self.error(f"expected a process, found {name!r}", i)
+        chan = self.session_name(i)
+        self.pos += 1
+        if op == "?":
+            self.expect("(")
+            if tags[self.pos] == "(":
+                self.pos += 1
+                self.bound_head(heads, sx.ReceiveSession, chan, "))")
+                return None
+            x = self.expect_ident("variable name")
+            self._check_binder(x)
+            self.expect(")")
+            self.expect(".")
+            self.vars.add(texts[x])
+            heads.append((sx.Receive, (chan, texts[x]), texts[x]))
+            return None
+        if op == "!":
+            self.expect("(")
+            k = self.pos
+            if (tags[k] == "(" and tags[k + 1] == sf.IDENT
+                    and tags[k + 2] == ")" and tags[k + 3] == ")"
+                    and (texts[k + 1] in self.chans
+                         or texts[k + 1] in self.sessions)):
+                self.pos = k + 4
+                self.expect(".")
+                heads.append((sx.SendSession,
+                              (chan, self.session_name(k + 1)), None))
+                return None
+            e = self.parse_expr()
+            self.expect(")")
+            self.expect(".")
+            heads.append((sx.Send, (chan, e), None))
+            return None
+        if op == ">>":
+            return sx.Offer(chan, tuple(self.arms(self.parse_par)))
+        label = self.expect_ident("label")
+        self.expect(".")
+        heads.append((sx.Choose, (chan, texts[label]), None))
+        return None
+
+
+def reference_parse_source(text):
+    return ReferenceParser(text).parse_source()
+
+
+def parsed(parse, text):
+    """What parse makes of text: the source, or the error's message,
+    line and column."""
+    try:
+        return parse(text)
+    except sf.ParseError as e:
+        return (e.message, e.line, e.col)
+
+
+def assert_same_parse(text):
+    """`surface.parse_source` agrees with the reference on text: the
+    same declarations and a process equal up to its binders' identity
+    that prints the same, or the same error.  Returns whether text
+    parsed."""
+    got = parsed(sf.parse_source, text)
+    want = parsed(reference_parse_source, text)
+    if isinstance(want, tuple):
+        assert got == want, text
+        return False
+    assert not isinstance(got, tuple), (got, text)
+    assert (got.sessions, got.gamma) == (want.sessions, want.gamma), text
+    assert alpha_equivalent(got.process, want.process), text
+    assert (sf.print_process(got.process)
+            == sf.print_process(want.process)), text
+    return True
+
+
+def token_mutants(rng, texts, n):
+    """n texts, each one of texts with a change at one token of its
+    process (after the last `;` and newline): the token dropped, or
+    replaced by or preceded with a token of the fuzzing soup, or a run
+    of one to eight tokens from it doubled.  The layout after a token
+    goes with it."""
+    for _ in range(n):
+        text = rng.choice(texts)
+        _, _, offs = sf.tokenize(text)
+        offs.append(len(text))
+        i = rng.randrange(bisect.bisect(offs, text.rfind(";\n")),
+                          len(offs) - 1)
+        a, b = offs[i], offs[i + 1]
+        put = rng.choice(S.SOUP) + " "
+        run = text[a:offs[min(i + rng.randint(1, 8), len(offs) - 1)]]
+        yield rng.choice([text[:a] + text[b:], text[:a] + put + text[b:],
+                          text[:a] + put + text[a:],
+                          text[:a] + run + text[a:]])
+
+
+# One of each construct `parse_proc` reads, under declarations that give
+# each kind of name, and the tokens put in place of each of its tokens
+_HEADS = ["k?(x).0", "k?((i)).i!(1).0", "k!((j)).0", "k!(v + 1).0",
+          "k!(1).0", "k << l.0", "k >> {l: 0, m: k!(1).0}", "a(i).0",
+          "a<i>.0", "*a(i).0", "new i, h . 0", "if v = 1 then 0 else 0",
+          "(0 | k!(1).0) | 0", "k?(x).(0 | k!(x).0)"]
+_STAND_INS = ["", ";", ".", ",", ":", "(", ")", "((", "{", "}", "<", ">",
+              "?", "!", "<<", ">>", "|", "0", "1", "k", "j", "a", "v", "x",
+              "l", "i", "#i", "not", "then", "else", "new"]
+
+
+def broken_heads():
+    """Each of `_HEADS` with one token replaced by each of
+    `_STAND_INS`."""
+    decls = "sessions k, j;\nenv a : <end>;\nenv v : int;\n"
+    for head in _HEADS:
+        _, _, offs = sf.tokenize(head)
+        for a, b in zip(offs, offs[1:]):
+            for put in _STAND_INS:
+                yield f"{decls}{head[:a]} {put} {head[b:]}"
+
+
+def test_parse_agrees_with_the_reference_on_broken_heads():
+    ok = sum(map(assert_same_parse, broken_heads()))
+    assert 50 < ok < 1_000  # most stand-ins break the head
+
+
+def test_parse_agrees_with_the_reference_on_files():
+    gen = S.bench_gen()
+    texts = list(SOURCES.values())
+    for seed in (1, 2):
+        for workload in (gen.certify, gen.simulate, gen.refute):
+            texts += [case.text for case in workload(seed)]
+    assert all(assert_same_parse(text) for text in texts)
+
+
+def test_parse_agrees_with_the_reference_on_mutated_sources():
+    # one token of a sample, or of a thread of a small benchmark file
+    # under the file's declarations, changed
+    texts = list(SOURCES.values())
+    for text in bench_sources((1, 2), scale=0.1):
+        head, body = text.rsplit(";\n", 1)
+        threads = body.split("\n| ")
+        texts += [f"{head};\n{t}" for t in threads[:8]]
+    rng = random.Random(22)
+    ok = sum(map(assert_same_parse, token_mutants(rng, texts, 6_000)))
+    assert 300 < ok < 5_700  # both the parse and the error paths ran
+
+
+def test_parse_agrees_with_the_reference_on_token_soups():
+    rng = random.Random(23)
+    for i in range(2_000):
+        soup = " ".join(rng.choice(S.SOUP) for _ in range(rng.randint(1, 12)))
+        assert_same_parse(("sessions k;\nenv a : <?[int].end>;\n"
+                           if i % 2 else "") + soup)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 10_000))
+def test_parse_agrees_with_the_reference_on_printed_terms(seed):
+    gamma, p = S.well_typed(random.Random(seed))
+    free = sorted({c.base for c in sx.free_session_channels(p)})
+    text = "".join([f"sessions {', '.join(free)};\n" if free else "",
+                    *(f"env {name} : {sf.print_type(sort)};\n"
+                      for name, sort in gamma.items()),
+                    sf.print_process(p)])
+    assert assert_same_parse(text)
 
 
 def of_each_part(fn):

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, strategies as st
 import sessionpi.congruence as cg
 import sessionpi.surface as sf
 import sessionpi.syntax as sx
+import sessionpi.typecheck as tc
 import strategies as S
 from sessionpi.examples import SOURCES
 from test_reference_oracles import alpha_equivalent
@@ -215,6 +217,62 @@ def test_a_long_prefix_chain_parses_without_recursion():
     while isinstance(p, sx.Send):
         sends, p = sends + 1, p.body
     assert (sends, p) == (150_000, sx.Stop())
+
+
+def test_deep_nests_parse_at_the_default_recursion_limit():
+    # `parse_par`, `parse_unit`, `link` and `prefix` recursed once per
+    # `(`, `if` branch and offer arm: RecursionError at 5,000 deep
+    n = 100_000
+    nests = [("(" * n + "k!(1).0" + ")" * n, "k!(1).0"),
+             *((text, text) for text in (
+                 "if true then " * n + "0" + " else 0" * n,
+                 "k >> {a: " * n + "0" + "}" * n,
+                 "k!(1).(" * n + "0" + " | 0)" * n))]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        shown = [sf.print_process(sf.parse_source(f"sessions k;\n{text}")
+                                  .process) for text, _ in nests]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert shown == [want for _, want in nests]
+
+
+def test_typing_a_deep_offer_still_recurses():
+    # branch types are still built and checked recursively, so the
+    # parser's deep offers meet a limit in typing (ROADMAP item 3)
+    p, k = sx.Stop(), sx.chan("k")
+    for _ in range(100_000):
+        p = sx.Offer(k, (("a", p),))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        with pytest.raises(RecursionError):
+            tc.check({}, p)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_a_chain_of_heads_reads_no_token_through_expect(monkeypatch):
+    # each head is told by one slice of the tags; `expect` and
+    # `expect_ident` only raise the error of a head that does not fit
+    calls = Counter()
+    for name in ("expect", "expect_ident"):
+        def counted(self, *args, real=getattr(sf._Parser, name), name=name):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(sf._Parser, name, counted)
+    heads = ("k!(1).", "k?(x{}).", "k << l.", "a(k{}).")
+    n = 2_000
+    text = "".join(heads[i % 4].format(i) for i in range(n)) + "0"
+    p = sf.parse_process(text, ("k",), {"a": sx.ServiceSort(sx.End())})
+    kinds = []
+    while not isinstance(p, sx.Stop):
+        kinds.append(type(p))
+        p = p.body
+    assert kinds == [sx.Send, sx.Receive, sx.Choose, sx.Accept] * (n // 4)
+    assert calls == {}
 
 
 def test_a_long_declared_type_parses_at_the_default_recursion_limit():
