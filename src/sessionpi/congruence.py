@@ -15,7 +15,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress
 from operator import itemgetter
@@ -26,8 +25,7 @@ from .surface import binder_order, choose_names, family, pieces
 from .syntax import Name, Process
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     binders: tuple[Name, ...]
     threads: tuple[Process, ...]
 

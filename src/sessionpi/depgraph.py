@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import congruence, typecheck
 from .congruence import NormalForm
@@ -20,15 +21,13 @@ from .surface import display_names, print_process
 from .syntax import Name, Process, Sort
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """nodes[i] -- channels[i] -- nodes[i+1], closing back to nodes[0]."""
     nodes: tuple[int, ...]
     channels: tuple[Name, ...]
 
 
-@dataclass(frozen=True)
-class DepGraph:
+class DepGraph(NamedTuple):
     """Nodes are thread positions in the normal form, left to right;
     `texts` keeps each thread's printed form for witnesses and DOT, and
     `cycle` is a cycle of the graph, None when it is a forest."""

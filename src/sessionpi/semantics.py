@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import congruence, syntax as sx
 from .congruence import NormalForm, print_states
@@ -104,8 +104,7 @@ def value_expr(v: Value) -> Expr:
 
 # ------------------------------------------------------------------ redexes
 
-@dataclass(frozen=True)
-class Redex:
+class Redex(NamedTuple):
     """One enabled reduction.
 
     `i` is the position (in the normal form's thread list) of the
@@ -266,8 +265,7 @@ def step(p: Process | NormalForm, r: Redex) -> NormalForm:
 
 # -------------------------------------------------------------- exploration
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     steps: tuple[tuple[NormalForm, Redex], ...]
     final: NormalForm
 

@@ -15,8 +15,8 @@ the ids of a term that is about to be duplicated.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -50,45 +50,82 @@ def bound_chan(base: str) -> Name:
     return Name(base, CHAN, next(_uids))
 
 
+# ---------------------------------------------------------------- node classes
+#
+# Every expression, sort, session type and process is an immutable tuple
+# of its fields: `_node` turns a class that annotates its fields into a
+# `namedtuple` of them under `_Node`.  A node reads its fields by name,
+# takes them by position or keyword, prints as `Stop()` or
+# `IntLit(value=1)`, matches class patterns and refuses assignment.
+# Tuples rather than frozen dataclasses, because a dataclass generates
+# and compiles its methods when its class is made, on every start of the
+# program, and a `namedtuple` makes one constructor.
+
+class _Node(tuple):
+    """The base of the node classes: a node equals only a node of its own
+    class with equal fields (never another node class, nor the plain
+    tuple of its fields), hashes as that tuple, and is always true."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __bool__(self):
+        return True
+
+
+def _node(cls: type) -> type:
+    """cls as a node class: a `_Node` and a `namedtuple` of the fields
+    cls annotates, in their order, under cls's own bases."""
+    fields = namedtuple(cls.__name__, cls.__annotations__)
+    return type(cls.__name__, (_Node, fields, *cls.__bases__),
+                {"__slots__": (), "__doc__": cls.__doc__})
+
+
 # ---------------------------------------------------------------- expressions
 
 class Expr:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
+@_node
 class StrLit(Expr):
     value: str
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class SvcRef(Expr):
     """A service name used as a value, e.g. sent over a channel."""
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Unop(Expr):
     op: str  # "-" or "not"
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Binop(Expr):
     op: str  # + - * = != < <= > >= and or
     left: Expr
@@ -98,14 +135,14 @@ class Binop(Expr):
 # ---------------------------------------------------------------- sorts/types
 
 class SessionType:
-    pass
+    __slots__ = ()
 
 
 class Sort:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Basic(Sort):
     name: str
 
@@ -115,39 +152,39 @@ BOOL = Basic("bool")
 STRING = Basic("string")
 
 
-@dataclass(frozen=True)
+@_node
 class ServiceSort(Sort):
     session: SessionType
 
 
-@dataclass(frozen=True)
+@_node
 class End(SessionType):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(SessionType):
     """Both endpoints of the channel are used; occurs only in typings."""
 
 
-@dataclass(frozen=True)
+@_node
 class In(SessionType):
     payload: Sort | SessionType
     then: SessionType
 
 
-@dataclass(frozen=True)
+@_node
 class Out(SessionType):
     payload: Sort | SessionType
     then: SessionType
 
 
-@dataclass(frozen=True)
+@_node
 class BranchT(SessionType):
     options: tuple[tuple[str, SessionType], ...]
 
 
-@dataclass(frozen=True)
+@_node
 class SelectT(SessionType):
     options: tuple[tuple[str, SessionType], ...]
 
@@ -175,27 +212,27 @@ def select(pairs) -> SelectT:
 # ------------------------------------------------------------------ processes
 
 class Process:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Stop(Process):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Par(Process):
     left: Process
     right: Process
 
 
-@dataclass(frozen=True)
+@_node
 class New(Process):
     chan: Name
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Serve(Process):
     """Replicated accept: stays in place and spawns one body per request."""
     service: Name
@@ -203,7 +240,7 @@ class Serve(Process):
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Accept(Process):
     """One-shot accept: consumed by the connection it serves."""
     service: Name
@@ -211,55 +248,55 @@ class Accept(Process):
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Request(Process):
     service: Name
     chan: Name
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Receive(Process):
     chan: Name
     var: str
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Send(Process):
     chan: Name
     expr: Expr
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class ReceiveSession(Process):
     chan: Name
     bound: Name
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class SendSession(Process):
     chan: Name
     sent: Name
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Offer(Process):
     chan: Name
     arms: tuple[tuple[str, Process], ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Choose(Process):
     chan: Name
     label: str
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class If(Process):
     test: Expr
     then: Process
@@ -346,7 +383,7 @@ def _readers(cls: type, s: Shape) -> _Readers:
         one(s.mentions), several(s.mentions),
         None if arms else one(s.children),
         _arm_processes if arms else several(s.children),
-        tuple(f.name for f in fields(cls) if f.name not in s.children))
+        tuple(f for f in cls._fields if f not in s.children))
 
 
 # indexed by `type(p)`: anything but a process raises KeyError
@@ -515,7 +552,7 @@ def _rename(p: Process, env: dict[Name, Name],
                 del env[c]
             else:
                 env[c] = hidden
-        return replace(done, **renamed) if renamed else done
+        return done._replace(**renamed) if renamed else done
 
     return _map(p, enter, leave)
 

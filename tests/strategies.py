@@ -8,7 +8,6 @@ filtering random terms.
 """
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import random
 import sys
@@ -372,9 +371,9 @@ def size(p: sx.Process) -> int:
     while todo:
         x = todo.pop()
         n += 1
-        for f in dataclasses.fields(x):
-            v = getattr(x, f.name)
-            for u in v if isinstance(v, tuple) else (v,):
+        for f in x._fields:
+            v = getattr(x, f)
+            for u in v if type(v) is tuple else (v,):  # an offer's arms
                 if isinstance(u, (sx.Process, sx.Expr)):
                     todo.append(u)
                 elif isinstance(u, tuple):

@@ -619,16 +619,22 @@ def test_python_m_sessionpi_runs_the_cli(capsys):
         assert r.returncode == want
 
 
-def _python310():
-    """A `python3.10` that starts: the one on the path, else the newest
-    `$(pyenv root)/versions/3.10.*/bin/python3.10` (a pyenv shim on the
-    path fails unless the version is selected); None if neither does."""
-    candidates = [shutil.which("python3.10")]
+def _python(version):
+    """A CPython that starts, for `version` "3.10" or "newest".  For
+    3.10: the `python3.10` on the path, else the newest
+    `$(pyenv root)/versions/3.10.*/bin/python3.10`; for the newest: the
+    newest release under `$(pyenv root)/versions` (a pyenv shim on the
+    path fails unless the version is selected).  None if none starts."""
+    newest = version == "newest"
+    candidates = [] if newest else [shutil.which(f"python{version}")]
     pyenv = shutil.which("pyenv")
     if pyenv is not None:
         root = subprocess.run([pyenv, "root"], capture_output=True,
                               text=True, timeout=120).stdout.strip()
-        installed = Path(root).glob("versions/3.10.*/bin/python3.10")
+        pattern = r"3\.\d+\.\d+" if newest else re.escape(version) + r"\.\d+"
+        installed = [d / "bin" / f"python{d.name.rsplit('.', 1)[0]}"
+                     for d in Path(root).glob("versions/3.*")
+                     if re.fullmatch(pattern, d.name)]
         candidates += sorted(installed, reverse=True, key=lambda exe: [
             int(n) for n in re.findall(r"\d+", exe.parts[-3])])
     for exe in filter(None, candidates):
@@ -639,12 +645,15 @@ def _python310():
     return None
 
 
-def test_cli_runs_on_the_oldest_supported_python(capsys):
+@pytest.mark.parametrize("version", ["3.10", "newest"])
+def test_cli_runs_on_the_oldest_and_newest_python(capsys, version):
     # `requires-python` is >=3.10: no syntax, library call or regex
-    # feature (such as a possessive quantifier) from a later version
-    exe = _python310()
+    # feature (such as a possessive quantifier) from a later version;
+    # and the node classes lean on `namedtuple`'s `__match_args__`,
+    # `_make` and method order, which a newer version could change
+    exe = _python(version)
     if exe is None:
-        pytest.skip("no working python3.10 on the path or from pyenv")
+        pytest.skip(f"no working python {version} on the path or from pyenv")
     src = Path(cli.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     for f in sorted(SAMPLES.glob("*.spi")):
@@ -721,10 +730,22 @@ def test_inhabit_contract_on_fuzzed_inputs(capsys):
 
 
 def test_every_traced_function_exists():
-    # the benchmark's tracer and self-check look these up by name
-    for mod, fn in S.bench_module("spans").TRACED:
+    # the benchmark's tracer and self-check look these up by name, the
+    # tracer in `sys.modules`: importing `cli` alone must load every
+    # traced module, or a run that used only some of them could not be
+    # traced
+    traced = S.bench_module("spans").TRACED
+    for mod, fn in traced:
         module = importlib.import_module(f"sessionpi.{mod}")
         assert callable(getattr(module, fn, None)), f"{mod}.{fn}"
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = ("import sys, sessionpi.cli; print(*sorted(m for m in sys.modules"
+             " if m.startswith('sessionpi.')))")
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                       text=True, check=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": str(src)})
+    loaded = set(r.stdout.split())
+    assert {f"sessionpi.{mod}" for mod, _ in traced} <= loaded, loaded
 
 
 # The golden transcript: every output-producing command on every sample,

@@ -44,6 +44,78 @@ def test_name_hash_and_equality_contract():
     assert f.uid is not None and f.uid != k.fresh().uid
 
 
+def _one_node_of_each_class():
+    k, a = sx.chan("k"), sx.svc("a")
+    one = sx.IntLit(1)
+    return [
+        one, sx.BoolLit(True), sx.StrLit("s"), sx.Var("x"), sx.SvcRef("a"),
+        sx.Unop("-", one), sx.Binop("+", one, sx.Var("x")),
+        sx.INT, sx.ServiceSort(sx.End()), sx.End(), sx.Bot(),
+        sx.In(sx.INT, sx.End()), sx.Out(sx.INT, sx.End()),
+        sx.branch([("l", sx.End())]), sx.select([("l", sx.End())]),
+        sx.Stop(), sx.Par(sx.Stop(), sx.Stop()), sx.New(k, sx.Stop()),
+        sx.Serve(a, k, sx.Stop()), sx.Accept(a, k, sx.Stop()),
+        sx.Request(a, k, sx.Stop()), sx.Receive(k, "x", sx.Stop()),
+        sx.Send(k, one, sx.Stop()), sx.ReceiveSession(k, k, sx.Stop()),
+        sx.SendSession(k, k, sx.Stop()), sx.Offer(k, (("l", sx.Stop()),)),
+        sx.Choose(k, "l", sx.Stop()), sx.If(sx.BoolLit(True), sx.Stop(),
+                                            sx.Stop()),
+    ]
+
+
+def test_nodes_are_equal_only_within_their_class():
+    nodes = _one_node_of_each_class()
+    assert len({type(n) for n in nodes}) == len(nodes) == 28
+    assert sx.Stop() != sx.End() and not sx.Stop() == sx.End()
+    assert sx.In(sx.INT, sx.End()) != sx.Out(sx.INT, sx.End())
+    assert sx.BranchT((("l", sx.End()),)) != sx.SelectT((("l", sx.End()),))
+    for n in nodes:
+        copy = type(n)(*n)
+        assert copy == n and not copy != n and hash(copy) == hash(n)
+        assert n != tuple(n) and tuple(n) != n
+        assert not n == tuple(n) and not tuple(n) == n
+        assert bool(n), n  # `Stop()` and `End()` have no fields
+        for m in nodes:
+            assert (m == n) == (m is n) and (m != n) == (m is not n)
+
+
+def test_nodes_are_immutable():
+    for n in _one_node_of_each_class():
+        for f in (*n._fields, "extra"):
+            try:
+                setattr(n, f, None)
+            except AttributeError:
+                continue
+            raise AssertionError(f"{type(n).__name__}.{f} was assigned")
+
+
+def test_nodes_keep_their_bases_constructors_patterns_and_text():
+    bases = (sx.Expr, sx.Sort, sx.SessionType, sx.Process)
+    for n in _one_node_of_each_class():
+        assert sum(isinstance(n, b) for b in bases) == 1, n
+        assert type(n)(**dict(zip(n._fields, n))) == n
+    assert all(issubclass(cls, sx.Process) for cls in sx.SHAPES)
+    k = sx.chan("k")
+    p = sx.Send(chan=k, expr=sx.IntLit(value=1), body=sx.Stop())
+    assert p == sx.Send(k, sx.IntLit(1), sx.Stop())
+    assert repr(p) == ("Send(chan=Name(base='k', kind='chan', uid=None),"
+                       " expr=IntLit(value=1), body=Stop())")
+    match p:
+        case sx.Receive(_, _, _) | sx.Stop():
+            raise AssertionError(p)
+        case sx.Send(c, sx.IntLit(v), body=sx.Stop()):
+            assert (c, v) == (k, 1)
+        case _:
+            raise AssertionError(p)
+    match sx.In(sx.INT, sx.End()):
+        case sx.Out(_, _):
+            raise AssertionError("an input matched Out")
+        case sx.In(sx.Basic("int"), sx.End()):
+            pass
+        case _:
+            raise AssertionError("an input did not match In")
+
+
 def test_free_session_channels():
     k, k2 = sx.chan("k"), sx.chan("k2")
     p = sx.Send(k, sx.IntLit(1), sx.Receive(k2, "x", sx.Stop()))
