@@ -4,27 +4,17 @@
 free channels to session types, where `bot` marks channels whose two
 endpoints are both used inside the process.
 
-A serve, accept or request is checked against a type known before its
-body is read: the declared session for a serve or accept, its dual for
-a request (taken once per service and call).  Check mode (`_check`)
-walks the body and consumes one head of a channel's type per prefix
-on it: a receive binds its variable straight to a basic payload sort,
-a send types its expression against the payload sort, a selection and
-an offer are matched against the declared labels, and both branches
-of `if` go on from the same types.  Nested serves, accepts and
-requests, and channels received at a declared payload, are checked in
-the same walk.
-
-Everything else is inferred bottom-up with unification (`_infer`):
-free sessions, `new`, `|`, and any service body check mode is unsure
-of.  Check mode unifies nothing, so when it is unsure, the body is
-inferred as if it had never been checked, and inference alone raises
-every `TypingError`.  Delegation introduces a type variable for the
-sent channel, paired with a mirror variable so that taking duals
-commutes with later instantiation.  A label selection produces an
-extensible internal select type that absorbs sibling labels when
-matched against a wider select, and is frozen to its accumulated
-labels at the end.
+Every term is typed by one walk, bottom-up with unification
+(`_infer`): a prefix wraps its channel's type in the typing of its
+continuation, `|` composes typings, and `if` and offers join them.  A
+serve, accept or request then unifies the type its body gives its
+channel with the declared session, or for a request with that
+session's dual (taken once per service and call).  Delegation
+introduces a type variable for the sent channel, paired with a mirror
+variable so that taking duals commutes with later instantiation.  A
+label selection produces an extensible internal select type that
+absorbs sibling labels when matched against a wider select, and is
+frozen to its accumulated labels at the end.
 
 Terms are walked on explicit stacks, and types in loops along their
 continuations, so a long prefix chain and its type need no deep
@@ -84,6 +74,8 @@ class SVar(Sort):
 
 
 def walk(t: SessionType) -> SessionType:
+    # the links end: `bind` links a variable only to a type it does not
+    # occur in, so no chain of links comes back to its start
     while type(t) is TVar and t.link is not None:
         t = t.link
     if type(t) is OpenSel:
@@ -100,6 +92,8 @@ def walk_sort(s: Sort) -> Sort:
 
 
 def osfind(o: OpenSel) -> OpenSel:
+    # `_os_union` gives a root a parent only when that parent is another
+    # root, so the parents form a forest and each climb ends at a root
     while o.parent is not None:
         o = o.parent
     return o
@@ -110,7 +104,7 @@ def dual(t: SessionType) -> SessionType:
     chosen labels swap, payloads stay as they are."""
     heads = []  # the inputs and outputs along t's continuations
     t = walk(t)
-    while type(t) is In or type(t) is Out:
+    while type(t) is In or type(t) is Out:  # ends: t is finite
         heads.append(t)
         t = walk(t.then)
     match t:
@@ -139,7 +133,7 @@ def resolve(t: SessionType) -> SessionType:
     selects freeze to their accumulated labels."""
     heads = []  # (In or Out, resolved payload) along t's continuations
     t = walk(t)
-    while type(t) is In or type(t) is Out:
+    while type(t) is In or type(t) is Out:  # ends: t is finite
         heads.append((type(t), resolve_payload(t.payload)))
         t = walk(t.then)
     match t:
@@ -183,7 +177,7 @@ def show(t: SessionType | Sort) -> str:
 
 def _occurs(v: TVar | SVar, t: SessionType | Sort) -> bool:
     todo = [t]
-    while todo:
+    while todo:  # each pass pops one node of the finite t, pushing its parts
         t = todo.pop()
         t = walk(t) if isinstance(t, SessionType) else walk_sort(t)
         match t:
@@ -215,7 +209,25 @@ def bind(v: TVar, t: SessionType) -> None:
 
 
 def unify(a: SessionType, b: SessionType) -> None:
-    while True:  # along the continuations of a and b
+    # Each pass returns, raises, or goes on: along the continuations of
+    # two heads, which are finite, or once from a `DualOpen` to its base
+    # open select against the dual of the other side.  That side is no
+    # variable (bound below) and no open select (that pair is refused,
+    # since it would rewrite to itself swapped), so its dual is no
+    # `DualOpen`, and the next pass ends.
+    while True:
+        ta = type(a)
+        if ta is type(b):  # two concrete heads, or two ends, need no walk
+            if ta is Out or ta is In:
+                pa, pb = a.payload, b.payload
+                if type(pa) is SVar and pa.link is None and type(pb) is Basic:
+                    pa.link = pb
+                elif pa is not pb:
+                    unify_payload(pa, pb)
+                a, b = a.then, b.then
+                continue
+            if ta is End:
+                return
         a, b = walk(a), walk(b)
         if a is b:
             return
@@ -228,10 +240,8 @@ def unify(a: SessionType, b: SessionType) -> None:
         match a, b:
             case End(), End():
                 return
-            case (In(p1, t1), In(p2, t2)) | (Out(p1, t1), Out(p2, t2)):
-                unify_payload(p1, p2)
-                a, b = t1, t2
-                continue
+            case (In(), In()) | (Out(), Out()):
+                continue  # heads reached through links: see the top
             case (BranchT(o1), BranchT(o2)) | (SelectT(o1), SelectT(o2)):
                 if [l for l, _ in o1] != [l for l, _ in o2]:
                     raise TypingError(
@@ -248,6 +258,8 @@ def unify(a: SessionType, b: SessionType) -> None:
             case (SelectT(_), OpenSel()):
                 _os_close_to(b, a)
                 return
+            case (OpenSel(), DualOpen()) | (DualOpen(), OpenSel()):
+                pass  # a select is never a branch
             case (DualOpen(base), _):
                 a, b = base, dual(b)
                 continue
@@ -274,7 +286,7 @@ def unify_sort(a: Sort, b: Sort) -> None:
     if a is b:
         return
     if isinstance(a, SVar):
-        if _occurs(a, b):
+        if type(b) is not Basic and _occurs(a, b):
             raise TypingError("value's sort would have to contain itself")
         a.link = b
         return
@@ -339,8 +351,10 @@ def _err(rule: str, at: Process, msg: str) -> TypingError:
 
 
 def _pop_cont(d: Delta, c: Name, rule: str, at: Process) -> SessionType:
-    t = d.pop(c, End())
-    if isinstance(walk(t), Bot):
+    t = d.pop(c, None)
+    if t is None:
+        return End()
+    if type(t) is not In and type(t) is not Out and isinstance(walk(t), Bot):
         raise _err(rule, at,
                    f"channel {c.base} is used again after being closed")
     return t
@@ -429,9 +443,12 @@ _UNOPS = {"-": INT, "not": BOOL}
 
 
 def type_expr(env: dict[str, Sort], e: Expr) -> Sort:
+    t = type(e)  # the commonest two first, before the `match`
+    if t is sx.IntLit:
+        return INT
+    if t is sx.Var and e.name in env:
+        return env[e.name]
     match e:
-        case sx.IntLit(_):
-            return INT
         case sx.BoolLit(_):
             return BOOL
         case sx.StrLit(_):
@@ -481,258 +498,61 @@ def _requested(duals: Duals, a: Name, sort: ServiceSort) -> SessionType:
     return got[1]
 
 
-# ---------------------------------------------------------------- check mode
-
-def _same(a: SessionType | Sort, b: SessionType | Sort) -> bool:
-    """Whether the types or sorts a and b, free of solver nodes, are
-    equal, which is when they unify; False if either holds a solver
-    node or `bot`."""
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        t = type(a)
-        if t is not type(b):
-            return False
-        if t is Basic:
-            if a.name != b.name:
-                return False
-        elif t is In or t is Out:
-            todo += ((a.payload, b.payload), (a.then, b.then))
-        elif t is BranchT or t is SelectT:
-            if len(a.options) != len(b.options):
-                return False
-            for (l1, x), (l2, y) in zip(a.options, b.options):
-                if l1 != l2:
-                    return False
-                todo.append((x, y))
-        elif t is ServiceSort:
-            todo.append((a.session, b.session))
-        elif t is not End:
-            return False
-    return True
-
-
-def _sort_of(env: dict[str, Sort], e: Expr) -> Sort | None:
-    """The sort `type_expr` gives e, found without unifying: None where
-    it would raise, or where e names a value whose sort is open."""
-    t = type(e)
-    if t is sx.IntLit:
-        return INT
-    if t is sx.BoolLit:
-        return BOOL
-    if t is sx.StrLit:
-        return STRING
-    if t is sx.Var or t is sx.SvcRef:
-        s = env.get(e.name)
-        s = None if s is None else walk_sort(s)
-        return None if type(s) is SVar else s
-    if t is sx.Unop:
-        want = _UNOPS.get(e.op)
-        a = _sort_of(env, e.arg)
-        return want if want and a is not None and _same(a, want) else None
-    if t is sx.Binop:
-        l, r = _sort_of(env, e.left), _sort_of(env, e.right)
-        if l is None or r is None:
-            return None
-        if e.op == "=" or e.op == "!=":
-            return BOOL if _same(l, r) else None
-        arg, res = _BINOPS.get(e.op, (None, None))
-        return res if arg and _same(l, arg) and _same(r, arg) else None
-    return None
-
-
-_GONE = object()  # in `_check`'s trail: the key had no entry
-_ON_CHANNEL = {sx.Send, sx.Receive, sx.Choose, sx.Offer, sx.ReceiveSession,
-               sx.SendSession}
-
-
-def _check(env: dict[str, Sort], p: Process, relax: bool,
-           duals: Duals) -> bool:
-    """True when `_infer` would type the serve, accept or request p at
-    {} without error; False when that is unsure.
-
-    Every channel the walk meets must have a known type: p's own, those
-    of the serves, accepts and requests below it, and channels received
-    at a declared payload; any other channel, `|` or `new` makes it
-    unsure.  `known` maps each channel in scope to what is left of its
-    type, and drops it at `end`; a prefix consumes one head of its
-    channel's entry, so `0` must find `known` empty.  Received basic
-    values are bound in env to their sort.  Each change to `known` and
-    env is logged in `trail`, and a branch of `if` or an offer arm
-    first undoes the log back to its head.  Nothing is unified, and env
-    is restored before the answer, so a False leaves no trace.
-    """
-    known: dict[Name, SessionType] = {}
-    trail: list[tuple[dict, object, object]] = []
-    # (trail length to undo to, term, channel to type first, its type)
-    todo: list[tuple[int, Process, Name | None, SessionType | None]]
-    todo = [(0, p, None, None)]
-
-    def put(m: dict, k: object, v: object) -> None:
-        if todo or m is env:  # a branch may undo it, or env is restored
-            trail.append((m, k, m.get(k, _GONE)))
-        if v is _GONE or type(v) is End:
-            m.pop(k, None)
-        else:
-            m[k] = v
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            m, k, old = trail.pop()
-            if old is _GONE:
-                m.pop(k, None)
-            else:
-                m[k] = old
-
-    try:
-        while todo:
-            mark, q, c, t = todo.pop()
-            if len(trail) > mark:
-                undo(mark)
-            if c is not None:
-                put(known, c, t)
-            while True:  # along q's prefix chain
-                tq = type(q)
-                if tq is sx.Stop:
-                    if known:
-                        return False
-                    break
-                if tq is sx.Serve or tq is sx.Accept or tq is sx.Request:
-                    sort = env.get(q.service.base)
-                    if type(sort) is not ServiceSort or q.chan in known:
-                        return False
-                    if tq is sx.Request:
-                        try:
-                            t = _requested(duals, q.service, sort)
-                        except TypingError:  # `bot` in the session
-                            return False
-                    elif known and not relax:
-                        return False  # the body of a service is closed
-                    else:
-                        t = sort.session
-                    put(known, q.chan, t)
-                    q = q.body
-                    continue
-                if tq is sx.If:
-                    s = _sort_of(env, q.test)
-                    if s is None or not _same(s, BOOL):
-                        return False
-                    mark = len(trail)
-                    todo += ((mark, q.els, None, None),
-                             (mark, q.then, None, None))
-                    break
-                if tq not in _ON_CHANNEL:  # `|`, `new`, or not a process
-                    return False
-                c = q.chan
-                t = known.get(c)
-                tt = type(t)
-                if tq is sx.Send:
-                    s = _sort_of(env, q.expr)
-                    if (tt is not Out or s is None
-                            or not _same(s, t.payload)):
-                        return False
-                elif tq is sx.Receive:
-                    # inference gives a received value an open sort,
-                    # which a request on its name refuses: only basic
-                    # values are bound here
-                    if tt is not In or type(t.payload) is not Basic:
-                        return False
-                    put(env, q.var, t.payload)
-                elif tq is sx.Choose:
-                    if tt is not SelectT:
-                        return False
-                    for label, a in t.options:
-                        if label == q.label:
-                            put(known, c, a)
-                            break
-                    else:
-                        return False
-                    q = q.body
-                    continue
-                elif tq is sx.Offer:
-                    labels = [l for l, _ in q.arms]
-                    if (tt is not BranchT
-                            or len(set(labels)) != len(labels)
-                            or sorted(labels) != [l for l, _ in t.options]):
-                        return False
-                    opts = dict(t.options)
-                    mark = len(trail)
-                    todo += [(mark, arm, c, opts[l])
-                             for l, arm in reversed(q.arms)]
-                    break
-                elif tq is sx.ReceiveSession:
-                    if (tt is not In or isinstance(t.payload, Sort)
-                            or q.bound in known):
-                        return False
-                    put(known, q.bound, t.payload)
-                elif tq is sx.SendSession:
-                    n = q.sent
-                    if (tt is not Out or isinstance(t.payload, Sort)
-                            or n == c or n not in known
-                            or not _same(known[n], t.payload)):
-                        return False
-                    put(known, n, _GONE)
-                put(known, c, t.then)
-                q = q.body
-        return True
-    finally:
-        undo(0)
-
-
-# ----------------------------------------------------------------- inference
-
 _SERVICE_RULES = {sx.Serve: "T-RServ", sx.Accept: "T-Serv",
                   sx.Request: "T-Req"}
 
 
 def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
-    """The typing of p, with solver nodes still in it.
+    """The typing of p, with solver nodes still in it: every term is
+    inferred bottom-up with unification, and a serve, accept or request
+    then unifies its body's type for its channel with the declared
+    session, or for a request with its dual.
 
-    Each serve, accept or request is checked first (`_check`), and
-    inferred only where that is unsure; nothing below an inferred one
-    is checked, so no part of p is walked more than twice.  Inference
-    runs on an explicit stack: `todo` holds the terms still to visit
-    and, below the parts of each, a step `(rule, term, data)` that
+    The walk runs on an explicit stack: `todo` holds the terms still to
+    visit and, below the parts of each, a step `(rule, term, data)` that
     finishes the term from their typings, which wait on `done`.  So a
     prefix chain is walked down and its heads are wrapped on the way
-    back up, and only `|`, `if` and offers wait on several parts.
+    back up, and only `|`, `if` and offers wait on several parts.  A run
+    of sends and receives is read in one inner loop and wrapped by one
+    "run" step, whose data lists its prefixes in order.
     """
     duals: Duals = {}
     done: list[Delta] = []
     todo: list = [p]
-    inferring = 0  # the serves, accepts and requests being inferred
     while todo:
         q = todo.pop()
         tq = type(q)
         if tq is not tuple:
+            if tq is sx.Send or tq is sx.Receive:
+                # (prefix, Out or In, payload sort, the received name's
+                # outer sort)
+                run: list[tuple[Process, type, Sort, Sort | None]] = []
+                while tq is sx.Send or tq is sx.Receive:
+                    if tq is sx.Send:
+                        try:
+                            run.append((q, Out, type_expr(env, q.expr), None))
+                        except TypingError as err:
+                            raise _err("T-Out", q, str(err)) from err
+                    else:
+                        # x is bound in the one dict and unbound after:
+                        # a copy per receive would keep one dict per
+                        # level alive
+                        sv = SVar()
+                        run.append((q, In, sv, env.pop(q.var, None)))
+                        env[q.var] = sv
+                    q = q.body
+                    tq = type(q)
+                todo.append(("run", None, run))
             if tq is sx.Stop:
                 done.append({})
-            elif tq is sx.Send:
-                try:
-                    s = type_expr(env, q.expr)
-                except TypingError as err:
-                    raise _err("T-Out", q, str(err)) from err
-                todo += (("T-Out", q, s), q.body)
-            elif tq is sx.Receive:
-                # x is bound in the one dict and unbound after: a copy
-                # per receive would keep one dict per level alive
-                sv = SVar()
-                todo += (("T-In", q, (sv, env.pop(q.var, None))), q.body)
-                env[q.var] = sv
             elif tq is sx.Par:
                 done.append({})
                 for leaf in reversed(sx.par_leaves(q)):
                     todo += (("T-Par", q, None), leaf)
             elif tq in _SERVICE_RULES:
                 rule = _SERVICE_RULES[tq]
-                sort = _service_sort(env, q.service, rule, q)
-                if not inferring and _check(env, q, relax, duals):
-                    done.append({})
-                    continue
-                inferring += 1
-                todo += ((rule, q, sort), q.body)
+                todo += ((rule, q, _service_sort(env, q.service, rule, q)),
+                         q.body)
             elif tq is sx.Offer:
                 arms: list[tuple[str, SessionType, Delta]] = []
                 todo.append(("T-Bra", q, arms))
@@ -758,6 +578,27 @@ def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
             continue
         # finishing q from the typings of its parts
         rule, q, data = q
+        if rule == "run":
+            # the heads are wrapped from the innermost out.  While
+            # consecutive prefixes are on one channel c, its type so far
+            # is kept in t rather than in d; only the innermost of them
+            # can find c closed, as the others find a head
+            d = done[-1]
+            c = t = None
+            for q, head, s, outer in reversed(data):
+                if head is In:
+                    if outer is None:
+                        del env[q.var]
+                    else:
+                        env[q.var] = outer
+                if q.chan != c:
+                    if c is not None:
+                        d[c] = t
+                    c = q.chan
+                    t = _pop_cont(d, c, "T-In" if head is In else "T-Out", q)
+                t = head(s, t)
+            d[c] = t
+            continue
         if rule == "T-Par":
             d = done.pop()
             try:
@@ -803,15 +644,6 @@ def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
                     "T-Res", q,
                     f"restricted channel {c.base} is left at {show(t)}; "
                     "both endpoints must run to completion")
-        elif rule == "T-Out":
-            d[c] = Out(data, _pop_cont(d, c, rule, q))
-        elif rule == "T-In":
-            sv, outer = data
-            if outer is None:
-                del env[q.var]
-            else:
-                env[q.var] = outer
-            d[c] = In(sv, _pop_cont(d, c, rule, q))
         elif rule == "T-Sel":
             d[c] = OpenSel({q.label: _pop_cont(d, c, rule, q)})
         elif rule == "T-InS":
@@ -833,7 +665,6 @@ def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
             d[c] = Out(beta, _pop_cont(d, c, rule, q))
             d[n] = beta
         else:  # a serve, accept or request; data is its service's sort
-            inferring -= 1
             t = _pop_cont(d, c, rule, q)
             try:
                 unify(t, _requested(duals, q.service, data)

@@ -560,6 +560,33 @@ def test_run_steps_a_long_chain_beside_its_partner(tmp_path):
         assert r.stdout.splitlines() == want, argv
 
 
+@pytest.mark.parametrize("text, sel", [
+    ("sessions c;\nc << go.0 | c << go.0", "+{go: end}"),
+    ("sessions c;\nc << go.c!(1).0 | c << go.c?(x).0", "+{go: ![int].end}"),
+    ("sessions c, k;\nk!((c)).0 | k?((d)).d << go.0 | c << go.0",
+     "+{go: end}"),
+])
+def test_two_selections_on_one_channel_are_ill_typed(tmp_path, text, sel):
+    # `unify` turned an open select against the branch view of another
+    # into the same pair swapped, for ever: every subcommand that types
+    # hung on these, the last with a selection received by delegation
+    f = tmp_path / "sel.spi"
+    f.write_text(text + "\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    body = text.split("\n")[1]
+    why = ("T-Par: parallel threads disagree on channel c: cannot unify "
+           f"{sel} with &{sel[1:]}, at: {body}")
+    for cmd, want in (("check", [f"ill-typed: {why}"]),
+                      ("transparent", ["NotWellTyped", f"  {why}"]),
+                      ("progress", [f"ill-typed: {why}"])):
+        r = subprocess.run([sys.executable, "-m", "sessionpi", cmd, str(f)],
+                           env=env, capture_output=True, text=True,
+                           timeout=30, preexec_fn=_limit_memory)
+        assert r.returncode == 1, (cmd, r.stderr[-500:])
+        assert r.stdout.splitlines() == want, cmd
+
+
 def _limit_memory():
     """Cap a child's address space, so a blow-up fails the test rather
     than the machine."""

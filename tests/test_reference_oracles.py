@@ -18,13 +18,16 @@ a time.
 `reference_find_cycle` walks a dependency graph's edges, as
 `depgraph.find_cycle` did before it read the occurrence index, and
 `alpha_equivalent` compares two terms up to their bound names.
-`reference_check` types a process as `typecheck.check` did before
-check mode: it infers every body with `reference_infer`, which
-recurses once per prefix, and unifies it with its declared session."""
+`reference_check` types a process by the rules `typecheck.check`
+applies on its one explicit-stack walk, but with `reference_infer`,
+which recurses once per prefix and takes the dual of a service's
+session afresh for every request."""
 import bisect
+import contextlib
 import functools
 import random
 import re
+import signal
 import sys
 from collections import Counter
 from pathlib import Path
@@ -1044,9 +1047,9 @@ def reference_service_session(env, a, rule, at):
 
 
 def reference_infer(env, p, relax):
-    """`typecheck._infer` as it read before check mode, recursing once
-    per prefix: every body is inferred bottom-up, then unified with its
-    service's declared session or its dual."""
+    """`typecheck._infer` as it read before its explicit stack,
+    recursing once per prefix: every body is inferred bottom-up, then
+    unified with its service's declared session or its dual."""
     match p:
         case sx.Stop():
             return {}
@@ -1347,12 +1350,63 @@ def test_check_agrees_with_the_reference_on_mutated_sources():
     assert errors > 4_000  # most changes make the thread ill-typed
 
 
-def test_check_mode_halves_the_dual_and_unify_calls(monkeypatch):
-    # on the `certify` files of seed 1 every service body checks against
-    # its declared session.  Each call counts, recursive ones too.  Where
-    # every body was inferred and then unified with that session or its
-    # dual, rebuilt for each request, `check` made 10,702 `dual` and
-    # 15,299 `unify` calls on these files.
+def small_threads(depth=2):
+    """Every thread on channel c of at most `depth` levels over `0`, a
+    level being `c!(1)`, `c?(x)`, `c << go`, `c << stop`, or an offer
+    of `go`, or of `go` and `stop`: 85 threads at depth 2.  Each level
+    names its received value apart (`x1`, `x2`), since names may not
+    be bound again in their own scope."""
+    level = ["0"]
+    for i in range(1, depth + 1):
+        level = ["0", *(f"{head}.{t}" for head in (
+                            "c!(1)", f"c?(x{i})", "c << go", "c << stop")
+                        for t in level),
+                 *(f"c >> {{go: {t}}}" for t in level),
+                 *(f"c >> {{go: {t}, stop: {u}}}"
+                   for t in level for u in level)]
+    return level
+
+
+class Overtime(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise `Overtime` in the block once it has run for `seconds`, so
+    that a loop that never ends fails instead of blocking the suite."""
+    def expire(signum, frame):
+        raise Overtime(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_check_agrees_with_the_reference_on_all_pairs_of_small_threads():
+    # two selections on c made `unify` loop for ever, in `check` and the
+    # reference alike; every pair must now get its typing or error
+    threads = [sf.parse_process(t, ("c",)) for t in small_threads()]
+    assert len(threads) == 85
+    typed = 0
+    with deadline(120):
+        for p in threads:
+            for q in threads:
+                typed += isinstance(assert_same_typing({}, sx.Par(p, q)),
+                                    list)
+    assert 0 < typed < 85 * 85
+
+
+def test_dual_and_unify_calls_on_the_certify_files_do_not_grow(monkeypatch):
+    # on the `certify` files of seed 1, every service body is inferred
+    # and unified with its declared session, or with its dual, taken
+    # once per service in each `check`; `reference_check`, which takes
+    # that dual again for every request, makes 2,888 `dual` calls here.
+    # Each call counts, recursive ones too.
     sources = [sf.parse_source(case.text)
                for case in S.bench_gen().certify(1)]
     counts = Counter()
@@ -1366,5 +1420,4 @@ def test_check_mode_halves_the_dual_and_unify_calls(monkeypatch):
         monkeypatch.setattr(tc, name, counted)
     for src in sources:
         tc.check(src.gamma, src.process)
-    assert 2 * counts["dual"] <= 10_702 and 2 * counts["unify"] <= 15_299, \
-        counts
+    assert counts["dual"] <= 1_859 and counts["unify"] <= 4_221, counts

@@ -181,6 +181,14 @@ def test_errors_on_terms_the_parser_cannot_produce():
         tc.check(g, p)
 
 
+def test_a_selection_does_not_unify_with_the_dual_of_another():
+    # the pair rewrote to itself swapped, and `unify` never returned
+    sel = tc.OpenSel({"go": sx.End()})
+    with pytest.raises(tc.TypingError,
+                       match=r"cannot unify \+\{go: end\} with &\{go: end\}"):
+        tc.unify(tc.OpenSel({"go": sx.End()}), tc.dual(sel))
+
+
 def test_serve_body_must_close_its_session():
     g = {"a": sx.ServiceSort(sx.End())}
     with pytest.raises(tc.TypingError) as e:
