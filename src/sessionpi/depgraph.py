@@ -12,7 +12,6 @@ the channel-occurrence index instead of the quadratically many edges.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import congruence, typecheck
@@ -153,8 +152,7 @@ def leads_to(g: DepGraph, a: Name, b: Name) -> bool | None:
     return any(dsu.find(j) in reach for j in nb)
 
 
-@dataclass
-class Transparency:
+class Transparency(NamedTuple):
     ok: bool
     reason: str  # "transparent", "ill-typed" or "cyclic"
     detail: str

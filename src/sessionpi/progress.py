@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from . import congruence, depgraph, semantics, syntax as sx, typecheck
 from .syntax import Name, Process, SessionType, Sort
@@ -48,7 +48,7 @@ def inhabit(a: SessionType, k: Name,
     counters = {"svc": 0, "var": 0, "chan": 0}
 
     def fresh_service() -> Name:
-        while True:
+        while True:  # ends: the counter passes every name in `taken`
             base = f"#inh{counters['svc']}"
             counters["svc"] += 1
             if base not in taken:
@@ -72,6 +72,8 @@ def inhabit(a: SessionType, k: Name,
         as a recursive reading would: a service's server before the
         continuation, a session payload's partner after it."""
         heads: list[tuple] = []  # (prefix class, its name or value, payload)
+        # the loop ends: each pass breaks or steps a to its continuation
+        # or to the first option of its select, a part of the finite a
         while True:
             if type(a) is sx.In and isinstance(a.payload, Sort):
                 heads.append((sx.Receive, fresh_var(), None))
@@ -166,8 +168,7 @@ def _partner(gamma: dict[str, Sort], p: Process, threads: tuple[Process, ...]
 
 # ----------------------------------------------------------- the certifier
 
-@dataclass
-class ProgressResult:
+class ProgressResult(NamedTuple):
     verdict: str  # "certificate" | "counterexample" | "inconclusive"
     reason: str
     state: Process | None = None  # reachable state the refutation lives in

@@ -52,9 +52,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, NoReturn, TypeVar
+from typing import Callable, NamedTuple, NoReturn, TypeVar
 
 from . import syntax as sx
 from .syntax import Expr, Name, Process, SessionType, Sort
@@ -234,8 +233,7 @@ def tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
 
 # -------------------------------------------------------------------- parser
 
-@dataclass
-class Source:
+class Source(NamedTuple):
     """A parsed file: declared free channels, sort environment, process."""
     sessions: tuple[Name, ...]
     gamma: dict[str, Sort]
@@ -499,6 +497,11 @@ class _Parser:
         heads: list[_Head] = []
         left: Process | None = None
         i = self.pos
+        # the loop ends: each pass reads at least one token, as every
+        # `continue` and `break` below follows a step of i, and i never
+        # passes `EOF`, which no pass accepts.  The inner loop that
+        # closes constructs pops a frame of `stack` on each pass it does
+        # not leave, and `stack` holds one frame per token read.
         while True:
             tag = tags[i]
             if tag == IDENT:
@@ -900,6 +903,8 @@ def pieces(p: Process) -> list[str | Name]:
     around a `|` that is a prefix's continuation or a branch of `if`."""
     out: list[str | Name] = []
     todo: list[Process | str] = [p]  # names go straight to `out`
+    # the loop ends: each pass pops one entry, a string pushes nothing,
+    # and a term pushes strings and its own subterms, of the finite p
     while todo:
         q = todo.pop()
         if type(q) is str:
@@ -917,7 +922,7 @@ def pieces(p: Process) -> list[str | Name]:
             if type(q) is sx.New:
                 out += ("new ", q.chan)
                 body = q.body
-                while type(body) is sx.New:
+                while type(body) is sx.New:  # ends: down a finite chain
                     out += (", ", body.chan)
                     body = body.body
                 out.append(" . ")

@@ -314,8 +314,8 @@ class If(Process):
 # then the channel a delegation sends), and its subprocesses from left
 # to right: the two sides of `|`, the two branches of `if`, the arms of
 # an offer in their written order, and otherwise the one continuation
-# (none for `0`).  `binder`, `subject`, `children`, `rebuild` and
-# `facts` read it through attribute readers made from it once, with one
+# (none for `0`).  `subject`, `children`, `rebuild` and `facts`
+# read it through attribute readers made from it once, with one
 # lookup by class per node; all but `facts` look at the node they are
 # given only.  Walks use an explicit stack, also those that rebuild a
 # term (`_map`), so deep terms need no raised recursion limit; pushing
@@ -388,13 +388,6 @@ def _readers(cls: type, s: Shape) -> _Readers:
 
 # indexed by `type(p)`: anything but a process raises KeyError
 _READERS = {cls: _readers(cls, s) for cls, s in SHAPES.items()}
-
-
-def binder(p: Process) -> tuple[Name, Process] | None:
-    """The channel p binds and the subprocess it scopes over: for
-    `new`, serve, accept, request and session reception; else None."""
-    r = _READERS[type(p)]
-    return None if r.binder is None else (r.binder(p), r.child(p))
 
 
 def subject(p: Process) -> Name | None:
@@ -496,6 +489,9 @@ def _map(p: Process, enter: Callable[[Process], Process | None],
     results of `children(q)`, once those are all made."""
     out: list[Process] = []
     todo: list = [p]  # terms to reach, and (term, number of children)
+    # the loop ends: each pass pops one entry, and each term of the
+    # finite p is pushed at most twice, once to be reached and once as
+    # the step that leaves it
     while todo:
         q = todo.pop()
         if type(q) is tuple:

@@ -8,8 +8,9 @@ Every term is typed by one walk, bottom-up with unification
 (`_infer`): a prefix wraps its channel's type in the typing of its
 continuation, `|` composes typings, and `if` and offers join them.  A
 serve, accept or request then unifies the type its body gives its
-channel with the declared session, or for a request with that
-session's dual (taken once per service and call).  Delegation
+channel with the declared session.  A request, and `|` for a channel
+both its threads use, want a dual instead, and `unify` reads one side
+as its dual in place, so neither builds a dual type.  Delegation
 introduces a type variable for the sent channel, paired with a mirror
 variable so that taking duals commutes with later instantiation.  A
 label selection produces an extensible internal select type that
@@ -169,8 +170,8 @@ def resolve_payload(p: Sort | SessionType) -> Sort | SessionType:
     return resolve_sort(p) if isinstance(p, Sort) else resolve(p)
 
 
-def show(t: SessionType | Sort) -> str:
-    return print_type(resolve_payload(t))
+def show(t: SessionType | Sort, flip: bool = False) -> str:
+    return print_type(resolve_payload(dual(t) if flip else t))
 
 
 # ------------------------------------------------------------------ unifiers
@@ -208,16 +209,28 @@ def bind(v: TVar, t: SessionType) -> None:
             m.link = d
 
 
-def unify(a: SessionType, b: SessionType) -> None:
+# the head that a head of b's dual is, where the two differ
+_DUAL_HEAD = {In: Out, Out: In, BranchT: SelectT, SelectT: BranchT}
+
+
+def unify(a: SessionType, b: SessionType, flip: bool = False) -> None:
+    """Make a equal to b, or with flip to the dual of b without building
+    it: an input of b then meets an output of a, a branch a select, a
+    variable of b stands for its mate and an open select for its
+    `DualOpen`, and payloads meet as they are.  Pairs meet, and errors
+    read, as in `unify(a, dual(b))`."""
     # Each pass returns, raises, or goes on: along the continuations of
-    # two heads, which are finite, or once from a `DualOpen` to its base
-    # open select against the dual of the other side.  That side is no
-    # variable (bound below) and no open select (that pair is refused,
-    # since it would rewrite to itself swapped), so its dual is no
-    # `DualOpen`, and the next pass ends.
+    # two heads, which are finite, or by a rewrite.  A `DualOpen` b, and
+    # under the flag a variable b, become an open select or a variable
+    # at once.  Then a `DualOpen` a becomes its base, or under the flag
+    # an open select b meeting no open select swaps sides with a: both
+    # leave an open select a against none of these, so no rewrite
+    # repeats before the next pair of heads.
     while True:
-        ta = type(a)
-        if ta is type(b):  # two concrete heads, or two ends, need no walk
+        ta, tb = type(a), type(b)
+        if flip:
+            tb = _DUAL_HEAD.get(tb, tb)
+        if ta is tb:  # two concrete heads, or two ends, need no walk
             if ta is Out or ta is In:
                 pa, pb = a.payload, b.payload
                 if type(pa) is SVar and pa.link is None and type(pb) is Basic:
@@ -229,69 +242,70 @@ def unify(a: SessionType, b: SessionType) -> None:
             if ta is End:
                 return
         a, b = walk(a), walk(b)
-        if a is b:
+        if type(b) is DualOpen:
+            b, flip = b.base, not flip
+        elif flip and type(b) is TVar:
+            b, flip = walk(b.mate), False  # a walked mate is a variable
+        if a is b and not flip:
             return
         if isinstance(a, TVar):
-            bind(a, b)
+            bind(a, dual(b) if flip else b)
             return
         if isinstance(b, TVar):
             bind(b, a)
             return
-        match a, b:
-            case End(), End():
-                return
-            case (In(), In()) | (Out(), Out()):
+        ta, tb = type(a), type(b)
+        if flip:
+            tb = _DUAL_HEAD.get(tb, tb)
+        if ta is tb:
+            if ta is In or ta is Out:
                 continue  # heads reached through links: see the top
-            case (BranchT(o1), BranchT(o2)) | (SelectT(o1), SelectT(o2)):
-                if [l for l, _ in o1] != [l for l, _ in o2]:
-                    raise TypingError(
-                        f"label sets differ: {show(a)} vs {show(b)}")
-                for (_, x), (_, y) in zip(o1, o2):
-                    unify(x, y)
+            if ta is End:
                 return
-            case OpenSel(), OpenSel():
+            if ta is BranchT or ta is SelectT:
+                if [l for l, _ in a.options] != [l for l, _ in b.options]:
+                    raise TypingError(
+                        f"label sets differ: {show(a)} vs {show(b, flip)}")
+                for (_, x), (_, y) in zip(a.options, b.options):
+                    unify(x, y, flip)
+                return
+            if ta is OpenSel and not flip:  # a select is never a branch
                 _os_union(a, b)
                 return
-            case (OpenSel(), SelectT(_)):
-                _os_close_to(a, b)
-                return
-            case (SelectT(_), OpenSel()):
-                _os_close_to(b, a)
-                return
-            case (OpenSel(), DualOpen()) | (DualOpen(), OpenSel()):
-                pass  # a select is never a branch
-            case (DualOpen(base), _):
-                a, b = base, dual(b)
-                continue
-            case (_, DualOpen(base)):
-                a, b = base, dual(a)
-                continue
-        raise TypingError(f"cannot unify {show(a)} with {show(b)}")
+        elif ta is OpenSel and tb is SelectT:
+            _os_close_to(a, b, flip)
+            return
+        elif ta is SelectT and tb is OpenSel and not flip:
+            _os_close_to(b, a)
+            return
+        elif ta is DualOpen and (flip or tb is not OpenSel):
+            a, flip = a.base, not flip  # an open select b fails below
+            continue
+        elif flip and tb is OpenSel:  # b stands for its `DualOpen`
+            a, b = b, a
+            continue
+        raise TypingError(f"cannot unify {show(a)} with {show(b, flip)}")
 
 
 def unify_payload(p1: Sort | SessionType, p2: Sort | SessionType) -> None:
-    s1, s2 = isinstance(p1, Sort), isinstance(p2, Sort)
-    if s1 and s2:
-        unify_sort(p1, p2)
-    elif not s1 and not s2:
-        unify(p1, p2)
-    else:
+    s1 = isinstance(p1, Sort)
+    if s1 is not isinstance(p2, Sort):
         a, b = (p1, p2) if s1 else (p2, p1)
         raise TypingError(
             f"value payload {show(a)} cannot match session payload {show(b)}")
+    (unify_sort if s1 else unify)(p1, p2)
 
 
 def unify_sort(a: Sort, b: Sort) -> None:
     a, b = walk_sort(a), walk_sort(b)
     if a is b:
         return
+    if isinstance(b, SVar):
+        a, b = b, a
     if isinstance(a, SVar):
         if type(b) is not Basic and _occurs(a, b):
             raise TypingError("value's sort would have to contain itself")
         a.link = b
-        return
-    if isinstance(b, SVar):
-        unify_sort(b, a)
         return
     match a, b:
         case Basic(x), Basic(y) if x == y:
@@ -313,8 +327,7 @@ def _os_union(a: OpenSel, b: OpenSel) -> None:
         if l in a.options:
             unify(a.options[l], t)
         elif a.closed:
-            raise TypingError(
-                f"label {l!r} is not offered by {show(a)}")
+            raise TypingError(f"label {l!r} is not offered by {show(a)}")
         else:
             a.options[l] = t
     if b.closed and set(a.options) != set(b.options):
@@ -323,17 +336,19 @@ def _os_union(a: OpenSel, b: OpenSel) -> None:
     b.parent = a
 
 
-def _os_close_to(o: OpenSel, s: SelectT) -> None:
+def _os_close_to(o: OpenSel, s: SessionType, flip: bool = False) -> None:
+    """Close o to the labels of s, or with flip of the dual of s."""
     o = osfind(o)
-    slabels = {l: t for l, t in s.options}
+    slabels = dict(s.options)
     for l, t in o.options.items():
         if l not in slabels:
-            raise TypingError(f"label {l!r} is not among {show(s)}")
-        unify(t, slabels[l])
+            raise TypingError(f"label {l!r} is not among {show(s, flip)}")
+        unify(t, slabels[l], flip)
     if o.closed and set(o.options) != set(slabels):
-        raise TypingError(f"label sets differ: {show(o)} vs {show(s)}")
+        raise TypingError(f"label sets differ: {show(o)} vs {show(s, flip)}")
     for l, t in slabels.items():
-        o.options.setdefault(l, t)
+        if l not in o.options:
+            o.options[l] = dual(t) if flip else t
     o.closed = True
 
 
@@ -372,7 +387,7 @@ def _compose_into(out: Delta, d2: Delta) -> None:
             raise TypingError(
                 f"channel {k.base} is already used on both sides")
         try:
-            unify(t1, dual(t2))
+            unify(t1, t2, True)
         except TypingError as e:
             raise TypingError(
                 f"parallel threads disagree on channel {k.base}: {e}") from e
@@ -485,19 +500,6 @@ def _service_sort(env: dict[str, Sort], a: Name, rule: str,
     return sort
 
 
-# A request's channel is typed at the dual of its service's session,
-# taken once per service in one `check` call: the service's name maps
-# to its sort and that dual.
-Duals = dict[str, tuple[ServiceSort, SessionType]]
-
-
-def _requested(duals: Duals, a: Name, sort: ServiceSort) -> SessionType:
-    got = duals.get(a.base)
-    if got is None or got[0] is not sort:
-        got = duals[a.base] = (sort, dual(sort.session))
-    return got[1]
-
-
 _SERVICE_RULES = {sx.Serve: "T-RServ", sx.Accept: "T-Serv",
                   sx.Request: "T-Req"}
 
@@ -506,7 +508,7 @@ def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
     """The typing of p, with solver nodes still in it: every term is
     inferred bottom-up with unification, and a serve, accept or request
     then unifies its body's type for its channel with the declared
-    session, or for a request with its dual.
+    session, or for a request with its dual, read in place.
 
     The walk runs on an explicit stack: `todo` holds the terms still to
     visit and, below the parts of each, a step `(rule, term, data)` that
@@ -516,7 +518,6 @@ def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
     of sends and receives is read in one inner loop and wrapped by one
     "run" step, whose data lists its prefixes in order.
     """
-    duals: Duals = {}
     done: list[Delta] = []
     todo: list = [p]
     while todo:
@@ -667,8 +668,7 @@ def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
         else:  # a serve, accept or request; data is its service's sort
             t = _pop_cont(d, c, rule, q)
             try:
-                unify(t, _requested(duals, q.service, data)
-                      if rule == "T-Req" else data.session)
+                unify(t, data.session, rule == "T-Req")
             except TypingError as e:
                 body = "" if rule == "T-Req" else f"body of {q.service.base}: "
                 raise _err(rule, q, body + str(e)) from e

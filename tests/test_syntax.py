@@ -139,18 +139,6 @@ def test_service_prefixes_bind_their_channel():
         assert sx.free_session_channels(mk(a, k, body)) == set()
 
 
-def test_binder_exposes_binding_forms():
-    a, k, m = sx.svc("a"), sx.bound_chan("k"), sx.bound_chan("m")
-    body = sx.Stop()
-    for p in (sx.New(k, body), sx.Serve(a, k, body), sx.Accept(a, k, body),
-              sx.Request(a, k, body)):
-        got = sx.binder(p)
-        assert got is not None and got[0] == k
-    assert sx.binder(sx.ReceiveSession(sx.chan("k"), m, body)) == (m, body)
-    assert sx.binder(sx.Stop()) is None
-    assert sx.binder(sx.Par(body, body)) is None
-
-
 def test_children_run_left_to_right_and_rebuild_keeps_the_rest():
     k = sx.chan("k")
     a = sx.Send(k, sx.IntLit(1), sx.Stop())

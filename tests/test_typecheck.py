@@ -189,6 +189,65 @@ def test_a_selection_does_not_unify_with_the_dual_of_another():
         tc.unify(tc.OpenSel({"go": sx.End()}), tc.dual(sel))
 
 
+def test_a_selection_does_not_unify_flipped_with_another():
+    # the same pairs read in place: under the flag two open selects fail
+    # as they did against a built dual, each side shown where it was
+    go, stop = ({label: sx.End()} for label in ("go", "stop"))
+    with pytest.raises(tc.TypingError, match=r"cannot unify \+\{go: end\} "
+                                             r"with &\{stop: end\}$"):
+        tc.unify(tc.OpenSel(go), tc.OpenSel(stop), True)
+    with pytest.raises(tc.TypingError, match=r"cannot unify &\{go: end\} "
+                                             r"with \+\{stop: end\}$"):
+        tc.unify(tc.dual(tc.OpenSel(go)), tc.OpenSel(stop))
+
+
+def test_an_open_select_closed_flipped_takes_the_dual_labels():
+    # against a branch read as its dual, the labels an open select takes
+    # from it are stored as their duals
+    o = tc.OpenSel({"go": sx.End()})
+    tc.unify(o, sf.parse_type("&{go: end, stop: ?[int].end}"), True)
+    assert sf.print_type(tc.resolve(o)) == "+{go: end, stop: ![int].end}"
+
+
+# Errors met by `unify` under its flag, worded as when it was given a
+# built dual: which side shows as a dual follows from where a `DualOpen`
+# or an open select stands.
+@pytest.mark.parametrize("src, want", [
+    ("sessions c; c!(1).c << go.0 | c?(x2).c << stop.0",
+     "T-Par: parallel threads disagree on channel c: cannot unify "
+     "+{go: end} with &{stop: end}, at: c!(1).c << go.0 | c?(x2).c << "
+     "stop.0"),
+    # a selection delegated and made by the receiver, against one
+    # composed before, then after, the delegation
+    ("sessions c, k; c << go.0 | k!((c)).0 | k?((d)).d << stop.0",
+     "T-Par: parallel threads disagree on channel k: cannot unify "
+     "&{go: end} with +{stop: end}, at: c << go.0 | k!((c)).0 | "
+     "k?((d)).d << stop.0"),
+    ("sessions c, k; k!((c)).0 | k?((d)).d << go.0 | c << stop.0",
+     "T-Par: parallel threads disagree on channel c: cannot unify "
+     "+{go: end} with &{stop: end}, at: k!((c)).0 | k?((d)).d << go.0 | "
+     "c << stop.0"),
+    ("sessions c, d; c!((d)).0 | d?(x1).0 | c?((e)).e!(1).e << go.0",
+     "T-Par: parallel threads disagree on channel c: cannot unify end "
+     "with +{go: end}, at: c!((d)).0 | d?(x1).0 | c?((e)).e!(1).e << "
+     "go.0"),
+    ("env a : <&{go: end}>;\na<k>.k << stop.0",
+     "T-Req: label 'stop' is not among +{go: end}, at: a<k>.k << stop.0"),
+    ("env a : <+{go: end, stop: end}>;\na<k>.k << go.0",
+     "T-Req: cannot unify +{go: end} with &{go: end, stop: end}, at: "
+     "a<k>.k << go.0"),
+    ("sessions d; env a : <?[&{go: end}].end>;\na<k>.k!((d)).0 | "
+     "d << stop.0",
+     "T-Par: parallel threads disagree on channel d: label 'stop' is not "
+     "among +{go: end}, at: a<k>.k!((d)).0 | d << stop.0"),
+])
+def test_flipped_errors_read_as_against_a_built_dual_golden(src, want):
+    src = sf.parse_source(src)
+    with pytest.raises(tc.TypingError) as e:
+        tc.check(src.gamma, src.process)
+    assert str(e.value) == want
+
+
 def test_serve_body_must_close_its_session():
     g = {"a": sx.ServiceSort(sx.End())}
     with pytest.raises(tc.TypingError) as e:
