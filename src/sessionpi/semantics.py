@@ -7,8 +7,9 @@ A state is a `congruence.NormalForm`: `step` flattens only the
 continuations it splices in, and `redexes`, `step`, `explore` and
 `trace` take either a state or a `Process`; `.process()` turns a state
 back into a term.  `_pair_redex` and `_if_redex` are the one judge of
-what may fire: `redexes` asks them at every position, and `step` asks
-them again at its redex's positions.
+what may fire: `redexes` asks them at every position, `step` asks them
+again at its redex's positions, and `_carried` asks them about the
+threads a step put in.
 Service initiation keeps replicated servers in place and spawns a body
 copy with fresh binders; one-shot accepts are consumed.  Delegation
 follows the original rule where the receiving side must guess the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import congruence, syntax as sx
@@ -169,21 +171,25 @@ def _if_redex(i: int, t: Process) -> Redex | None:
     return Redex("IfT" if v else "IfF", i) if type(v) is bool else None
 
 
+# a redex's place in (i, j) order; a position holds one conditional or
+# input sides only, so j is never None where two redexes share an i
+_BY_POSITION = attrgetter("i", "j")
 _INPUTS = (sx.Serve, sx.Accept, sx.Receive, sx.ReceiveSession, sx.Offer)
 _OUTPUTS = (sx.Request, sx.Send, sx.SendSession, sx.Choose)
 
 
 def redexes(p: Process | NormalForm) -> list[Redex]:
-    """Every enabled redex of normal_form(p), in (i, j) order.
+    """Every enabled redex of normal_form(p), in (i, j) order, found
+    from scratch.
 
     One pass buckets the output sides by `syntax.subject` (a request by
     its service; a send, delegation or selection by its session
     channel), in position order.  Each input side then tries only the
     bucket of its own subject, so the scan costs one pass over the
     threads plus one `_pair_redex` call per input and output side that
-    share a subject.  The buckets are built afresh on each call: a step
-    renormalises, and a continuation that is a composition shifts
-    every later position.
+    share a subject.  `trace` and `explore` scan only the state they
+    start from: every later state gets its redexes from its parent's
+    (`_carried`).
     """
     threads = congruence.normal_form(p).threads
     outputs: dict[Name, list[int]] = {}
@@ -202,6 +208,82 @@ def redexes(p: Process | NormalForm) -> list[Redex]:
             if r is not None:
                 out.append(r)
     return out
+
+
+def _holding(subjects: tuple[Name | None, ...], s: Name) -> Iterator[int]:
+    """The positions whose subject is s, ascending, found by
+    `tuple.index`."""
+    k = -1
+    try:
+        while True:
+            k = subjects.index(s, k + 1)
+            yield k
+    except ValueError:
+        return
+
+
+def _carried(q: NormalForm, rs: list[Redex],
+             subjects: tuple[Name | None, ...], r: Redex, q2: NormalForm
+             ) -> tuple[list[Redex], tuple[Name | None, ...]]:
+    """The redexes of q2 = step(q, r), in (i, j) order, and the
+    `syntax.subject` of each of its threads, from q's redexes rs and
+    subjects.
+
+    `step` leaves every thread it did not consume where it was, and
+    puts each continuation's threads where its consumed thread stood.
+    So a redex of q between two surviving threads is one of q2 at their
+    new positions, and only a pair with a continuation thread in it, or
+    a continuation's conditional, is judged: its partners are the
+    threads whose subject is its own, found in `subjects` by
+    `tuple.index`.  Past slicing and those scans, which run in C, the
+    work follows the threads the step put in and the redexes carried,
+    not the threads the step left alone.
+    """
+    old, new = q.threads, q2.threads
+    if r.j is None or r.rule == "RInit":  # one thread consumed
+        a = b = r.i if r.j is None else r.j  # a server stays in place
+    else:
+        a, b = sorted((r.i, r.j))
+    gap = old[a + 1:b]  # the threads between two consumed ones
+    g = len(gap)
+    grown = len(new) - len(old)
+    end = b + 1 + grown  # new[a:end]: the continuations and the gap
+    # a's continuation ends where the gap starts again; a continuation
+    # thread may equal a gap thread, but equal threads judge alike, so
+    # any place the gap is found at serves as well as the true one
+    m = next(m for m in range(a, end - g + 1) if new[m:m + g] == gap)
+    fresh = [*range(a, m), *range(m + g, end)]
+    subjects = (subjects[:a] + tuple(map(sx.subject, new[a:m]))
+                + subjects[a + 1:b] + tuple(map(sx.subject, new[m + g:end]))
+                + subjects[b + 1:])
+
+    def moved(k: int) -> int:  # where the surviving thread at k went
+        return k if k < a else k + m - a - 1 if k < b else k + grown
+
+    out: list[Redex] = []
+    for x in rs:
+        i, j = x.i, x.j
+        if i == a or i == b or j == a or j == b:
+            continue  # a side was consumed
+        if i > a or j is not None and j > a:
+            x = Redex(x.rule, moved(i), None if j is None else moved(j),
+                      *x[3:])
+        out.append(x)
+    for k in fresh:
+        t = new[k]
+        if isinstance(t, _INPUTS):
+            found = [_pair_redex(k, t, j, new[j])
+                     for j in _holding(subjects, subjects[k])
+                     if isinstance(new[j], _OUTPUTS)]
+        elif isinstance(t, _OUTPUTS):  # a new input has met it already
+            found = [_pair_redex(i, new[i], k, t)
+                     for i in _holding(subjects, subjects[k])
+                     if isinstance(new[i], _INPUTS) and i not in fresh]
+        else:
+            found = [_if_redex(k, t)]
+        out += filter(None, found)
+    out.sort(key=_BY_POSITION)
+    return out, subjects
 
 
 # ----------------------------------------------------------------- stepping
@@ -290,7 +372,8 @@ def explore(p: Process | NormalForm, depth: int, max_states: int = 2000,
     adds "depth" to `cuts`.  At most `max_states` states are kept
     (always at least the start): the first new state beyond them adds
     "max-states" and ends all stepping.  One `canonical_key` table,
-    `table` if given, serves the whole walk.
+    `table` if given, serves the whole walk.  Only the start is scanned
+    by `redexes`; every later state carries its parent's (`_carried`).
     """
     if table is None:
         table = {}
@@ -298,12 +381,16 @@ def explore(p: Process | NormalForm, depth: int, max_states: int = 2000,
         cuts = set()
     start = congruence.normal_form(p)
     seen = {congruence.canonical_key(start, table)}
-    frontier = [start]
+    # (binders, thread ids) -> canonical key: steps that commute reach
+    # the very same thread objects, and such a state is keyed once.
+    # Each id is of a thread `table` holds, so no id is reused meanwhile.
+    keys: dict[tuple[tuple[Name, ...], tuple[int, ...]], str] = {}
+    frontier = [(start, redexes(start),
+                 tuple(map(sx.subject, start.threads)))]
     full = False
     while frontier:
-        nxt: list[NormalForm] = []
-        for q in frontier:
-            rs = redexes(q)
+        nxt = []
+        for q, rs, subjects in frontier:
             yield q, rs
             if depth <= 0:
                 if rs:
@@ -313,7 +400,10 @@ def explore(p: Process | NormalForm, depth: int, max_states: int = 2000,
                 if full:
                     break
                 q2 = step(q, r)
-                key = congruence.canonical_key(q2, table)
+                ids = q2.binders, tuple(map(id, q2.threads))
+                key = keys.get(ids)
+                if key is None:
+                    key = keys[ids] = congruence.canonical_key(q2, table)
                 if key in seen:
                     continue
                 if len(seen) >= max_states:
@@ -321,7 +411,7 @@ def explore(p: Process | NormalForm, depth: int, max_states: int = 2000,
                     full = True
                 else:
                     seen.add(key)
-                    nxt.append(q2)
+                    nxt.append((q2, *_carried(q, rs, subjects, r, q2)))
         depth -= 1
         frontier = nxt
 
@@ -335,13 +425,16 @@ def trace(p: Process | NormalForm, depth: int,
     cur = congruence.normal_form(p)
     rng = random.Random(seed) if seed is not None else None
     steps: list[tuple[NormalForm, Redex]] = []
+    rs = redexes(cur)
+    subjects = tuple(map(sx.subject, cur.threads))
     for _ in range(depth):
-        rs = redexes(cur)
         if not rs:
             break
         r = rs[0] if rng is None else rng.choice(rs)
         steps.append((cur, r))
-        cur = step(cur, r)
+        nxt = step(cur, r)
+        rs, subjects = _carried(cur, rs, subjects, r, nxt)
+        cur = nxt
     return Trace(tuple(steps), cur)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import NamedTuple
 
 _uids = itertools.count(1)
@@ -481,27 +481,33 @@ def free_session_channels(p: Process) -> frozenset[Name]:
 
 
 def _map(p: Process, enter: Callable[[Process], Process | None],
-         leave: Callable[[Process, list[Process]], Process]) -> Process:
+         leave: Callable[[Process, Process], Process]) -> Process:
     """p rebuilt bottom-up on an explicit stack, so a long prefix chain
     needs no recursion.  `enter(q)` runs as the walk reaches q, in
     pre-order left to right, and may return q's result to keep the
-    walk out of q; otherwise `leave(q, kids)` makes q's result from the
-    results of `children(q)`, once those are all made."""
+    walk out of q; otherwise `leave(q, done)` makes q's result once the
+    results of `children(q)` are all made, from `done`: q itself when
+    each of them came back as the very child it was made from, else q
+    rebuilt on them.  So a walk whose `enter` and `leave` change nothing
+    shares every unchanged subterm, and copies only the path down to
+    each change (path copying)."""
     out: list[Process] = []
-    todo: list = [p]  # terms to reach, and (term, number of children)
+    todo: list = [p]  # terms to reach, and (term, its children)
     # the loop ends: each pass pops one entry, and each term of the
     # finite p is pushed at most twice, once to be reached and once as
     # the step that leaves it
     while todo:
         q = todo.pop()
         if type(q) is tuple:
-            q, n = q
-            if n == 1:
-                kids = [out.pop()]
+            q, kids = q
+            if len(kids) == 1:
+                made = out.pop()
+                done = q if made is kids[0] else rebuild(q, (made,))
             else:
-                kids = out[-n:]
-                del out[-n:]
-            out.append(leave(q, kids))
+                made = out[-len(kids):]
+                del out[-len(kids):]
+                done = q if all(map(is_, made, kids)) else rebuild(q, made)
+            out.append(leave(q, done))
             continue
         done = enter(q)
         if done is not None:
@@ -509,10 +515,10 @@ def _map(p: Process, enter: Callable[[Process], Process | None],
             continue
         kids = children(q)
         if kids:
-            todo.append((q, len(kids)))
+            todo.append((q, kids))
             todo += reversed(kids)
         else:
-            out.append(leave(q, []))
+            out.append(leave(q, q))
     return out[0]
 
 
@@ -537,8 +543,7 @@ def _rename(p: Process, env: dict[Name, Name],
                 shields.append((q, c, env.get(c)))
                 env[c] = c2
 
-    def leave(q: Process, kids: list[Process]) -> Process:
-        done = rebuild(q, kids)
+    def leave(q: Process, done: Process) -> Process:
         s = SHAPES[type(q)]
         renamed = {f: env[n] for f in (s.binder, *s.mentions)
                    if f is not None and (n := getattr(done, f)) in env}
@@ -554,7 +559,8 @@ def _rename(p: Process, env: dict[Name, Name],
 
 
 def subst_chan(p: Process, old: Name, new: Name) -> Process:
-    """p with free occurrences of channel `old` replaced by `new`.
+    """p with free occurrences of channel `old` replaced by `new`; p
+    itself when `old` is not free in it.
 
     Binders are globally unique, so no capture check is needed; a binder
     equal to `old` still shields its scope for safety.
@@ -563,35 +569,45 @@ def subst_chan(p: Process, old: Name, new: Name) -> Process:
 
 
 def substitute_expr(e: Expr, name: str, value: Expr) -> Expr:
+    """e with variable `name` replaced by value; e itself when `name`
+    does not occur in it."""
     match e:
         case Var(n) if n == name:
             return value
         case Unop(op, a):
-            return Unop(op, substitute_expr(a, name, value))
+            a2 = substitute_expr(a, name, value)
+            return e if a2 is a else Unop(op, a2)
         case Binop(op, l, r):
-            return Binop(op, substitute_expr(l, name, value),
-                         substitute_expr(r, name, value))
+            l2 = substitute_expr(l, name, value)
+            r2 = substitute_expr(r, name, value)
+            return e if l2 is l and r2 is r else Binop(op, l2, r2)
         case _:
             return e
 
 
 def substitute(p: Process, name: str, value: Expr) -> Process:
-    """p with free occurrences of expression variable `name` replaced."""
+    """p with free occurrences of expression variable `name` replaced.
+    Only the path down to each occurrence is new: p itself comes back
+    when `name` is not free in it."""
     def enter(q: Process) -> Process | None:
         return q if type(q) is Receive and q.var == name else None
 
-    def leave(q: Process, kids: list[Process]) -> Process:
+    def leave(q: Process, done: Process) -> Process:
         if type(q) is Send:
-            return Send(q.chan, substitute_expr(q.expr, name, value), *kids)
+            e = substitute_expr(q.expr, name, value)
+            return done if e is q.expr else Send(q.chan, e, done.body)
         if type(q) is If:
-            return If(substitute_expr(q.test, name, value), *kids)
-        return rebuild(q, kids)
+            e = substitute_expr(q.test, name, value)
+            return done if e is q.test else If(e, done.then, done.els)
+        return done
 
     return _map(p, enter, leave)
 
 
 def refresh(p: Process) -> Process:
-    """A copy of p whose bound channels all carry new unique ids.
+    """p with each bound channel given a new unique id; only the path
+    down to each binder is new, so p itself comes back when it binds
+    nothing.
 
     Use before putting a copy of a term (e.g. a replicated service body)
     next to the original, so binder ids stay globally unique.

@@ -199,10 +199,11 @@ def _occurs(v: TVar | SVar, t: SessionType | Sort) -> bool:
 
 
 def bind(v: TVar, t: SessionType) -> None:
-    if _occurs(v, t) or (v.mate is not None and _occurs(v.mate, t)):
+    # every `TVar` comes from `tvar_pair`, so its mate is set
+    if _occurs(v, t) or _occurs(v.mate, t):
         raise TypingError("channel's type would have to contain itself")
     v.link = t
-    m = walk(v.mate) if v.mate is not None else None
+    m = walk(v.mate)
     if isinstance(m, TVar):
         d = dual(t)
         if walk(d) is not m:

@@ -18,7 +18,8 @@ import sessionpi.syntax as sx
 import sessionpi.typecheck as tc
 import strategies as S
 from sessionpi.examples import SOURCES, load
-from test_reference_oracles import calls_by_caller, cli_calls
+from test_reference_oracles import (calls_by_caller, cli_calls,
+                                    reference_redexes)
 
 K = sx.chan("k")
 
@@ -395,8 +396,21 @@ def outcome(search, gamma, p, **bounds):
 
 
 def agree(gamma, p, **bounds):
+    """The search and the reference answer alike, and every state the
+    search walks carries the redexes the reference finds afresh."""
     want = outcome(reference_check_progress, gamma, p, **bounds)
-    assert outcome(pg.check_progress, gamma, p, **bounds) == want
+    explore = sm.explore
+
+    def checked(*args, **kwargs):
+        for q, rs in explore(*args, **kwargs):
+            assert rs == reference_redexes(q)
+            yield q, rs
+
+    sm.explore = checked
+    try:
+        assert outcome(pg.check_progress, gamma, p, **bounds) == want
+    finally:
+        sm.explore = explore
     return want
 
 
@@ -461,10 +475,10 @@ def test_each_distinct_stuck_piece_is_checked_once(monkeypatch):
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 27,
                                                         False)
     assert calls[0] == 4 * 3
-    # one scan per state, and per cut check the partner and the pair:
-    # the search knows the piece is live and irreducible, so it is not
-    # scanned again
-    assert scans[0] == 27 + 2 * 12
+    # one scan for the start (every later state carries its parent's
+    # redexes), and per cut check the partner and the pair: the search
+    # knows the piece is live and irreducible, so it is not scanned again
+    assert scans[0] == 1 + 2 * 12
 
 
 def cycles(n):
@@ -484,6 +498,21 @@ def test_independent_cycles_need_a_partner_per_thread(monkeypatch):
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 243,
                                                         True)
     assert calls[0] == 20
+
+
+def test_the_walk_keys_each_state_once(monkeypatch):
+    # on the benchmark's live-cycle files, steps that commute reach the
+    # very same thread objects, so each state is keyed once however
+    # many steps reach it
+    keys = count_calls(monkeypatch, cg, "canonical_key")
+    live = [case for case in S.bench_gen().refute(1)
+            if case.expect["verdict"] == "inconclusive"]
+    assert len(live) == 10
+    for case in live:
+        src = sf.parse_source(case.text)
+        keys[0] = 0
+        r = pg.check_progress(src.gamma, src.process)
+        assert keys[0] == r.states_seen == case.expect["states_seen"]
 
 
 def test_the_walk_stops_stepping_once_the_state_bound_is_hit(monkeypatch):

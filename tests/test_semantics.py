@@ -13,6 +13,7 @@ import sessionpi.syntax as sx
 import sessionpi.typecheck as tc
 import strategies as S
 from sessionpi.examples import SOURCES, load
+from test_reference_oracles import reference_redexes, reference_subject
 
 
 def parse(s, sessions=(), gamma=None):
@@ -507,6 +508,65 @@ def test_step_flattens_only_its_continuations(monkeypatch):
         assert len(t.final.threads) == n + 2  # the dormant and both services
         flattened.append(sum(m for _, m in seen))
     assert flattened[0] == flattened[1]
+
+
+def test_a_step_judges_only_pairs_with_its_continuations(monkeypatch):
+    # beside 10 and beside 100 dormant servers and as many clients of
+    # services nobody serves, a buyer-seller trace after its first
+    # state asks the judges equally often: each later state's redexes
+    # are carried from its parent's, and only pairs with a continuation
+    # thread in them are judged
+    judged = Counter()
+    for name in ("_pair_redex", "_if_redex"):
+        def counted(*args, judge=getattr(sm, name), name=name):
+            judged[name] += 1
+            return judge(*args)
+
+        monkeypatch.setattr(sm, name, counted)
+
+    def waiting(i):
+        k = sx.bound_chan("k")
+        return sx.Request(sx.svc(f"w{i}"), k, sx.Receive(k, "x", sx.Stop()))
+
+    after_first = []
+    for n in (10, 100):
+        p = reduce(sx.Par, [load("buyer_seller").process]
+                   + [waiting(i) for i in range(n)])
+        start = cg.normal_form(beside_dormant_servers(p, n))
+        judged.clear()
+        sm.redexes(start)
+        first = dict(judged)
+        judged.clear()
+        assert len(sm.trace(start, 100)) == 7
+        after_first.append({k: judged[k] - first.get(k, 0) for k in judged})
+    assert after_first[0] == after_first[1]
+    assert after_first[0]["_pair_redex"] > 0
+
+
+def test_carried_redexes_agree_with_the_reference(monkeypatch):
+    # every state of the default and seeded traces and of the
+    # `explore(..., 4)` walks of the samples and of the
+    # `simulate(1, scale=0.3)` benchmark files
+    checked = [0]
+    carried = sm._carried
+
+    def checking(q, rs, subjects, r, q2):
+        out = carried(q, rs, subjects, r, q2)
+        assert out == (reference_redexes(q2),
+                       tuple(map(reference_subject, q2.threads))), r
+        checked[0] += 1
+        return out
+
+    monkeypatch.setattr(sm, "_carried", checking)
+    procs = [load(name).process for name in SOURCES]
+    procs += [sf.parse_source(case.text).process
+              for case in S.bench_gen().simulate(1, scale=0.3)]
+    for p in procs:
+        sm.trace(p, 100)
+        sm.trace(p, 100, seed=3)
+        for q, rs in sm.explore(p, 4):
+            assert rs == reference_redexes(q)
+    assert checked[0] > 1_000
 
 
 # ----------------------------------------------------------- printing states

@@ -239,4 +239,90 @@ def test_refresh_preserves_free_channels(seed):
 @given(st.integers(0, 10_000))
 def test_substituting_an_unused_variable_is_identity(seed):
     _, p = S.well_typed(random.Random(seed))
-    assert sx.substitute(p, "zz_unused", sx.IntLit(0)) == p
+    assert sx.substitute(p, "zz_unused", sx.IntLit(0)) is p
+
+
+@given(st.integers(0, 10_000))
+def test_renaming_an_absent_channel_is_identity(seed):
+    _, p = S.well_typed(random.Random(seed))
+    assert sx.subst_chan(p, sx.chan("zz_absent"), sx.chan("k")) is p
+
+
+def subterms(p):
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        yield q
+        todo.extend(sx.children(q))
+
+
+@given(st.integers(0, 10_000))
+def test_refreshing_a_term_without_binders_is_identity(seed):
+    _, p = S.well_typed(random.Random(seed))
+    bare = [q for q in subterms(p) if not sx.facts(q).binders]
+    assert bare  # every term ends in `0`
+    for q in bare:
+        assert sx.refresh(q) is q
+    k = sx.chan("k")
+    q = sx.Send(k, sx.IntLit(1), sx.Receive(k, "x", sx.Stop()))
+    assert sx.refresh(q) is q
+
+
+def rebuilt_substitute(p, name, value):
+    """`substitute` by plain recursion, rebuilding every node."""
+    if type(p) is sx.Receive and p.var == name:
+        return p
+    kids = [rebuilt_substitute(q, name, value) for q in sx.children(p)]
+    if type(p) is sx.Send:
+        return sx.Send(p.chan, sx.substitute_expr(p.expr, name, value), *kids)
+    if type(p) is sx.If:
+        return sx.If(sx.substitute_expr(p.test, name, value), *kids)
+    return sx.rebuild(p, kids)
+
+
+def rebuilt_subst_chan(p, old, new):
+    """`subst_chan` by plain recursion, rebuilding every node; binders
+    are unique, so none is `old`."""
+    kids = [rebuilt_subst_chan(q, old, new) for q in sx.children(p)]
+    names = {f: new for f in sx.SHAPES[type(p)].mentions
+             if getattr(p, f) == old}
+    return sx.rebuild(p, kids)._replace(**names)
+
+
+def assert_path_copied(before, after, rebuilt):
+    """after equals `rebuilt(before)`, and a subterm of after is new
+    exactly where the rebuild changed the subterm of before it stands
+    for: off the paths down to the changes, every subterm is shared."""
+    assert after == rebuilt(before)
+    todo = [(before, after)]
+    while todo:
+        b, a = todo.pop()
+        if rebuilt(b) == b:
+            assert a is b
+        else:
+            assert a is not b and type(a) is type(b)
+            todo.extend(zip(sx.children(b), sx.children(a)))
+
+
+@given(st.integers(0, 10_000))
+def test_substitution_copies_only_the_paths_to_the_occurrences(seed):
+    # every receive's and every session binder's continuation, with its
+    # variable or channel replaced, as `step` replaces them
+    _, p = S.well_typed(random.Random(seed))
+    four, k = sx.IntLit(4), sx.bound_chan("k")
+    for q in subterms(p):
+        if type(q) is sx.Receive:
+            done = sx.substitute(q.body, q.var, four)
+            assert_path_copied(
+                q.body, done, lambda t: rebuilt_substitute(t, q.var, four))
+        elif (b := sx.SHAPES[type(q)].binder) is not None:
+            done = sx.subst_chan(q.body, getattr(q, b), k)
+            assert_path_copied(
+                q.body, done,
+                lambda t: rebuilt_subst_chan(t, getattr(q, b), k))
+    k = sx.chan("k")
+    body = sx.Par(sx.Send(k, sx.Var("x"), sx.Stop()),
+                  sx.Send(k, sx.IntLit(1), sx.Stop()))
+    done = sx.substitute(body, "x", four)
+    assert done.left == sx.Send(k, four, sx.Stop())
+    assert done.left.body is body.left.body and done.right is body.right
