@@ -34,14 +34,11 @@ def _load(path: str) -> surface.Source:
 
 
 def _graph_data(g: depgraph.DepGraph, names) -> dict:
-    def nm(c: sx.Name) -> str:
-        return names.get(c, c.base)
-
     return {
         "nodes": [{"id": i, "text": text,
-                   "labels": sorted(nm(c) for c in labels)}
+                   "labels": sorted(names.get(c, c.base) for c in labels)}
                   for i, (labels, text) in enumerate(zip(g.labels, g.texts))],
-        "edges": [[i, j, nm(c)] for i, j, c in g.edges],
+        "edges": [[i, j, names.get(c, c.base)] for i, j, c in g.edges],
     }
 
 

@@ -8,7 +8,7 @@ Hoisting never captures because binder ids are globally unique.
 
 A caller-owned `Table` holds one `Row` per thread object: what
 `canonical_key`, `print_states` and the progress search know of it.
-A row's print template is made from `surface.pieces`, the one layout.
+A row keeps its thread's `surface.pieces`, which `surface.spell` joins.
 """
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import syntax as sx
-from .surface import binder_order, choose_names, family, pieces
+from .surface import (binder_order, choose_names, family, lay_out, pieces,
+                      spell)
 from .syntax import Name, Process
 
 
@@ -140,9 +141,7 @@ class Row(NamedTuple):
     """What is known of one thread object."""
     thread: Process  # held, so its id is not reused while in the table
     facts: sx.Facts
-    text: str  # its `pieces`, with one `str.format` field a name
-    slots: tuple[Name, ...]  # the names of the fields, by field number
-    bases: tuple[str, ...]  # their spellings, for names a map leaves out
+    pieces: tuple[str | Name, ...]  # its `surface.pieces`
     live: bool  # `has_live_channels(thread)`
     ties: frozenset[Name]  # its free session channels and its services
 
@@ -152,19 +151,9 @@ Table = dict[int, Row]
 
 
 def _row(t: Process) -> Row:
-    """t's row, from one `syntax.facts` sweep and t's `pieces`: the
-    literal pieces, braces escaped, make the template's text, and each
-    distinct name one field, numbered in the order of the text."""
+    """t's row, from one `syntax.facts` sweep and one `pieces` walk."""
     f = sx.facts(t)
-    fields: dict[Name, int] = {}
-    text = []
-    for x in pieces(t):
-        if type(x) is str:
-            text.append(x.replace("{", "{{").replace("}", "}}"))
-        else:
-            text.append(f"{{{fields.setdefault(x, len(fields))}}}")
-    return Row(t, f, "".join(text), tuple(fields),
-               tuple(n.base for n in fields), has_live_channels(t),
+    return Row(t, f, tuple(pieces(t)), has_live_channels(t),
                f.free | f.services)
 
 
@@ -180,8 +169,8 @@ def rows(table: Table, threads: Iterable[Process]) -> list[Row]:
 
 
 def _fill(row: Row, names: dict[Name, str]) -> str:
-    """`print_process(row.thread, names)`, read off the template."""
-    return row.text.format(*map(names.get, row.slots, row.bases))
+    """`print_process(row.thread, names)`, read off the row's pieces."""
+    return spell(row.pieces, names)
 
 
 def canonical_key(p: Process | NormalForm,
@@ -202,13 +191,15 @@ def canonical_key(p: Process | NormalForm,
     exploration, never wrong answers.
 
     Each distinct thread object is read once per `table`, into its
-    `Row`: its `syntax.facts` (binders and free channels) and its print
-    as a template, literal text with a slot for each name.  The blind
-    print, every refinement round and the final print fill the slots
-    from the current name map without walking the thread again.  The
-    table belongs to the caller: a search or `explore` passes one for
-    every state it keys, and `print_states` can read the same rows.
-    Without one, each call makes its own.
+    `Row`: its `syntax.facts` (binders and free channels) and its
+    `pieces`.  The blind print, every refinement round and the final
+    print spell those pieces under the current name map without walking
+    the thread again.  The table belongs to the caller: a search or
+    `explore` passes one for every state it keys, and `print_states`
+    can read the same rows.  Without one, each call makes its own.
+
+    The key is not a display layout, so it does not use `lay_out`: it
+    has no parentheses, and a state without threads keys as "".
     """
     nf = normal_form(p)
     known = rows({} if table is None else table, nf.threads)
@@ -254,8 +245,9 @@ def canonical_key(p: Process | NormalForm,
 
 def print_states(states: Sequence[NormalForm],
                  table: Table | None = None) -> list[str]:
-    """`print_process(q.process())` for each normal form q, read off the
-    rows of its threads in `table` (by default one for this call).
+    """`print_process(q.process())` for each normal form q: the rows of
+    its threads in `table` (by default one for this call), spelled and
+    laid out by `surface`.
 
     Names are carried from state to state.  `semantics.step` keeps
     untouched threads as the same objects, so set operations on thread
@@ -350,11 +342,6 @@ def print_states(states: Sequence[NormalForm],
         for i in refill:
             fills[i] = _fill(table[i], names)
         present, restricted = now, here
-
-        text = " | ".join(map(fills.__getitem__, ids)) or "0"
-        if q.binders and ids:
-            body = f"({text})" if len(ids) > 1 else text
-            spelt = ", ".join(map(names.__getitem__, q.binders))
-            text = f"new {spelt} . {body}"
-        out.append(text)
+        out.append(lay_out([names[c] for c in q.binders],
+                           [fills[i] for i in ids]))
     return out

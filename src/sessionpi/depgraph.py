@@ -192,20 +192,18 @@ def _dot_escape(s: str) -> str:
 
 def to_dot(g: DepGraph, names: dict[Name, str] | None = None,
            title: str = "deps") -> str:
-    def nm(c: Name) -> str:
-        if names and c in names:
-            return names[c]
-        return c.base
-
+    names = names or {}
     lines = [f'graph "{_dot_escape(title)}" {{']
     for i, (ls, text) in enumerate(zip(g.labels, g.texts)):
         if len(text) > 60:
             text = text[:57] + "..."
-        parts = [text, "{" + ", ".join(sorted(nm(c) for c in ls)) + "}"]
+        labels = sorted(names.get(c, c.base) for c in ls)
+        parts = [text, "{" + ", ".join(labels) + "}"]
         # a DOT line break, not a real newline
         body = "\\n".join(map(_dot_escape, parts))
         lines.append(f'  n{i} [label="{body}"];')
     for u, v, c in g.edges:
-        lines.append(f'  n{u} -- n{v} [label="{_dot_escape(nm(c))}"];')
+        label = _dot_escape(names.get(c, c.base))
+        lines.append(f'  n{u} -- n{v} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -159,7 +159,7 @@ def _partner(gamma: dict[str, Sort], p: Process, threads: tuple[Process, ...]
     # a service is never a session channel, so requests drop out here
     heads = [c for t in threads if (c := sx.subject(t)) in open_chans]
     ordered = heads + sorted((c for c in open_chans if c not in heads),
-                             key=lambda c: (c.base, c.uid or 0))
+                             key=congruence.chan_order)
     for c in ordered:
         body, ext = inhabit(typecheck.dual(delta[c]), c, avoid)
         return body, ext
@@ -270,8 +270,8 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     budget unit but no cut check.  Each distinct stuck piece is checked
     once per search, known by its threads' numbers, and so is each part
     the independence rule splits it into.  Threads are numbered by
-    their rows' templates and names (a str and a tuple of `Name`s, from
-    the one `canonical_key` table of the search, which also gives their
+    their rows' `pieces` (literal strings and `Name`s, from the one
+    `canonical_key` table of the search, which also gives their
     liveness and ties), so no thread is hashed or compared by value.
     Threads that print alike share a number: they differ at most in how
     `|` nests or how a negative literal is written, so they are
@@ -284,15 +284,16 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     each is a smaller stuck piece of the same state (a move inside a
     part is a move inside the piece), so it was picked earlier, within
     the budget, and either passed or ended the search.  The rule holds
-    because `construct_partner` builds the piece's partner for one part,
-    the one holding the first request or else the first thread waiting
-    on an open channel, and builds that same partner for the part alone:
-    a live part passes only if it has such a thread, and a part without
-    live channels has none.  The other parts share no name with that
-    part or its partner, so the completed piece is well-typed, and the
-    reduct that let the part pass, beside the other transparent parts,
-    is transparent.  Every other piece goes through the full check, so a
-    failing piece reports the same condition, cut and partner.
+    because `_partner` (`construct_partner` without its checks) builds
+    the piece's partner for one part, the one holding the first request
+    or else the first thread waiting on an open channel, and builds that
+    same partner for the part alone: a live part passes only if it has
+    such a thread, and a part without live channels has none.  The
+    other parts share no name with that part or its partner, so the
+    completed piece is well-typed, and the reduct that let the part
+    pass, beside the other transparent parts, is transparent.  Every
+    other piece goes through the full check, so a failing piece reports
+    the same condition, cut and partner.
     """
     verdict = depgraph.is_transparent(gamma, p)
     if verdict.reason == "ill-typed":
@@ -305,7 +306,7 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     cuts: set[str] = set()  # the bounds that cut the search short
     table: congruence.Table = {}
     visited = 0
-    number: dict[tuple[str, tuple[Name, ...]], int] = {}
+    number: dict[tuple[str | Name, ...], int] = {}
     known: list[congruence.Row] = []  # the row of each number
     passed: set[tuple[int, ...]] = set()
     transparent_parts: dict[tuple[int, ...], bool] = {}
@@ -344,7 +345,7 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
         live = 0
         # a state is keyed, so its rows are built, before it is yielded
         for row, bit in zip(congruence.rows(table, threads), bits):
-            i = number.setdefault((row.text, row.slots), len(known))
+            i = number.setdefault(row.pieces, len(known))
             if i == len(known):
                 known.append(row)
             ids.append(i)

@@ -51,7 +51,7 @@ nesting.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from typing import Callable, NamedTuple, NoReturn, TypeVar
 
@@ -939,21 +939,34 @@ def pieces(p: Process) -> list[str | Name]:
     return out
 
 
-def print_process(p: Process, names: dict[Name, str] | None = None) -> str:
-    """p's `pieces`, each name spelled by `names` (by default p's
-    `display_names`), else by its own spelling."""
-    if names is None:
-        names = display_names(p)
+def spell(parts: Iterable[str | Name], names: dict[Name, str]) -> str:
+    """The text of `pieces`, each name spelled by `names`, else by its
+    own spelling: the one join of a thread's or a process's pieces."""
     return "".join([x if type(x) is str else names.get(x, x.base)
-                     for x in pieces(p)])
+                    for x in parts])
+
+
+def lay_out(binders: Sequence[str], threads: Sequence[str]) -> str:
+    """The text of a normal form's process, as `pieces` lays it out,
+    from its restrictions' spellings and its threads' texts: `0`, or
+    `new a, b . (t1 | t2)`, parenthesised for two or more threads."""
+    if not threads:
+        return "0"
+    body = " | ".join(threads)
+    if not binders:
+        return body
+    if len(threads) > 1:
+        body = f"({body})"
+    return f"new {', '.join(binders)} . {body}"
+
+
+def print_process(p: Process, names: dict[Name, str] | None = None) -> str:
+    """p's `pieces`, spelled by `names` (by default p's `display_names`)."""
+    return spell(pieces(p), display_names(p) if names is None else names)
 
 
 def print_delta(delta: dict[Name, SessionType],
-                 names: dict[Name, str] | None = None) -> str:
-    def nm(n: Name) -> str:
-        if names and n in names:
-            return names[n]
-        return n.base
-
-    items = sorted(((nm(k), t) for k, t in delta.items()), key=lambda kv: kv[0])
+                names: dict[Name, str] | None = None) -> str:
+    items = sorted((((names or {}).get(k, k.base), t)
+                    for k, t in delta.items()), key=lambda kv: kv[0])
     return ", ".join(f"{k} : {print_type(t)}" for k, t in items)

@@ -240,7 +240,7 @@ def count_prints(monkeypatch):
 
 
 def rowed_threads(laid_out, printed):
-    """The threads laid out for their rows' templates.  Nothing else
+    """The threads laid out for their rows' pieces.  Nothing else
     lays out a thread, and only `progress` prints one whole."""
     assert {caller for caller, _ in printed} <= {"_cmd_progress"}
     assert {caller for caller, _ in laid_out} <= {"_row", "print_process"}

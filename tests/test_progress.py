@@ -481,6 +481,26 @@ def test_each_distinct_stuck_piece_is_checked_once(monkeypatch):
     assert scans[0] == 1 + 2 * 12
 
 
+def test_threads_share_a_number_exactly_when_they_print_alike():
+    # the search numbers threads by their rows' pieces: a `|` nested
+    # either way and a negative literal written either way print alike
+    # and give equal pieces; one other free channel gives other pieces
+    k, j = sx.chan("k"), sx.chan("j")
+    one, stop = sx.IntLit(1), sx.Stop()
+    send = sx.Send(j, one, stop)
+    left = sx.Receive(k, "x", sx.Par(sx.Par(send, stop), stop))
+    right = sx.Receive(k, "x", sx.Par(send, sx.Par(stop, stop)))
+    literal = sx.Send(k, sx.IntLit(-1), stop)
+    negated = sx.Send(k, sx.Unop("-", one), stop)
+    other = sx.Send(j, sx.IntLit(-1), stop)
+    for a, b, alike in [(left, right, True), (literal, negated, True),
+                        (literal, other, False), (negated, other, False)]:
+        assert (cg._row(a).pieces == cg._row(b).pieces) is alike
+        assert (sf.print_process(a) == sf.print_process(b)) is alike
+    assert sf.print_process(left) == "k?(x).(j!(1).0 | 0 | 0)"
+    assert sf.print_process(negated) == "k!(-1).0"
+
+
 def cycles(n):
     """n two-channel cycles `a!(i).b!(7).0 | a?(x).b?(y).0`."""
     return sf.parse_source(
@@ -530,7 +550,7 @@ def test_the_walk_stops_stepping_once_the_state_bound_is_hit(monkeypatch):
 def test_the_search_prints_each_thread_object_once(monkeypatch, tmp_path):
     # five cycles: `canonical_key` printed 10,280 threads when it printed
     # every thread of every state at least twice; now it lays out each
-    # thread object once per search, as a template
+    # thread object once per search, into its row
     laid_out = calls_by_caller(monkeypatch, "pieces", sf, cg)
     live = calls_by_caller(monkeypatch, "has_live_channels", cg)
     src = cycles(5)
@@ -545,7 +565,7 @@ def test_the_search_prints_each_thread_object_once(monkeypatch, tmp_path):
     assert [t for _, t in live] == printed
 
     # in one `run`, `run --all` or `progress` call, a thread object is
-    # laid out once, for its row's template; `run --all` prints from the
+    # laid out once, for its row's pieces; `run --all` prints from the
     # rows that keyed its states.  Only a counterexample's state, cut and
     # partner are printed whole, by the CLI.
     monkeypatch.undo()

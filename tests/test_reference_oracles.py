@@ -1001,10 +1001,10 @@ def test_keys_from_a_shared_table_are_the_reference_keys(monkeypatch):
     generated()
 
 
-def test_templates_keep_names_in_text_order_and_literals_literal():
+def test_row_fills_keep_names_in_text_order_and_literals_literal():
     # an offer prints its arms before its own channel, and its arms bind
-    # and use other names; string literals hold what a template is made
-    # of: newlines, braces and field numbers
+    # and use other names; string literals hold what a format template
+    # would be made of: newlines, braces and field numbers
     k, m, n = sx.bound_chan("k"), sx.bound_chan("m"), sx.bound_chan("n")
     j = sx.chan("j")
     texts = ["\n0\n", "{0}", "{", "}}", "\n{1}\n", "%s", "\x00", "\\n"]
@@ -1021,8 +1021,9 @@ def test_templates_keep_names_in_text_order_and_literals_literal():
     ]
     for t in threads:
         row = cg._row(t)
+        spelt = {c for c in row.pieces if type(c) is sx.Name}
         for names in (sf.display_names(t), {}, {c: f"{{{c.base}}}\n"
-                                                for c in row.slots}):
+                                                for c in spelt}):
             assert cg._fill(row, names) == sf.print_process(t, names)
     states = [
         functools.reduce(sx.Par, threads),

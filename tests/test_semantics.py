@@ -573,7 +573,7 @@ def test_carried_redexes_agree_with_the_reference(monkeypatch):
 
 def test_printing_a_step_does_not_grow_with_untouched_threads(monkeypatch):
     # beside 10 and beside 100 dormant servers, printing a buyer-seller
-    # trace after its first state fills as many templates and names as
+    # trace after its first state fills as many rows and names as
     # many binders again.  The trace's first step drops the request's
     # binder `k`, whose id is below the dormant servers' `k`s, and so
     # respells them all: the trace is printed from its second state on.
