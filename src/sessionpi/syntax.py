@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from operator import attrgetter, is_
+from operator import is_
 from typing import NamedTuple
 
 _uids = itertools.count(1)
@@ -305,117 +305,77 @@ class If(Process):
 
 # ---------------------------------------------------------------- node shapes
 #
-# `SHAPES` is the one place that knows where each process form keeps its
-# names and its subprocesses; every reader of a node's own names or
-# children but the printer, and every map over a term, uses it.  An
-# entry names the form's fields, each in the order the form is printed:
-# the channel it binds in its continuation, the service a serve, accept
-# or request names, the session channels its prefix names (its subject,
-# then the channel a delegation sends), and its subprocesses from left
-# to right: the two sides of `|`, the two branches of `if`, the arms of
-# an offer in their written order, and otherwise the one continuation
-# (none for `0`).  `subject`, `children`, `rebuild` and `facts`
-# read it through attribute readers made from it once, with one
-# lookup by class per node; all but `facts` look at the node they are
+# Every process form lays out its fields by one rule.  Field 0 holds the
+# name its prefix acts on: the service of a serve, accept or request,
+# and otherwise the session channel of its prefix (`new` holds its
+# binder there); a delegation's sent channel comes next.  The
+# subprocesses come last, from left to right: the two sides of `|`, the
+# two branches of `if`, and otherwise the one continuation (none for
+# `0`); an offer's last field is its arms, each a label and a process,
+# in their written order.  `SHAPES` records that layout as positions,
+# by class (the subprocesses' counted from the end, so a lone
+# continuation is at -1), and is the one place that knows where each
+# form keeps its names and its subprocesses: every reader of a node's
+# own names or children but the printer, and every map over a term,
+# indexes the node's fields through it, with one lookup by class per
+# node.  `subject`, `children` and `rebuild` look at the node they are
 # given only.  Walks use an explicit stack, also those that rebuild a
 # term (`_map`), so deep terms need no raised recursion limit; pushing
 # `reversed(children(q))` visits a term in pre-order, left to right.
 
 class Shape(NamedTuple):
     """Where a process form keeps its names and subprocesses, as field
-    names."""
-    binder: str | None         # the channel bound in its continuation
-    service: str | None        # the service it serves, accepts or requests
-    mentions: tuple[str, ...]  # the session channels its prefix names
-    children: tuple[str, ...]  # its subprocesses ("arms": an offer's)
+    positions.  Its subprocesses start at `children`, counted from the
+    end: -1 for one continuation, -2 for the sides of `|` or the
+    branches of `if`, and 0 for `0`, which has no fields."""
+    binder: int | None    # the channel bound in its continuation
+    service: bool         # field 0 is the service it acts on
+    mentions: int         # its first fields name this many session channels
+    children: int | None  # where its subprocesses start; None: an offer's arms
 
 
-_BODY = ("body",)
 SHAPES: dict[type, Shape] = {
-    Stop: Shape(None, None, (), ()),
-    Par: Shape(None, None, (), ("left", "right")),
-    New: Shape("chan", None, (), _BODY),
-    Serve: Shape("chan", "service", (), _BODY),
-    Accept: Shape("chan", "service", (), _BODY),
-    Request: Shape("chan", "service", (), _BODY),
-    Receive: Shape(None, None, ("chan",), _BODY),
-    Send: Shape(None, None, ("chan",), _BODY),
-    ReceiveSession: Shape("bound", None, ("chan",), _BODY),
-    SendSession: Shape(None, None, ("chan", "sent"), _BODY),
-    Offer: Shape(None, None, ("chan",), ("arms",)),
-    Choose: Shape(None, None, ("chan",), _BODY),
-    If: Shape(None, None, (), ("then", "els")),
+    Stop: Shape(None, False, 0, 0),
+    Par: Shape(None, False, 0, -2),
+    New: Shape(0, False, 0, -1),
+    Serve: Shape(1, True, 0, -1),
+    Accept: Shape(1, True, 0, -1),
+    Request: Shape(1, True, 0, -1),
+    Receive: Shape(None, False, 1, -1),
+    Send: Shape(None, False, 1, -1),
+    ReceiveSession: Shape(1, False, 1, -1),
+    SendSession: Shape(None, False, 2, -1),
+    Offer: Shape(None, False, 1, None),
+    Choose: Shape(None, False, 1, -1),
+    If: Shape(None, False, 0, -2),
 }
 
-
-class _Readers(NamedTuple):
-    """A `Shape` as C-level attribute readers, None where the form has
-    no such field.  A role with one field or several has one reader for
-    each case: one gives the field's value, several a tuple."""
-    binder: Callable | None
-    service: Callable | None
-    subject: Callable | None   # the service, else the first mention
-    mention: Callable | None   # the one mentioned channel
-    mentions: Callable | None  # two or more, as a tuple
-    child: Callable | None     # the one subprocess
-    kids: Callable | None      # two or more, or an offer's, as a tuple
-    keep: tuple[str, ...]      # the fields that are not subprocesses
-
-
-def _arm_processes(p: Offer) -> tuple[Process, ...]:
-    return tuple([a for _, a in p.arms])
-
-
-def _readers(cls: type, s: Shape) -> _Readers:
-    def get(field: str | None) -> Callable | None:
-        return None if field is None else attrgetter(field)
-
-    def one(names: tuple[str, ...]) -> Callable | None:
-        return attrgetter(*names) if len(names) == 1 else None
-
-    def several(names: tuple[str, ...]) -> Callable | None:
-        return attrgetter(*names) if len(names) > 1 else None
-
-    arms = s.children == ("arms",)
-    return _Readers(
-        get(s.binder), get(s.service),
-        get(s.service or (s.mentions[0] if s.mentions else None)),
-        one(s.mentions), several(s.mentions),
-        None if arms else one(s.children),
-        _arm_processes if arms else several(s.children),
-        tuple(f for f in cls._fields if f not in s.children))
-
-
-# indexed by `type(p)`: anything but a process raises KeyError
-_READERS = {cls: _readers(cls, s) for cls, s in SHAPES.items()}
+# the forms with a prefix: field 0 is the name it acts on
+_PREFIXED = frozenset(cls for cls, s in SHAPES.items()
+                      if s.service or s.mentions)
 
 
 def subject(p: Process) -> Name | None:
     """The name p's prefix acts on: the session channel of an
     in-session prefix, the service of a serve, accept or request; None
     for `0`, `|`, `new` and `if`."""
-    get = _READERS[type(p)].subject
-    return None if get is None else get(p)
+    return p[0] if type(p) in _PREFIXED else None
 
 
 def children(p: Process) -> tuple[Process, ...]:
     """The immediate subprocesses of p, left to right."""
-    r = _READERS[type(p)]
-    if r.child is not None:
-        return (r.child(p),)
-    return () if r.kids is None else r.kids(p)
+    at = SHAPES[type(p)].children
+    return tuple([a for _, a in p[-1]]) if at is None else p[at:]
 
 
 def rebuild(p: Process, kids: Sequence[Process]) -> Process:
     """p with its immediate subprocesses replaced by `kids`, given in
     the order of `children(p)`, and everything else of p kept: its
     names, expressions, the chosen label and each offer arm's label."""
-    keep = _READERS[type(p)].keep
-    if type(p) is Offer:
+    at = SHAPES[type(p)].children
+    if at is None:
         return Offer(p.chan, tuple((l, a) for (l, _), a in zip(p.arms, kids)))
-    if not kids:  # `0`
-        return p
-    return type(p)(*[getattr(p, f) for f in keep], *kids)
+    return type(p)(*p[:at], *kids) if kids else p  # `0` has none
 
 
 def par_leaves(p: Process) -> list[Process]:
@@ -449,29 +409,31 @@ class Facts(NamedTuple):
 
 
 def facts(p: Process) -> Facts:
-    """One non-recursive pre-order sweep of p, left to right, reading
+    """One non-recursive pre-order sweep of p, left to right, indexing
     each node through `SHAPES`: the one reader of a term's names below
     its head."""
     bound: dict[Name, None] = {}
     services: set[Name] = set()
     mentioned: set[Name] = set()
-    readers = _READERS
+    shapes = SHAPES
     todo = [p]
     while todo:
         q = todo.pop()
-        b, a, _, m, ms, k, ks, _ = readers[type(q)]
+        b, served, m, k = shapes[type(q)]
         if b is not None:
-            bound.setdefault(b(q))
-        if a is not None and (n := a(q)).kind == SERVICE:
+            bound.setdefault(q[b])
+        if served and (n := q[0]).kind == SERVICE:
             services.add(n)
-        if m is not None:
-            mentioned.add(m(q))
-        elif ms is not None:
-            mentioned.update(ms(q))
-        if k is not None:
-            todo.append(k(q))
-        elif ks is not None:
-            todo.extend(reversed(ks(q)))
+        if m == 1:
+            mentioned.add(q[0])
+        elif m:
+            mentioned.update(q[:m])
+        if k == -1:
+            todo.append(q[-1])
+        elif k is None:  # an offer
+            todo.extend(reversed([a for _, a in q[-1]]))
+        else:
+            todo.extend(reversed(q[k:]))
     return Facts(tuple(bound), frozenset(services), frozenset(mentioned))
 
 
@@ -535,9 +497,9 @@ def _rename(p: Process, env: dict[Name, Name],
     shields: list[tuple[Process, Name, Name | None]] = []
 
     def enter(q: Process) -> None:
-        get = _READERS[type(q)].binder
-        if get is not None:
-            c = get(q)
+        b = SHAPES[type(q)].binder
+        if b is not None:
+            c = q[b]
             c2 = bind(c)
             if c2 != c or c in env:  # renamed, or shields env's entry
                 shields.append((q, c, env.get(c)))
@@ -545,8 +507,8 @@ def _rename(p: Process, env: dict[Name, Name],
 
     def leave(q: Process, done: Process) -> Process:
         s = SHAPES[type(q)]
-        renamed = {f: env[n] for f in (s.binder, *s.mentions)
-                   if f is not None and (n := getattr(done, f)) in env}
+        renamed = {q._fields[i]: env[n] for i in (s.binder, *range(s.mentions))
+                   if i is not None and (n := done[i]) in env}
         if shields and shields[-1][0] is q:  # q's scope ends here
             _, c, hidden = shields.pop()
             if hidden is None:

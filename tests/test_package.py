@@ -12,7 +12,7 @@ UNREFERENCED = {
     "parse_process": "public API",
     "construct_partner": "public; traced by bench/spans.py",
     "maximal_parallel_subterms": "traced by bench/spans.py; deleting it"
-                                 " waits for ROADMAP item 7",
+                                 " waits for ROADMAP item 6",
 }
 
 

@@ -822,9 +822,12 @@ PAIRS = {
     "subject": (of_each_node(sx.subject), of_each_node(reference_subject)),
     "children": (of_each_node(sx.children), of_each_node(reference_children)),
     "facts": (of_each_part(sx.facts), of_each_part(reference_facts)),
+    # rebuilt around its own children, a node comes back equal
+    "rebuild": (of_each_node(lambda q: sx.rebuild(q, sx.children(q))),
+                of_each_node(lambda q: q)),
 }
 # the node readers are also checked on every benchmark file
-NODE_READERS = ("subject", "children", "facts")
+NODE_READERS = ("subject", "children", "facts", "rebuild")
 
 
 def same_spelling_servers(n):

@@ -153,6 +153,32 @@ def test_children_run_left_to_right_and_rebuild_keeps_the_rest():
     assert sx.rebuild(a, (a,)) == sx.Send(k, sx.IntLit(1), a)
 
 
+def test_shapes_name_the_fields_of_the_layout_rule():
+    # a process form whose fields break the layout rule fails here
+    forms = {cls for cls in vars(sx).values() if isinstance(cls, type)
+             and issubclass(cls, sx.Process) and cls is not sx.Process}
+    assert set(sx.SHAPES) == forms
+    for cls, s in sx.SHAPES.items():
+        fields = cls._fields
+        if s.service:
+            assert fields[0] == "service" and s.mentions == 0, cls
+        assert fields[:s.mentions] == ("chan", "sent")[:s.mentions], cls
+        if s.binder is not None:  # a delegation's receiver binds `bound`
+            assert fields[s.binder] == ("bound" if s.mentions else "chan"), cls
+        if s.children is None:
+            assert cls is sx.Offer and fields[-1] == "arms"
+        else:
+            assert fields[s.children:] in (
+                (), ("left", "right"), ("then", "els"), ("body",)), cls
+    assert sx.SHAPES[sx.SendSession].mentions == 2
+    assert {cls for cls, s in sx.SHAPES.items() if s.binder is not None} == {
+        sx.New, sx.Serve, sx.Accept, sx.Request, sx.ReceiveSession}
+    assert {cls for cls, s in sx.SHAPES.items()
+            if s.service or s.mentions} == {
+        sx.Serve, sx.Accept, sx.Request, sx.Receive, sx.Send,
+        sx.ReceiveSession, sx.SendSession, sx.Offer, sx.Choose}
+
+
 @given(st.integers(0, 10_000))
 def test_rebuilding_from_the_children_gives_the_term_back(seed):
     _, p = S.well_typed(random.Random(seed))
@@ -284,8 +310,8 @@ def rebuilt_subst_chan(p, old, new):
     """`subst_chan` by plain recursion, rebuilding every node; binders
     are unique, so none is `old`."""
     kids = [rebuilt_subst_chan(q, old, new) for q in sx.children(p)]
-    names = {f: new for f in sx.SHAPES[type(p)].mentions
-             if getattr(p, f) == old}
+    names = {p._fields[i]: new for i in range(sx.SHAPES[type(p)].mentions)
+             if p[i] == old}
     return sx.rebuild(p, kids)._replace(**names)
 
 
@@ -316,10 +342,10 @@ def test_substitution_copies_only_the_paths_to_the_occurrences(seed):
             assert_path_copied(
                 q.body, done, lambda t: rebuilt_substitute(t, q.var, four))
         elif (b := sx.SHAPES[type(q)].binder) is not None:
-            done = sx.subst_chan(q.body, getattr(q, b), k)
+            done = sx.subst_chan(q.body, q[b], k)
             assert_path_copied(
                 q.body, done,
-                lambda t: rebuilt_subst_chan(t, getattr(q, b), k))
+                lambda t: rebuilt_subst_chan(t, q[b], k))
     k = sx.chan("k")
     body = sx.Par(sx.Send(k, sx.Var("x"), sx.Stop()),
                   sx.Send(k, sx.IntLit(1), sx.Stop()))
