@@ -3,10 +3,10 @@
 A transparent process has progress outright, so the checker's positive
 answer is the transparency certificate.  For everything else it hunts
 for a refutation: it walks the reachable states, carves each state's
-thread list into sub-multisets (the surrounding restrictions and the
-remaining threads form the reduction context), and asks whether each
-piece that still has live channels can either move on its own or be
-completed by a canonical partner process.  A piece with no such partner
+thread list into connected sub-multisets (the surrounding restrictions
+and the remaining threads form the reduction context), and asks whether
+each piece that still has live channels or a dormant service can either
+move on its own or be completed by a canonical partner process.  A piece with no such partner
 witnesses a stuck decomposition.  The search is bounded, so its only
 verdicts are a counterexample or "nothing found within the bounds";
 certificates come from transparency alone.
@@ -14,7 +14,6 @@ certificates come from transparency alone.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from functools import reduce
 from typing import NamedTuple
@@ -121,48 +120,58 @@ def inhabit(a: SessionType, k: Name,
 
 # ---------------------------------------------------------- partner processes
 
+_DORMANT = (sx.Accept, sx.Serve)  # heads whose sessions open on a request
+
+
 def construct_partner(
         gamma: dict[str, Sort],
         p: Process) -> tuple[Process, dict[str, Sort]] | None:
     """A stuck process completing irreducible p so the pair reduces.
 
-    Requires p irreducible with live channels (ValueError otherwise).
-    A request-headed thread gets its service accepted; failing that, a
-    channel still typed at a session type gets its dual inhabited,
-    preferring channels some thread is actually waiting on.  Returns
-    None when every session is already closed on both ends inside p —
-    unreachable for transparent processes.
+    Requires p irreducible with live channels or a thread headed by an
+    accept or serve (ValueError otherwise).  The partner is, in order:
+    an accept for p's first request; the dual inhabitant of the first
+    open channel a thread is waiting on; that of the lowest open
+    channel by `congruence.chan_order`; a request for the first accept
+    or serve, its body inhabiting the dual of the declared session.
+    Returns None when none applies: every session is closed on both
+    ends inside p and no service is dormant.
     """
     if semantics.redexes(p):
         raise ValueError("process still reduces on its own")
-    if not congruence.has_live_channels(p):
-        raise ValueError("process has no live channels to complete")
-    return _partner(gamma, p, congruence.normal_form(p).threads)
+    threads = congruence.normal_form(p).threads
+    if not (congruence.has_live_channels(p)
+            or any(type(t) in _DORMANT for t in threads)):
+        raise ValueError("process has nothing to complete")
+    return _partner(gamma, p, threads)
 
 
 def _partner(gamma: dict[str, Sort], p: Process, threads: tuple[Process, ...]
              ) -> tuple[Process, dict[str, Sort]] | None:
     """`construct_partner` for p, whose normal form has these threads,
-    once p is known to be irreducible and live."""
+    once p is known to be irreducible and to have something to
+    complete."""
     avoid = set(gamma)
-
-    for t in threads:
-        if isinstance(t, sx.Request):
-            sort = gamma.get(t.service.base)
-            if isinstance(sort, sx.ServiceSort):
-                k = sx.bound_chan(t.chan.base)
-                body, ext = inhabit(sort.session, k, avoid)
-                return sx.Accept(t.service, k, body), ext
-
+    requests = [t for t in threads if type(t) is sx.Request]
+    if requests:
+        t = requests[0]
+        k = sx.bound_chan(t.chan.base)
+        body, ext = inhabit(gamma[t.service.base].session, k, avoid)
+        return sx.Accept(t.service, k, body), ext
     delta = typecheck.check(gamma, p)
     open_chans = [c for c, ty in delta.items() if not isinstance(ty, sx.Bot)]
-    # a service is never a session channel, so requests drop out here
-    heads = [c for t in threads if (c := sx.subject(t)) in open_chans]
-    ordered = heads + sorted((c for c in open_chans if c not in heads),
-                             key=congruence.chan_order)
-    for c in ordered:
-        body, ext = inhabit(typecheck.dual(delta[c]), c, avoid)
-        return body, ext
+    # a service is never a session channel, so accepts and serves drop out
+    waited = [c for t in threads if (c := sx.subject(t)) in open_chans]
+    if open_chans:
+        c = waited[0] if waited else min(open_chans, key=congruence.chan_order)
+        return inhabit(typecheck.dual(delta[c]), c, avoid)
+    dormant = [t for t in threads if type(t) in _DORMANT]
+    if dormant:
+        t = dormant[0]
+        k = sx.bound_chan(t.chan.base)
+        session = typecheck.dual(gamma[t.service.base].session)
+        body, ext = inhabit(session, k, avoid)
+        return sx.Request(t.service, k, body), ext
     return None
 
 
@@ -193,8 +202,9 @@ _CONDITIONS = {
 
 def _cut_failure(gamma: dict[str, Sort], cut: tuple[Process, ...]
                  ) -> tuple[str, Process | None] | None:
-    """None when the live, irreducible piece made of the threads `cut`
-    passes; else (failed condition, partner)."""
+    """None when the irreducible piece made of the threads `cut`, live
+    or holding an accept or serve, passes; else (failed condition,
+    partner)."""
     piece = reduce(sx.Par, cut)
     got = _partner(gamma, piece, cut)
     if got is None:
@@ -217,35 +227,32 @@ def _cut_failure(gamma: dict[str, Sort], cut: tuple[Process, ...]
     return None
 
 
-def _adjacency(ties: list[frozenset[Name]]) -> list[int]:
-    """For each position, the mask of the positions whose ties meet its
-    own (itself included)."""
+def _adjacency(bits: list[int], ties: list[frozenset[Name]]
+               ) -> dict[int, int]:
+    """For each position's bit, the mask of the positions whose ties
+    meet its own (itself included)."""
     holders: dict[Name, int] = {}
-    for i, names in enumerate(ties):
+    for bit, names in zip(bits, ties):
         for c in names:
-            holders[c] = holders.get(c, 0) | 1 << i
-    return [reduce(operator.or_, map(holders.__getitem__, names), 1 << i)
-            for i, names in enumerate(ties)]
+            holders[c] = holders.get(c, 0) | bit
+    return {bit: reduce(operator.or_, map(holders.__getitem__, names), bit)
+            for bit, names in zip(bits, ties)}
 
 
-def _split(mask: int, adj: list[int]) -> list[int]:
-    """The positions of `mask` grouped into parts that share no tie, as
-    masks: the components of `adj` (see `_adjacency`) within the mask,
-    ordered by their last position."""
-    parts = []
-    rest = mask
-    while rest:
-        part = grow = 1 << (rest.bit_length() - 1)
-        while grow:
-            bit = grow & -grow
-            grow ^= bit
-            new = adj[bit.bit_length() - 1] & rest & ~part
-            part |= new
-            grow |= new
-        parts.append(part)
-        rest &= ~part
-    parts.reverse()
-    return parts
+def _grow(level: dict[int, int], near: dict[int, int]) -> dict[int, int]:
+    """The connected picks one position larger than those of `level`:
+    each pick of `level` joined by each position its ties meet.  Like
+    `level`, maps each pick to the mask of the positions its ties meet
+    (itself included), from `near` (see `_adjacency`)."""
+    grown: dict[int, int] = {}
+    for mask, reach in level.items():
+        rim = reach & ~mask
+        while rim:
+            bit = rim & -rim
+            rim ^= bit
+            if mask | bit not in grown:
+                grown[mask | bit] = reach | near[bit]
+    return grown
 
 
 def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
@@ -255,45 +262,40 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
 
     Transparency certifies outright.  Otherwise the states that
     `semantics.explore` reaches within `depth` steps (at most
-    `max_states` of them) are decomposed into sub-multisets of their
-    threads, smallest first, at most `subset_budget` per state; a
-    decomposition with live channels that neither reduces nor accepts a
-    canonical partner refutes progress.  A clean but bounded search
-    stays inconclusive: certificates never come from the search.
+    `max_states` of them) are decomposed into connected sub-multisets
+    of their threads, smallest first, at most `subset_budget` per
+    state; a decomposition with live channels or a dormant service
+    that neither reduces nor accepts a canonical partner refutes
+    progress.  A clean but bounded search stays inconclusive:
+    certificates never come from the search.
 
-    Each position of a state's threads is one bit, and each pick's mask
-    is summed from its bits as `itertools.combinations` yields it.  The
-    walk gives each state's redexes, one mask per move (both ends of a
-    pair redex, or an enabled conditional).  A pick reduces exactly
-    when it holds a move's mask, `m & mask == m`, and is live exactly
-    when it meets the mask of the live positions, so such picks cost a
-    budget unit but no cut check.  Each distinct stuck piece is checked
-    once per search, known by its threads' numbers, and so is each part
-    the independence rule splits it into.  Threads are numbered by
-    their rows' `pieces` (literal strings and `Name`s, from the one
-    `canonical_key` table of the search, which also gives their
-    liveness and ties), so no thread is hashed or compared by value.
-    Threads that print alike share a number: they differ at most in how
-    `|` nests or how a negative literal is written, so they are
-    congruent and `_cut_failure` answers the same on them.
+    Two threads are tied when they share a free session channel or a
+    service (served, accepted or requested anywhere in a thread), and a
+    pick is connected when its ties join all its threads.  A stuck piece
+    passes when each of its tie-components passes on its own, so only
+    connected picks are checked: the parts share no name, so their
+    completions run side by side, and the completed parts' transparent
+    reducts, side by side, make a transparent reduct of the whole.  A
+    counterexample is therefore always a connected piece.
 
-    Independence rule: a stuck piece whose threads split into two or
-    more parts sharing no free session channel and no service (served,
-    accepted or requested anywhere in a thread) passes without a partner
-    when every part is transparent.  Its live parts have passed already:
-    each is a smaller stuck piece of the same state (a move inside a
-    part is a move inside the piece), so it was picked earlier, within
-    the budget, and either passed or ended the search.  The rule holds
-    because `_partner` (`construct_partner` without its checks) builds
-    the piece's partner for one part, the one holding the first request
-    or else the first thread waiting on an open channel, and builds that
-    same partner for the part alone: a live part passes only if it has
-    such a thread, and a part without live channels has none.  The
-    other parts share no name with that part or its partner, so the
-    completed piece is well-typed, and the reduct that let the part
-    pass, beside the other transparent parts, is transparent.  Every
-    other piece goes through the full check, so a failing piece reports
-    the same condition, cut and partner.
+    Each position of a state's threads is one bit, position i the bit
+    n-1-i, so that picks of one size, sorted by descending mask, come in
+    the order of `itertools.combinations`.  The picks of each size are
+    grown from those one smaller by one position that their ties meet
+    (`_grow`), so `subset_budget` counts connected picks only.  The walk
+    gives each state's redexes, one mask per move (both ends of a pair
+    redex, or an enabled conditional).  A pick reduces exactly when it
+    holds a move's mask, `m & mask == m`, and counts exactly when it
+    meets the mask of the positions that are live or headed by an
+    accept or serve, so picks that reduce or do not count cost a budget
+    unit but no cut check.  Each distinct stuck piece is checked once per search, known
+    by its threads' numbers.  Threads are numbered by their rows'
+    `pieces` (literal strings and `Name`s, from the one `canonical_key`
+    table of the search, which also gives their liveness and ties), so
+    no thread is hashed or compared by value.  Threads that print alike
+    share a number: they differ at most in how `|` nests or how a
+    negative literal is written, so they are congruent and
+    `_cut_failure` answers the same on them.
     """
     verdict = depgraph.is_transparent(gamma, p)
     if verdict.reason == "ill-typed":
@@ -307,75 +309,40 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     table: congruence.Table = {}
     visited = 0
     number: dict[tuple[str | Name, ...], int] = {}
-    known: list[congruence.Row] = []  # the row of each number
     passed: set[tuple[int, ...]] = set()
-    transparent_parts: dict[tuple[int, ...], bool] = {}
-
-    def independent(mask: int) -> bool:
-        """The independence rule for the stuck piece `mask` of this
-        state: two or more parts, each transparent."""
-        nonlocal adj
-        if adj is None:
-            adj = _adjacency([known[i].ties for i in ids])
-        parts = _split(mask, adj)
-        if len(parts) < 2:
-            return False
-        for part in parts:
-            nums = numbers_of.get(part)
-            if nums is None:
-                nums = numbers_of[part] = tuple(
-                    itertools.compress(ids, map(part.__and__, bits)))
-            ok = transparent_parts.get(nums)
-            if ok is None:
-                piece = reduce(sx.Par, [known[i].thread for i in nums])
-                ok = depgraph.is_transparent(gamma, piece).ok
-                transparent_parts[nums] = ok
-            if not ok:
-                return False
-        return True
 
     for state, succs in semantics.explore(p, depth, max_states, table, cuts):
         visited += 1
         threads = state.threads
-        n = len(threads)
-        bits = [1 << i for i in range(n)]  # one per position
+        bits = [1 << i for i in reversed(range(len(threads)))]
         ids: list[int] = []  # the thread number at each position
-        adj: list[int] | None = None  # the `_adjacency`, once needed
-        numbers_of: dict[int, tuple[int, ...]] = {}  # a part's, by mask
-        live = 0
+        ties: list[frozenset[Name]] = []
+        counts = 0
         # a state is keyed, so its rows are built, before it is yielded
         for row, bit in zip(congruence.rows(table, threads), bits):
-            i = number.setdefault(row.pieces, len(known))
-            if i == len(known):
-                known.append(row)
-            ids.append(i)
-            if row.live:
-                live |= bit
+            ids.append(number.setdefault(row.pieces, len(number)))
+            ties.append(row.ties)
+            if row.live or type(row.thread) in _DORMANT:
+                counts |= bit
         moves = list({bits[r.i] | (0 if r.j is None else bits[r.j])
                       for r in succs})
+        level = near = _adjacency(bits, ties)
         budget = subset_budget
-        for size in range(1, n + 1):
-            if budget == 0:  # ends every larger size at once
-                cuts.add("subset-budget")
-                break
-            taken = min(budget, math.comb(n, size))
-            budget -= taken
-            picks = zip(itertools.combinations(range(n), size),
-                        map(sum, itertools.combinations(bits, size)))
-            for pick, mask in itertools.islice(picks, taken):
-                if not mask & live:
+        while level:
+            picks = sorted(level, reverse=True)[:budget]
+            budget -= len(picks)
+            for mask in picks:
+                if not mask & counts:
                     continue
                 for m in moves:
                     if m & mask == m:
                         break
-                else:  # live and irreducible: a stuck piece
-                    nums = tuple(map(ids.__getitem__, pick))
+                else:  # counts and irreducible: a stuck piece
+                    held = list(map(mask.__and__, bits))
+                    nums = tuple(itertools.compress(ids, held))
                     if nums in passed:
                         continue
-                    if size > 1 and independent(mask):
-                        passed.add(nums)
-                        continue
-                    cut = tuple(map(threads.__getitem__, pick))
+                    cut = tuple(itertools.compress(threads, held))
                     bad = _cut_failure(gamma, cut)
                     if bad is None:
                         passed.add(nums)
@@ -387,6 +354,10 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
                         state=state.process(), cut=cut, partner=partner,
                         failed=failed, states_seen=visited,
                         bound_hit=bool(cuts))
+            if len(picks) < len(level):  # spent: no larger pick is tried
+                cuts.add("subset-budget")
+                break
+            level = _grow(level, near)
 
     return ProgressResult(
         "inconclusive",

@@ -311,28 +311,27 @@ def hidden_cycle(c: sx.Name) -> sx.Process:
 
 
 def independent_units(
-        rng: random.Random) -> tuple[dict, list[tuple[list[sx.Process], bool]]]:
-    """Groups of threads for the independence rule of the progress
-    search, as (threads, tied) pairs; no two groups share a name.
+        rng: random.Random) -> tuple[dict, list[list[sx.Process]]]:
+    """Groups of threads, no two of which share a name, for the
+    connected picks of the progress search.
 
     A group is a stuck piece of a `typed_cycles` state renamed apart
     (it may split further), a `hidden_cycle` thread, a dormant server,
-    or two requests for one service, which share only that service:
-    those are `tied` and must end up in one part."""
+    or two requests for one service, which share only that service."""
     gamma: dict = {}
-    units: list[tuple[list[sx.Process], bool]] = []
+    units: list[list[sx.Process]] = []
     for n in range(rng.randint(2, 4)):
         kind = rng.random()
         if kind < 0.5:
-            units.append((_cycle_piece(rng, str(n)), False))
+            units.append(_cycle_piece(rng, str(n)))
         elif kind < 0.7:
-            units.append(([hidden_cycle(sx.chan(f"h{n}"))], False))
+            units.append([hidden_cycle(sx.chan(f"h{n}"))])
         elif kind < 0.8:
             a = rand_type(rng, depth=2)
             gamma[f"d{n}"] = sx.ServiceSort(a)
             k = sx.bound_chan("k")
-            units.append(([sx.Serve(sx.svc(f"d{n}"), k,
-                                    _inhabit_into(gamma, a, k))], False))
+            units.append([sx.Serve(sx.svc(f"d{n}"), k,
+                                   _inhabit_into(gamma, a, k))])
         else:
             a = rand_type(rng, depth=2)
             gamma[f"s{n}"] = sx.ServiceSort(a)
@@ -342,7 +341,7 @@ def independent_units(
                 requests.append(sx.Request(sx.svc(f"s{n}"), k,
                                            _inhabit_into(gamma, tc.dual(a),
                                                          k)))
-            units.append((requests, True))
+            units.append(requests)
     return gamma, units
 
 

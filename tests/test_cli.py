@@ -381,21 +381,61 @@ def test_progress_reports_the_cut(capsys, spi):
     assert len(data["data"]["cut"]) == 2
 
 
+_LIVE = "new a, b . (a!(1).b!(2).0 | a?(u).b?(w).0)"
+
+
+@pytest.mark.parametrize("sessions, threads", [
+    ("c, e", [f"c >> {{go: 0, stop: {_LIVE}}}",
+              f"e >> {{go: 0, stop: {_LIVE}}}"]),
+    ("c, d", ["d?(x).0", f"c >> {{go: 0, stop: {_LIVE}}}"]),
+])
+def test_threads_that_share_no_name_are_never_cut_together(
+        capsys, tmp_path, sessions, threads):
+    # each thread alone is inconclusive; side by side they share no
+    # name, so no piece holds both, in either order
+    f = tmp_path / "apart.spi"
+    for order in (threads, threads[::-1]):
+        f.write_text(f"sessions {sessions}; " + " | ".join(order) + "\n")
+        code, data = run_json(capsys, "progress", str(f))
+        assert (code, data["verdict"]) == (0, "inconclusive"), order
+
+
+def test_a_dormant_deadlock_is_refuted_alike_beside_an_unrelated_pair(
+        capsys, spi, tmp_path):
+    # the accept alone is the cut, completed by a request; a pair that
+    # shares no name with it changes neither verdict nor cut
+    alone = spi("circular_waits_under_accept")
+    beside = tmp_path / "beside.spi"
+    beside.write_text(SOURCES["circular_waits_under_accept"].rstrip()
+                      + " | new k . (k!(1).0 | k?(x).0)\n")
+    got = []
+    for f in (alone, str(beside)):
+        code, data = run_json(capsys, "progress", f)
+        got.append((code, data["verdict"], data["data"]["failed"],
+                    data["data"]["cut"], data["data"]["partner"]))
+    assert got[0] == got[1] == (
+        1, "counterexample", "d",
+        ["a(k).new k1, k2 . (k1?(x).k2!(x).0 | k2?(x).k1!(x).0)"],
+        "a<k>.0")
+
+
 def test_progress_prints_the_partner_with_the_state_s_names(capsys, tmp_path):
-    # the partner completes the cut's k_1!(1).0; its k is the state's k_1
+    # the partner completes the cut's k_1?(x).…; its k is the state's
+    # k_1, spelled apart from the k bound under the accept
     f = tmp_path / "partner.spi"
-    f.write_text("env a : <end>; a(k2) . new k, k1 . (k?(x).k1!(x).0"
-                 " | k1?(x).k!(x).0) | new k . (k!(1).0 | k?(x).0)\n")
+    f.write_text("env a : <end>; a(k2) . new k . (k!(1).0 | k?(x).0)"
+                 " | new k . (k!(1).0 | k?(x).new c, d . (c?(y).d!(y).0"
+                 " | d?(y).c!(y).0))\n")
     code, out, _ = run(capsys, "progress", str(f))
     assert code == 1
     assert out.splitlines()[1:] == [
-        "  state: new k_1 . (a(k2).new k, k1 . (k?(x).k1!(x).0"
-        " | k1?(x).k!(x).0) | k_1!(1).0 | k_1?(x).0)",
-        "  stuck decomposition: a(k2).new k, k1 . (k?(x).k1!(x).0"
-        " | k1?(x).k!(x).0) | k_1!(1).0",
-        "  best partner tried: k_1?(x).0"]
+        "  state: new k_1 . (a(k2).new k . (k!(1).0 | k?(x).0) | k_1!(1).0"
+        " | k_1?(x).new c, d . (c?(y).d!(y).0 | d?(y).c!(y).0))",
+        "  stuck decomposition: k_1?(x).new c, d . (c?(y).d!(y).0"
+        " | d?(y).c!(y).0)",
+        "  best partner tried: k_1!(1).0"]
     code, data = run_json(capsys, "progress", str(f))
-    assert (code, data["data"]["partner"]) == (1, "k_1?(x).0")
+    assert (code, data["data"]["partner"]) == (1, "k_1!(1).0")
 
 
 @pytest.mark.parametrize("command, flag", [("run", "--steps"),
@@ -436,11 +476,12 @@ def test_max_states_cuts_the_search_short(capsys, tmp_path):
 
 def test_a_state_bound_of_zero_keeps_only_the_start(capsys, spi):
     # the walk always holds the start: `run --all` shows none of it and
-    # reports the bound, and `progress` still decomposes it
+    # reports the bound, and `progress` still decomposes it: the dormant
+    # accept alone is completed by a request
     hit = "  (state bound hit; raise --max-states to explore further)"
-    searched = {"relay": ("certificate", 0), "circular_waits_under_accept":
-                ("inconclusive", 1)}
-    for name, (verdict, seen) in searched.items():
+    searched = {"relay": (0, "certificate", 0), "circular_waits_under_accept":
+                (1, "counterexample", 1)}
+    for name, (rc, verdict, seen) in searched.items():
         argv = ["run", "--all", "--max-states", "0", spi(name)]
         code, out, _ = run(capsys, *argv)
         assert (code, out.splitlines()) == (
@@ -450,7 +491,7 @@ def test_a_state_bound_of_zero_keeps_only_the_start(capsys, spi):
         code, data = run_json(capsys, "progress", "--max-states", "0",
                               spi(name))
         assert (code, data["verdict"], data["data"]["states_seen"],
-                data["data"]["bound_hit"]) == (0, verdict, seen, False)
+                data["data"]["bound_hit"]) == (rc, verdict, seen, False)
 
 
 def test_progress_answers_on_deep_threads(tmp_path):

@@ -19,7 +19,7 @@ import sessionpi.typecheck as tc
 import strategies as S
 from sessionpi.examples import SOURCES, load
 from test_reference_oracles import (calls_by_caller, cli_calls,
-                                    reference_redexes)
+                                    reference_redexes, reference_ties)
 
 K = sx.chan("k")
 
@@ -196,9 +196,13 @@ def test_preconditions_are_enforced():
     with pytest.raises(ValueError):
         pg.construct_partner({}, sf.parse_process(
             "new m . (m?(x).0 | m!(1).0)"))
-    g = {"a": sx.ServiceSort(sx.End())}
     with pytest.raises(ValueError):
-        pg.construct_partner(g, sf.parse_process("*a(k).0", gamma=g))
+        pg.construct_partner({}, sx.Stop())
+    # a dormant service has something to complete: it gets a request
+    g = {"a": sx.ServiceSort(sf.parse_type("?[int].end"))}
+    for src in ("*a(k).k?(x).0", "a(k).k?(x).0"):
+        q, _ = pg.construct_partner(g, sf.parse_process(src, gamma=g))
+        assert sf.print_process(q) == "a<k>.k!(1).0"
 
 
 @given(st.integers(0, 5_000))
@@ -313,11 +317,33 @@ def test_dead_restrictions_do_not_count_as_new_states():
 
 # ------------------------------------------------- the search against an oracle
 
+def reference_connected(cut):
+    """Whether the ties of the threads `cut` join them all."""
+    ties = [reference_ties(t) for t in cut]
+    joined, names, grew = {0}, set(ties[0]), True
+    while grew:
+        grew = False
+        for i, names_i in enumerate(ties):
+            if i not in joined and names & names_i:
+                joined.add(i)
+                names |= names_i
+                grew = True
+    return len(joined) == len(cut)
+
+
+def reference_counts(cut):
+    """Whether the piece `cut` has live channels or a thread headed by
+    an accept or serve."""
+    return (cg.has_live_channels(reduce(sx.Par, cut))
+            or any(isinstance(t, (sx.Accept, sx.Serve)) for t in cut))
+
+
 def reference_check_progress(gamma, p, depth=10, subset_budget=512,
                              max_states=2000):
-    """The search as first written: every pick of every state builds its
-    piece and, when it is live and irreducible, goes through
-    `_cut_failure`, with nothing shared."""
+    """The search as first written: every connected pick of every state
+    builds its piece and, when it counts (`reference_counts`) and is
+    irreducible, goes through `_cut_failure`, with nothing shared.
+    Only connected picks spend the budget."""
     tc.check(gamma, p)  # propagate ill-typedness to the caller
 
     verdict = dg.is_transparent(gamma, p)
@@ -341,13 +367,15 @@ def reference_check_progress(gamma, p, depth=10, subset_budget=512,
             budget = subset_budget
             for size in range(1, len(threads) + 1):
                 for pick in itertools.combinations(range(len(threads)), size):
+                    cut = tuple(threads[i] for i in pick)
+                    if not reference_connected(cut):
+                        continue
                     if budget == 0:
                         bound_hit = True
                         break
                     budget -= 1
-                    cut = tuple(threads[i] for i in pick)
                     piece = reduce(sx.Par, cut)
-                    if not cg.has_live_channels(piece) or sm.redexes(piece):
+                    if not reference_counts(cut) or sm.redexes(piece):
                         continue
                     bad = pg._cut_failure(gamma, cut)
                     if bad is not None:
@@ -463,8 +491,8 @@ def count_calls(monkeypatch, module, name):
 def test_each_distinct_stuck_piece_is_checked_once(monkeypatch):
     # three live two-channel cycles: 27 states, and 5**3 - 1 distinct
     # stuck pieces (each cycle contributes one of its five irreducible
-    # shapes, or nothing); only the 4 * 3 single threads need a
-    # partner, every larger piece passes by the independence rule
+    # shapes, or nothing); only the 4 * 3 single threads are connected
+    # and stuck, so only they need a partner
     src = sf.parse_source(
         "sessions a0, b0, a1, b1, a2, b2;"
         " a0!(17).b0!(72).0 | a0?(x).b0?(y).0 | a1!(97).b1!(8).0"
@@ -511,12 +539,13 @@ def cycles(n):
 
 def test_independent_cycles_need_a_partner_per_thread(monkeypatch):
     # five cycles: 2,612 distinct stuck pieces, of which only the 20
-    # single threads are checked with a partner
+    # single threads are connected, so only they are checked with a
+    # partner, and no state spends its budget
     src = cycles(5)
     calls = count_calls(monkeypatch, pg, "_partner")
     r = pg.check_progress(src.gamma, src.process)
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 243,
-                                                        True)
+                                                        False)
     assert calls[0] == 20
 
 
@@ -597,10 +626,10 @@ def _inner_code(fns):
 
 def test_the_pick_loop_runs_no_generator_or_all():
     # five cycles: the per-pick redex test was a generator of `all`s,
-    # millions of steps; picks, moves and parts are masks now, so the
-    # loop, the independence rule it defines, its mask helpers and the
-    # walk that feeds it step no generator and call no `all`/`any`
-    loop = _inner_code([pg.check_progress, pg._split, pg._adjacency,
+    # millions of steps; picks, moves and ties are masks now, so the
+    # loop, its mask helpers and the walk that feeds it step no
+    # generator and call no `all`/`any`
+    loop = _inner_code([pg.check_progress, pg._adjacency, pg._grow,
                         sm.explore])
     steps = Counter()
 
@@ -622,61 +651,52 @@ def test_the_pick_loop_runs_no_generator_or_all():
     assert steps == Counter()
 
 
+def search_outcome(gamma, threads):
+    """What the search answers on these threads side by side: the
+    verdict, the failed condition, and the cut's size and key."""
+    r = pg.check_progress(gamma, reduce(sx.Par, threads, sx.Stop()))
+    return (r.verdict, r.failed, len(r.cut),
+            cg.canonical_key(reduce(sx.Par, r.cut)) if r.cut else None)
+
+
 @given(st.integers(0, 10_000))
 @settings(deadline=None, max_examples=150)
-def test_the_independence_rule_is_sound(seed):
-    # every stuck piece of two or more parts that the independence rule
-    # passes also passes the full cut check
+def test_shuffling_independent_parts_keeps_the_outcome(seed):
+    # groups that share no name are never picked together: the whole
+    # fails exactly when a group fails alone, as the smallest failing
+    # group does.  Shuffling the threads keeps the verdict, the failed
+    # condition and the cut's key; the thread order only decides
+    # between groups that fail at the same smallest size.
     rng = random.Random(seed)
     gamma, units = S.independent_units(rng)
-    threads = [t for ts, _ in units for t in ts]
+    threads = [t for ts in units for t in ts]
+    got = search_outcome(gamma, threads)
     rng.shuffle(threads)
-    ties = [f.free | f.services for f in map(sx.facts, threads)]
-
-    def positions(mask):
-        return tuple(i for i in range(len(threads)) if mask >> i & 1)
-
-    masks = pg._split((1 << len(threads)) - 1, pg._adjacency(ties))
-    parts = list(map(positions, masks))
-    part_of = {i: part for part in parts for i in part}
-    unit_of = {t: n for n, (ts, _) in enumerate(units) for t in ts}
-    for part in parts:  # groups share no name, so no part spans two
-        assert len({unit_of[threads[i]] for i in part}) == 1
-    for ts, tied in units:  # requests for one service stay together
-        if tied:
-            assert len({part_of[threads.index(t)] for t in ts}) == 1
-    if len(parts) < 2:
-        return
-    piece = reduce(sx.Par, threads)
-    if sm.redexes(piece) or not cg.has_live_channels(piece):
-        return
-    live = [cg.has_live_channels(t) for t in threads]
-
-    def of(part):
-        return tuple(threads[i] for i in part)
-
-    # in the search every live part of a stuck piece is a smaller stuck
-    # piece of the same state, so it has passed before the piece is
-    # picked; the rule then asks only that every part be transparent
-    for part in parts:
-        if (any(live[i] for i in part)
-                and pg._cut_failure(gamma, of(part)) is not None):
-            return
-    if all(dg.is_transparent(gamma, reduce(sx.Par, of(part))).ok
-           for part in parts):
-        assert pg._cut_failure(gamma, tuple(threads)) is None
+    shuffled = search_outcome(gamma, threads)
+    assert got[0] == shuffled[0]
+    failing = {o for ts in units if ts
+               if (o := search_outcome(gamma, ts))[0] == "counterexample"}
+    assert (got[0] == "counterexample") == bool(failing)
+    if failing:
+        size = min(o[2] for o in failing)
+        smallest = {o for o in failing if o[2] == size}
+        assert got in smallest and shuffled in smallest
+        if len(smallest) == 1:
+            assert got == shuffled
 
 
 # ------------------------------------------------- every counterexample holds
 
 def assert_genuine(gamma, r):
-    """The cut is a stuck piece of its state that fails what it says."""
+    """The cut is a connected stuck piece of its state, live or holding
+    an accept or serve, that fails what it says."""
     assert r.verdict == "counterexample"
     threads = cg.normal_form(r.state).threads
     assert Counter(r.cut) <= Counter(threads)
     piece = reduce(sx.Par, r.cut)
     assert sm.redexes(piece) == []
-    assert cg.has_live_channels(piece)
+    assert reference_connected(r.cut)
+    assert reference_counts(r.cut)
     failure = pg._cut_failure(gamma, r.cut)
     assert failure is not None and failure[0] == r.failed
 
