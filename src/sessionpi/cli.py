@@ -116,34 +116,29 @@ def _cmd_transparent(args) -> int:
 
 def _cmd_run(args) -> int:
     src = _load(args.file)
-    try:
-        if args.all:
-            # the states are printed from the rows that keyed them
-            table: congruence.Table = {}
-            cuts: set[str] = set()
-            states = [q for q, _ in semantics.explore(
-                src.process, args.steps, args.max_states, table, cuts)]
-            # the walk keeps the start even when the bound is 0
-            shown = congruence.print_states(states[:args.max_states], table)
-            data: dict = {"states": shown}
-            lines = ([f"{len(shown)} states within {args.steps} steps:"]
-                     + [f"  {s}" for s in shown])
-            if "max-states" in cuts or len(shown) < len(states):
-                data["bound_hit"] = True
-                lines.append("  (state bound hit; raise --max-states to"
-                             " explore further)")
-            _emit(args, "ok", data, lines)
+    if args.all:
+        # the states are printed from the rows that keyed them
+        table: congruence.Table = {}
+        cuts: set[str] = set()
+        states = [q for q, _ in semantics.explore(
+            src.process, args.steps, args.max_states, table, cuts)]
+        # the walk keeps the start even when the bound is 0
+        shown = congruence.print_states(states[:args.max_states], table)
+        data: dict = {"states": shown}
+        lines = ([f"{len(shown)} states within {args.steps} steps:"]
+                 + [f"  {s}" for s in shown])
+        if "max-states" in cuts or len(shown) < len(states):
+            data["bound_hit"] = True
+            lines.append("  (state bound hit; raise --max-states to"
+                         " explore further)")
+        _emit(args, "ok", data, lines)
+    else:
+        t = semantics.trace(src.process, args.steps, seed=args.seed)
+        # each state is printed once, for the form that is output
+        if getattr(args, "json", False):
+            _emit(args, "ok", {"trace": semantics.trace_records(t)}, [])
         else:
-            t = semantics.trace(src.process, args.steps, seed=args.seed)
-            # each state is printed once, for the form that is output
-            if getattr(args, "json", False):
-                _emit(args, "ok", {"trace": semantics.trace_records(t)}, [])
-            else:
-                _emit(args, "ok", {}, semantics.trace_lines(t))
-    except semantics.EvalError as e:
-        _emit(args, "stuck-expression", {"error": str(e)},
-              [f"stuck expression: {e}"])
-        return 1
+            _emit(args, "ok", {}, semantics.trace_lines(t))
     return 0
 
 
@@ -182,7 +177,7 @@ def _cmd_progress(args) -> int:
                   "bound_hit": r.bound_hit}
     lines = [f"{r.verdict}: {r.reason}"]
     if r.verdict == "counterexample":
-        names = display_names(r.state if r.state is not None else src.process)
+        names = display_names(r.state)
         data["state"] = print_process(r.state, names)
         data["cut"] = [print_process(t, names) for t in r.cut]
         data["failed"] = r.failed

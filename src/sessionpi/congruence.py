@@ -3,7 +3,8 @@
 A process is brought to the shape `new k1, .., kn . (t1 | .. | tm)`
 where every thread `ti` starts with a prefix or a conditional.  Stopped
 threads are dropped, parallel composition is flattened, and restrictions
-are hoisted to the front; restrictions guarding nothing are erased.
+are hoisted to the front; only a normal form with no threads drops
+them, so `new k . 0 | c!(1).0` keeps k (`canonical_key` leaves it out).
 Hoisting never captures because binder ids are globally unique.
 
 A caller-owned `Table` holds one `Row` per thread object: what
@@ -142,8 +143,11 @@ class Row(NamedTuple):
     thread: Process  # held, so its id is not reused while in the table
     facts: sx.Facts
     pieces: tuple[str | Name, ...]  # its `surface.pieces`
-    live: bool  # `has_live_channels(thread)`
-    ties: frozenset[Name]  # its free session channels and its services
+
+    @property
+    def ties(self) -> frozenset[Name]:
+        """Its free session channels and its services."""
+        return self.facts.free | self.facts.services
 
 
 # one caller-owned table: thread id -> the row of that thread object
@@ -152,9 +156,7 @@ Table = dict[int, Row]
 
 def _row(t: Process) -> Row:
     """t's row, from one `syntax.facts` sweep and one `pieces` walk."""
-    f = sx.facts(t)
-    return Row(t, f, tuple(pieces(t)), has_live_channels(t),
-               f.free | f.services)
+    return Row(t, sx.facts(t), tuple(pieces(t)))
 
 
 def rows(table: Table, threads: Iterable[Process]) -> list[Row]:

@@ -5,11 +5,11 @@ answer is the transparency certificate.  For everything else it hunts
 for a refutation: it walks the reachable states, carves each state's
 thread list into connected sub-multisets (the surrounding restrictions
 and the remaining threads form the reduction context), and asks whether
-each piece that still has live channels or a dormant service can either
-move on its own or be completed by a canonical partner process.  A piece with no such partner
-witnesses a stuck decomposition.  The search is bounded, so its only
-verdicts are a counterexample or "nothing found within the bounds";
-certificates come from transparency alone.
+each piece that a partner could complete can either move on its own or
+be completed by a canonical partner process.  A piece with no such
+partner witnesses a stuck decomposition.  The search is bounded, so its
+only verdicts are a counterexample or "nothing found within the
+bounds"; certificates come from transparency alone.
 """
 from __future__ import annotations
 
@@ -123,25 +123,31 @@ def inhabit(a: SessionType, k: Name,
 _DORMANT = (sx.Accept, sx.Serve)  # heads whose sessions open on a request
 
 
+def _completable(p: Process, threads: tuple[Process, ...]) -> bool:
+    """Whether a partner can complete p, whose normal form has these
+    threads: p has a live channel, or a thread headed by an accept or
+    serve that a request would open."""
+    return (congruence.has_live_channels(p)
+            or any(type(t) in _DORMANT for t in threads))
+
+
 def construct_partner(
         gamma: dict[str, Sort],
         p: Process) -> tuple[Process, dict[str, Sort]] | None:
     """A stuck process completing irreducible p so the pair reduces.
 
-    Requires p irreducible with live channels or a thread headed by an
-    accept or serve (ValueError otherwise).  The partner is, in order:
-    an accept for p's first request; the dual inhabitant of the first
-    open channel a thread is waiting on; that of the lowest open
-    channel by `congruence.chan_order`; a request for the first accept
-    or serve, its body inhabiting the dual of the declared session.
-    Returns None when none applies: every session is closed on both
-    ends inside p and no service is dormant.
+    Requires p irreducible and `_completable` (ValueError otherwise).
+    The partner is, in order: an accept for p's first request; the dual
+    inhabitant of the first open channel a thread is waiting on; that
+    of the lowest open channel by `congruence.chan_order`; a request for
+    the first accept or serve, its body inhabiting the dual of the
+    declared session.  Returns None when none applies: every session is
+    closed on both ends inside p and no service is dormant.
     """
     if semantics.redexes(p):
         raise ValueError("process still reduces on its own")
     threads = congruence.normal_form(p).threads
-    if not (congruence.has_live_channels(p)
-            or any(type(t) in _DORMANT for t in threads)):
+    if not _completable(p, threads):
         raise ValueError("process has nothing to complete")
     return _partner(gamma, p, threads)
 
@@ -202,10 +208,12 @@ _CONDITIONS = {
 
 def _cut_failure(gamma: dict[str, Sort], cut: tuple[Process, ...]
                  ) -> tuple[str, Process | None] | None:
-    """None when the irreducible piece made of the threads `cut`, live
-    or holding an accept or serve, passes; else (failed condition,
-    partner)."""
+    """None when the irreducible piece made of the threads `cut` passes,
+    as one that no partner can complete (`_completable`) does; else
+    (failed condition, partner)."""
     piece = reduce(sx.Par, cut)
+    if not _completable(piece, cut):
+        return None
     got = _partner(gamma, piece, cut)
     if got is None:
         return ("no-partner", None)
@@ -264,10 +272,10 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     `semantics.explore` reaches within `depth` steps (at most
     `max_states` of them) are decomposed into connected sub-multisets
     of their threads, smallest first, at most `subset_budget` per
-    state; a decomposition with live channels or a dormant service
-    that neither reduces nor accepts a canonical partner refutes
-    progress.  A clean but bounded search stays inconclusive:
-    certificates never come from the search.
+    state; a decomposition that a partner could complete
+    (`_completable`) but that neither reduces nor accepts a canonical
+    partner refutes progress.  A clean but bounded search stays
+    inconclusive: certificates never come from the search.
 
     Two threads are tied when they share a free session channel or a
     service (served, accepted or requested anywhere in a thread), and a
@@ -285,15 +293,14 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     (`_grow`), so `subset_budget` counts connected picks only.  The walk
     gives each state's redexes, one mask per move (both ends of a pair
     redex, or an enabled conditional).  A pick reduces exactly when it
-    holds a move's mask, `m & mask == m`, and counts exactly when it
-    meets the mask of the positions that are live or headed by an
-    accept or serve, so picks that reduce or do not count cost a budget
-    unit but no cut check.  Each distinct stuck piece is checked once per search, known
-    by its threads' numbers.  Threads are numbered by their rows'
-    `pieces` (literal strings and `Name`s, from the one `canonical_key`
-    table of the search, which also gives their liveness and ties), so
-    no thread is hashed or compared by value.  Threads that print alike
-    share a number: they differ at most in how `|` nests or how a
+    holds a move's mask, `m & mask == m`, so a pick that reduces costs a
+    budget unit but no cut check.  Each distinct stuck piece is checked
+    once per search, known by its threads' numbers; one that no partner
+    can complete passes at its check.  Threads are numbered by their
+    rows' `pieces` (literal strings and `Name`s, from the one
+    `canonical_key` table of the search, which also gives their ties),
+    so no thread is hashed or compared by value.  Threads that print
+    alike share a number: they differ at most in how `|` nests or how a
     negative literal is written, so they are congruent and
     `_cut_failure` answers the same on them.
     """
@@ -317,13 +324,10 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
         bits = [1 << i for i in reversed(range(len(threads)))]
         ids: list[int] = []  # the thread number at each position
         ties: list[frozenset[Name]] = []
-        counts = 0
         # a state is keyed, so its rows are built, before it is yielded
-        for row, bit in zip(congruence.rows(table, threads), bits):
+        for row in congruence.rows(table, threads):
             ids.append(number.setdefault(row.pieces, len(number)))
             ties.append(row.ties)
-            if row.live or type(row.thread) in _DORMANT:
-                counts |= bit
         moves = list({bits[r.i] | (0 if r.j is None else bits[r.j])
                       for r in succs})
         level = near = _adjacency(bits, ties)
@@ -332,12 +336,10 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
             picks = sorted(level, reverse=True)[:budget]
             budget -= len(picks)
             for mask in picks:
-                if not mask & counts:
-                    continue
                 for m in moves:
                     if m & mask == m:
                         break
-                else:  # counts and irreducible: a stuck piece
+                else:  # irreducible: a stuck piece
                     held = list(map(mask.__and__, bits))
                     nums = tuple(itertools.compress(ids, held))
                     if nums in passed:

@@ -24,12 +24,12 @@ Tokens.  The token texts are those that one `findall` of one pattern
 finds, whose only group is the token, with the blanks, newlines and
 comments in front of it taken into the same match.  `_lex` finds them
 faster with `_split`, which cuts strings and comments out whole and
-splits the rest at blanks after putting blanks around the symbols; it
-takes the pattern only when `_split` cannot vouch for its texts (a `"`
-that starts no string, or a text between blanks and symbols that is
-not one int or word, as in `12ab` or `a@b`).  It returns two parallel
-lists: tags and texts.  A symbol's or keyword's tag is its own text,
-looked up in a dict; identifiers, ints, strings and the end of input
+splits the rest at blanks after putting blanks around the symbols and
+around each `"` left, which starts no string and is a token of its
+own.  A text between blanks and symbols that is not one int or word,
+as in `12ab` or `a@b`, is cut by the pattern, each distinct text once.
+`_lex` returns two parallel lists: tags and texts.  A symbol's or
+keyword's tag is its own text, looked up in a dict; identifiers, ints, strings and the end of input
 are tagged `IDENT`, `INT`, `STRING` and `EOF`, which start with a
 blank, so no token text equals them.  Each distinct text the dict does
 not tag is looked at once, to tell identifiers, ints and strings
@@ -106,12 +106,13 @@ _TOKEN = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*(" + "|".join([
 ]) + ")")
 _STRING_PREFIX = re.compile(_STRING)
 # `_split`: strings and comments, each cut out whole; the blanks that
-# each symbol gets on both sides; the two halves of a longer symbol,
+# each symbol gets on both sides, and so does a `"` that starts no
+# string, a token of its own; the two halves of a longer symbol,
 # joined again where they touched, in the pattern's order, so '<<='
 # is '<<' and '='; and what the pattern would match between blanks and
 # symbols as one int or word
 _PIECES = re.compile(f'({_STRING}"|//[^\\n]*)')
-_SPACED = [(s, f" {s} ") for s in _SYMBOLS if len(s) == 1]
+_SPACED = [(s, f" {s} ") for s in [*_SYMBOLS, '"'] if len(s) == 1]
 _JOINED = [(f" {s[0]}  {s[1]} ", f" {s} ") for s in _SYMBOLS
            if len(s) == 2]
 _ONE_TOKEN = re.compile(r"\d+|(?!\d)[\w#]\w*")
@@ -156,16 +157,14 @@ def _lex_error(text: str, off: int) -> ParseError:
     return ParseError(f"unexpected character {c!r}", *position(text, off))
 
 
-def _split(text: str) -> list[str] | None:
-    """The texts of text's tokens, the last one "" for the end, or None
-    if a `"` starts no string.  Between the strings and comments, a
-    text may still hold what the pattern matches as several tokens."""
+def _split(text: str) -> list[str]:
+    """The texts of text's tokens, the last one "" for the end.  Between
+    the strings and comments, a text may still hold what the pattern
+    matches as several tokens."""
     pieces = _PIECES.split(text)
     texts: list[str] = []
     for k in range(0, len(pieces), 2):
         part = pieces[k]
-        if '"' in part:
-            return None
         for a, b in _SPACED:
             if a in part:
                 part = part.replace(a, b)
@@ -184,20 +183,18 @@ def _split(text: str) -> list[str] | None:
 
 def _lex(text: str) -> tuple[list[str], list[str]]:
     """The tags and texts of text's tokens, the last one `EOF` (with
-    text ""): `_split`, or one `findall` where its texts are not all
-    single tokens, then each distinct text tagged once, in the order of
-    first use, so the first bad one raises; symbols, keywords and the
-    end are tagged by their text."""
+    text ""): `_split`, with each distinct text that is not one token
+    cut by the pattern, then each distinct text tagged once, in the
+    order of first use, so the first bad one raises; symbols, keywords
+    and the end are tagged by their text."""
     texts = _split(text)
-    kinds = dict.fromkeys(texts or ())
-    if texts is None or not all(word in _TAGS or word[0] == '"'
-                                or _ONE_TOKEN.fullmatch(word)
-                                for word in kinds):
-        texts = _TOKEN.findall(text)
-        # the end of input is the only empty token, and after layout at
-        # the very end it matches twice
-        if len(texts) > 1 and texts[-2] == "":
-            texts.pop()
+    kinds = dict.fromkeys(texts)
+    # a text holds no layout, so the pattern's last match is the end
+    cut = {word: _TOKEN.findall(word)[:-1] for word in kinds
+           if not (word in _TAGS or word[0] == '"'
+                   or _ONE_TOKEN.fullmatch(word))}
+    if cut:
+        texts = [t for word in texts for t in cut.get(word, (word,))]
         kinds = dict.fromkeys(texts)
     strings = {}  # each string's text, unquoted and unescaped
     for word in kinds:

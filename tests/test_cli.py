@@ -59,6 +59,18 @@ def test_check_positive(capsys, spi):
     assert "well-typed" in out
 
 
+def test_check_relaxes_the_service_rule_only_when_asked(capsys, tmp_path):
+    # a service body that uses a session opened outside it
+    f = tmp_path / "relaxed.spi"
+    f.write_text("env a : <end>; sessions c;"
+                 " *a(k).c!(1).0 | c?(x).0 | a<k>.0\n")
+    code, out, _ = run(capsys, "check", str(f))
+    assert code == 1
+    assert "T-RServ: body uses open session c" in out
+    code, out, _ = run(capsys, "check", "--relax-services", str(f))
+    assert (code, out) == (0, "well-typed, Delta = c : bot\n")
+
+
 def test_check_negative(capsys, tmp_path):
     f = tmp_path / "bad.spi"
     f.write_text("sessions k;\nk!(1).0 | k!(2).0\n")
@@ -227,6 +239,17 @@ def test_run_shows_a_service_value_by_its_name(capsys, tmp_path):
     assert out.splitlines()[3] == "  --[Com@2,1 b]-->"
     code, data = run_json(capsys, "run", str(f))
     assert data["data"]["trace"][1]["value"] == "b"
+
+
+def test_run_shows_a_start_whose_payload_is_open(capsys, tmp_path):
+    # `v` is declared but never bound to a value, so the send has none
+    # to pass: there is no redex, and the start is shown with no step
+    f = tmp_path / "open.spi"
+    f.write_text("env v : int; sessions k; k!(v).0 | k?(x).0\n")
+    assert run(capsys, "run", str(f)) == (0, "k!(v).0 | k?(x).0\n", "")
+    code, data = run_json(capsys, "run", str(f))
+    assert (code, data["verdict"], data["data"]["trace"]) == (0, "ok", [
+        {"final": True, "index": 0, "process": "k!(v).0 | k?(x).0"}])
 
 
 def count_prints(monkeypatch):
@@ -436,6 +459,32 @@ def test_progress_prints_the_partner_with_the_state_s_names(capsys, tmp_path):
         "  best partner tried: k_1!(1).0"]
     code, data = run_json(capsys, "progress", str(f))
     assert (code, data["data"]["partner"]) == (1, "k_1!(1).0")
+
+
+def test_a_piece_no_partner_can_complete_is_never_cut(capsys, monkeypatch,
+                                                     tmp_path):
+    # the conditional's guard is open, so it never moves, and it has no
+    # live channel and no accept or serve: no partner can complete it,
+    # so it passes without one, and the deadlocked cycle is the cut
+    f = tmp_path / "inert.spi"
+    f.write_text("env b : bool; sessions k1, k2; if b then 0 else 0"
+                 " | k1?(x).k2!(x).0 | k2?(x).k1!(x).0\n")
+    real, asked = progress._partner, []
+
+    def partner(gamma, p, threads):
+        asked.append(threads)
+        return real(gamma, p, threads)
+
+    monkeypatch.setattr(progress, "_partner", partner)
+    code, out, _ = run(capsys, "progress", str(f))
+    assert code == 1
+    assert out.splitlines()[2] == ("  stuck decomposition: k1?(x).k2!(x).0"
+                                   " | k2?(x).k1!(x).0")
+    code, data = run_json(capsys, "progress", str(f))
+    assert (code, data["data"]["failed"]) == (1, "no-partner")
+    assert data["data"]["cut"] == ["k1?(x).k2!(x).0", "k2?(x).k1!(x).0"]
+    assert asked and not any(isinstance(t, sx.If)
+                             for threads in asked for t in threads)
 
 
 @pytest.mark.parametrize("command, flag", [("run", "--steps"),

@@ -582,6 +582,7 @@ def test_the_search_prints_each_thread_object_once(monkeypatch, tmp_path):
     # thread object once per search, into its row
     laid_out = calls_by_caller(monkeypatch, "pieces", sf, cg)
     live = calls_by_caller(monkeypatch, "has_live_channels", cg)
+    checks = count_calls(monkeypatch, pg, "_cut_failure")
     src = cycles(5)
     r = pg.check_progress(src.gamma, src.process)
     assert r.states_seen == 243
@@ -589,9 +590,10 @@ def test_the_search_prints_each_thread_object_once(monkeypatch, tmp_path):
     printed = [t for _, t in laid_out]
     assert len({id(t) for t in printed}) == len(printed)
     assert 5 * len(printed) <= 10_280
-    # liveness is read from the rows, each found once when it is built
-    assert {caller for caller, _ in live} == {"_row"}
-    assert [t for _, t in live] == printed
+    # rows hold no liveness: only `_completable` asks for it, once per
+    # cut check it reaches, that is for the 20 single threads
+    assert {caller for caller, _ in live} == {"_completable"}
+    assert len(live) == checks[0] == 20
 
     # in one `run`, `run --all` or `progress` call, a thread object is
     # laid out once, for its row's pieces; `run --all` prints from the

@@ -466,12 +466,18 @@ _FRAGMENTS = st.sampled_from([
 # longer symbols that overlap, where the pattern takes the leftmost
 # and, at one place, the first of `_SYMBOLS`
 @example("k<<=>>=!==<<<!=<=<>=")
+# texts between blanks and symbols that are several tokens, and a `"`
+# that starts no string, before one that does
+@example("12ab")
+@example("a@b")
+@example('"a\\q" + "ok"')
 def test_tokenize_agrees_with_the_reference_on_fragments(text):
     assert lexed(text) == reference_lexed(text)
 
 
 def test_split_finds_the_patterns_texts_on_files():
-    # so `_lex` takes the pattern only for texts it cannot vouch for
+    # on these files every text `_split` gives is one token, so `_lex`
+    # cuts none of them with the pattern
     texts = list(SOURCES.values())
     for text in bench_sources((1, 2)):
         texts += [text, text.replace(" ", "\t").replace("\n", "\r\n")]
