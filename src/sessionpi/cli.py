@@ -44,17 +44,15 @@ def _graph_data(g: depgraph.DepGraph, names) -> dict:
 
 def _cmd_check(args) -> int:
     src = _load(args.file)
-    names = display_names(src.process)
     try:
         delta = typecheck.check(src.gamma, src.process,
                                 relax_services=args.relax_services)
     except typecheck.TypingError as e:
         _emit(args, "ill-typed", {"error": str(e)}, [f"ill-typed: {e}"])
         return 1
-    shown = print_delta(delta, names) or "(empty)"
+    shown = print_delta(delta) or "(empty)"
     _emit(args, "well-typed",
-          {"delta": {names.get(c, c.base): print_type(t)
-                     for c, t in delta.items()}},
+          {"delta": {c.base: print_type(t) for c, t in delta.items()}},
           [f"well-typed, Delta = {shown}"])
     return 0
 

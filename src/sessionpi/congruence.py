@@ -116,28 +116,6 @@ def occurrences(nf: NormalForm) -> tuple[
     return fscs, occ
 
 
-def has_live_channels(p: Process) -> bool:
-    """True when a session channel is mentioned outside every service
-    prefix.
-
-    Sessions under `serve` or accept only exist after an init step, so
-    those scopes are skipped wholesale.  Anywhere else, any mention
-    counts: a prefix subject, a delegated channel, or a channel bound by
-    `new`, a request or a session receive.
-    """
-    todo: list[Process] = [p]
-    while todo:
-        q = todo.pop()
-        match q:
-            case sx.Serve() | sx.Accept():
-                pass  # dormant scope
-            case sx.Stop() | sx.Par() | sx.If():
-                todo.extend(sx.children(q))
-            case _:
-                return True  # every remaining form mentions a channel
-    return False
-
-
 class Row(NamedTuple):
     """What is known of one thread object."""
     thread: Process  # held, so its id is not reused while in the table

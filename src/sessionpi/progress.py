@@ -42,27 +42,13 @@ def inhabit(a: SessionType, k: Name,
     canonical value (1, true, "1"); a selection takes the first label;
     a delegated channel is served by a restricted helper session.
     """
-    taken = set(avoid or ())
     ext: dict[str, Sort] = {}
-    counters = {"svc": 0, "var": 0, "chan": 0}
-
-    def fresh_service() -> Name:
-        while True:  # ends: the counter passes every name in `taken`
-            base = f"#inh{counters['svc']}"
-            counters["svc"] += 1
-            if base not in taken:
-                taken.add(base)
-                return sx.svc(base)
-
-    def fresh_var() -> str:
-        n = counters["var"]
-        counters["var"] += 1
-        return "x" if n == 0 else f"x{n}"
-
-    def fresh_chan() -> Name:
-        n = counters["chan"]
-        counters["chan"] += 1
-        return sx.bound_chan("m" if n == 0 else f"m{n}")
+    taken = avoid or ()
+    services = (b for b in map("#inh{}".format, itertools.count())
+                if b not in taken)
+    variables = ("x" if n == 0 else f"x{n}" for n in itertools.count())
+    channels = (sx.bound_chan("m" if n == 0 else f"m{n}")
+                for n in itertools.count())
 
     def go(a: SessionType, k: Name) -> Process:
         """The prefixes along a's continuations, read in a loop, then
@@ -75,19 +61,19 @@ def inhabit(a: SessionType, k: Name,
         # or to the first option of its select, a part of the finite a
         while True:
             if type(a) is sx.In and isinstance(a.payload, Sort):
-                heads.append((sx.Receive, fresh_var(), None))
+                heads.append((sx.Receive, next(variables), None))
             elif type(a) is sx.In:
-                heads.append((sx.ReceiveSession, fresh_chan(), a.payload))
+                heads.append((sx.ReceiveSession, next(channels), a.payload))
             elif type(a) is sx.Out and isinstance(a.payload, sx.Basic):
                 heads.append((sx.Send, _CANONICAL[a.payload.name], None))
             elif type(a) is sx.Out and isinstance(a.payload, sx.ServiceSort):
-                svc = fresh_service()
+                svc = sx.svc(next(services))
                 ext[svc.base] = a.payload
-                m = fresh_chan()
+                m = next(channels)
                 heads.append((sx.Serve, svc,
                               sx.Serve(svc, m, go(a.payload.session, m))))
             elif type(a) is sx.Out:
-                heads.append((sx.SendSession, fresh_chan(), a.payload))
+                heads.append((sx.SendSession, next(channels), a.payload))
             elif type(a) is sx.SelectT:
                 label, a = a.options[0]
                 heads.append((sx.Choose, label, None))
@@ -123,12 +109,30 @@ def inhabit(a: SessionType, k: Name,
 _DORMANT = (sx.Accept, sx.Serve)  # heads whose sessions open on a request
 
 
-def _completable(p: Process, threads: tuple[Process, ...]) -> bool:
-    """Whether a partner can complete p, whose normal form has these
-    threads: p has a live channel, or a thread headed by an accept or
-    serve that a request would open."""
-    return (congruence.has_live_channels(p)
-            or any(type(t) in _DORMANT for t in threads))
+def _completable(p: Process) -> bool:
+    """Whether a partner can complete p: p mentions a session channel
+    outside every accept or serve, or a thread of p is headed by an
+    accept or serve, which a request would open.
+
+    Sessions under an accept or serve exist only once a request opens
+    them, so those scopes are skipped; anywhere else any mention counts:
+    a prefix subject, a delegated channel, or a channel bound by `new`,
+    a request or a session receive.  Under an `if`, an accept or serve
+    is a dormant scope, not a thread.
+    """
+    todo = [(p, True)]  # (subterm, whether it would head a thread)
+    while todo:
+        q, head = todo.pop()
+        if type(q) in _DORMANT:
+            if head:
+                return True
+        elif type(q) is sx.If:
+            todo.extend((c, False) for c in sx.children(q))
+        elif type(q) in (sx.Stop, sx.Par):
+            todo.extend((c, head) for c in sx.children(q))
+        else:
+            return True  # every remaining form mentions a channel
+    return False
 
 
 def construct_partner(
@@ -146,17 +150,9 @@ def construct_partner(
     """
     if semantics.redexes(p):
         raise ValueError("process still reduces on its own")
-    threads = congruence.normal_form(p).threads
-    if not _completable(p, threads):
+    if not _completable(p):
         raise ValueError("process has nothing to complete")
-    return _partner(gamma, p, threads)
-
-
-def _partner(gamma: dict[str, Sort], p: Process, threads: tuple[Process, ...]
-             ) -> tuple[Process, dict[str, Sort]] | None:
-    """`construct_partner` for p, whose normal form has these threads,
-    once p is known to be irreducible and to have something to
-    complete."""
+    threads = congruence.normal_form(p).threads
     avoid = set(gamma)
     requests = [t for t in threads if type(t) is sx.Request]
     if requests:
@@ -212,9 +208,9 @@ def _cut_failure(gamma: dict[str, Sort], cut: tuple[Process, ...]
     as one that no partner can complete (`_completable`) does; else
     (failed condition, partner)."""
     piece = reduce(sx.Par, cut)
-    if not _completable(piece, cut):
+    if not _completable(piece):
         return None
-    got = _partner(gamma, piece, cut)
+    got = construct_partner(gamma, piece)
     if got is None:
         return ("no-partner", None)
     partner, ext = got

@@ -962,8 +962,9 @@ def print_process(p: Process, names: dict[Name, str] | None = None) -> str:
     return spell(pieces(p), display_names(p) if names is None else names)
 
 
-def print_delta(delta: dict[Name, SessionType],
-                names: dict[Name, str] | None = None) -> str:
-    items = sorted((((names or {}).get(k, k.base), t)
-                    for k, t in delta.items()), key=lambda kv: kv[0])
+def print_delta(delta: dict[Name, SessionType]) -> str:
+    """A typing, by channel spelling: its keys are free channels, each
+    spelled as itself."""
+    items = sorted(((k.base, t) for k, t in delta.items()),
+                   key=lambda kv: kv[0])
     return ", ".join(f"{k} : {print_type(t)}" for k, t in items)

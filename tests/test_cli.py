@@ -1,5 +1,6 @@
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -469,13 +470,13 @@ def test_a_piece_no_partner_can_complete_is_never_cut(capsys, monkeypatch,
     f = tmp_path / "inert.spi"
     f.write_text("env b : bool; sessions k1, k2; if b then 0 else 0"
                  " | k1?(x).k2!(x).0 | k2?(x).k1!(x).0\n")
-    real, asked = progress._partner, []
+    real, asked = progress.construct_partner, []
 
-    def partner(gamma, p, threads):
-        asked.append(threads)
-        return real(gamma, p, threads)
+    def partner(gamma, p):
+        asked.append(congruence.normal_form(p).threads)
+        return real(gamma, p)
 
-    monkeypatch.setattr(progress, "_partner", partner)
+    monkeypatch.setattr(progress, "construct_partner", partner)
     code, out, _ = run(capsys, "progress", str(f))
     assert code == 1
     assert out.splitlines()[2] == ("  stuck decomposition: k1?(x).k2!(x).0"
@@ -485,6 +486,22 @@ def test_a_piece_no_partner_can_complete_is_never_cut(capsys, monkeypatch,
     assert data["data"]["cut"] == ["k1?(x).k2!(x).0", "k2?(x).k1!(x).0"]
     assert asked and not any(isinstance(t, sx.If)
                              for threads in asked for t in threads)
+
+
+def test_search_bounds_default_to_the_library_s():
+    # each default is written twice, in the parser and in the signature
+    # of the function the subcommand calls
+    def defaults(fn):
+        return {name: q.default for name, q in
+                inspect.signature(fn).parameters.items()
+                if q.default is not q.empty}
+
+    search = defaults(progress.check_progress)
+    args = cli._parser().parse_args(["progress", "f.spi"])
+    assert search == {"depth": 10, "subset_budget": 512, "max_states": 2000}
+    assert {name: getattr(args, name) for name in search} == search
+    args = cli._parser().parse_args(["run", "f.spi"])
+    assert args.max_states == defaults(semantics.explore)["max_states"]
 
 
 @pytest.mark.parametrize("command, flag", [("run", "--steps"),

@@ -87,22 +87,6 @@ def test_maximal_parallel_subterms_are_normalized():
     assert len(nf.threads) == 2
 
 
-def test_has_live_channels():
-    live = cg.has_live_channels
-    assert not live(parse("0"))
-    assert live(parse("k!(1).0", sessions=("k",)))
-    assert live(parse("new m . m!(1).0"))
-    g = {"a": sx.ServiceSort(sx.In(sx.INT, sx.End()))}
-    # service prefixes shield their bodies
-    assert not live(parse("*a(k).k?(x).0", gamma=g))
-    assert not live(parse("a(k).k?(x).0", gamma=g))
-    # a request is itself a pending session
-    assert live(parse("a<k>.k!(1).0", gamma=g))
-    # conditionals are inspected on both sides
-    assert live(parse("if true then 0 else k!(1).0", sessions=("k",)))
-    assert not live(parse("if true then 0 else *a(k).k?(x).0", gamma=g))
-
-
 @given(st.integers(0, 10_000))
 def test_normal_form_is_idempotent(seed):
     _, p = S.well_typed(random.Random(seed))

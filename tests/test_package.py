@@ -10,7 +10,6 @@ PACKAGE = Path(sessionpi.__file__).parent
 # they stay
 UNREFERENCED = {
     "parse_process": "public API",
-    "construct_partner": "public; traced by bench/spans.py",
     "maximal_parallel_subterms": "traced by bench/spans.py; deleting it"
                                  " waits for ROADMAP item 6",
 }

@@ -163,6 +163,24 @@ def test_inhabitants_type_exactly_and_stand_still(a):
 
 # ---------------------------------------------------------- construct_partner
 
+def test_completable():
+    live = pg._completable
+    parse = sf.parse_process
+    assert not live(parse("0"))
+    assert live(parse("k!(1).0", sessions=("k",)))
+    assert live(parse("new m . m!(1).0"))
+    g = {"a": sx.ServiceSort(sx.In(sx.INT, sx.End()))}
+    # a thread headed by a service prefix waits for a request
+    assert live(parse("*a(k).k?(x).0", gamma=g))
+    assert live(parse("a(k).k?(x).0", gamma=g))
+    # a request is itself a pending session
+    assert live(parse("a<k>.k!(1).0", gamma=g))
+    # conditionals are inspected on both sides, and a service prefix
+    # under one is a dormant scope, not a thread
+    assert live(parse("if true then 0 else k!(1).0", sessions=("k",)))
+    assert not live(parse("if true then 0 else *a(k).k?(x).0", gamma=g))
+
+
 def test_request_gets_accepted():
     g = {"a": sx.ServiceSort(sf.parse_type("![int].end"))}
     p = sf.parse_process("a<k>.k?(x).0", gamma=g)
@@ -331,10 +349,24 @@ def reference_connected(cut):
     return len(joined) == len(cut)
 
 
+def reference_live(p):
+    """Whether p mentions a session channel outside every accept or
+    serve: with each accept and serve replaced by `0`, a channel is
+    still named by a prefix or bound by `new`, a request or a session
+    receive."""
+    def shut(q):
+        if isinstance(q, (sx.Accept, sx.Serve)):
+            return sx.Stop()
+        return sx.rebuild(q, [shut(c) for c in sx.children(q)])
+
+    names = sx.facts(shut(p))
+    return bool(names.mentions or names.binders)
+
+
 def reference_counts(cut):
     """Whether the piece `cut` has live channels or a thread headed by
     an accept or serve."""
-    return (cg.has_live_channels(reduce(sx.Par, cut))
+    return (reference_live(reduce(sx.Par, cut))
             or any(isinstance(t, (sx.Accept, sx.Serve)) for t in cut))
 
 
@@ -497,16 +529,16 @@ def test_each_distinct_stuck_piece_is_checked_once(monkeypatch):
         "sessions a0, b0, a1, b1, a2, b2;"
         " a0!(17).b0!(72).0 | a0?(x).b0?(y).0 | a1!(97).b1!(8).0"
         " | a2!(32).b2!(15).0 | a2?(x).b2?(y).0 | a1?(x).b1?(y).0")
-    calls = count_calls(monkeypatch, pg, "_partner")
+    calls = count_calls(monkeypatch, pg, "construct_partner")
     scans = count_calls(monkeypatch, sm, "redexes")
     r = pg.check_progress(src.gamma, src.process)
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 27,
                                                         False)
     assert calls[0] == 4 * 3
     # one scan for the start (every later state carries its parent's
-    # redexes), and per cut check the partner and the pair: the search
-    # knows the piece is live and irreducible, so it is not scanned again
-    assert scans[0] == 1 + 2 * 12
+    # redexes), and per cut check the piece, the partner and the pair:
+    # `construct_partner` checks again that the piece is irreducible
+    assert scans[0] == 1 + 3 * 12
 
 
 def test_threads_share_a_number_exactly_when_they_print_alike():
@@ -542,11 +574,31 @@ def test_independent_cycles_need_a_partner_per_thread(monkeypatch):
     # single threads are connected, so only they are checked with a
     # partner, and no state spends its budget
     src = cycles(5)
-    calls = count_calls(monkeypatch, pg, "_partner")
+    calls = count_calls(monkeypatch, pg, "construct_partner")
     r = pg.check_progress(src.gamma, src.process)
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 243,
                                                         False)
     assert calls[0] == 20
+
+
+def test_cut_checks_build_their_partners_through_construct_partner(
+        monkeypatch):
+    # the search has one partner path: each cut check that reaches a
+    # piece a partner can complete builds that piece's partner there
+    src = load("circular_waits")
+    checked, real = [], pg._cut_failure
+
+    def cut_failure(gamma, cut):
+        checked.append(cut)
+        return real(gamma, cut)
+
+    monkeypatch.setattr(pg, "_cut_failure", cut_failure)
+    built = calls_by_caller(monkeypatch, "construct_partner", pg)
+    r = pg.check_progress(src.gamma, src.process)
+    assert (r.verdict, r.failed) == ("counterexample", "no-partner")
+    reached = [cut for cut in checked if reference_counts(cut)]
+    assert len(reached) == len(checked) == 3
+    assert [caller for caller, _ in built] == ["_cut_failure"] * 3
 
 
 def test_the_walk_keys_each_state_once(monkeypatch):
@@ -581,7 +633,7 @@ def test_the_search_prints_each_thread_object_once(monkeypatch, tmp_path):
     # every thread of every state at least twice; now it lays out each
     # thread object once per search, into its row
     laid_out = calls_by_caller(monkeypatch, "pieces", sf, cg)
-    live = calls_by_caller(monkeypatch, "has_live_channels", cg)
+    live = calls_by_caller(monkeypatch, "_completable", pg)
     checks = count_calls(monkeypatch, pg, "_cut_failure")
     src = cycles(5)
     r = pg.check_progress(src.gamma, src.process)
@@ -590,10 +642,13 @@ def test_the_search_prints_each_thread_object_once(monkeypatch, tmp_path):
     printed = [t for _, t in laid_out]
     assert len({id(t) for t in printed}) == len(printed)
     assert 5 * len(printed) <= 10_280
-    # rows hold no liveness: only `_completable` asks for it, once per
-    # cut check it reaches, that is for the 20 single threads
-    assert {caller for caller, _ in live} == {"_completable"}
-    assert len(live) == checks[0] == 20
+    # rows hold no liveness: `_completable` is its one walk, asked once
+    # per cut check, that is for the 20 single threads, and once more by
+    # `construct_partner` for each of them, whose precondition it is
+    assert not hasattr(cg, "has_live_channels")
+    assert Counter(caller for caller, _ in live) == {
+        "_cut_failure": checks[0], "construct_partner": checks[0]}
+    assert checks[0] == 20
 
     # in one `run`, `run --all` or `progress` call, a thread object is
     # laid out once, for its row's pieces; `run --all` prints from the

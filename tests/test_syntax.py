@@ -4,6 +4,7 @@ import sys
 from hypothesis import given, strategies as st
 
 import sessionpi.congruence as cg
+import sessionpi.progress as pg
 import sessionpi.surface as sf
 import sessionpi.syntax as sx
 import sessionpi.typecheck as tc
@@ -206,8 +207,13 @@ def test_read_only_walks_need_no_recursion_limit():
         assert sx.free_session_channels(p) == set()
         assert sf.display_names(p) == {k: "k"}
         assert len(cg.maximal_parallel_subterms(p)) == 6
-        assert cg.has_live_channels(p)
+        assert pg._completable(p)
         assert not tc.is_program(p)
+        # a service under 5,000 nested conditionals is a dormant scope
+        q = sx.Serve(sx.svc("a"), k, sx.Stop())
+        for _ in range(5_000):
+            q = sx.If(sx.BoolLit(True), sx.Stop(), q)
+        assert not pg._completable(q)
     finally:
         sys.setrecursionlimit(limit)
 
