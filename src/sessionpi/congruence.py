@@ -84,8 +84,7 @@ def clusters(p: Process) -> list[NormalForm]:
             out.append(nf)
             todo.extend(reversed(nf.threads))
         else:
-            todo.extend(c for c in reversed(sx.children(q))
-                        if not isinstance(c, sx.Stop))
+            todo.extend(reversed(sx.children(q)))
     return out
 
 
@@ -148,11 +147,6 @@ def rows(table: Table, threads: Iterable[Process]) -> list[Row]:
     return out
 
 
-def _fill(row: Row, names: dict[Name, str]) -> str:
-    """`print_process(row.thread, names)`, read off the row's pieces."""
-    return spell(row.pieces, names)
-
-
 def canonical_key(p: Process | NormalForm,
                   table: Table | None = None) -> str:
     """A printable key equal for structurally congruent alpha-variants.
@@ -198,7 +192,7 @@ def canonical_key(p: Process | NormalForm,
     for c in binders:
         blind[c] = "#r"
 
-    shown = [_fill(row, blind) for row in known]
+    shown = [spell(row.pieces, blind) for row in known]
     colours = min(1, len(binders))
     # only ties between threads that mention a restriction can split
     while len(set(shown)) < len(shown) and any(
@@ -211,7 +205,7 @@ def canonical_key(p: Process | NormalForm,
         colours = len(ranks)
         for c in binders:
             blind[c] = ranks[sig[c]]
-        shown = [_fill(row, blind) for row in known]
+        shown = [spell(row.pieces, blind) for row in known]
     order = sorted(range(len(known)), key=shown.__getitem__)
 
     numbered: dict[Name, str] = {}
@@ -220,7 +214,7 @@ def canonical_key(p: Process | NormalForm,
 
     used = sorted({numbered[c] for c in binders})
     head = f"new {', '.join(used)} . " if used else ""
-    return head + " | ".join(_fill(known[i], numbered) for i in order)
+    return head + " | ".join(spell(known[i].pieces, numbered) for i in order)
 
 
 def print_states(states: Sequence[NormalForm],
@@ -320,7 +314,7 @@ def print_states(states: Sequence[NormalForm],
         for n in respelled:
             refill.update(bound.get(n, ()), mentioned.get(n, ()))
         for i in refill:
-            fills[i] = _fill(table[i], names)
+            fills[i] = spell(table[i].pieces, names)
         present, restricted = now, here
         out.append(lay_out([names[c] for c in q.binders],
                            [fills[i] for i in ids]))

@@ -223,11 +223,11 @@ def _holding(subjects: tuple[Name | None, ...], s: Name) -> Iterator[int]:
 
 
 def _carried(q: NormalForm, rs: list[Redex],
-             subjects: tuple[Name | None, ...], r: Redex, q2: NormalForm
-             ) -> tuple[list[Redex], tuple[Name | None, ...]]:
+             subjects: tuple[Name | None, ...], r: Redex, q2: NormalForm,
+             m: int) -> tuple[list[Redex], tuple[Name | None, ...]]:
     """The redexes of q2 = step(q, r), in (i, j) order, and the
     `syntax.subject` of each of its threads, from q's redexes rs and
-    subjects.
+    subjects; m is where `_step` ended the first continuation.
 
     `step` leaves every thread it did not consume where it was, and
     puts each continuation's threads where its consumed thread stood.
@@ -239,19 +239,14 @@ def _carried(q: NormalForm, rs: list[Redex],
     work follows the threads the step put in and the redexes carried,
     not the threads the step left alone.
     """
-    old, new = q.threads, q2.threads
+    new = q2.threads
     if r.j is None or r.rule == "RInit":  # one thread consumed
         a = b = r.i if r.j is None else r.j  # a server stays in place
     else:
         a, b = sorted((r.i, r.j))
-    gap = old[a + 1:b]  # the threads between two consumed ones
-    g = len(gap)
-    grown = len(new) - len(old)
+    grown = len(new) - len(q.threads)
     end = b + 1 + grown  # new[a:end]: the continuations and the gap
-    # a's continuation ends where the gap starts again; a continuation
-    # thread may equal a gap thread, but equal threads judge alike, so
-    # any place the gap is found at serves as well as the true one
-    m = next(m for m in range(a, end - g + 1) if new[m:m + g] == gap)
+    g = max(b - a - 1, 0)  # the threads between two consumed ones
     fresh = [*range(a, m), *range(m + g, end)]
     subjects = (subjects[:a] + tuple(map(sx.subject, new[a:m]))
                 + subjects[a + 1:b] + tuple(map(sx.subject, new[m + g:end]))
@@ -299,7 +294,12 @@ def step(p: Process | NormalForm, r: Redex) -> NormalForm:
     binders follow the state's and the fresh session channel's: the
     order that flattening the whole new term would give.
     """
-    nf = congruence.normal_form(p)
+    return _step(congruence.normal_form(p), r)[0]
+
+
+def _step(nf: NormalForm, r: Redex) -> tuple[NormalForm, int]:
+    """`step(nf, r)`, and the position in it where the continuation of
+    the first consumed thread ends, which `_carried` reads."""
     threads, binders = nf.threads, list(nf.binders)
     n = len(threads)
     ti = threads[r.i] if 0 <= r.i < n else None
@@ -338,11 +338,13 @@ def step(p: Process | NormalForm, r: Redex) -> NormalForm:
         out += threads[last:pos]
         out += c.threads
         binders += c.binders
+        if not last:  # the first continuation ends here
+            m = len(out)
         last = pos + 1
     out += threads[last:]
     if not out:
-        return NormalForm((), ())
-    return NormalForm(tuple(binders), tuple(out))
+        return NormalForm((), ()), m
+    return NormalForm(tuple(binders), tuple(out)), m
 
 
 # -------------------------------------------------------------- exploration
@@ -399,7 +401,7 @@ def explore(p: Process | NormalForm, depth: int, max_states: int = 2000,
             for r in rs:
                 if full:
                     break
-                q2 = step(q, r)
+                q2, m = _step(q, r)
                 ids = q2.binders, tuple(map(id, q2.threads))
                 key = keys.get(ids)
                 if key is None:
@@ -411,7 +413,7 @@ def explore(p: Process | NormalForm, depth: int, max_states: int = 2000,
                     full = True
                 else:
                     seen.add(key)
-                    nxt.append((q2, *_carried(q, rs, subjects, r, q2)))
+                    nxt.append((q2, *_carried(q, rs, subjects, r, q2, m)))
         depth -= 1
         frontier = nxt
 
@@ -432,8 +434,8 @@ def trace(p: Process | NormalForm, depth: int,
             break
         r = rs[0] if rng is None else rng.choice(rs)
         steps.append((cur, r))
-        nxt = step(cur, r)
-        rs, subjects = _carried(cur, rs, subjects, r, nxt)
+        nxt, m = _step(cur, r)
+        rs, subjects = _carried(cur, rs, subjects, r, nxt, m)
         cur = nxt
     return Trace(tuple(steps), cur)
 

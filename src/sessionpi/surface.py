@@ -297,11 +297,14 @@ class _Parser:
 
     def fail(self, i: int, shape: list[str], *whats: str) -> NoReturn:
         """Raise the error of the first of shape's tags that the tokens
-        from i on do not fit, checking them one at a time in order: a
-        symbol or keyword through `expect`, an identifier through
-        `expect_ident`, told what it is by the next of whats.  A
-        "service name" must name a service, and a "channel name" or
-        "variable name" must be a name a binder may take."""
+        from i on do not fit; runs only when a head's shape does not fit
+        them.  The tokens are checked one at a time in order: a symbol
+        or keyword through `expect`, an identifier through
+        `expect_ident`, told what it is by the next of whats.  A name
+        read before the mismatch can be the first error: a "service
+        name" must name a service (`service_name`), and a "channel
+        name" or "variable name" must be a name a binder may take
+        (`_check_binder`)."""
         self.pos = i
         whats_left = iter(whats)
         for tag in shape:
@@ -478,13 +481,13 @@ class _Parser:
         them.  A prefix head is told by comparing a slice of the tags
         with its shape, and only on a mismatch does `fail` check the
         tokens one at a time, to raise the error of the first that does
-        not fit.  The names a chain binds stay in scope until its end
-        is read, and are popped in reverse; the chain is then put
-        around its end from the innermost head out."""
+        not fit; once a shape fits, its binder goes through
+        `_check_binder`.  The names a chain binds stay in scope until
+        its end is read, and are popped in reverse; the chain is then
+        put around its end from the innermost head out."""
         tags, texts = self.tags, self.texts
         chans, vars_ = self.chans, self.vars
         sessions, gamma = self.sessions, self.gamma
-        declared = sessions.keys() | gamma.keys()
         services = {name: sx.svc(name) for name, sort in gamma.items()
                     if isinstance(sort, sx.ServiceSort)}
         # open constructs: ["(", heads, left], ["then", heads, left,
@@ -508,18 +511,14 @@ class _Parser:
                     chan = (chans.get(name) or sessions.get(name)
                             or self.session_name(i))
                     if op == "?":
-                        if (tags[i + 1:i + 6] == _RECEIVE
-                                and (x := texts[i + 3])[0] != "#"
-                                and x not in declared and x not in chans
-                                and x not in vars_):
-                            vars_.add(x)
+                        if tags[i + 1:i + 6] == _RECEIVE:
+                            self._check_binder(i + 3)
+                            vars_.add(x := texts[i + 3])
                             heads.append((sx.Receive, chan, x, x))
                             i += 6
-                        elif (tags[i + 1:i + 8] == _RECEIVE_SESSION
-                                and (b := texts[i + 4])[0] != "#"
-                                and b not in declared and b not in chans
-                                and b not in vars_):
-                            bound = chans[b] = sx.bound_chan(b)
+                        elif tags[i + 1:i + 8] == _RECEIVE_SESSION:
+                            self._check_binder(i + 4)
+                            bound = chans[b] = sx.bound_chan(b := texts[i + 4])
                             heads.append(
                                 (sx.ReceiveSession, chan, bound, b))
                             i += 8
@@ -568,11 +567,10 @@ class _Parser:
                 if op == "(" or op == "<":  # accept a(k).P, request a<k>.P
                     service = services.get(name) or self.service_name(i)
                     shape = _ACCEPT if op == "(" else _REQUEST
-                    if (tags[i + 1:i + 5] != shape
-                            or (b := texts[i + 2])[0] == "#"
-                            or b in declared or b in chans or b in vars_):
+                    if tags[i + 1:i + 5] != shape:
                         self.fail(i + 1, shape, "channel name")
-                    bound = chans[b] = sx.bound_chan(b)
+                    self._check_binder(i + 2)
+                    bound = chans[b] = sx.bound_chan(b := texts[i + 2])
                     heads.append((sx.Accept if op == "(" else sx.Request,
                                   service, bound, b))
                     i += 5
@@ -584,11 +582,10 @@ class _Parser:
                 raise self.error(f"expected a process, found {name!r}", i)
             if tag == "new":
                 while True:
-                    if (tags[i + 1] != IDENT
-                            or (b := texts[i + 1])[0] == "#"
-                            or b in declared or b in chans or b in vars_):
+                    if tags[i + 1] != IDENT:
                         self.fail(i + 1, [IDENT], "channel name")
-                    bound = chans[b] = sx.bound_chan(b)
+                    self._check_binder(i + 1)
+                    bound = chans[b] = sx.bound_chan(b := texts[i + 1])
                     heads.append((sx.New, bound, None, b))
                     i += 2
                     if tags[i] != ",":
@@ -598,12 +595,12 @@ class _Parser:
                 i += 1
                 continue
             if tag == "*":
-                if (tags[i + 1:i + 6] != _SERVE
-                        or (service := services.get(texts[i + 1])) is None
-                        or (b := texts[i + 3])[0] == "#"
-                        or b in declared or b in chans or b in vars_):
+                if tags[i + 1:i + 6] != _SERVE:
                     self.fail(i + 1, _SERVE, "service name", "channel name")
-                bound = chans[b] = sx.bound_chan(b)
+                service = (services.get(texts[i + 1])
+                           or self.service_name(i + 1))
+                self._check_binder(i + 3)
+                bound = chans[b] = sx.bound_chan(b := texts[i + 3])
                 heads.append((sx.Serve, service, bound, b))
                 i += 6
                 continue

@@ -621,7 +621,7 @@ def test_the_walk_stops_stepping_once_the_state_bound_is_hit(monkeypatch):
     # to learn of states it had no room for, 13,176 steps; the walk
     # stops stepping at the first state beyond the bound
     src = cycles(8)
-    steps = count_calls(monkeypatch, sm, "step")
+    steps = count_calls(monkeypatch, sm, "_step")
     r = pg.check_progress(src.gamma, src.process)
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 2000,
                                                         True)

@@ -1033,7 +1033,7 @@ def test_row_fills_keep_names_in_text_order_and_literals_literal():
         spelt = {c for c in row.pieces if type(c) is sx.Name}
         for names in (sf.display_names(t), {}, {c: f"{{{c.base}}}\n"
                                                 for c in spelt}):
-            assert cg._fill(row, names) == sf.print_process(t, names)
+            assert cg.spell(row.pieces, names) == sf.print_process(t, names)
     states = [
         functools.reduce(sx.Par, threads),
         sx.New(k, functools.reduce(sx.Par, threads)),

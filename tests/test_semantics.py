@@ -407,13 +407,13 @@ def test_explore_reports_its_cuts_and_steps_only_on_demand(monkeypatch):
         states(p, depth, max_states, cuts=cuts)
         assert cuts == want, (depth, max_states)
     stepped = []
-    real = sm.step
+    real = sm._step
 
     def counted(q, r):
         stepped.append(r)
         return real(q, r)
 
-    monkeypatch.setattr(sm, "step", counted)
+    monkeypatch.setattr(sm, "_step", counted)
     walk = sm.explore(p, 10)
     next(walk)
     assert stepped == []  # the start is stepped only once asked for more
@@ -543,21 +543,28 @@ def test_a_step_judges_only_pairs_with_its_continuations(monkeypatch):
     assert after_first[0]["_pair_redex"] > 0
 
 
-def test_carried_redexes_agree_with_the_reference(monkeypatch):
-    # every state of the default and seeded traces and of the
-    # `explore(..., 4)` walks of the samples and of the
-    # `simulate(1, scale=0.3)` benchmark files
+def check_carried(monkeypatch):
+    """Check every `_carried` result against the reference from now on;
+    the returned list's one item counts the results checked."""
     checked = [0]
     carried = sm._carried
 
-    def checking(q, rs, subjects, r, q2):
-        out = carried(q, rs, subjects, r, q2)
+    def checking(q, rs, subjects, r, q2, m):
+        out = carried(q, rs, subjects, r, q2, m)
         assert out == (reference_redexes(q2),
                        tuple(map(reference_subject, q2.threads))), r
         checked[0] += 1
         return out
 
     monkeypatch.setattr(sm, "_carried", checking)
+    return checked
+
+
+def test_carried_redexes_agree_with_the_reference(monkeypatch):
+    # every state of the default and seeded traces and of the
+    # `explore(..., 4)` walks of the samples and of the
+    # `simulate(1, scale=0.3)` benchmark files
+    checked = check_carried(monkeypatch)
     procs = [load(name).process for name in SOURCES]
     procs += [sf.parse_source(case.text).process
               for case in S.bench_gen().simulate(1, scale=0.3)]
@@ -569,6 +576,33 @@ def test_carried_redexes_agree_with_the_reference(monkeypatch):
     assert checked[0] > 1_000
 
 
+def test_carried_redexes_when_a_continuation_equals_the_gap(monkeypatch):
+    # c!(1).T | T | c?(x).0 | d?(y).0 with T one object in both places:
+    # Com@2,0 puts the sender's continuation, the same T, just before
+    # the untouched T, so the first continuation ends at 1, not at the
+    # first place the untouched threads are found again
+    c, d = sx.chan("c"), sx.chan("d")
+    t = sx.Send(d, sx.IntLit(1), sx.Stop())
+    start = cg.normal_form(reduce(sx.Par, [
+        sx.Send(c, sx.IntLit(1), t), t, sx.Receive(c, "x", sx.Stop()),
+        sx.Receive(d, "y", sx.Stop())]))
+    rs = sm.redexes(start)
+    r = rs[0]
+    assert r.describe() == "Com@2,0 1"
+    q, m = sm._step(start, r)
+    assert q.threads[0] is q.threads[1] is t and m == 1
+    subjects = tuple(map(sx.subject, start.threads))
+    assert sm._carried(start, rs, subjects, r, q, m) == (
+        reference_redexes(q), tuple(map(reference_subject, q.threads)))
+    checked = check_carried(monkeypatch)
+    for p in (start, q):
+        for seed in (None, 1, 2, 3):
+            sm.trace(p, 10, seed=seed)
+        for s, rs in sm.explore(p, 10):
+            assert rs == reference_redexes(s)
+    assert checked[0] > 0
+
+
 # ----------------------------------------------------------- printing states
 
 def test_printing_a_step_does_not_grow_with_untouched_threads(monkeypatch):
@@ -578,19 +612,19 @@ def test_printing_a_step_does_not_grow_with_untouched_threads(monkeypatch):
     # binder `k`, whose id is below the dormant servers' `k`s, and so
     # respells them all: the trace is printed from its second state on.
     work = Counter()
-    choose_names, fill = cg.choose_names, cg._fill
+    choose_names, spell = cg.choose_names, cg.spell
 
     def naming(binders, *taken):
         binders = list(binders)
         work["named"] += len(binders)
         return choose_names(binders, *taken)
 
-    def filling(row, names):
+    def filling(pieces, names):
         work["filled"] += 1
-        return fill(row, names)
+        return spell(pieces, names)
 
     monkeypatch.setattr(cg, "choose_names", naming)
-    monkeypatch.setattr(cg, "_fill", filling)
+    monkeypatch.setattr(cg, "spell", filling)
     after_first = []
     for n in (10, 100):
         start = cg.normal_form(beside_dormant_servers(

@@ -176,6 +176,18 @@ ERROR_POSITIONS = [
     ("sessions k;\nk >> {l: 0, l: 0}", "duplicate label 'l'", 2, 13),
     ("new #k . 0", "name '#k' is reserved", 1, 5),
     ("new k, k . 0", "'k' is already in scope", 1, 8),
+    ("sessions k;\nk?(k).0", "'k' is already in scope", 2, 4),
+    ("sessions k;\nk?(#x).0", "name '#x' is reserved", 2, 4),
+    ("sessions k;\nk?((#m)).0", "name '#m' is reserved", 2, 5),
+    ("sessions k;\nk?((k)).0", "'k' is already in scope", 2, 5),
+    ("env a : <end>;\na(a).0", "'a' is already in scope", 2, 3),
+    ("env a : <end>;\na(#k).0", "name '#k' is reserved", 2, 3),
+    ("env a : <end>;\nsessions k;\na<k>.0", "'k' is already in scope", 3, 3),
+    ("env a : <end>;\na<#k>.0", "name '#k' is reserved", 2, 3),
+    ("env a : <end>;\n*a(#k).0", "name '#k' is reserved", 2, 4),
+    ("env a : <end>;\nenv n : int;\n*a(n).0", "'n' is already in scope",
+     3, 4),
+    ("sessions k;\nk?(x).new x . 0", "'x' is already in scope", 2, 11),
 ]
 
 
