@@ -29,14 +29,15 @@ around each `"` left, which starts no string and is a token of its
 own.  A text between blanks and symbols that is not one int or word,
 as in `12ab` or `a@b`, is cut by the pattern, each distinct text once.
 `_lex` returns two parallel lists: tags and texts.  A symbol's or
-keyword's tag is its own text, looked up in a dict; identifiers, ints, strings and the end of input
-are tagged `IDENT`, `INT`, `STRING` and `EOF`, which start with a
-blank, so no token text equals them.  Each distinct text the dict does
-not tag is looked at once, to tell identifiers, ints and strings
-(whose escapes it applies) from a lexical error.  Offsets and lines
-are not tracked: `_offsets` finds the tokens again when a
-`ParseError` is built, and only then, and `position` turns an offset
-into a line and a column.  `tokenize` gives all three lists.
+keyword's tag is its own text, looked up in a dict; identifiers, ints,
+strings and the end of input are tagged `IDENT`, `INT`, `STRING` and
+`EOF`, which start with a blank, so no token text equals them.  Each
+distinct text the dict does not tag is looked at once, to tell
+identifiers, ints and strings (whose escapes it applies) from a
+lexical error.  Offsets and lines are not tracked: `_offsets` finds
+the tokens again when a `ParseError` is built, and only then, and
+`position` turns an offset into a line and a column.  `tokenize` gives
+all three lists.
 
 Parser.  `_Parser` reads the lists by index.  `parse_proc` reads a
 whole process in one loop on an explicit stack of the constructs still
@@ -254,7 +255,6 @@ _OFFER = [">>", "{", IDENT, ":"]                          # k >> {l:
 _ACCEPT = ["(", IDENT, ")", "."]                          # a(k).
 _REQUEST = ["<", IDENT, ">", "."]                         # a<k>.
 _SERVE = [IDENT, "(", IDENT, ")", "."]                    # *a(k).
-_PAYLOAD_END = ["]", "."]                                 # ?[int].
 _CLOSE_SEND = [")", "."]                                  # k!(e).
 
 
@@ -424,18 +424,12 @@ class _Parser:
 
     def parse_type(self) -> SessionType:
         """A chain of `?[…].` and `![…].` heads, read in a loop, and the
-        type that ends it; only payloads and label options recurse.  A
-        head with a basic payload is read by index."""
+        type that ends it; only payloads and label options recurse."""
         tags = self.tags
         heads = []
-        while (tag := tags[i := self.pos]) == "?" or tag == "!":
+        while (tag := tags[self.pos]) == "?" or tag == "!":
             make = sx.In if tag == "?" else sx.Out
-            if (tags[i + 1] == "[" and tags[i + 2] in _BASICS
-                    and tags[i + 3:i + 5] == _PAYLOAD_END):
-                heads.append((make, _BASICS[tags[i + 2]]))
-                self.pos = i + 5
-                continue
-            self.pos = i + 1
+            self.pos += 1
             self.expect("[")
             payload = self.parse_payload()
             self.expect("]")
@@ -487,9 +481,7 @@ class _Parser:
         put around its end from the innermost head out."""
         tags, texts = self.tags, self.texts
         chans, vars_ = self.chans, self.vars
-        sessions, gamma = self.sessions, self.gamma
-        services = {name: sx.svc(name) for name, sort in gamma.items()
-                    if isinstance(sort, sx.ServiceSort)}
+        sessions = self.sessions
         # open constructs: ["(", heads, left], ["then", heads, left,
         # test] (then ["else", …, test, then]) and ["{", heads, left,
         # chan, arms, label], arms a dict from label to body
@@ -508,8 +500,7 @@ class _Parser:
                 name = texts[i]
                 op = tags[i + 1]
                 if op == "?" or op == "!" or op == "<<" or op == ">>":
-                    chan = (chans.get(name) or sessions.get(name)
-                            or self.session_name(i))
+                    chan = self.session_name(i)
                     if op == "?":
                         if tags[i + 1:i + 6] == _RECEIVE:
                             self._check_binder(i + 3)
@@ -540,12 +531,8 @@ class _Parser:
                             heads.append((sx.SendSession, chan, sent, None))
                             i += 8
                         else:
-                            # an atom before `).` is the whole expression,
-                            # unless it is `not`, which `parse_atom` rejects
                             self.pos = i + 3
-                            e = (self.parse_atom() if tags[i + 3] != "not"
-                                 and tags[i + 4:i + 6] == _CLOSE_SEND
-                                 else self.parse_expr())
+                            e = self.parse_expr()
                             i = self.pos
                             if tags[i:i + 2] != _CLOSE_SEND:
                                 self.fail(i, _CLOSE_SEND)
@@ -565,7 +552,7 @@ class _Parser:
                         i += 5
                     continue
                 if op == "(" or op == "<":  # accept a(k).P, request a<k>.P
-                    service = services.get(name) or self.service_name(i)
+                    service = self.service_name(i)
                     shape = _ACCEPT if op == "(" else _REQUEST
                     if tags[i + 1:i + 5] != shape:
                         self.fail(i + 1, shape, "channel name")
@@ -597,8 +584,7 @@ class _Parser:
             if tag == "*":
                 if tags[i + 1:i + 6] != _SERVE:
                     self.fail(i + 1, _SERVE, "service name", "channel name")
-                service = (services.get(texts[i + 1])
-                           or self.service_name(i + 1))
+                service = self.service_name(i + 1)
                 self._check_binder(i + 3)
                 bound = chans[b] = sx.bound_chan(b := texts[i + 3])
                 heads.append((sx.Serve, service, bound, b))

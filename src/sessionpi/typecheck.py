@@ -515,9 +515,7 @@ def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
     visit and, below the parts of each, a step `(rule, term, data)` that
     finishes the term from their typings, which wait on `done`.  So a
     prefix chain is walked down and its heads are wrapped on the way
-    back up, and only `|`, `if` and offers wait on several parts.  A run
-    of sends and receives is read in one inner loop and wrapped by one
-    "run" step, whose data lists its prefixes in order.
+    back up, and only `|`, `if` and offers wait on several parts.
     """
     done: list[Delta] = []
     todo: list = [p]
@@ -525,27 +523,20 @@ def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
         q = todo.pop()
         tq = type(q)
         if tq is not tuple:
-            if tq is sx.Send or tq is sx.Receive:
-                # (prefix, Out or In, payload sort, the received name's
-                # outer sort)
-                run: list[tuple[Process, type, Sort, Sort | None]] = []
-                while tq is sx.Send or tq is sx.Receive:
-                    if tq is sx.Send:
-                        try:
-                            run.append((q, Out, type_expr(env, q.expr), None))
-                        except TypingError as err:
-                            raise _err("T-Out", q, str(err)) from err
-                    else:
-                        # x is bound in the one dict and unbound after:
-                        # a copy per receive would keep one dict per
-                        # level alive
-                        sv = SVar()
-                        run.append((q, In, sv, env.pop(q.var, None)))
-                        env[q.var] = sv
-                    q = q.body
-                    tq = type(q)
-                todo.append(("run", None, run))
-            if tq is sx.Stop:
+            if tq is sx.Send:
+                try:
+                    sort = type_expr(env, q.expr)
+                except TypingError as err:
+                    raise _err("T-Out", q, str(err)) from err
+                todo += (("T-Out", q, sort), q.body)
+            elif tq is sx.Receive:
+                # x is bound in the one dict and unbound when its step
+                # finishes: a copy per receive would keep one dict per
+                # level alive
+                sv = SVar()
+                todo += (("T-In", q, (sv, env.pop(q.var, None))), q.body)
+                env[q.var] = sv
+            elif tq is sx.Stop:
                 done.append({})
             elif tq is sx.Par:
                 done.append({})
@@ -580,27 +571,6 @@ def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
             continue
         # finishing q from the typings of its parts
         rule, q, data = q
-        if rule == "run":
-            # the heads are wrapped from the innermost out.  While
-            # consecutive prefixes are on one channel c, its type so far
-            # is kept in t rather than in d; only the innermost of them
-            # can find c closed, as the others find a head
-            d = done[-1]
-            c = t = None
-            for q, head, s, outer in reversed(data):
-                if head is In:
-                    if outer is None:
-                        del env[q.var]
-                    else:
-                        env[q.var] = outer
-                if q.chan != c:
-                    if c is not None:
-                        d[c] = t
-                    c = q.chan
-                    t = _pop_cont(d, c, "T-In" if head is In else "T-Out", q)
-                t = head(s, t)
-            d[c] = t
-            continue
         if rule == "T-Par":
             d = done.pop()
             try:
@@ -646,6 +616,15 @@ def _infer(env: dict[str, Sort], p: Process, relax: bool) -> Delta:
                     "T-Res", q,
                     f"restricted channel {c.base} is left at {show(t)}; "
                     "both endpoints must run to completion")
+        elif rule == "T-In":
+            sv, outer = data
+            if outer is None:
+                del env[q.var]
+            else:
+                env[q.var] = outer
+            d[c] = In(sv, _pop_cont(d, c, rule, q))
+        elif rule == "T-Out":
+            d[c] = Out(data, _pop_cont(d, c, rule, q))
         elif rule == "T-Sel":
             d[c] = OpenSel({q.label: _pop_cont(d, c, rule, q)})
         elif rule == "T-InS":

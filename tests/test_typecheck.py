@@ -291,10 +291,14 @@ def test_nested_receives_share_one_value_environment():
 def test_long_chains_type_at_the_default_recursion_limit():
     # a chain on a free session is inferred, the same chain served is
     # checked against the type inferred for the first; the typing
-    # prints without recursing either
+    # prints without recursing either.  A chain of receives each
+    # forwarded on another channel binds a new variable at every other
+    # prefix, and unbinds each as its step finishes
     n = 150_000
     chain = "k!(1)." * n + "0"
     free = parse(chain, ("k",))
+    relay = parse("".join(f"k?(x{i}).c!(x{i})." for i in range(n // 2))
+                  + "0", ("k", "c"))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # CPython's default
     try:
@@ -302,10 +306,13 @@ def test_long_chains_type_at_the_default_recursion_limit():
         shown = sf.print_delta(delta)
         gamma = {"a": sx.ServiceSort(delta[K])}
         served = tc.check(gamma, parse("*a(k)." + chain, (), gamma))
+        relayed = sf.print_delta(tc.check({}, relay))
     finally:
         sys.setrecursionlimit(limit)
     assert shown == "k : " + "![int]." * n + "end"
     assert served == {}
+    assert relayed == ("c : " + "![int]." * (n // 2) + "end, "
+                       "k : " + "?[int]." * (n // 2) + "end")
 
 
 # ---------------------------------------------------------------- check_against
