@@ -169,21 +169,27 @@ class Transparency(NamedTuple):
         return "NotWellTyped" if self.reason == "ill-typed" else "NotTransparent"
 
 
+def first_cycle(p: Process) -> tuple[NormalForm, Cycle] | None:
+    """The first parallel cluster of p whose graph has a cycle, if any."""
+    for nf in congruence.clusters(p):
+        if (cyc := find_cycle(congruence.occurrences(nf)[1])) is not None:
+            return nf, cyc
+    return None
+
+
 def is_transparent(gamma: dict[str, Sort], p: Process) -> Transparency:
     """Well-typed, and every parallel cluster's graph is a forest."""
     try:
         typecheck.check(gamma, p)
     except typecheck.TypingError as e:
         return Transparency(False, "ill-typed", str(e))
-    for nf in congruence.clusters(p):
-        cyc = find_cycle(congruence.occurrences(nf)[1])
-        if cyc is not None:
-            chans = ", ".join(sorted({c.base for c in cyc.channels}))
-            return Transparency(
-                False, "cyclic",
-                f"threads form a dependency cycle through {chans}",
-                subterm=nf.process(), cycle=cyc)
-    return Transparency(True, "transparent", "")
+    if (found := first_cycle(p)) is None:
+        return Transparency(True, "transparent", "")
+    nf, cyc = found
+    chans = ", ".join(sorted({c.base for c in cyc.channels}))
+    return Transparency(
+        False, "cyclic", f"threads form a dependency cycle through {chans}",
+        subterm=nf.process(), cycle=cyc)
 
 
 def _dot_escape(s: str) -> str:

@@ -237,6 +237,40 @@ def test_partner_completes_generated_stuck_processes(seed):
     assert sm.redexes(pair) != []
 
 
+def test_the_partners_the_search_builds_are_stuck_and_typed(monkeypatch):
+    # the cut check relies on what holds by construction and checks none
+    # of it: each partner is irreducible and types with its piece
+    # (criteria 7 and 8), and each reduct of the pair types (criterion
+    # 5).  Here those hold on the pieces that the search itself completes
+    built, real = [], pg.construct_partner
+
+    def recorded(gamma, piece):
+        got = real(gamma, piece)
+        built.append((gamma, piece, got))
+        return got
+
+    monkeypatch.setattr(pg, "construct_partner", recorded)
+    for name in SOURCES:
+        src = load(name)
+        pg.check_progress(src.gamma, src.process, depth=5)
+    for seed in (1, 2, 3):
+        for case in S.bench_gen().refute(seed):
+            src = sf.parse_source(case.text)
+            pg.check_progress(src.gamma, src.process)
+    for seed in range(1000):
+        pg.check_progress(*S.typed_cycles(random.Random(seed)), depth=6)
+    partners = [(gamma, piece, *got) for gamma, piece, got in built
+                if got is not None]
+    for gamma, piece, partner, ext in partners:
+        assert sm.redexes(partner) == []
+        genv = {**gamma, **ext}
+        pair = sx.Par(piece, partner)
+        tc.check(genv, pair)
+        for r in sm.redexes(pair):
+            tc.check(genv, sm.step(pair, r).process())
+    assert len(partners) > 5000, len(partners)
+
+
 # ------------------------------------------------------------- check_progress
 
 def test_transparent_processes_get_certificates():
@@ -531,14 +565,22 @@ def test_each_distinct_stuck_piece_is_checked_once(monkeypatch):
         " | a2!(32).b2!(15).0 | a2?(x).b2?(y).0 | a1?(x).b1?(y).0")
     calls = count_calls(monkeypatch, pg, "construct_partner")
     scans = count_calls(monkeypatch, sm, "redexes")
+    transparent = calls_by_caller(monkeypatch, "is_transparent", dg)
+    typed = calls_by_caller(monkeypatch, "check", tc)
     r = pg.check_progress(src.gamma, src.process)
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 27,
                                                         False)
     assert calls[0] == 4 * 3
     # one scan for the start (every later state carries its parent's
-    # redexes), and per cut check the piece, the partner and the pair:
-    # `construct_partner` checks again that the piece is irreducible
-    assert scans[0] == 1 + 3 * 12
+    # redexes), and per cut check one of the piece, as `construct_partner`
+    # checks again that it is irreducible, and one of the pair
+    assert scans[0] == 1 + 2 * 12
+    # the search types its start, for transparency, and the pieces whose
+    # open channels' types a partner needs; neither a partner, nor a
+    # pair, nor a reduct is typed
+    assert [caller for caller, _ in transparent] == ["check_progress"]
+    assert Counter(caller for caller, _ in typed) == {
+        "is_transparent": 1, "construct_partner": 12}
 
 
 def test_threads_share_a_number_exactly_when_they_print_alike():
@@ -746,7 +788,9 @@ def test_shuffling_independent_parts_keeps_the_outcome(seed):
 
 def assert_genuine(gamma, r):
     """The cut is a connected stuck piece of its state, live or holding
-    an accept or serve, that fails what it says."""
+    an accept or serve, that fails what it says by the definition: no
+    partner, or a stuck partner typed with it under which the pair does
+    not reduce (c) or reduces to no transparent process (d)."""
     assert r.verdict == "counterexample"
     threads = cg.normal_form(r.state).threads
     assert Counter(r.cut) <= Counter(threads)
@@ -754,8 +798,27 @@ def assert_genuine(gamma, r):
     assert sm.redexes(piece) == []
     assert reference_connected(r.cut)
     assert reference_counts(r.cut)
-    failure = pg._cut_failure(gamma, r.cut)
-    assert failure is not None and failure[0] == r.failed
+    # the failed condition, derived afresh with typing included: only
+    # the partner is shared with the search
+    got = pg.construct_partner(gamma, piece)
+    if got is None:
+        failed = "no-partner"
+    else:
+        partner, ext = got
+        assert sf.print_process(partner) == sf.print_process(r.partner)
+        assert reference_redexes(partner) == []
+        genv = {**gamma, **ext}
+        pair = sx.Par(piece, partner)
+        tc.check(genv, pair)
+        rs = reference_redexes(pair)
+        reducts = [sm.step(pair, x).process() for x in rs]
+        if not rs:
+            failed = "c"
+        elif any(dg.is_transparent(genv, q).ok for q in reducts):
+            failed = None
+        else:
+            failed = "d"
+    assert failed == r.failed
 
 
 def test_corpus_counterexamples_are_genuine():
