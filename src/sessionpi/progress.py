@@ -6,10 +6,12 @@ for a refutation: it walks the reachable states, carves each state's
 thread list into connected sub-multisets (the surrounding restrictions
 and the remaining threads form the reduction context), and asks whether
 each piece that a partner could complete can either move on its own or
-be completed by a canonical partner process.  A piece with no such
-partner witnesses a stuck decomposition.  The search is bounded, so its
-only verdicts are a counterexample or "nothing found within the
-bounds"; certificates come from transparency alone.
+be completed by a canonical partner process.  The same theorem covers
+every acyclic piece, which is well-typed as part of a reachable state,
+so only cyclic pieces are completed.  A piece with no such partner
+witnesses a stuck decomposition.  The search is bounded, so its only
+verdicts are a counterexample or "nothing found within the bounds";
+certificates come from transparency alone.
 """
 from __future__ import annotations
 
@@ -206,9 +208,15 @@ def _cut_failure(gamma: dict[str, Sort], cut: tuple[Process, ...]
     as one that no partner can complete (`_completable`) does; else
     (failed condition, partner).  Partners are stuck and pairs typed by
     construction (acceptance criteria 7-8), reducts by subject reduction
-    (criterion 5), so graphs decide; dropping a check can only pass a cut."""
+    (criterion 5), so graphs decide; dropping a check can only pass a cut.
+
+    A piece whose cluster graphs are all forests passes without a
+    partner: it is a sub-composition of a state reached from a
+    well-typed start, so it is well-typed by subject reduction, hence
+    transparent, and the paper's theorem gives it progress just as it
+    does a certified start.  Only cyclic pieces are completed."""
     piece = reduce(sx.Par, cut)
-    if not _completable(piece):
+    if not _completable(piece) or depgraph.first_cycle(piece) is None:
         return None
     got = construct_partner(gamma, piece)
     if got is None:
@@ -262,10 +270,14 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     states that `semantics.explore` reaches within `depth` steps (at
     most `max_states` of them) are decomposed into connected
     sub-multisets of their threads, smallest first, at most
-    `subset_budget` per state; a decomposition that a partner could
-    complete (`_completable`) but that neither reduces nor accepts a
-    canonical partner refutes progress.  A clean but bounded search
-    stays inconclusive: certificates never come from the search.
+    `subset_budget` per state; a cyclic decomposition that a partner
+    could complete (`_completable`) but that neither reduces nor accepts
+    a canonical partner refutes progress.  An acyclic one never does:
+    by subject reduction it is well-typed, as a part of a state reached
+    from this well-typed start, so it is transparent and has progress
+    by the theorem that certifies transparent starts.  A clean but
+    bounded search stays inconclusive: certificates never come from the
+    search.
 
     Two threads are tied when they share a free session channel or a
     service (served, accepted or requested anywhere in a thread), and a

@@ -408,23 +408,33 @@ def test_progress_reports_the_cut(capsys, spi):
 def test_progress_reports_a_completion_that_does_not_reduce(capsys,
                                                           tmp_path):
     # the send's payload v is open, so the send and its partner's
-    # receive make no redex: condition (c) fails
+    # receive make no redex: condition (c) fails on the cyclic piece
     f = tmp_path / "open_send.spi"
-    f.write_text("env v : int; sessions k, a, b; k!(v).0"
-                 " | a?(x).b!(x).0 | b?(x).a!(x).0\n")
+    f.write_text("env v : int; sessions k, a, b;"
+                 " k!(v).a?(x).b!(x).0 | b?(y).a!(y).0\n")
     code, out, _ = run(capsys, "progress", str(f))
     assert code == 1
     assert out.splitlines() == [
         "counterexample: stuck decomposition: the completed composition"
         " does not reduce",
-        "  state: k!(v).0 | a?(x).b!(x).0 | b?(x).a!(x).0",
-        "  stuck decomposition: k!(v).0",
+        "  state: k!(v).a?(x).b!(x).0 | b?(y).a!(y).0",
+        "  stuck decomposition: k!(v).a?(x).b!(x).0 | b?(y).a!(y).0",
         "  best partner tried: k?(x).0"]
     code, data = run_json(capsys, "progress", str(f))
     assert (code, data["verdict"]) == (1, "counterexample")
     assert data["data"]["failed"] == "c"
     assert (data["data"]["cut"], data["data"]["partner"]) == (
-        ["k!(v).0"], "k?(x).0")
+        ["k!(v).a?(x).b!(x).0", "b?(y).a!(y).0"], "k?(x).0")
+    # alone, the open send is an acyclic piece and passes without a
+    # partner: the refutation is the cyclic a/b pair, which nothing
+    # can complete
+    f.write_text("env v : int; sessions k, a, b; k!(v).0"
+                 " | a?(x).b!(x).0 | b?(x).a!(x).0\n")
+    code, data = run_json(capsys, "progress", str(f))
+    assert (code, data["verdict"]) == (1, "counterexample")
+    assert data["data"]["failed"] == "no-partner"
+    assert data["data"]["cut"] == ["a?(x).b!(x).0", "b?(x).a!(x).0"]
+    assert "partner" not in data["data"]
 
 
 _LIVE = "new a, b . (a!(1).b!(2).0 | a?(u).b?(w).0)"

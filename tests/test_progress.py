@@ -3,7 +3,7 @@ import random
 import sys
 from collections import Counter
 from functools import reduce
-from types import CodeType
+from types import CodeType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +19,8 @@ import sessionpi.typecheck as tc
 import strategies as S
 from sessionpi.examples import SOURCES, load
 from test_reference_oracles import (calls_by_caller, cli_calls,
+                                    reference_children, reference_find_cycle,
+                                    reference_free_session_channels,
                                     reference_redexes, reference_ties)
 
 K = sx.chan("k")
@@ -241,15 +243,18 @@ def test_the_partners_the_search_builds_are_stuck_and_typed(monkeypatch):
     # the cut check relies on what holds by construction and checks none
     # of it: each partner is irreducible and types with its piece
     # (criteria 7 and 8), and each reduct of the pair types (criterion
-    # 5).  Here those hold on the pieces that the search itself completes
-    built, real = [], pg.construct_partner
+    # 5).  Here those hold for a partner of every piece that the search
+    # checks, though it completes only the cyclic ones.  An acyclic piece
+    # passes unchecked; that it is well-typed and its completion reaches
+    # an acyclic reduct is asserted here, where no open value can block
+    # the pair
+    checked, real = [], pg._cut_failure
 
-    def recorded(gamma, piece):
-        got = real(gamma, piece)
-        built.append((gamma, piece, got))
-        return got
+    def recorded(gamma, cut):
+        checked.append((gamma, cut))
+        return real(gamma, cut)
 
-    monkeypatch.setattr(pg, "construct_partner", recorded)
+    monkeypatch.setattr(pg, "_cut_failure", recorded)
     for name in SOURCES:
         src = load(name)
         pg.check_progress(src.gamma, src.process, depth=5)
@@ -259,16 +264,33 @@ def test_the_partners_the_search_builds_are_stuck_and_typed(monkeypatch):
             pg.check_progress(src.gamma, src.process)
     for seed in range(1000):
         pg.check_progress(*S.typed_cycles(random.Random(seed)), depth=6)
-    partners = [(gamma, piece, *got) for gamma, piece, got in built
-                if got is not None]
-    for gamma, piece, partner, ext in partners:
+    partners = acyclic = 0
+    for gamma, cut in checked:
+        if not reference_counts(cut):
+            continue
+        piece = reduce(sx.Par, cut)
+        closed = not reference_cyclic(piece) and not reference_free_values(
+            piece)
+        if closed:
+            acyclic += 1
+            tc.check(gamma, piece)
+        got = pg.construct_partner(gamma, piece)
+        assert got is not None or not closed, cut
+        if got is None:
+            continue
+        partner, ext = got
+        partners += 1
         assert sm.redexes(partner) == []
         genv = {**gamma, **ext}
         pair = sx.Par(piece, partner)
         tc.check(genv, pair)
-        for r in sm.redexes(pair):
-            tc.check(genv, sm.step(pair, r).process())
-    assert len(partners) > 5000, len(partners)
+        reducts = [sm.step(pair, r).process() for r in sm.redexes(pair)]
+        for q in reducts:
+            tc.check(genv, q)
+        if closed:
+            assert any(not reference_cyclic(q) for q in reducts), cut
+    assert partners > 5000, partners
+    assert acyclic > 5000, acyclic
 
 
 # ------------------------------------------------------------- check_progress
@@ -402,6 +424,68 @@ def reference_counts(cut):
     an accept or serve."""
     return (reference_live(reduce(sx.Par, cut))
             or any(isinstance(t, (sx.Accept, sx.Serve)) for t in cut))
+
+
+def reference_cyclic(p):
+    """Whether a parallel cluster of p has a cyclic graph: p's own
+    threads, or those of a region of `|`, `new` and `0` nested under a
+    prefix.  Two threads of a cluster are joined by an edge for each
+    free session channel they share."""
+    def region(q):
+        out, todo = [], [q]
+        while todo:
+            r = todo.pop()
+            if isinstance(r, (sx.Par, sx.New, sx.Stop)):
+                todo.extend(reversed(reference_children(r)))
+            else:
+                out.append(r)
+        return out
+
+    todo = [region(p)]
+    while todo:
+        threads = todo.pop()
+        holders = {}
+        for i, t in enumerate(threads):
+            for c in reference_free_session_channels(t):
+                holders.setdefault(c, []).append(i)
+        edges = [(u, v, c) for c, ns in holders.items()
+                 for u, v in itertools.combinations(ns, 2)]
+        if reference_find_cycle(SimpleNamespace(edges=edges)) is not None:
+            return True
+        below = [c for t in threads for c in reference_children(t)]
+        while below:
+            q = below.pop()
+            if isinstance(q, (sx.Par, sx.New)):
+                todo.append(region(q))
+            else:
+                below.extend(reference_children(q))
+    return False
+
+
+def reference_free_values(p):
+    """The value variables free in p: used by a send or an `if` test
+    outside every receive that binds them."""
+    def names(e):
+        match e:
+            case sx.Var(x):
+                return {x}
+            case sx.Unop(_, a):
+                return names(a)
+            case sx.Binop(_, a, b):
+                return names(a) | names(b)
+        return set()
+
+    out, todo = set(), [(p, frozenset())]
+    while todo:
+        q, bound = todo.pop()
+        if isinstance(q, sx.Send):
+            out |= names(q.expr) - bound
+        elif isinstance(q, sx.If):
+            out |= names(q.test) - bound
+        elif isinstance(q, sx.Receive):
+            bound |= {q.var}
+        todo.extend((c, bound) for c in reference_children(q))
+    return out
 
 
 def reference_check_progress(gamma, p, depth=10, subset_budget=512,
@@ -558,11 +642,13 @@ def test_each_distinct_stuck_piece_is_checked_once(monkeypatch):
     # three live two-channel cycles: 27 states, and 5**3 - 1 distinct
     # stuck pieces (each cycle contributes one of its five irreducible
     # shapes, or nothing); only the 4 * 3 single threads are connected
-    # and stuck, so only they need a partner
+    # and stuck, so only they are checked, and as each is acyclic it
+    # passes without a partner
     src = sf.parse_source(
         "sessions a0, b0, a1, b1, a2, b2;"
         " a0!(17).b0!(72).0 | a0?(x).b0?(y).0 | a1!(97).b1!(8).0"
         " | a2!(32).b2!(15).0 | a2?(x).b2?(y).0 | a1?(x).b1?(y).0")
+    checks = count_calls(monkeypatch, pg, "_cut_failure")
     calls = count_calls(monkeypatch, pg, "construct_partner")
     scans = count_calls(monkeypatch, sm, "redexes")
     transparent = calls_by_caller(monkeypatch, "is_transparent", dg)
@@ -570,17 +656,14 @@ def test_each_distinct_stuck_piece_is_checked_once(monkeypatch):
     r = pg.check_progress(src.gamma, src.process)
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 27,
                                                         False)
-    assert calls[0] == 4 * 3
+    assert (checks[0], calls[0]) == (4 * 3, 0)
     # one scan for the start (every later state carries its parent's
-    # redexes), and per cut check one of the piece, as `construct_partner`
-    # checks again that it is irreducible, and one of the pair
-    assert scans[0] == 1 + 2 * 12
-    # the search types its start, for transparency, and the pieces whose
-    # open channels' types a partner needs; neither a partner, nor a
-    # pair, nor a reduct is typed
+    # redexes); a cut check that builds no partner scans nothing
+    assert scans[0] == 1
+    # the search types its start, for transparency, and nothing else:
+    # no piece needs a partner, so none is typed
     assert [caller for caller, _ in transparent] == ["check_progress"]
-    assert Counter(caller for caller, _ in typed) == {
-        "is_transparent": 1, "construct_partner": 12}
+    assert Counter(caller for caller, _ in typed) == {"is_transparent": 1}
 
 
 def test_threads_share_a_number_exactly_when_they_print_alike():
@@ -611,22 +694,23 @@ def cycles(n):
                      for i in range(n)))
 
 
-def test_independent_cycles_need_a_partner_per_thread(monkeypatch):
+def test_independent_cycles_need_no_partner(monkeypatch):
     # five cycles: 2,612 distinct stuck pieces, of which only the 20
-    # single threads are connected, so only they are checked with a
-    # partner, and no state spends its budget
+    # single threads are connected, so only they are checked; each is
+    # acyclic, so none needs a partner, and no state spends its budget
     src = cycles(5)
     calls = count_calls(monkeypatch, pg, "construct_partner")
     r = pg.check_progress(src.gamma, src.process)
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 243,
                                                         False)
-    assert calls[0] == 20
+    assert calls[0] == 0
 
 
 def test_cut_checks_build_their_partners_through_construct_partner(
         monkeypatch):
     # the search has one partner path: each cut check that reaches a
-    # piece a partner can complete builds that piece's partner there
+    # cyclic piece a partner could complete builds that piece's partner
+    # there; the acyclic pieces pass before it
     src = load("circular_waits")
     checked, real = [], pg._cut_failure
 
@@ -640,7 +724,9 @@ def test_cut_checks_build_their_partners_through_construct_partner(
     assert (r.verdict, r.failed) == ("counterexample", "no-partner")
     reached = [cut for cut in checked if reference_counts(cut)]
     assert len(reached) == len(checked) == 3
-    assert [caller for caller, _ in built] == ["_cut_failure"] * 3
+    cyclic = [cut for cut in reached if reference_cyclic(reduce(sx.Par, cut))]
+    assert cyclic == [r.cut]
+    assert [caller for caller, _ in built] == ["_cut_failure"]
 
 
 def test_the_walk_keys_each_state_once(monkeypatch):
@@ -685,11 +771,10 @@ def test_the_search_prints_each_thread_object_once(monkeypatch, tmp_path):
     assert len({id(t) for t in printed}) == len(printed)
     assert 5 * len(printed) <= 10_280
     # rows hold no liveness: `_completable` is its one walk, asked once
-    # per cut check, that is for the 20 single threads, and once more by
-    # `construct_partner` for each of them, whose precondition it is
+    # per cut check, that is for the 20 single threads; each is acyclic,
+    # so `construct_partner`, whose precondition it also is, never runs
     assert not hasattr(cg, "has_live_channels")
-    assert Counter(caller for caller, _ in live) == {
-        "_cut_failure": checks[0], "construct_partner": checks[0]}
+    assert Counter(caller for caller, _ in live) == {"_cut_failure": 20}
     assert checks[0] == 20
 
     # in one `run`, `run --all` or `progress` call, a thread object is
@@ -788,9 +873,11 @@ def test_shuffling_independent_parts_keeps_the_outcome(seed):
 
 def assert_genuine(gamma, r):
     """The cut is a connected stuck piece of its state, live or holding
-    an accept or serve, that fails what it says by the definition: no
-    partner, or a stuck partner typed with it under which the pair does
-    not reduce (c) or reduces to no transparent process (d)."""
+    an accept or serve, with a cyclic cluster graph (an acyclic piece is
+    transparent, so has progress), that fails what it says by the
+    definition: no partner, or a stuck partner typed with it under which
+    the pair does not reduce (c) or reduces to no transparent process
+    (d)."""
     assert r.verdict == "counterexample"
     threads = cg.normal_form(r.state).threads
     assert Counter(r.cut) <= Counter(threads)
@@ -798,6 +885,7 @@ def assert_genuine(gamma, r):
     assert sm.redexes(piece) == []
     assert reference_connected(r.cut)
     assert reference_counts(r.cut)
+    assert reference_cyclic(piece)
     # the failed condition, derived afresh with typing included: only
     # the partner is shared with the search
     got = pg.construct_partner(gamma, piece)
