@@ -173,7 +173,10 @@ def canonical_key(p: Process | NormalForm,
     can read the same rows.  Without one, each call makes its own.
 
     The key is not a display layout, so it does not use `lay_out`: it
-    has no parentheses, and a state without threads keys as "".
+    has no parentheses, and a state without threads keys as "".  Where
+    no thread binds a name and no restriction is used, nothing is
+    numbered, so the key is the sorted blind prints, and no thread is
+    spelled twice.
     """
     nf = normal_form(p)
     known = rows({} if table is None else table, nf.threads)
@@ -193,6 +196,8 @@ def canonical_key(p: Process | NormalForm,
         blind[c] = "#r"
 
     shown = [spell(row.pieces, blind) for row in known]
+    if not blind:  # nothing to number: the final print is the blind one
+        return " | ".join(sorted(shown))
     colours = min(1, len(binders))
     # only ties between threads that mention a restriction can split
     while len(set(shown)) < len(shown) and any(

@@ -214,7 +214,17 @@ def _cut_failure(gamma: dict[str, Sort], cut: tuple[Process, ...]
     partner: it is a sub-composition of a state reached from a
     well-typed start, so it is well-typed by subject reduction, hence
     transparent, and the paper's theorem gives it progress just as it
-    does a certified start.  Only cyclic pieces are completed."""
+    does a certified start.  Only cyclic pieces are completed.
+
+    (d) fails the pair only when every reduct is cyclic: one transparent
+    reduct is a way on.  The piece is stuck, so every redex of the pair
+    joins it to the partner's head, and a session channel has one other
+    end; so a pair has one redex, or several only where the partner's
+    accept or request meets several of the piece's requests or accepts.
+    Their reducts can differ: `a<k>.(c!(1).0 | d!(1).0) | a<k>.0 |
+    d?(y).c?(x).0` completed by `a(k).0` keeps its cycle when the second
+    request is opened, and loses it when the first is, whose body then
+    splits the thread that shared c and d with the receiver."""
     piece = reduce(sx.Par, cut)
     if not _completable(piece) or depgraph.first_cycle(piece) is None:
         return None
@@ -304,7 +314,9 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     so no thread is hashed or compared by value.  Threads that print
     alike share a number: they differ at most in how `|` nests or how a
     negative literal is written, so they are congruent and
-    `_cut_failure` answers the same on them.
+    `_cut_failure` answers the same on them.  Each thread object's
+    number and ties are looked up once per search, by `id`, and states
+    that share the object read them from there.
     """
     verdict = depgraph.is_transparent(gamma, p)
     if verdict.reason == "ill-typed":
@@ -318,6 +330,9 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
     table: congruence.Table = {}
     visited = 0
     number: dict[tuple[str | Name, ...], int] = {}
+    # thread id -> its number and ties; `table` holds each thread, so no
+    # id is reused during the search
+    known: dict[int, tuple[int, frozenset[Name]]] = {}
     passed: set[tuple[int, ...]] = set()
 
     for state, succs in semantics.explore(p, depth, max_states, table, cuts):
@@ -326,10 +341,16 @@ def check_progress(gamma: dict[str, Sort], p: Process, depth: int = 10,
         bits = [1 << i for i in reversed(range(len(threads)))]
         ids: list[int] = []  # the thread number at each position
         ties: list[frozenset[Name]] = []
-        # a state is keyed, so its rows are built, before it is yielded
-        for row in congruence.rows(table, threads):
-            ids.append(number.setdefault(row.pieces, len(number)))
-            ties.append(row.ties)
+        for t in threads:
+            got = known.get(id(t))
+            if got is None:
+                # a state is keyed, so its rows are built, before it is
+                # yielded
+                row = table[id(t)]
+                got = known[id(t)] = (
+                    number.setdefault(row.pieces, len(number)), row.ties)
+            ids.append(got[0])
+            ties.append(got[1])
         moves = list({bits[r.i] | (0 if r.j is None else bits[r.j])
                       for r in succs})
         level = near = _adjacency(bits, ties)

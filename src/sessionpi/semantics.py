@@ -361,6 +361,12 @@ class Trace(NamedTuple):
         return [q for q, _ in self.steps] + [self.final]
 
 
+# the rules whose step draws no fresh name: two such steps at disjoint
+# positions commute, and reach one state in either order
+_COMMUTING = frozenset(("Com", "Sel", "Del", "IfT", "IfF"))
+_AWAKE: frozenset[tuple[int, int | None]] = frozenset()  # no redex asleep
+
+
 def explore(p: Process | NormalForm, depth: int, max_states: int = 2000,
             table: congruence.Table | None = None,
             cuts: set[str] | None = None
@@ -376,6 +382,36 @@ def explore(p: Process | NormalForm, depth: int, max_states: int = 2000,
     "max-states" and ends all stepping.  One `canonical_key` table,
     `table` if given, serves the whole walk.  Only the start is scanned
     by `redexes`; every later state carries its parent's (`_carried`).
+
+    Each state in the frontier has a sleep set (P. Godefroid,
+    *Partial-Order Methods for the Verification of Concurrent Systems*,
+    LNCS 1032, 1996): redexes whose step is not taken, because it can
+    only reach a state already seen.  The start's is empty.  When q has
+    no restrictions and q2 = step(q, r) is new and has none either, q2
+    inherits each redex x listed before r in q's redexes, whether x was
+    stepped or was itself asleep, if x and r are both `_COMMUTING` and
+    use disjoint thread positions, and x's step adds no restriction
+    (known from its successor, or from when x fell asleep: x's thread
+    objects are the same, so its continuation is too).  x is moved to
+    q2's positions by the shift `_carried` applies.
+
+    Why that loses nothing: step(q2, x) is step(step(q, x), r), thread
+    for thread, for neither step draws a fresh name and neither touches
+    the other's threads.  The sibling step(q, x), or the key-equal state
+    already in `seen` that stands for it, comes earlier in the frontier
+    than q2 (x is listed before r; if x was asleep at q, its successor's
+    key was in `seen` before q was stepped, by the same argument one
+    level up).  So that state is expanded before q2, and its counterpart
+    of r is stepped, or is itself asleep and keyed earlier still, before
+    q2 is expanded.  With no restrictions, equal keys mean equal states
+    up to thread order and the renaming of each thread's own binders, so
+    corresponding steps give equal keys: a skipped step could only reach
+    a key already in `seen`.  So every state is still reached, first by
+    the same step as without sleep sets, and states, their order, their
+    redexes and `cuts` are as they were.  Both bounds stop the two paths
+    alike: the stand-in is no deeper than q2, and "max-states" ends all
+    stepping.  A broader rule, for example one that covers states with
+    restrictions, needs its own proof.
     """
     if table is None:
         table = {}
@@ -388,24 +424,33 @@ def explore(p: Process | NormalForm, depth: int, max_states: int = 2000,
     # Each id is of a thread `table` holds, so no id is reused meanwhile.
     keys: dict[tuple[tuple[Name, ...], tuple[int, ...]], str] = {}
     frontier = [(start, redexes(start),
-                 tuple(map(sx.subject, start.threads)))]
+                 tuple(map(sx.subject, start.threads)), _AWAKE)]
     full = False
     while frontier:
         nxt = []
-        for q, rs, subjects in frontier:
+        for q, rs, subjects, asleep in frontier:
             yield q, rs
             if depth <= 0:
                 if rs:
                     cuts.add("depth")
                 continue
+            # the redexes so far that a later sibling may inherit asleep
+            quiet: list[Redex] = []
             for r in rs:
                 if full:
                     break
+                if _BY_POSITION(r) in asleep:
+                    quiet.append(r)
+                    continue
                 q2, m = _step(q, r)
                 ids = q2.binders, tuple(map(id, q2.threads))
                 key = keys.get(ids)
                 if key is None:
                     key = keys[ids] = congruence.canonical_key(q2, table)
+                calm = (r.rule in _COMMUTING and not q.binders
+                        and not q2.binders)
+                if calm:  # r uses its own threads, so q2 does not inherit it
+                    quiet.append(r)
                 if key in seen:
                     continue
                 if len(seen) >= max_states:
@@ -413,9 +458,31 @@ def explore(p: Process | NormalForm, depth: int, max_states: int = 2000,
                     full = True
                 else:
                     seen.add(key)
-                    nxt.append((q2, *_carried(q, rs, subjects, r, q2, m)))
+                    sleep = _asleep(quiet, r, q, q2, m) if calm else _AWAKE
+                    nxt.append((q2, *_carried(q, rs, subjects, r, q2, m),
+                                sleep))
         depth -= 1
         frontier = nxt
+
+
+def _asleep(quiet: list[Redex], r: Redex, q: NormalForm, q2: NormalForm,
+            m: int) -> frozenset[tuple[int, int | None]]:
+    """The sleep set of q2 = step(q, r), as (i, j) positions: each
+    redex of `quiet` that uses none of r's threads, moved to q2 as
+    `_carried` moves it; m is where `_step` ended the first
+    continuation."""
+    a, b = (r.i, r.i) if r.j is None else sorted((r.i, r.j))
+    grown = len(q2.threads) - len(q.threads)
+    out = set()
+    for x in quiet:
+        i, j = x.i, x.j
+        if i == a or i == b or j == a or j == b:
+            continue
+        i = i if i < a else i + m - a - 1 if i < b else i + grown
+        if j is not None:
+            j = j if j < a else j + m - a - 1 if j < b else j + grown
+        out.add((i, j))
+    return frozenset(out)
 
 
 def trace(p: Process | NormalForm, depth: int,

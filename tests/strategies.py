@@ -219,6 +219,39 @@ def program(rng: random.Random) -> tuple[dict, sx.Process]:
     return gamma, reduce(sx.Par, threads)
 
 
+def races(rng: random.Random) -> sx.Process:
+    """Two to five chains of sends, receives, selections, offers and
+    closed conditionals over two free channels, so that several threads
+    race for one channel and two redexes can share a thread; a
+    continuation sometimes opens a restricted pair.  Untyped: only the
+    reductions matter."""
+    ks = [sx.chan("c"), sx.chan("d")]
+
+    def chain(n: int) -> sx.Process:
+        t: sx.Process = sx.Stop()
+        if rng.random() < 0.2:
+            e = sx.bound_chan("e")
+            t = sx.New(e, sx.Par(sx.Send(e, sx.IntLit(0), sx.Stop()),
+                                 sx.Receive(e, "z", sx.Stop())))
+        for _ in range(n):
+            k = rng.choice(ks)
+            match rng.randrange(5):
+                case 0:
+                    t = sx.Send(k, sx.IntLit(rng.randrange(3)), t)
+                case 1:
+                    t = sx.Receive(k, "x", t)
+                case 2:
+                    t = sx.Choose(k, rng.choice(LABELS[:2]), t)
+                case 3:
+                    t = sx.Offer(k, (("go", t), ("stop", sx.Stop())))
+                case 4:
+                    t = sx.If(sx.BoolLit(rng.random() < 0.5), t, sx.Stop())
+        return t
+
+    return reduce(sx.Par, [chain(rng.randint(1, 3))
+                           for _ in range(rng.randint(2, 5))])
+
+
 def cyclic(rng: random.Random) -> sx.Process:
     """Send chains over two to four free channels that surely close a
     dependency cycle: two threads share two channels, or three threads

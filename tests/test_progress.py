@@ -239,6 +239,12 @@ def test_partner_completes_generated_stuck_processes(seed):
     assert sm.redexes(pair) != []
 
 
+# two requests of one service, and a thread that shares two channels
+# with the first: its partner, an accept, can open either request
+TWO_OPENINGS = ("sessions c, d; env a : <end>;"
+                " a<k>.(c!(1).0 | d!(1).0) | a<k>.0 | d?(y).c?(x).0")
+
+
 def test_the_partners_the_search_builds_are_stuck_and_typed(monkeypatch):
     # the cut check relies on what holds by construction and checks none
     # of it: each partner is irreducible and types with its piece
@@ -264,7 +270,9 @@ def test_the_partners_the_search_builds_are_stuck_and_typed(monkeypatch):
             pg.check_progress(src.gamma, src.process)
     for seed in range(1000):
         pg.check_progress(*S.typed_cycles(random.Random(seed)), depth=6)
-    partners = acyclic = 0
+    src = sf.parse_source(TWO_OPENINGS)
+    pg.check_progress(src.gamma, src.process)
+    partners = acyclic = several = 0
     for gamma, cut in checked:
         if not reference_counts(cut):
             continue
@@ -284,13 +292,44 @@ def test_the_partners_the_search_builds_are_stuck_and_typed(monkeypatch):
         genv = {**gamma, **ext}
         pair = sx.Par(piece, partner)
         tc.check(genv, pair)
-        reducts = [sm.step(pair, r).process() for r in sm.redexes(pair)]
+        rs = sm.redexes(pair)
+        # the piece is stuck, so each redex joins it to the partner's one
+        # head; a session channel has one other end, so only a request
+        # or an accept can meet two threads, and (d)'s "every reduct"
+        # can differ from "some reduct" only on such pairs
+        assert len(rs) == 1 or {r.rule for r in rs} <= {"Init", "RInit"}, cut
+        several += len(rs) > 1
+        reducts = [sm.step(pair, r).process() for r in rs]
         for q in reducts:
             tc.check(genv, q)
         if closed:
             assert any(not reference_cyclic(q) for q in reducts), cut
     assert partners > 5000, partners
     assert acyclic > 5000, acyclic
+    assert several > 0, several
+
+
+def test_condition_d_needs_every_reduct_cyclic():
+    # (d) fails a completed pair only when no reduct is transparent.
+    # The partner, one accept, can open either request: opening the
+    # first splits the thread that shares c and d with the receiver, so
+    # that reduct is acyclic, while opening the second keeps the cycle.
+    # The piece passes, and so does the whole search; failing the pair
+    # when some reduct is cyclic would report a counterexample, though
+    # the first opening lets every thread finish
+    src = sf.parse_source(TWO_OPENINGS)
+    cut = cg.normal_form(src.process).threads
+    piece = reduce(sx.Par, cut)
+    assert reference_cyclic(piece)
+    partner, _ = pg.construct_partner(src.gamma, piece)
+    pair = sx.Par(piece, partner)
+    rs = sm.redexes(pair)
+    assert [r.rule for r in rs] == ["Init", "Init"]
+    cyclic = [reference_cyclic(sm.step(pair, r).process()) for r in rs]
+    assert cyclic == [False, True]
+    assert pg._cut_failure(src.gamma, cut) is None
+    r = pg.check_progress(src.gamma, src.process)
+    assert (r.verdict, r.bound_hit) == ("inconclusive", False)
 
 
 # ------------------------------------------------------------- check_progress
@@ -746,14 +785,34 @@ def test_the_walk_keys_each_state_once(monkeypatch):
 
 def test_the_walk_stops_stepping_once_the_state_bound_is_hit(monkeypatch):
     # eight cycles: the search stepped every successor of every state
-    # to learn of states it had no room for, 13,176 steps; the walk
-    # stops stepping at the first state beyond the bound
+    # to learn of states it had no room for, 13,176 steps, and the walk
+    # that stopped at the first state beyond the bound still took 7,540
+    # steps, most of them commuting steps into states already seen.
+    # With sleep sets each state kept is reached by one step, and the
+    # last step finds the state there is no room for
     src = cycles(8)
     steps = count_calls(monkeypatch, sm, "_step")
     r = pg.check_progress(src.gamma, src.process)
     assert (r.verdict, r.states_seen, r.bound_hit) == ("inconclusive", 2000,
                                                         True)
-    assert steps[0] <= 7_574
+    assert steps[0] == 2_000
+
+
+def test_the_walk_takes_one_step_into_each_state(monkeypatch):
+    # independent cycles reach most states by several orders of their
+    # commuting steps (810 steps for the 243 states of five cycles);
+    # the walk's sleep sets skip every step that would re-reach a state,
+    # so only the step that first reaches each state is taken
+    steps = count_calls(monkeypatch, sm, "_step")
+    starts = [cycles(n) for n in (2, 3, 4, 5)]
+    starts += [sf.parse_source(case.text) for case in S.bench_gen().refute(1)
+               if case.expect["verdict"] == "inconclusive"]
+    assert len(starts) == 14
+    for src in starts:
+        steps[0] = 0
+        r = pg.check_progress(src.gamma, src.process)
+        assert (r.verdict, r.bound_hit) == ("inconclusive", False)
+        assert steps[0] == r.states_seen - 1
 
 
 def test_the_search_prints_each_thread_object_once(monkeypatch, tmp_path):

@@ -441,6 +441,114 @@ def test_dead_restrictions_do_not_split_states():
     assert cg.canonical_key(p) == cg.canonical_key(src.process)
 
 
+def reference_explore(p, depth, max_states):
+    """A breadth-first walk that prunes nothing: every state's redexes
+    found afresh by `redexes` and every one of them taken by `step`,
+    states told apart by `canonical_key`.  Returns each state's key and
+    its redexes described, the bounds that cut the walk short, and how
+    many steps left a state with restrictions."""
+    start = cg.normal_form(p)
+    seen = {cg.canonical_key(start)}
+    level, out, cuts, restricted = [start], [], set(), 0
+    full = False
+    while level:
+        nxt = []
+        for q in level:
+            rs = sm.redexes(q)
+            out.append((cg.canonical_key(q), [r.describe() for r in rs]))
+            if depth <= 0:
+                if rs:
+                    cuts.add("depth")
+                continue
+            for r in rs:
+                if full:
+                    break
+                q2 = sm.step(q, r)
+                restricted += bool(q.binders or q2.binders)
+                key = cg.canonical_key(q2)
+                if key in seen:
+                    continue
+                if len(seen) >= max_states:
+                    cuts.add("max-states")
+                    full = True
+                else:
+                    seen.add(key)
+                    nxt.append(q2)
+        depth -= 1
+        level = nxt
+    return out, cuts, restricted
+
+
+def explores_like_the_reference(p, depth, max_states):
+    """`explore` yields the reference's keys and redexes in its order
+    and fills the same cuts; returns the reference's cuts and its count
+    of steps between states with restrictions."""
+    want, want_cuts, restricted = reference_explore(p, depth, max_states)
+    cuts = set()
+    got = [(cg.canonical_key(q), [r.describe() for r in rs])
+           for q, rs in sm.explore(p, depth, max_states, cuts=cuts)]
+    assert got == want
+    assert cuts == want_cuts
+    return want_cuts, restricted
+
+
+EXPLORE_BOUNDS = [(10, 2000), (4, 30), (2, 5), (3, 1)]
+
+
+def test_explore_agrees_with_a_walk_that_prunes_nothing():
+    # the sleep sets skip only steps that re-reach a state: on the
+    # samples and the benchmark's `refute` files, with the depth and
+    # the state bound each hit and not hit, the walk is the same
+    starts = [load(name).process for name in SOURCES]
+    for seed in (1, 2, 3):
+        starts += [sf.parse_source(case.text).process
+                   for case in S.bench_gen().refute(seed)]
+    cuts = Counter()
+    restricted = 0
+    for p in starts:
+        for depth, max_states in EXPLORE_BOUNDS:
+            hit, n = explores_like_the_reference(p, depth, max_states)
+            cuts[frozenset(hit)] += 1
+            restricted += n
+    assert {frozenset(), frozenset({"depth"}),
+            frozenset({"max-states"})} <= set(cuts), cuts
+    assert restricted > 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000), st.sampled_from(EXPLORE_BOUNDS))
+def test_explore_agrees_with_the_reference_walk_on_generated_input(
+        seed, bounds):
+    rng = random.Random(seed)
+    for gen in (S.well_typed, S.program, S.typed_cycles,
+                S.irreducible_live):
+        explores_like_the_reference(gen(rng)[1], *bounds)
+    # untyped races: two redexes can share a thread, and a step can
+    # open a restriction, so neither may put a redex to sleep
+    explores_like_the_reference(S.races(rng), *bounds)
+
+
+def test_generated_walks_cover_where_no_redex_sleeps():
+    # a redex sleeps only in a state without restrictions and beside a
+    # step on other threads.  `well_typed` serves and requests and
+    # `program` also accepts, so their walks open sessions; the races
+    # hold redexes that share a thread.  There too `explore` walks as
+    # the reference does
+    opened = restricted = shared = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        for p in (S.well_typed(rng)[1], S.program(rng)[1], S.races(rng)):
+            restricted += explores_like_the_reference(p, 6, 2000)[1]
+            for _, rs in sm.explore(p, 6):
+                opened += sum(r.rule in ("Init", "RInit") for r in rs)
+                sides = Counter(k for r in rs for k in (r.i, r.j)
+                                if k is not None)
+                shared += any(n > 1 for n in sides.values())
+    assert opened > 0
+    assert restricted > 0
+    assert shared > 0
+
+
 def test_seeded_traces_are_reproducible():
     src = load("buyer_seller")
     t1 = sm.trace(src.process, 8, seed=42)
